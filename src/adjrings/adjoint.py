@@ -23,27 +23,20 @@ class AdjointGroup:
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
-        circle = np.zeros((ring.order, ring.order), dtype=np.int32)
-        for i, x in enumerate(ring.elements()):
-            for j, y in enumerate(ring.elements()):
-                circle[i, j] = ring.index(ring.circle(x, y))
-        zero_idx = ring.index(ring.zero())
-        left = set(np.flatnonzero((circle == zero_idx).any(axis=1)))
-        right = set(np.flatnonzero((circle == zero_idx).any(axis=0)))
-        member_idx = sorted(left & right)
-        if zero_idx != member_idx[0]:
+        t = ring.tables
+        circle = t.add[t.add, t.mul]
+        hits = circle == 0
+        member_idx = np.flatnonzero(hits.any(axis=1) & hits.any(axis=0))
+        if member_idx[0] != 0:
             raise InvalidStructureError("zero must be the first group member")
-        for i in member_idx:
-            if ring.quasi_inverse(ring.element(i)) is None:
-                raise InvalidStructureError("one-sided circle inverse detected")
-        pos = {ri: gi for gi, ri in enumerate(member_idx)}
-        arr = np.array(member_idx)
-        sub = circle[np.ix_(arr, arr)]
-        try:
-            table = np.array([[pos[int(v)] for v in row] for row in sub])
-        except KeyError as exc:
-            raise InvalidStructureError("circle product left the invertible set") from exc
-        self.members = [ring.element(i) for i in member_idx]
+        if (t.quasi_inverses(member_idx, (hits & hits.T)[member_idx]) < 0).any():
+            raise InvalidStructureError("one-sided circle inverse detected")
+        pos = np.full(ring.order, -1)
+        pos[member_idx] = np.arange(len(member_idx))
+        table = pos[circle[np.ix_(member_idx, member_idx)]]
+        if (table < 0).any():
+            raise InvalidStructureError("circle product left the invertible set")
+        self.members = list(ring.elements_at(member_idx))
         self.index_of = {m: gi for gi, m in enumerate(self.members)}
         self.group = FiniteGroup(table, identity=0, name=f"adj({ring.name})")
         if nilpotency_class_ring(ring) is not None and len(self.members) != ring.order:
@@ -53,9 +46,6 @@ class AdjointGroup:
     def order(self) -> int:
         return len(self.members)
 
-    def element_set(self) -> tuple:
-        return tuple(sorted(self.members))
-
 
 def adjoint_group(ring: FiniteRing) -> AdjointGroup:
     return AdjointGroup(ring)
@@ -63,12 +53,7 @@ def adjoint_group(ring: FiniteRing) -> AdjointGroup:
 
 def additive_group_of(ring: FiniteRing) -> FiniteGroup:
     """The underlying abelian group of the ring, in ring element order."""
-    n = ring.order
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, x in enumerate(ring.elements()):
-        for j, y in enumerate(ring.elements()):
-            table[i, j] = ring.index(ring.add(x, y))
-    return FiniteGroup(table, identity=ring.index(ring.zero()), name=f"add({ring.name})")
+    return FiniteGroup(ring.tables.add, identity=0, name=f"add({ring.name})")
 
 
 def omega_circle_set(ring: FiniteRing, n: int) -> tuple:
@@ -77,7 +62,5 @@ def omega_circle_set(ring: FiniteRing, n: int) -> tuple:
     Computed directly from iterated circle powers, independently of the
     adjoint group construction, so the two can be cross-checked.
     """
-    q = ring.p ** n
-    zero = ring.zero()
-    out = [x for x in ring.elements() if ring.adjoint_power(x, q) == zero]
-    return tuple(sorted(out))
+    powers = ring.tables.circle_power(np.arange(ring.order), ring.p ** n)
+    return ring.elements_at(powers == 0)

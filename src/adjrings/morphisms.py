@@ -46,11 +46,6 @@ AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
 
 
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Images of 'a then b': x -> b(a(x))."""
-    return b[a]
-
-
 def _chunked_all(U: np.ndarray, predicate) -> np.ndarray:
     n = U.shape[1]
     chunk = max(1, 4_000_000 // (n * n))
@@ -279,9 +274,6 @@ class GroupHom:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.source.n
-
     def then(self, other: "GroupHom") -> "GroupHom":
         """Left-to-right composition: apply self, then other."""
         if other.source is not self.target:
@@ -416,12 +408,12 @@ def to_finite_ring(T: TableRing) -> tuple[FiniteRing, list[tuple]]:
               for i in range(d)]
     ring = FiniteRing(p, exps, tensor, name=f"{T.name}_sc")
     embed = [coords[i] for i in range(T.order)]
-    for i in range(T.order):
-        for j in range(T.order):
-            if ring.add(embed[i], embed[j]) != embed[int(T.add[i, j])]:
-                raise InvalidStructureError("witness map breaks addition")
-            if ring.mul(embed[i], embed[j]) != embed[int(T.mul[i, j])]:
-                raise InvalidStructureError("witness map breaks multiplication")
+    at = ring.indices(embed)
+    grid = np.ix_(at, at)
+    if not (ring.tables.add[grid] == at[T.add]).all():
+        raise InvalidStructureError("witness map breaks addition")
+    if not (ring.tables.mul[grid] == at[T.mul]).all():
+        raise InvalidStructureError("witness map breaks multiplication")
     return ring, embed
 
 
@@ -430,22 +422,17 @@ def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray, name: str) -> TableRing:
     m = M.shape[0]
     if m > TABLE_RING_CAP:
         raise BoundError(f"{name} has {m} members; table rings cap at {TABLE_RING_CAP}")
-    index = {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(M))}
-    if len(index) != m:
+    if len(np.unique(M, axis=0)) != m:
         raise InvalidStructureError("duplicate members")
+    index = _RowIndex(M)
     add = np.zeros((m, m), dtype=np.int32)
     mul = np.zeros((m, m), dtype=np.int32)
     for i in range(m):
-        sums = G.table[M[i][None, :].repeat(m, axis=0), M]
-        comps = M[:, M[i]]
-        for j in range(m):
-            try:
-                add[i, j] = index[np.ascontiguousarray(sums[j]).tobytes()]
-                mul[i, j] = index[np.ascontiguousarray(comps[j]).tobytes()]
-            except KeyError as exc:
-                raise InvalidStructureError(f"{name} is not closed under its operations") from exc
-    zero = index[np.ascontiguousarray(
-        np.full(G.n, G.identity, dtype=M.dtype)).tobytes()]
+        add[i], ok_add = index.find(G.table[M[i][None, :], M])
+        mul[i], ok_mul = index.find(M[:, M[i]])
+        if not (ok_add.all() and ok_mul.all()):
+            raise InvalidStructureError(f"{name} is not closed under its operations")
+    zero = int(index.require(np.full((1, G.n), G.identity, dtype=M.dtype), name)[0])
     ring = TableRing(add, mul, zero, elements=[tuple(int(v) for v in r) for r in M], name=name)
     return ring
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .abelian import prime_power, quotient_decomposition, table_decomposition
 from .errors import (
+    BoundError,
     BudgetError,
     HypothesisError,
     InvalidArgumentError,
@@ -28,6 +31,54 @@ Element = tuple[int, ...]
 
 ENUM_BUDGET = 100_000_000
 _ENUM_CHUNK = 1 << 16
+TABLE_CAP = 512  # largest ring order given dense index tables
+
+
+class RingTables(NamedTuple):
+    """Read-only index tables over a ring's lexicographic element order.
+
+    Index 0 is the zero element.  `coords[i]` is the coordinate vector of
+    element i; `add[i, j]`, `mul[i, j]` and `neg[i]` are element indices.
+    """
+
+    coords: np.ndarray
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+
+    def circle(self, a, b):
+        """Indices of x o y = x + y + xy, elementwise over index arrays."""
+        return self.add[self.add[a, b], self.mul[a, b]]
+
+    def circle_power(self, xs, k: int):
+        """k-fold circle powers (k >= 0) of the indices xs."""
+        acc = np.zeros_like(xs)
+        for _ in range(k):
+            acc = self.circle(acc, xs)
+        return acc
+
+    def quasi_inverses(self, xs, found):
+        """Circle inverse of each index in xs, -1 where there is none.
+
+        Row r of `found` marks the two-sided circle inverses of xs[r].  Raises
+        when a row marks several, and when x is nilpotent and the alternating
+        series -x + x^2 - x^3 + ... disagrees with its inverse.
+        """
+        count = found.sum(axis=1)
+        for i in xs[count > 1][:1]:
+            x = tuple(self.coords[i].tolist())
+            raise InvalidStructureError(f"{x} has multiple quasi-inverses")
+        inverse = np.where(count == 1, found.argmax(axis=1), -1)
+        acc = np.zeros_like(xs)
+        term = xs
+        # a nilpotent x has x^(L+1) = 0 when |R| = p^L, and L < |R|.bit_length()
+        for k in range(len(self.add).bit_length()):
+            acc = self.add[acc, self.neg[term] if k % 2 == 0 else term]
+            term = self.mul[term, xs]
+        for i in xs[(term == 0) & (count == 1) & (acc != inverse)][:1]:
+            x = tuple(self.coords[i].tolist())
+            raise InvalidStructureError(f"quasi-inverse series disagrees at {x}")
+        return inverse
 
 
 def _is_prime(n: int) -> bool:
@@ -53,10 +104,7 @@ class FiniteRing:
         self.exps = exps
         self.dim = len(exps)
         self.moduli = tuple(p**e for e in exps)
-        order = 1
-        for m in self.moduli:
-            order *= m
-        self.order = order
+        self.order = math.prod(self.moduli)
         self.name = name or f"ring_p{p}_" + "_".join(map(str, exps))
         self.mul_tensor = tuple(
             tuple(tuple(int(c) % self.moduli[k] for k, c in enumerate(row)) for row in plane)
@@ -68,31 +116,23 @@ class FiniteRing:
     # -- construction checks -------------------------------------------------
 
     def _validate(self) -> None:
-        d, p = self.dim, self.p
-        if len(self.mul_tensor) != d or any(len(plane) != d for plane in self.mul_tensor):
+        d, p, T = self.dim, self.p, self.mul_tensor
+        if len(T) != d or any(len(plane) != d for plane in T):
             raise InvalidStructureError("multiplication tensor must be d x d x d")
-        for i in range(d):
-            for j in range(d):
-                entry = self.mul_tensor[i][j]
-                if len(entry) != d:
-                    raise InvalidStructureError(f"basis product ({i},{j}) has wrong length")
-                bound = min(self.exps[i], self.exps[j])
-                for k in range(d):
-                    step = p ** max(0, self.exps[k] - bound)
-                    if entry[k] % step:
-                        raise InvalidStructureError(
-                            f"ill-defined product: entry ({i},{j},{k}) = {entry[k]} "
-                            f"is not a multiple of {step}"
-                        )
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = self._combo(self.mul_tensor[i][j], lambda l: self.mul_tensor[l][k])
-                    rhs = self._combo(self.mul_tensor[j][k], lambda l: self.mul_tensor[i][l])
-                    if lhs != rhs:
-                        raise InvalidStructureError(
-                            f"associativity fails on basis triple ({i},{j},{k})"
-                        )
+        for i, j in itertools.product(range(d), repeat=2):
+            if len(T[i][j]) != d:
+                raise InvalidStructureError(f"basis product ({i},{j}) has wrong length")
+            bound = min(self.exps[i], self.exps[j])
+            for k in range(d):
+                step = p ** max(0, self.exps[k] - bound)
+                if T[i][j][k] % step:
+                    raise InvalidStructureError(f"ill-defined product: entry ({i},{j},{k}) = "
+                                                f"{T[i][j][k]} is not a multiple of {step}")
+        for i, j, k in itertools.product(range(d), repeat=3):
+            lhs = self._combo(T[i][j], lambda l: T[l][k])
+            rhs = self._combo(T[j][k], lambda l: T[i][l])
+            if lhs != rhs:
+                raise InvalidStructureError(f"associativity fails on basis triple ({i},{j},{k})")
 
     def _combo(self, coeffs, pick) -> Element:
         acc = [0] * self.dim
@@ -130,13 +170,46 @@ class FiniteRing:
             raise InvalidElementError(f"{x} has {len(x)} coordinates, expected {self.dim}")
         return tuple(c % m for c, m in zip(x, self.moduli))
 
+    # -- index tables ---------------------------------------------------------
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(moduli, basis element indices, structure tensor) as int64 arrays;
+        an element's index is its coordinates dotted with the basis indices."""
+        if self.order > TABLE_CAP:
+            raise BoundError(f"ring tables capped at {TABLE_CAP} elements")
+        weights = [math.prod(self.moduli[k + 1:]) for k in range(self.dim)]
+        tensor = np.array(self.mul_tensor, dtype=np.int64).reshape((self.dim,) * 3)
+        return np.array(self.moduli, dtype=np.int64), np.array(weights, dtype=np.int64), tensor
+
+    def indices(self, elems) -> np.ndarray:
+        """Index array of coordinate tuples, reduced mod the moduli."""
+        moduli, weights, _ = self._arrays
+        elems = list(elems)
+        return (np.array(elems, dtype=np.int64).reshape(len(elems), self.dim) % moduli) @ weights
+
+    def elements_at(self, idx) -> tuple[Element, ...]:
+        """Coordinate tuples at an index array or mask, in index (= sorted) order."""
+        return tuple(map(tuple, self.tables.coords[idx].tolist()))
+
+    @cached_property
+    def tables(self) -> RingTables:
+        """Index tables of +, * and negation, built on first use."""
+        moduli, weights, tensor = self._arrays
+        coords = np.array(list(self.elements()), dtype=np.int64).reshape(self.order, self.dim)
+        add = (coords[:, None] + coords) % moduli @ weights
+        # x y = sum_b y_b (x e_b): contract x with the tensor, then with y
+        mul = (coords @ np.tensordot(coords, tensor, axes=(1, 0))) % moduli @ weights
+        neg = -coords % moduli @ weights
+        out = RingTables(coords, *(t.astype(np.int32) for t in (add, mul, neg)))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def neg(self, x: Element) -> Element:
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
 
     def smul(self, c: int, x: Element) -> Element:
         return tuple((c * a) % m for a, m in zip(x, self.moduli))
@@ -172,92 +245,49 @@ class FiniteRing:
             acc = self.mul(acc, x)
         return acc
 
-    def is_nilpotent_element(self, x: Element) -> bool:
-        seen = set()
-        acc = x
-        while acc not in seen:
-            if acc == self.zero():
-                return True
-            seen.add(acc)
-            acc = self.mul(acc, x)
-        return acc == self.zero()
-
     def quasi_inverse(self, x: Element) -> Element | None:
-        """Two-sided circle inverse of x, or None.
+        """Two-sided circle inverse of x, or None, read off the index tables.
 
-        Exhaustive search; when x is nilpotent the alternating series
-        -x + x^2 - x^3 + ... is cross-asserted against the search result.
+        When x is nilpotent the alternating series -x + x^2 - x^3 + ... is
+        cross-asserted against the table result.
         """
-        zero = self.zero()
-        found = [y for y in self.elements() if self.circle(x, y) == zero and self.circle(y, x) == zero]
-        if len(found) > 1:
-            raise InvalidStructureError(f"{x} has multiple quasi-inverses")
-        if not found:
-            return None
-        y = found[0]
-        if self.is_nilpotent_element(x):
-            acc = zero
-            term = x
-            sign = -1
-            while term != zero:
-                acc = self.add(acc, self.smul(sign, term))
-                term = self.mul(term, x)
-                sign = -sign
-            if acc != y:
-                raise InvalidStructureError(f"quasi-inverse series disagrees at {x}")
-        return y
+        t = self.tables
+        i = np.array([self.index(self.check_element(x))])
+        every = np.arange(self.order)
+        found = (t.circle(i, every) == 0) & (t.circle(every, i) == 0)
+        y = t.quasi_inverses(i, found[None])[0]
+        return None if y < 0 else self.element(int(y))
 
     def adjoint_power(self, x: Element, k: int) -> Element:
         """k-fold circle power of x (k >= 0); the 0th power is 0."""
         if k < 0:
             raise InvalidArgumentError("adjoint powers need k >= 0")
-        acc = self.zero()
-        for _ in range(k):
-            acc = self.circle(acc, x)
-        return acc
+        i = np.array([self.index(self.check_element(x))])
+        return self.element(int(self.tables.circle_power(i, k)[0]))
 
     # -- structural predicates -------------------------------------------------
 
-    def _small_order_elements(self, kappa: int):
-        return omega_additive(self, kappa)
-
-    def basis_elements(self) -> list[Element]:
-        return [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
+    def _small_order_kills(self, side: int) -> bool:
+        # the p^(e_a - kappa) e_a generate the small-order layer and products are
+        # additive in each factor, so generators against basis elements decide it
+        kappa = 2 if self.p == 2 else 1
+        for a, e in enumerate(self.exps):
+            step = self.p ** max(0, e - kappa)
+            for b in range(self.dim):
+                row = self.mul_tensor[a][b] if side == 0 else self.mul_tensor[b][a]
+                if any(step * c % m for c, m in zip(row, self.moduli)):
+                    return False
+        return True
 
     def is_left_p_nil(self) -> bool:
         """Every x with px = 0 (4x = 0 when p = 2) satisfies xR = 0."""
-        kappa = 2 if self.p == 2 else 1
-        basis = self.basis_elements()
-        zero = self.zero()
-        # products are additive in the right factor, so basis targets suffice
-        return all(
-            self.mul(x, b) == zero for x in self._small_order_elements(kappa) for b in basis
-        )
+        return self._small_order_kills(0)
 
     def is_right_p_nil(self) -> bool:
-        kappa = 2 if self.p == 2 else 1
-        basis = self.basis_elements()
-        zero = self.zero()
-        return all(
-            self.mul(b, x) == zero for x in self._small_order_elements(kappa) for b in basis
-        )
+        return self._small_order_kills(1)
 
     def is_p_nil(self) -> bool:
         return self.is_left_p_nil() and self.is_right_p_nil()
-
-    def is_strict_two_nil(self) -> bool:
-        """p = 2 only: every x with 2x = 0 annihilates R on one side or the other."""
-        if self.p != 2:
-            raise HypothesisError("the strict variant is a p = 2 notion")
-        basis = self.basis_elements()
-        zero = self.zero()
-        for x in self._small_order_elements(1):
-            if all(self.mul(x, b) == zero for b in basis):
-                continue
-            if all(self.mul(b, x) == zero for b in basis):
-                continue
-            return False
-        return True
 
     def additive_exponent_log(self) -> int:
         """m with exp(R,+) = p^m."""
@@ -270,21 +300,33 @@ class FiniteRing:
 # -- additive subgroups ---------------------------------------------------------
 
 
+def _closure_mask(ring: FiniteRing, gens) -> np.ndarray:
+    """Membership mask of the subgroup of (R,+) generated by an index array."""
+    add = ring.tables.add
+    gens = np.unique(gens)
+    seen = np.zeros(ring.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        frontier = np.unique(add[np.ix_(frontier, gens)])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return seen
+
+
+def _is_ideal(ring: FiniteRing, mask: np.ndarray) -> bool:
+    """Whether a subgroup mask is closed under products with R on both sides."""
+    mul = ring.tables.mul
+    members = np.flatnonzero(mask)
+    basis = ring._arrays[1]
+    return bool(mask[mul[np.ix_(members, basis)]].all()
+                and mask[mul[np.ix_(basis, members)]].all())
+
+
 def additive_closure(ring: FiniteRing, gens) -> tuple[Element, ...]:
     """Subgroup of (R,+) generated by `gens`, as a sorted element tuple."""
-    seen = {ring.zero()}
-    frontier = [ring.zero()]
-    gens = [ring.check_element(g) for g in gens]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = ring.add(s, g)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return tuple(sorted(seen))
+    gens = ring.indices(ring.check_element(g) for g in gens)
+    return ring.elements_at(_closure_mask(ring, gens))
 
 
 def omega_additive(ring: FiniteRing, n: int) -> tuple[Element, ...]:
@@ -302,19 +344,17 @@ def ring_power_chain(ring: FiniteRing) -> list[tuple[Element, ...]]:
     """[R^1, R^2, ...] down to stabilization; each term a sorted element tuple."""
     if ring._power_chain is not None:
         return ring._power_chain
-    basis = ring.basis_elements()
-    chain = [tuple(sorted(ring.elements()))]
+    mul = ring.tables.mul
+    basis = ring._arrays[1]
+    chain = [np.ones(ring.order, dtype=bool)]
     while True:
         prev = chain[-1]
-        gens = {ring.mul(x, b) for x in prev for b in basis}
-        nxt = additive_closure(ring, gens)
-        if nxt == prev:
+        nxt = _closure_mask(ring, mul[np.ix_(np.flatnonzero(prev), basis)].ravel())
+        if (nxt == prev).all():
             break
         chain.append(nxt)
-        if len(nxt) == 1:
-            break
-    ring._power_chain = chain
-    return chain
+    ring._power_chain = [ring.elements_at(mask) for mask in chain]
+    return ring._power_chain
 
 
 def ring_power(ring: FiniteRing, k: int) -> tuple[Element, ...]:
@@ -334,24 +374,25 @@ def nilpotency_class_ring(ring: FiniteRing) -> int | None:
     return len(chain) - 1
 
 
+def _annihilator_mask(ring: FiniteRing, targets, side: int) -> np.ndarray:
+    """{x : x t = 0} (side 0) or {x : t x = 0} (side 1) for all t in targets,
+    verified to be an additive subgroup."""
+    mul = ring.tables.mul
+    targets = ring.indices(ring.check_element(t) for t in targets)
+    mask = (mul[:, targets] == 0).all(axis=1) if side == 0 else (mul[targets] == 0).all(axis=0)
+    if not (_closure_mask(ring, np.flatnonzero(mask)) == mask).all():
+        raise InvalidStructureError("annihilator failed subgroup closure")
+    return mask
+
+
 def left_annihilator(ring: FiniteRing, targets) -> tuple[Element, ...]:
     """{x : x t = 0 for all t in targets}, verified to be an additive subgroup."""
-    targets = [ring.check_element(t) for t in targets]
-    zero = ring.zero()
-    out = tuple(sorted(x for x in ring.elements() if all(ring.mul(x, t) == zero for t in targets)))
-    if additive_closure(ring, out) != out:
-        raise InvalidStructureError("annihilator failed subgroup closure")
-    return out
+    return ring.elements_at(_annihilator_mask(ring, targets, 0))
 
 
 def right_annihilator(ring: FiniteRing, targets) -> tuple[Element, ...]:
     """{x : t x = 0 for all t in targets}, verified to be an additive subgroup."""
-    targets = [ring.check_element(t) for t in targets]
-    zero = ring.zero()
-    out = tuple(sorted(x for x in ring.elements() if all(ring.mul(t, x) == zero for t in targets)))
-    if additive_closure(ring, out) != out:
-        raise InvalidStructureError("annihilator failed subgroup closure")
-    return out
+    return ring.elements_at(_annihilator_mask(ring, targets, 1))
 
 
 def ideal_u(ring: FiniteRing, omega_for_two: int = 1) -> tuple[Element, ...]:
@@ -367,17 +408,13 @@ def ideal_u(ring: FiniteRing, omega_for_two: int = 1) -> tuple[Element, ...]:
     if not ring.is_left_p_nil():
         raise HypothesisError("ideal_u needs a left p-nil ring")
     n = omega_for_two if ring.p == 2 else 1
-    ann = set(right_annihilator(ring, list(ring.elements())))
-    u = tuple(sorted(ann.intersection(omega_additive(ring, n))))
-    basis = ring.basis_elements()
-    uset = set(u)
-    for x in u:
-        for b in basis:
-            if ring.mul(x, b) not in uset or ring.mul(b, x) not in uset:
-                raise InvalidStructureError("ideal_u is not two-sided")
-    if ring.order > 1 and len(u) == 1:
+    omega = np.isin(np.arange(ring.order), ring.indices(omega_additive(ring, n)))
+    u = _annihilator_mask(ring, ring.elements(), 1) & omega
+    if not _is_ideal(ring, u):
+        raise InvalidStructureError("ideal_u is not two-sided")
+    if ring.order > 1 and u.sum() == 1:
         raise InvalidStructureError("ideal_u came out trivial on a nonzero ring")
-    return u
+    return ring.elements_at(u)
 
 
 def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
@@ -388,12 +425,8 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
     ideal = tuple(sorted(ring.check_element(x) for x in ideal))
     if additive_closure(ring, ideal) != ideal:
         raise InvalidArgumentError("ideal is not an additive subgroup")
-    iset = set(ideal)
-    basis = ring.basis_elements()
-    for x in ideal:
-        for b in basis:
-            if ring.mul(x, b) not in iset or ring.mul(b, x) not in iset:
-                raise InvalidArgumentError("subgroup is not a two-sided ideal")
+    if not _is_ideal(ring, np.isin(np.arange(ring.order), ring.indices(ideal))):
+        raise InvalidArgumentError("subgroup is not a two-sided ideal")
     factors, basis_rows, project = quotient_decomposition(
         list(ring.moduli), [list(x) for x in ideal]
     )
@@ -456,10 +489,7 @@ def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
     exps = tuple(int(e) for e in exps)
     d = len(exps)
     moduli = [p**e for e in exps]
-    order = 1
-    for m in moduli:
-        order *= m
-    total = order ** (d * d)
+    total = math.prod(moduli) ** (d * d)
     if total > budget:
         raise BudgetError(f"{total} candidate tensors exceed the budget of {budget}")
     if d == 0:

@@ -186,7 +186,7 @@ def check_omega_correspondence(R: FiniteRing, instance: str | None = None) -> Ch
     if not (prof.left_p_nil or prof.right_p_nil):
         return _skip("omega-correspondence", name, "not left or right p-nil")
     A = adjoint_group(R)
-    gidx = {x: i for i, x in enumerate(A.members)}
+    gidx = A.index_of
     computed: dict = {"m": prof.m, "layers": {}}
     top = max(prof.m, 1)
     for n in range(1, top + 1):

@@ -145,8 +145,9 @@ def test_criterion_05_quotient_and_annihilator(report):
 def test_criterion_06_rank_equalities(corpus, report):
     no_failures(report, "adjoint-rank")
     got = verdicts(report, "adjoint-rank")
+    nil_ids = one_sided_p_nil_ids(corpus)
     for e in rings_of(corpus):
-        if e.id in one_sided_p_nil_ids(corpus) and e.obj.order <= 81:
+        if e.id in nil_ids and e.obj.order <= 81:
             assert got[e.id] == "pass", e.id
     for rec in report["adjoint-rank"]:
         if rec["hypothesis_met"]:
