@@ -20,6 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 from pathlib import Path
 
 from .adjoint import adjoint_group
@@ -42,7 +43,7 @@ from .groups import (
     prime_of,
     upper_central_series,
 )
-from .morphisms import AUT_ORDER_BOUND, check_laue, der_ring, hom_ring, to_finite_ring
+from .morphisms import AUT_ORDER_BOUND, check_laue, der_ring, hom_ring
 from .rings import (
     FiniteRing,
     enumerate_rings,
@@ -74,31 +75,6 @@ from .verify import (
     probe_two_nil_improvement,
     ring_profile,
 )
-
-RING_CHECKS = (
-    "omega-correspondence",
-    "p-central-adjoint",
-    "nilpotency-bound",
-    "nilpotency-probe",
-    "quotient-p-nil",
-    "annihilator-ideal",
-    "adjoint-rank",
-    "sylow-rank",
-)
-GROUP_CHECKS = (
-    "profile-consistency",
-    "laue",
-    "central-aut",
-    "central-aut-class",
-    "aut-center-exponent",
-    "sylow-center-probe",
-    "frattini-aut-class",
-    "aut-exponent",
-    "aut-gen-bound-abelian",
-    "aut-gen-bound",
-    "der-subring-p-nil",
-)
-ALL_CHECKS = RING_CHECKS + GROUP_CHECKS
 
 # groups small enough to sweep every abelian normal subgroup as a module
 MODULE_SWEEP_CAP = 16
@@ -181,11 +157,11 @@ def default_corpus() -> list[CorpusEntry]:
         d = min_generators(G)
         S = central_target(G)
         if S.order ** d <= HARVEST_MAP_CAP:
-            ring, _ = to_finite_ring(hom_ring(G, S))
+            ring, _ = hom_ring(G, S)
             entries.append(CorpusEntry(f"ring:hom-{name}", "ring", ring))
         Z = center(G)
         if Z.order ** d <= HARVEST_MAP_CAP:
-            ring, _ = to_finite_ring(der_ring(G, Z))
+            ring, _ = der_ring(G, Z)
             entries.append(CorpusEntry(f"ring:der-{name}", "ring", ring))
     for name, G in groups:
         entries.append(CorpusEntry(f"group:{name}", "group", G))
@@ -223,42 +199,6 @@ _CORPUS: dict[str, CorpusEntry] = {}
 _FLAGS: dict[str, int] = {}
 
 
-def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
-    """Instance x check task list in deterministic order."""
-    wanted = set(checks)
-    tasks: list[tuple] = []
-    for e in entries:
-        if e.kind == "ring":
-            for name in RING_CHECKS:
-                if name not in wanted:
-                    continue
-                if name == "quotient-p-nil":
-                    top = max(e.obj.additive_exponent_log(), 1)
-                    tasks.extend((e.id, name, n) for n in range(1, top + 1))
-                else:
-                    tasks.append((e.id, name, None))
-            continue
-        G = e.obj
-        p = G.n > 1 and prime_of(G) is not None
-        for name in GROUP_CHECKS:
-            if name not in wanted:
-                continue
-            if name == "laue":
-                count = len(abelian_normal_subgroups(G))
-                tasks.extend((e.id, name, i) for i in range(count))
-            elif name == "der-subring-p-nil":
-                if not p:
-                    continue
-                labels = [label for label, _ in _NAMED_MODULES]
-                if G.n <= MODULE_SWEEP_CAP:
-                    labels += [f"an{i:03d}"
-                               for i in range(len(abelian_normal_subgroups(G)))]
-                tasks.extend((e.id, name, label) for label in labels)
-            else:
-                tasks.append((e.id, name, None))
-    return tasks
-
-
 def _module_by_label(G: FiniteGroup, label: str):
     if label.startswith("an"):
         return abelian_normal_subgroups(G)[int(label[2:])]
@@ -268,56 +208,110 @@ def _module_by_label(G: FiniteGroup, label: str):
     raise AlgebraError(f"unknown module label {label!r}")
 
 
+def _once(obj) -> list:
+    return [None]
+
+
+def _levels(R: FiniteRing) -> range:
+    """Torsion levels 1..m for exp(R,+) = p^m, at least level 1."""
+    return range(1, max(R.additive_exponent_log(), 1) + 1)
+
+
+def _module_indices(G: FiniteGroup) -> range:
+    return range(len(abelian_normal_subgroups(G)))
+
+
+def _module_labels(G: FiniteGroup) -> list[str]:
+    """Named modules, plus every abelian normal subgroup of a small group;
+    none for groups that are not nontrivial p-groups."""
+    if G.n == 1 or prime_of(G) is None:
+        return []
+    labels = [label for label, _ in _NAMED_MODULES]
+    if G.n <= MODULE_SWEEP_CAP:
+        labels += [f"an{i:03d}" for i in _module_indices(G)]
+    return labels
+
+
+@dataclass(frozen=True)
+class Check:
+    kind: str  # "ring" | "group"
+    params: Callable  # object -> task parameters, one task each
+    run: Callable  # (object, instance id, parameter, flags) -> CheckReport
+
+
+# Runners look their check function up by name at call time, so a wrapper
+# installed on this module's namespace sees every call.
+CHECKS: dict[str, Check] = {
+    "omega-correspondence": Check(
+        "ring", _once, lambda R, iid, _, f: check_omega_correspondence(R, instance=iid)),
+    "p-central-adjoint": Check(
+        "ring", _once, lambda R, iid, _, f: check_p_central_adjoint(R, instance=iid)),
+    "nilpotency-bound": Check(
+        "ring", _once, lambda R, iid, _, f: check_nilpotency_bound(R, instance=iid)),
+    "nilpotency-probe": Check(
+        "ring", _once, lambda R, iid, _, f: probe_two_nil_improvement(R, instance=iid)),
+    "quotient-p-nil": Check(
+        "ring", _levels, lambda R, iid, n, f: check_quotient_p_nil(R, n, instance=iid)),
+    "annihilator-ideal": Check(
+        "ring", _once, lambda R, iid, _, f: check_annihilator_ideal(
+            R, omega_for_two=f["annihilator_omega"], instance=iid)),
+    "adjoint-rank": Check(
+        "ring", _once, lambda R, iid, _, f: check_adjoint_rank(
+            R, instance=iid, subgroup_bound=f["subgroup_bound"])),
+    "sylow-rank": Check(
+        "ring", _once, lambda R, iid, _, f: check_sylow_rank(
+            R, instance=iid, subgroup_bound=f["subgroup_bound"])),
+    "profile-consistency": Check(
+        "group", _once, lambda G, iid, _, f: check_profile_consistency(G, instance=iid)),
+    "laue": Check(
+        "group", _module_indices, lambda G, iid, i, f: check_laue(
+            G, abelian_normal_subgroups(G)[i], instance=f"{iid}/an{i:03d}")),
+    "central-aut": Check(
+        "group", _once, lambda G, iid, _, f: check_central_aut(
+            G, instance=iid, subgroup_bound=f["subgroup_bound"])),
+    "central-aut-class": Check(
+        "group", _once, lambda G, iid, _, f: check_central_aut_class(G, instance=iid)),
+    "aut-center-exponent": Check(
+        "group", _once, lambda G, iid, _, f: check_aut_center_exponent(G, instance=iid)),
+    "sylow-center-probe": Check(
+        "group", _once, lambda G, iid, _, f: probe_sylow_center(
+            G, instance=iid, aut_bound=f["aut_bound"])),
+    "frattini-aut-class": Check(
+        "group", _once, lambda G, iid, _, f: check_frattini_aut_class(G, instance=iid)),
+    "aut-exponent": Check(
+        "group", _once, lambda G, iid, _, f: check_aut_exponent(
+            G, instance=iid, aut_bound=f["aut_bound"])),
+    "aut-gen-bound-abelian": Check(
+        "group", _once, lambda G, iid, _, f: check_aut_gen_bound_abelian(
+            G, instance=iid, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
+    "aut-gen-bound": Check(
+        "group", _once, lambda G, iid, _, f: check_aut_gen_bound(
+            G, instance=iid, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
+    "der-subring-p-nil": Check(
+        "group", _module_labels, lambda G, iid, label, f: check_der_subring_p_nil(
+            G, _module_by_label(G, label), instance=f"{iid}/{label}")),
+}
+RING_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "ring")
+GROUP_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "group")
+ALL_CHECKS = tuple(CHECKS)
+DEFAULT_FLAGS = {"annihilator_omega": 1, "aut_bound": AUT_ORDER_BOUND,
+                 "subgroup_bound": SUBGROUP_BOUND}
+
+
+def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
+    """Instance x check task list in deterministic order."""
+    wanted = set(checks)
+    return [(e.id, name, param)
+            for e in entries
+            for name, c in CHECKS.items() if c.kind == e.kind and name in wanted
+            for param in c.params(e.obj)]
+
+
 def run_check(entry: CorpusEntry, check: str, param, flags: dict) -> str:
     """One verdict line; `param` selects the torsion level or module."""
-    obj, iid = entry.obj, entry.id
-    sb = flags.get("subgroup_bound", SUBGROUP_BOUND)
-    ab = flags.get("aut_bound", AUT_ORDER_BOUND)
-    if check == "omega-correspondence":
-        rep = check_omega_correspondence(obj, instance=iid)
-    elif check == "p-central-adjoint":
-        rep = check_p_central_adjoint(obj, instance=iid)
-    elif check == "nilpotency-bound":
-        rep = check_nilpotency_bound(obj, instance=iid)
-    elif check == "nilpotency-probe":
-        rep = probe_two_nil_improvement(obj, instance=iid)
-    elif check == "quotient-p-nil":
-        rep = check_quotient_p_nil(obj, param, instance=iid)
-    elif check == "annihilator-ideal":
-        rep = check_annihilator_ideal(
-            obj, omega_for_two=flags.get("annihilator_omega", 1), instance=iid)
-    elif check == "adjoint-rank":
-        rep = check_adjoint_rank(obj, instance=iid, subgroup_bound=sb)
-    elif check == "sylow-rank":
-        rep = check_sylow_rank(obj, instance=iid, subgroup_bound=sb)
-    elif check == "profile-consistency":
-        rep = check_profile_consistency(obj, instance=iid)
-    elif check == "laue":
-        N = abelian_normal_subgroups(obj)[param]
-        rep = check_laue(obj, N, instance=f"{iid}/an{param:03d}")
-    elif check == "central-aut":
-        rep = check_central_aut(obj, instance=iid, subgroup_bound=sb)
-    elif check == "central-aut-class":
-        rep = check_central_aut_class(obj, instance=iid)
-    elif check == "aut-center-exponent":
-        rep = check_aut_center_exponent(obj, instance=iid)
-    elif check == "sylow-center-probe":
-        rep = probe_sylow_center(obj, instance=iid, aut_bound=ab)
-    elif check == "frattini-aut-class":
-        rep = check_frattini_aut_class(obj, instance=iid)
-    elif check == "aut-exponent":
-        rep = check_aut_exponent(obj, instance=iid, aut_bound=ab)
-    elif check == "aut-gen-bound-abelian":
-        rep = check_aut_gen_bound_abelian(obj, instance=iid,
-                                          aut_bound=ab, subgroup_bound=sb)
-    elif check == "aut-gen-bound":
-        rep = check_aut_gen_bound(obj, instance=iid,
-                                  aut_bound=ab, subgroup_bound=sb)
-    elif check == "der-subring-p-nil":
-        N = _module_by_label(obj, param)
-        rep = check_der_subring_p_nil(obj, N, instance=f"{iid}/{param}")
-    else:
+    if check not in CHECKS:
         raise AlgebraError(f"unknown check {check!r}")
+    rep = CHECKS[check].run(entry.obj, entry.id, param, {**DEFAULT_FLAGS, **flags})
     return rep.to_json_line()
 
 

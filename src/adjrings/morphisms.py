@@ -44,15 +44,64 @@ PAIRS_CAP = 1024
 TABLE_RING_CAP = 256
 AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
+CHUNK_ENTRIES = 4_000_000  # entries per vectorized block
 
 
 def _chunked_all(U: np.ndarray, predicate) -> np.ndarray:
     n = U.shape[1]
-    chunk = max(1, 4_000_000 // (n * n))
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
     ok = np.ones(U.shape[0], dtype=bool)
     for s in range(0, U.shape[0], chunk):
         ok[s:s + chunk] = predicate(U[s:s + chunk])
     return ok
+
+
+class _RowIndex:
+    """Vectorized exact-row lookup into a fixed matrix of image rows."""
+
+    def __init__(self, M: np.ndarray):
+        Mc = np.ascontiguousarray(M)
+        self._dtype = Mc.dtype
+        self.width = Mc.shape[1]
+        void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
+        self.order = np.argsort(void)
+        self._sorted = void[self.order]
+
+    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of each row plus a found mask; index is junk where not found."""
+        rc = np.ascontiguousarray(rows.astype(self._dtype, copy=False))
+        rv = rc.view((np.void, rc.dtype.itemsize * rc.shape[1])).ravel()
+        pos = np.minimum(np.searchsorted(self._sorted, rv), len(self._sorted) - 1)
+        return self.order[pos], self._sorted[pos] == rv
+
+    def require(self, rows: np.ndarray, what: str) -> np.ndarray:
+        idx, ok = self.find(rows)
+        if not ok.all():
+            raise InvalidStructureError(f"{what}: row not in the enumerated set")
+        return idx
+
+
+def _bijective_rows(M: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the rows of M that permute range(n)."""
+    return (np.sort(M, axis=1) == np.arange(n)).all(axis=1)
+
+
+def _row_table(m: int, index: _RowIndex, block, what: str) -> np.ndarray:
+    """m x m table whose row i holds the index positions of block(rows)[i],
+    looked up in row chunks of at most CHUNK_ENTRIES image entries."""
+    width = index.width
+    chunk = max(1, CHUNK_ENTRIES // (m * width))
+    tab = np.empty((m, m), dtype=np.int32)
+    for s in range(0, m, chunk):
+        rows = block(np.arange(s, min(s + chunk, m)))
+        tab[s:s + chunk] = index.require(rows.reshape(-1, width), what).reshape(-1, m)
+    return tab
+
+
+def _compose_table(M: np.ndarray, index: _RowIndex, what: str) -> np.ndarray:
+    """Composition table of the rows of M: tab[i, j] is the position of
+    M[j][M[i]] (member i, then member j).  Raises when a composite is not a row."""
+    return _row_table(M.shape[0], index, lambda rows: M[:, M[rows]].swapaxes(0, 1), what)
 
 
 def _verify_hom_rows(src_table: np.ndarray, dst_table: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -274,13 +323,6 @@ class GroupHom:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
-    def then(self, other: "GroupHom") -> "GroupHom":
-        """Left-to-right composition: apply self, then other."""
-        if other.source is not self.target:
-            raise InvalidArgumentError("composition endpoints do not match")
-        return GroupHom(self.source, other.target,
-                        tuple(other.images[i] for i in self.images))
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -315,144 +357,85 @@ def enumerate_derivations(G: FiniteGroup, N: Subgroup) -> list[Derivation]:
     return [Derivation(G, N, tuple(int(v) for v in row)) for row in U]
 
 
-def laue_endomorphism(delta: Derivation) -> GroupHom:
-    """u(x) = x * delta(x); verified to land in End_N."""
-    G = delta.group
-    images = tuple(int(G.table[x, delta.images[x]]) for x in range(G.n))
-    u = GroupHom(G, G, images)
-    nset = set(delta.module.elems)
-    for x in range(G.n):
-        if G.mult(G.inv(x), u.images[x]) not in nset:
-            raise InvalidStructureError("endomorphism left its cosets")
-    return u
-
-
-def laue_derivation(G: FiniteGroup, N: Subgroup, u) -> Derivation:
-    """delta_u(x) = x^{-1} u(x); u must be an N-coset-preserving endomorphism."""
-    images = u.images if isinstance(u, GroupHom) else tuple(u)
-    U = np.array(images, dtype=np.int32)[None, :]
-    if not _verify_hom_rows(G.table, G.table, U)[0]:
-        raise InvalidArgumentError("not an endomorphism")
-    nset = set(N.elems)
-    delta = tuple(int(G.table[G.inv(x), images[x]]) for x in range(G.n))
-    if any(v not in nset for v in delta):
-        raise InvalidArgumentError("endomorphism does not preserve the module cosets")
-    return Derivation(G, N, delta)
-
-
 # -- table rings ------------------------------------------------------------------
 
 
-class TableRing:
-    """A finite ring given by explicit addition and multiplication tables.
+def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np.ndarray]:
+    """Structure-constant ring isomorphic to the ring given by index tables.
 
-    Validation re-derives every axiom: abelian group addition, associative
-    multiplication, and two-sided distributivity, all elementwise.
+    Returns (R, at) where at[i] is the index in R of table element i.  The
+    witness proves every ring axiom for the tables: at is a bijection onto R
+    that fixes zero and carries `add` and `mul` to R's tables on every pair,
+    so the tables are an isomorphic copy of the validated ring R.
     """
-
-    def __init__(self, add, mul, zero: int, elements=None, name: str = "T"):
-        add = np.asarray(add, dtype=np.int32)
-        mul = np.asarray(mul, dtype=np.int32)
-        m = add.shape[0]
-        if m > TABLE_RING_CAP:
-            raise BoundError(f"table ring capped at {TABLE_RING_CAP} elements")
-        if add.shape != (m, m) or mul.shape != (m, m):
-            raise InvalidStructureError("tables must be square and same-sized")
-        grp = FiniteGroup(add, identity=zero, name=f"{name}+")
-        if not grp.is_abelian():
-            raise InvalidStructureError("addition must be commutative")
-        if mul.min() < 0 or mul.max() >= m:
-            raise InvalidStructureError("multiplication entries out of range")
-        if not (mul[mul, :] == mul[:, mul]).all():
-            raise InvalidStructureError("multiplication is not associative")
-        lhs = mul[add, :]
-        rhs = add[mul[:, None, :], mul[None, :, :]]
-        if not (lhs == rhs).all():
-            raise InvalidStructureError("right distributivity fails")
-        lhs2 = mul[:, add]
-        rhs2 = add[mul[:, :, None], mul[:, None, :]]
-        if not (lhs2 == rhs2).all():
-            raise InvalidStructureError("left distributivity fails")
-        add.flags.writeable = False
-        mul.flags.writeable = False
-        self.add = add
-        self.mul = mul
-        self.zero = zero
-        self.order = m
-        self.elements = list(range(m)) if elements is None else list(elements)
-        self.name = name
-        self.additive_group = grp
-
-    def __repr__(self):
-        return f"TableRing({self.name}, order={self.order})"
-
-
-def to_finite_ring(T: TableRing) -> tuple[FiniteRing, list[tuple]]:
-    """Structure-constant form of a table ring plus the witness map.
-
-    Returns (R, embed) where embed[i] is the coordinate tuple of table element
-    i; the map is verified to be a ring isomorphism on every pair.
-    """
-    factors, basis, coords = table_decomposition(
-        [list(map(int, r)) for r in T.add], T.zero)
-    if not factors:
-        ring = FiniteRing(2, [], [], name=f"{T.name}_sc")
-        return ring, [()] * 1
+    add = np.asarray(add, dtype=np.int64)
+    mul = np.asarray(mul, dtype=np.int64)
+    m = add.shape[0]
+    every = np.arange(m)
+    if add.shape != (m, m) or mul.shape != (m, m):
+        raise InvalidStructureError("tables must be square and same-sized")
+    if min(add.min(), mul.min()) < 0 or max(add.max(), mul.max()) >= m:
+        raise InvalidStructureError("table entries out of range")
+    # a zero row and column and Latin columns keep the decomposition finite
+    if not (0 <= zero < m and (add[zero] == every).all() and (add[:, zero] == every).all()):
+        raise InvalidStructureError(f"element {zero} is not an additive zero")
+    if not (np.sort(add, axis=0) == every[:, None]).all():
+        raise InvalidStructureError("addition table is not a Latin square")
+    factors, basis, coords = table_decomposition(add.tolist(), zero)
     pks = [prime_power(f) for f in factors]
-    if any(pk is None for pk in pks) or len({pk[0] for pk in pks}) != 1:
+    if any(pk is None for pk in pks) or len({pk[0] for pk in pks}) > 1:
         raise InvalidStructureError("additive group is not a p-group")
-    p = pks[0][0]
-    exps = [pk[1] for pk in pks]
-    d = len(factors)
-    tensor = [[list(coords[int(T.mul[basis[i], basis[j]])]) for j in range(d)]
-              for i in range(d)]
-    ring = FiniteRing(p, exps, tensor, name=f"{T.name}_sc")
-    embed = [coords[i] for i in range(T.order)]
-    at = ring.indices(embed)
+    tensor = [[list(coords[int(mul[a, b])]) for b in basis] for a in basis]
+    ring = FiniteRing(pks[0][0] if pks else 2, [pk[1] for pk in pks], tensor,
+                      name=f"{name}_sc")
+    at = ring.indices(coords[i] for i in range(m))
+    if ring.order != m or np.unique(at).size != m:
+        raise InvalidStructureError("witness map is not a bijection")
+    if at[zero] != 0:
+        raise InvalidStructureError("witness map moves zero")
     grid = np.ix_(at, at)
-    if not (ring.tables.add[grid] == at[T.add]).all():
+    if not (ring.tables.add[grid] == at[add]).all():
         raise InvalidStructureError("witness map breaks addition")
-    if not (ring.tables.mul[grid] == at[T.mul]).all():
+    if not (ring.tables.mul[grid] == at[mul]).all():
         raise InvalidStructureError("witness map breaks multiplication")
-    return ring, embed
+    return ring, at
 
 
-def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray, name: str) -> TableRing:
-    """Pointwise addition and composition multiplication on image rows."""
+def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray,
+                         name: str) -> tuple[FiniteRing, np.ndarray]:
+    """Ring of image rows under pointwise addition and composition, with the
+    rows reordered to the ring's element order."""
     m = M.shape[0]
     if m > TABLE_RING_CAP:
         raise BoundError(f"{name} has {m} members; table rings cap at {TABLE_RING_CAP}")
     if len(np.unique(M, axis=0)) != m:
         raise InvalidStructureError("duplicate members")
     index = _RowIndex(M)
-    add = np.zeros((m, m), dtype=np.int32)
-    mul = np.zeros((m, m), dtype=np.int32)
-    for i in range(m):
-        add[i], ok_add = index.find(G.table[M[i][None, :], M])
-        mul[i], ok_mul = index.find(M[:, M[i]])
-        if not (ok_add.all() and ok_mul.all()):
-            raise InvalidStructureError(f"{name} is not closed under its operations")
+    add = _row_table(m, index, lambda rows: G.table[M[rows, None], M], name)
+    mul = _compose_table(M, index, name)
     zero = int(index.require(np.full((1, G.n), G.identity, dtype=M.dtype), name)[0])
-    ring = TableRing(add, mul, zero, elements=[tuple(int(v) for v in r) for r in M], name=name)
-    return ring
+    ring, at = to_finite_ring(add, mul, zero, name=name)
+    rows = np.empty_like(M)
+    rows[at] = M
+    return ring, rows
 
 
-def hom_ring(G: FiniteGroup, S: Subgroup) -> TableRing:
-    """Ring of homomorphisms into a central subgroup S."""
+def hom_ring(G: FiniteGroup, S: Subgroup) -> tuple[FiniteRing, np.ndarray]:
+    """Ring of homomorphisms into a central subgroup S, and their image rows."""
     if not _is_central(G, S):
         raise InvalidArgumentError("homomorphism ring needs a central target")
     M = _hom_matrix(G, G, S.elems)
     return _rows_to_ring_tables(G, M, name=f"hom({G.name},S{S.order})")
 
 
-def der_ring(G: FiniteGroup, N: Subgroup) -> TableRing:
-    """Ring of derivations into an abelian normal subgroup N."""
+def der_ring(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRing, np.ndarray]:
+    """Ring of derivations into an abelian normal subgroup N, and their image rows."""
     M = _der_matrix(G, N)
     return _rows_to_ring_tables(G, M, name=f"der({G.name},N{N.order})")
 
 
-def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> TableRing:
-    """Subring of derivations vanishing on the bottom layer of N.
+def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRing, np.ndarray]:
+    """Subring of derivations vanishing on the bottom layer of N, and their rows.
 
     The layer is Omega_1(N) for odd primes, Omega_2(N) for p = 2; for a
     trivial module the subring is the zero ring.
@@ -472,70 +455,22 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> TableRing:
     return _rows_to_ring_tables(G, sel, name=f"der0({G.name},N{N.order})")
 
 
-# -- endomorphism monoid and automorphisms ---------------------------------------
-
-
-class EndoMonoid:
-    """End_N(G) under left-to-right composition."""
-
-    def __init__(self, G: FiniteGroup, N: Subgroup, table_cap: int = 512):
-        _validate_coset_target(G, N)
-        self.group = G
-        self.module = N
-        M = _endo_matrix(G, N)
-        self.matrix = M
-        self.members = [tuple(int(v) for v in row) for row in M]
-        self._index = {m: i for i, m in enumerate(self.members)}
-        ident = tuple(range(G.n))
-        if ident not in self._index:
-            raise InvalidStructureError("identity endomorphism missing")
-        self.identity_index = self._index[ident]
-        self.table = None
-        if len(self.members) <= table_cap:
-            m = len(self.members)
-            tab = np.zeros((m, m), dtype=np.int32)
-            for i in range(m):
-                block = M[:, M[i]]  # row j = images of (i then j)
-                for j in range(m):
-                    key = tuple(int(v) for v in block[j])
-                    if key not in self._index:
-                        raise InvalidStructureError("composition left the monoid")
-                    tab[i, j] = self._index[key]
-            self.table = tab
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def compose(self, i: int, j: int) -> int:
-        """Index of member i followed by member j."""
-        key = tuple(int(v) for v in self.matrix[j][self.matrix[i]])
-        return self._index[key]
-
-
-def end_monoid(G: FiniteGroup, N: Subgroup, table_cap: int = 512) -> EndoMonoid:
-    return EndoMonoid(G, N, table_cap=table_cap)
+# -- automorphisms -------------------------------------------------------------
 
 
 def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """Aut_N(G): bijective members of End_N(G), as a group under composition."""
     _validate_coset_target(G, N)
     M = _endo_matrix(G, N)
-    keep = np.array([len(set(map(int, row))) == G.n for row in M])
-    M = M[keep]
-    members = [tuple(int(v) for v in row) for row in M]
-    index = {m: i for i, m in enumerate(members)}
-    m = len(members)
+    M = M[_bijective_rows(M, G.n)]
+    m = M.shape[0]
     if m > 256:
         raise BoundError(f"Aut_N with {m} members cannot form a Cayley table")
-    tab = np.zeros((m, m), dtype=np.int32)
-    for i in range(m):
-        block = M[:, M[i]]
-        for j in range(m):
-            tab[i, j] = index[tuple(int(v) for v in block[j])]
-    grp = FiniteGroup(tab, identity=index[tuple(range(G.n))],
-                      name=f"aut_N({G.name},N{N.order})")
-    return grp, members
+    index = _RowIndex(M)
+    tab = _compose_table(M, index, "Aut_N composition")
+    ident = index.require(np.arange(G.n)[None, :], "identity automorphism")
+    grp = FiniteGroup(tab, identity=int(ident[0]), name=f"aut_N({G.name},N{N.order})")
+    return grp, [tuple(row) for row in M.tolist()]
 
 
 class AutomorphismGroup:
@@ -611,11 +546,7 @@ class AutomorphismGroup:
         m = self.order
         if m > cap:
             raise BoundError(f"automorphism group of order {m} exceeds the table cap {cap}")
-        tab = np.zeros((m, m), dtype=np.int32)
-        for i in range(m):
-            block = self.matrix[:, self.matrix[i]]
-            for j in range(m):
-                tab[i, j] = self._index[np.ascontiguousarray(block[j]).tobytes()]
+        tab = _compose_table(self.matrix, _RowIndex(self.matrix), "automorphism composition")
         grp = FiniteGroup(tab, identity=self.identity_index, name=f"aut({self.group.name})")
         return grp, [self.member(i) for i in range(m)]
 
@@ -668,12 +599,9 @@ class AutomorphismGroup:
             gens.append(found)
             current = self._closure(gens)
         ids = sorted(current)
-        pos = {x: i for i, x in enumerate(ids)}
-        tab = np.zeros((len(ids), len(ids)), dtype=np.int32)
-        for a, x in enumerate(ids):
-            for b, y in enumerate(ids):
-                tab[a, b] = pos[self.compose_idx(x, y)]
-        grp = FiniteGroup(tab, identity=pos[self.identity_index],
+        sub = self.matrix[ids]
+        tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
+        grp = FiniteGroup(tab, identity=ids.index(self.identity_index),
                           name=f"sylow{p}(aut({self.group.name}))")
         return grp, ids
 
@@ -712,39 +640,13 @@ def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND,
         C = C.reshape(-1, len(gens))
         U = _fill_endo_rows(G, gens, C)
         M = U[_verify_hom_rows(G.table, G.table, U)]
-    keep = (np.sort(M, axis=1) == np.arange(G.n)).all(axis=1)
-    M = M[keep]
+    M = M[_bijective_rows(M, G.n)]
     if M.shape[0] > member_cap:
         raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")
     return AutomorphismGroup(G, M)
 
 
 # -- the correspondence check ------------------------------------------------------
-
-
-class _RowIndex:
-    """Vectorized exact-row lookup into a fixed matrix of image rows."""
-
-    def __init__(self, M: np.ndarray):
-        Mc = np.ascontiguousarray(M)
-        self._dtype = Mc.dtype
-        self._width = Mc.shape[1]
-        void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
-        self.order = np.argsort(void)
-        self._sorted = void[self.order]
-
-    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of each row plus a found mask; index is junk where not found."""
-        rc = np.ascontiguousarray(rows.astype(self._dtype, copy=False))
-        rv = rc.view((np.void, rc.dtype.itemsize * rc.shape[1])).ravel()
-        pos = np.minimum(np.searchsorted(self._sorted, rv), len(self._sorted) - 1)
-        return self.order[pos], self._sorted[pos] == rv
-
-    def require(self, rows: np.ndarray, what: str) -> np.ndarray:
-        idx, ok = self.find(rows)
-        if not ok.all():
-            raise InvalidStructureError(f"{what}: row not in the enumerated set")
-        return idx
 
 
 def _monoid_generators(M: np.ndarray, index: _RowIndex, identity_idx: int) -> list[int]:
@@ -826,8 +728,7 @@ def check_laue(G: FiniteGroup, N: Subgroup, instance: str | None = None,
     end_index = _RowIndex(ends)
     ident_idx = int(end_index.require(
         np.arange(G.n, dtype=ends.dtype)[None, :], "identity endomorphism")[0])
-    bijective = np.flatnonzero(
-        (np.sort(ends, axis=1) == np.arange(G.n)).all(axis=1))
+    bijective = np.flatnonzero(_bijective_rows(ends, G.n))
     computed["aut_count"] = int(bijective.size)
 
     def circ_with_all(i: int) -> np.ndarray:

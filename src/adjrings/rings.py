@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abelian import prime_power, quotient_decomposition, table_decomposition
+from .abelian import prime_power, quotient_decomposition
 from .errors import (
     BoundError,
     BudgetError,
@@ -237,14 +237,6 @@ class FiniteRing:
             o = max(o, m // math.gcd(m, c))
         return o
 
-    def element_power(self, x: Element, k: int) -> Element:
-        if k < 1:
-            raise InvalidArgumentError("ring powers need k >= 1")
-        acc = x
-        for _ in range(k - 1):
-            acc = self.mul(acc, x)
-        return acc
-
     def quasi_inverse(self, x: Element) -> Element | None:
         """Two-sided circle inverse of x, or None, read off the index tables.
 
@@ -446,36 +438,6 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
     return q, proj
 
 
-def subring_multiples(ring: FiniteRing) -> tuple[FiniteRing, "object"]:
-    """The subring {p x} ({4 x} when p = 2), re-based on its own invariant factors.
-
-    Returns (S, embed) with embed mapping S elements back into the parent.
-    """
-    c = 4 if ring.p == 2 else ring.p
-    elems = tuple(sorted({ring.smul(c, x) for x in ring.elements()}))
-    lookup = {x: i for i, x in enumerate(elems)}
-    table = [[lookup[ring.add(a, b)] for b in elems] for a in elems]
-    zero_idx = lookup[ring.zero()]
-    factors, basis_idx, coords = table_decomposition(table, zero_idx)
-    exps = []
-    for f in factors:
-        pk = prime_power(f)
-        if pk is None or pk[0] != ring.p:
-            raise InvalidStructureError("subring factor is not a power of p")
-        exps.append(pk[1])
-    basis = [elems[i] for i in basis_idx]
-    tensor = [[list(coords[lookup[ring.mul(a, b)]]) for b in basis] for a in basis]
-    s = FiniteRing(ring.p, exps, tensor, name=f"{c}({ring.name})")
-
-    def embed(x: Element) -> Element:
-        acc = ring.zero()
-        for cc, b in zip(x, basis):
-            acc = ring.add(acc, ring.smul(cc, b))
-        return acc
-
-    return s, embed
-
-
 # -- enumeration ------------------------------------------------------------------
 
 
@@ -498,36 +460,28 @@ def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
             yield ring
         return
 
-    slots = []
+    radices, steps = [], []
     for i in range(d):
         for j in range(d):
             bound = min(exps[i], exps[j])
             for k in range(d):
                 step = p ** max(0, exps[k] - bound)
-                slots.append(range(0, moduli[k], step))
+                radices.append(moduli[k] // step)
+                steps.append(step)
 
+    # candidate c is the mixed-radix number of its slot values, last slot fastest
     mod_arr = np.array(moduli, dtype=np.int64)
-    counter = 0
-    it = itertools.product(*slots)
-    while True:
-        chunk = list(itertools.islice(it, _ENUM_CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.int64).reshape(len(chunk), d, d, d)
+    steps = np.array(steps, dtype=np.int64)
+    count = math.prod(radices)
+    for start in range(0, count, _ENUM_CHUNK):
+        digits = np.unravel_index(np.arange(start, min(start + _ENUM_CHUNK, count)), radices)
+        arr = (np.stack(digits, axis=1) * steps).reshape(-1, d, d, d)
         lhs = np.einsum("bijl,blkm->bijkm", arr, arr)
         rhs = np.einsum("bjkl,bilm->bijkm", arr, arr)
         ok = (((lhs - rhs) % mod_arr) == 0).all(axis=(1, 2, 3, 4))
-        for row, good in zip(chunk, ok):
-            if not good:
-                counter += 1
-                continue
-            tensor = [
-                [[row[(i * d + j) * d + k] for k in range(d)] for j in range(d)]
-                for i in range(d)
-            ]
-            name = f"enum_p{p}_e{'.'.join(map(str, exps))}_{counter:06d}"
-            ring = FiniteRing(p, exps, tensor, name=name)
-            counter += 1
+        for offset in np.flatnonzero(ok).tolist():
+            name = f"enum_p{p}_e{'.'.join(map(str, exps))}_{start + offset:06d}"
+            ring = FiniteRing(p, exps, arr[offset].tolist(), name=name)
             if predicate is None or predicate(ring):
                 yield ring
 

@@ -47,7 +47,6 @@ from .morphisms import (
     aut_n,
     der_subring_trivial_on_omega,
     hom_ring,
-    to_finite_ring,
 )
 from .report import CheckReport
 from .rings import (
@@ -423,7 +422,7 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
                            computed=computed, bound=bound, verdict="fail",
                            witness=f"{part}: {witness}")
 
-    ring, _ = to_finite_ring(hom_ring(G, S))
+    ring, _ = hom_ring(G, S)
     computed["parts"]["hom_ring_right_p_nil"] = ring.is_right_p_nil()
     if not computed["parts"]["hom_ring_right_p_nil"]:
         return fail("hom_ring_right_p_nil", "hom ring is not right p-nil")
@@ -700,8 +699,7 @@ def check_der_subring_p_nil(G: FiniteGroup, N: Subgroup,
     block = G.table[np.ix_(arr, arr)]
     if not ((block == block.T).all() and is_normal(G, N)):
         return _skip("der-subring-p-nil", name, "module not abelian normal")
-    T = der_subring_trivial_on_omega(G, N)
-    ring, _ = to_finite_ring(T)
+    ring, _ = der_subring_trivial_on_omega(G, N)
     computed = {"module_order": N.order, "subring_order": ring.order}
     ok = ring.is_left_p_nil()
     return CheckReport(check="der-subring-p-nil", instance=name, hypothesis_met=True,

@@ -1,16 +1,27 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 
 import pytest
 
 from adjrings.cli import (
+    ALL_CHECKS,
+    GROUP_CHECKS,
+    RING_CHECKS,
     build_tasks,
     builtin_ring,
     default_corpus,
     load_manifest,
     main,
+    run_check,
 )
+from adjrings.errors import AlgebraError
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return default_corpus()
 
 
 def write_manifest(path, entries):
@@ -214,15 +225,31 @@ def test_verify_report_verdict_fail_exit(tmp_path):
     assert report.read_text() == ""
 
 
-def test_build_tasks_deterministic():
-    entries = default_corpus()[:5]
+def test_build_tasks_deterministic(corpus):
+    entries = corpus[:5]
     t1 = build_tasks(entries, ["omega-correspondence", "quotient-p-nil"])
     t2 = build_tasks(entries, ["quotient-p-nil", "omega-correspondence"])
     assert t1 == t2  # order comes from the registry, not the request
 
 
-def test_default_corpus_shape():
-    entries = default_corpus()
+def test_build_tasks_full_corpus_pinned(corpus):
+    # sha256 of the task list the if/elif dispatcher built before the registry
+    tasks = build_tasks(corpus, ALL_CHECKS)
+    assert len(tasks) == 9957
+    assert hashlib.sha256(json.dumps(tasks).encode()).hexdigest() == (
+        "f6eedf1da44636d40ab15387fe4b1f366bf20b6968f6e08c8999f3b09d4aa8ac")
+
+
+def test_check_registry_order_and_unknown_check(corpus):
+    assert ALL_CHECKS == RING_CHECKS + GROUP_CHECKS
+    assert RING_CHECKS[0] == "omega-correspondence" and RING_CHECKS[-1] == "sylow-rank"
+    assert GROUP_CHECKS[0] == "profile-consistency" and GROUP_CHECKS[-1] == "der-subring-p-nil"
+    with pytest.raises(AlgebraError, match="unknown check"):
+        run_check(corpus[0], "no-such-check", None, {})
+
+
+def test_default_corpus_shape(corpus):
+    entries = corpus
     ids = [e.id for e in entries]
     assert len(ids) == len(set(ids))
     kinds = {e.kind for e in entries}

@@ -24,20 +24,17 @@ from adjrings.groups import (
 from adjrings.morphisms import (
     AutomorphismGroup,
     Derivation,
-    EndoMonoid,
     GroupHom,
-    TableRing,
+    _compose_table,
+    _RowIndex,
     aut_group,
     aut_n,
     check_laue,
     der_ring,
     der_subring_trivial_on_omega,
-    end_monoid,
     enumerate_derivations,
     enumerate_homs,
     hom_ring,
-    laue_derivation,
-    laue_endomorphism,
     to_finite_ring,
 )
 from adjrings.rings import nilpotency_class_ring
@@ -80,8 +77,6 @@ def test_homs_into_subgroup():
 
 def test_hom_composition_and_validation():
     c4 = cyclic_group(4)
-    doubling = GroupHom(c4, c4, (0, 2, 0, 2))
-    assert doubling.then(doubling).images == (0, 0, 0, 0)
     with pytest.raises(InvalidArgumentError):
         GroupHom(c4, c4, (0, 1, 2, 0))
 
@@ -119,8 +114,8 @@ def test_derivation_count_dihedral_rotations():
     rot = subgroup(d8, ROT8)
     ders = enumerate_derivations(d8, rot)
     assert len(ders) == 16
-    mono = end_monoid(d8, rot)
-    assert mono.order == 16
+    # the endomorphisms preserving the cosets of <r>, enumerated independently
+    assert check_laue(d8, rot).computed["end_count"] == 16
 
 
 def test_derivation_rejects_non_normal_module():
@@ -139,20 +134,6 @@ def test_derivation_validation_twisted_rule():
 
 
 # -- the correspondence -------------------------------------------------------
-
-
-def test_laue_round_trip_quaternion_center():
-    q8 = quaternion_group()
-    z = center(q8)
-    ders = enumerate_derivations(q8, z)
-    assert len(ders) == 4
-    seen = set()
-    for d in ders:
-        u = laue_endomorphism(d)
-        back = laue_derivation(q8, z, u)
-        assert back.images == d.images
-        seen.add(u.images)
-    assert len(seen) == 4
 
 
 def test_check_laue_passes_central_and_noncentral():
@@ -204,84 +185,111 @@ def test_table_ring_rejects_bad_tables():
     add = np.array([[0, 1], [1, 0]])
     bad_mul = np.array([[0, 1], [0, 0]])  # not associative: (1*1)*1 != 1*(1*1)
     with pytest.raises(InvalidStructureError):
-        TableRing(add, bad_mul, zero=0)
+        to_finite_ring(add, bad_mul, zero=0)
 
 
 def test_hom_ring_into_agemo_is_zero_ring():
     c9 = cyclic_group(9)
-    ring = hom_ring(c9, agemo(c9, 1))
+    ring, _ = hom_ring(c9, agemo(c9, 1))
     assert ring.order == 3
-    assert (ring.mul == ring.zero).all()
+    assert (ring.tables.mul == 0).all()
 
 
 def test_hom_ring_quaternion_center_is_zero_ring():
     q8 = quaternion_group()
-    ring = hom_ring(q8, center(q8))
+    ring, _ = hom_ring(q8, center(q8))
     assert ring.order == 4
-    assert (ring.mul == ring.zero).all()
+    assert (ring.tables.mul == 0).all()
 
 
 def test_der_ring_v4_projection_products():
     v4 = abelian_group([2, 2])
     axis = subgroup(v4, [0, 2])  # the (a, 0) coordinate line
-    ring = der_ring(v4, axis)
+    ring, rows = der_ring(v4, axis)
     assert ring.order == 4
-    idx = {tuple(img): i for i, img in enumerate(ring.elements)}
+    idx = {tuple(img): i for i, img in enumerate(rows.tolist())}
     e1 = idx[(0, 0, 2, 2)]  # (a,b) -> (a,0)
     e2 = idx[(0, 2, 0, 2)]  # (a,b) -> (b,0)
-    zero = ring.zero
-    assert ring.mul[e1, e1] == e1
-    assert ring.mul[e2, e1] == e2
-    assert ring.mul[e1, e2] == zero
-    assert ring.mul[e2, e2] == zero
+    mul = ring.tables.mul
+    assert mul[e1, e1] == e1
+    assert mul[e2, e1] == e2
+    assert mul[e1, e2] == 0
+    assert mul[e2, e2] == 0
 
 
 def test_der_ring_full_module_of_c4_is_z4():
     c4 = cyclic_group(4)
-    ring = der_ring(c4, full_subgroup(c4))
+    ring, rows = der_ring(c4, full_subgroup(c4))
     assert ring.order == 4
-    scalar, embed = to_finite_ring(ring)
-    assert scalar.p == 2 and scalar.exps == (2,)
-    assert nilpotency_class_ring(scalar) is None  # has the identity map
-    assert embed[ring.zero] == scalar.zero()
+    assert ring.p == 2 and ring.exps == (2,)
+    assert nilpotency_class_ring(ring) is None  # has the identity map
+    assert (rows[0] == c4.identity).all()  # the zero element is the zero derivation
+    assert sorted(rows.tolist()) == sorted(
+        list(d.images) for d in enumerate_derivations(c4, full_subgroup(c4)))
 
 
 def test_to_finite_ring_requires_prime_power():
     c6 = cyclic_group(6)
-    ring = der_ring(c6, full_subgroup(c6))
-    with pytest.raises(InvalidStructureError):
-        to_finite_ring(ring)
+    with pytest.raises(InvalidStructureError, match="not a p-group"):
+        der_ring(c6, full_subgroup(c6))
 
 
 def test_der_subring_vanishing_on_bottom_layer():
     c8 = cyclic_group(8)
     sq = agemo(c8, 1)
-    small = der_subring_trivial_on_omega(c8, sq)
+    small, _ = der_subring_trivial_on_omega(c8, sq)
     assert small.order == 2
-    assert (small.mul == small.zero).all()
+    assert (small.tables.mul == 0).all()
 
 
-# -- endomorphism monoid -------------------------------------------------------
+# -- composition tables ------------------------------------------------------
 
 
-def test_endo_monoid_table_is_associative():
+def _composition_cases():
+    """(image rows, their composition table) from each table-building path."""
+    q8, d8 = quaternion_group(), dihedral_group(8)
+    cases = []
+    for G, N in ((q8, center(q8)), (d8, full_subgroup(d8))):
+        grp, members = aut_n(G, N)
+        cases.append((np.array(members), grp.table))
+    auts = aut_group(q8)
+    syl, ids = auts.sylow(2)
+    cases.append((auts.matrix[ids], syl.table))
+    c4xc2 = builtin_group("c4xc2")
+    ring, rows = der_ring(c4xc2, center(c4xc2))
+    cases.append((rows, ring.tables.mul))
+    return cases
+
+
+def test_compose_table_matches_member_composition():
+    for rows, table in _composition_cases():
+        index = {r: k for k, r in enumerate(map(tuple, rows.tolist()))}
+        m = len(index)
+        assert m == rows.shape[0] > 1
+        expected = np.array([[index[tuple(rows[j][rows[i]].tolist())] for j in range(m)]
+                             for i in range(m)])
+        assert (table == expected).all()
+        assert (_compose_table(rows, _RowIndex(rows), "test") == expected).all()
+
+
+def test_compose_table_rejects_missing_member():
+    q8 = quaternion_group()
+    _, members = aut_n(q8, center(q8))
+    rows = np.delete(np.array(members), 1, axis=0)
+    with pytest.raises(InvalidStructureError, match="not in the enumerated set"):
+        _compose_table(rows, _RowIndex(rows), "test")
+
+
+def test_aut_tables_are_associative():
     d8 = dihedral_group(8)
-    mono = EndoMonoid(d8, subgroup(d8, ROT8))
-    tab = mono.table
-    assert tab is not None
-    assert (tab[tab, :] == tab[:, tab]).all()
-    ident = mono.identity_index
-    assert (tab[ident] == np.arange(mono.order)).all()
-    assert (tab[:, ident] == np.arange(mono.order)).all()
-
-
-def test_endo_monoid_compose_matches_table():
-    c4 = cyclic_group(4)
-    mono = end_monoid(c4, full_subgroup(c4))
-    assert mono.order == 4
-    for i in range(mono.order):
-        for j in range(mono.order):
-            assert mono.compose(i, j) == mono.table[i, j]
+    aut_n_table = aut_n(d8, subgroup(d8, ROT8))[0].table
+    aut_table = aut_group(quaternion_group()).as_group()[0].table
+    for tab in (aut_n_table, aut_table):
+        m = tab.shape[0]
+        assert (tab[tab, :] == tab[:, tab]).all()
+        ident = int(np.flatnonzero((tab == np.arange(m)).all(axis=1))[0])
+        assert (tab[ident] == np.arange(m)).all()
+        assert (tab[:, ident] == np.arange(m)).all()
 
 
 # -- automorphisms -------------------------------------------------------------

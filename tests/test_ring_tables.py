@@ -4,7 +4,8 @@ The adjoint group, the circle torsion layers and the structure-constant form
 of a table ring are all read off the `add`/`mul` index tables.  These tests
 pin the tables to `FiniteRing.add`/`mul`, pin the adjoint construction to the
 element-by-element double loop it replaced, and check that the vectorized
-assertions still fire on tampered tables.
+assertions still fire on tampered tables.  `to_finite_ring`, the table
+constructor of FiniteRing, must refuse every table that breaks a ring law.
 """
 
 import numpy as np
@@ -14,13 +15,13 @@ from adjrings import morphisms
 from adjrings.adjoint import adjoint_group, omega_circle_set
 from adjrings.errors import InvalidStructureError
 from adjrings.groups import builtin_group, center
-from adjrings.morphisms import TableRing, der_ring, to_finite_ring
+from adjrings.morphisms import der_ring, to_finite_ring
 from adjrings.rings import enumerate_rings, multiples_ring, unital_ring, zero_ring
 
 
 def _der_c4xc2():
     G = builtin_group("c4xc2")
-    ring, _ = to_finite_ring(der_ring(G, center(G)))
+    ring, _ = der_ring(G, center(G))
     return ring
 
 
@@ -121,20 +122,83 @@ def test_circle_leaving_invertible_set_fires(monkeypatch):
         adjoint_group(ring)
 
 
-def test_corrupted_witness_map_fires(monkeypatch):
-    # F_2 + (zero ring Z_2); element 2a + b is (a, b), (a, b)(c, d) = (ac, 0)
-    add = [[i ^ j for j in range(4)] for i in range(4)]
-    mul = [[2 * ((i >> 1) & (j >> 1)) for j in range(4)] for i in range(4)]
-    T = TableRing(add, mul, 0, name="f2+z2")
-    ring, embed = to_finite_ring(T)
-    assert ring.order == 4 and len(set(embed)) == 4
+# F_2 + (zero ring Z_2) on Z_2 x Z_2; element 2a + b is (a, b), (a, b)(c, d) = (ac, 0)
+XOR4 = np.array([[i ^ j for j in range(4)] for i in range(4)])
+F2_Z2 = np.array([[2 * ((i >> 1) & (j >> 1)) for j in range(4)] for i in range(4)])
+
+
+def _broken_laws(add, mul):
+    """Ring laws that the tables break, by brute force over all triples."""
+    r = range(len(add))
+    laws = {
+        "commutative addition": all(add[x][y] == add[y][x] for x in r for y in r),
+        "associative multiplication": all(
+            mul[mul[x][y]][z] == mul[x][mul[y][z]] for x in r for y in r for z in r),
+        "left distributivity": all(
+            mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]] for x in r for y in r for z in r),
+        "right distributivity": all(
+            mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]] for x in r for y in r for z in r),
+    }
+    return {law for law, holds in laws.items() if not holds}
+
+
+TAMPERED = {
+    # D8 is a group under this "addition", but not an abelian one
+    "commutative addition": (builtin_group("d8").table, np.zeros((8, 8), dtype=int)),
+    # bilinear (a, b)(c, d) = (ac + bd, ad): e2 e2 = e1 but (e2 e2) e2 = e2, e2 (e2 e2) = 0
+    "associative multiplication": (XOR4, np.array([
+        [2 * ((x >> 1 & y >> 1) ^ (x & y & 1)) + (x >> 1 & y & 1) for y in range(4)]
+        for x in range(4)])),
+    # x y = x when y != 0: additive in x, but x(1 + 2) = x differs from x + x = 0
+    "left distributivity": (XOR4, np.array([[x if y else 0 for y in range(4)]
+                                            for x in range(4)])),
+    "right distributivity": (XOR4, np.array([[y if x else 0 for y in range(4)]
+                                             for x in range(4)])),
+}
+
+
+@pytest.mark.parametrize("law", TAMPERED)
+def test_to_finite_ring_rejects_broken_law(law):
+    add, mul = TAMPERED[law]
+    assert _broken_laws(add, mul) == {law}
+    with pytest.raises(InvalidStructureError):
+        to_finite_ring(add, mul, 0)
+
+
+def test_to_finite_ring_rejects_wrong_zero():
+    assert _broken_laws(XOR4, F2_Z2) == set()
+    assert to_finite_ring(XOR4, F2_Z2, 0)[0].order == 4
+    with pytest.raises(InvalidStructureError, match="not an additive zero"):
+        to_finite_ring(XOR4, F2_Z2, 1)
+
+
+def _patched_coords(monkeypatch, change):
     real = morphisms.table_decomposition
 
-    def swapped(table, identity):
-        # an additive automorphism that moves the idempotent off its own square
+    def patched(table, identity):
         factors, basis, coords = real(table, identity)
-        return factors, basis, {k: tuple(reversed(v)) for k, v in coords.items()}
+        return factors, basis, change(coords)
 
-    monkeypatch.setattr(morphisms, "table_decomposition", swapped)
+    monkeypatch.setattr(morphisms, "table_decomposition", patched)
+
+
+def test_non_bijective_witness_fires(monkeypatch):
+    _patched_coords(monkeypatch, lambda c: {k: (v[0], 0) for k, v in c.items()})
+    with pytest.raises(InvalidStructureError, match="not a bijection"):
+        to_finite_ring(XOR4, F2_Z2, 0)
+
+
+def test_witness_moving_zero_fires(monkeypatch):
+    # zero ring: every basis product is coords[0], so the swap still builds a ring
+    _patched_coords(monkeypatch, lambda c: {**c, 0: c[1], 1: c[0]})
+    with pytest.raises(InvalidStructureError, match="moves zero"):
+        to_finite_ring(XOR4, np.zeros((4, 4), dtype=int), 0)
+
+
+def test_corrupted_witness_map_fires(monkeypatch):
+    ring, at = to_finite_ring(XOR4, F2_Z2, 0, name="f2+z2")
+    assert ring.order == 4 and len(set(at.tolist())) == 4
+    # an additive automorphism that moves the idempotent off its own square
+    _patched_coords(monkeypatch, lambda c: {k: tuple(reversed(v)) for k, v in c.items()})
     with pytest.raises(InvalidStructureError, match="witness map breaks multiplication"):
-        to_finite_ring(T)
+        to_finite_ring(XOR4, F2_Z2, 0)

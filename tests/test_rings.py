@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,6 @@ from adjrings.rings import (
     ring_power,
     ring_to_json,
     save_ring,
-    subring_multiples,
     unital_ring,
     zero_ring,
 )
@@ -131,21 +131,6 @@ def test_4z16():
     assert u == ((0,), (2,))
 
 
-def test_subring_multiples_matches_builder():
-    big = unital_ring(27)
-    sub, embed = subring_multiples(big)
-    assert sub.order == 9
-    assert sub.exps == (2,)
-    direct = multiples_ring(3, 27)
-    assert sub.mul_tensor == direct.mul_tensor
-    assert embed((1,)) in {(3,), (12,), (21,), (6,), (15,), (24,)}  # a generator of 3Z/27Z
-    # embedding respects both operations
-    for x in sub.elements():
-        for y in sub.elements():
-            assert embed(sub.add(x, y)) == big.add(embed(x), embed(y))
-            assert embed(sub.mul(x, y)) == big.mul(embed(x), embed(y))
-
-
 def test_z4_annihilators_and_quotient():
     z4 = unital_ring(4)
     assert left_annihilator(z4, [(2,)]) == ((0,), (2,))
@@ -237,6 +222,40 @@ def test_enumerate_matches_naive_p2_11():
     assert [r.name for r in got] == [r.name for r in again]
 
 
+def test_enumerate_order_and_names_match_slot_product():
+    # reference: the well-defined slot values in lexicographic order, kept when
+    # the tensor is associative; the candidate's position names the ring
+    p, exps = 2, (2, 1)
+    slots = [range(0, 2 ** exps[k], p ** max(0, exps[k] - min(exps[i], exps[j])))
+             for i in range(2) for j in range(2) for k in range(2)]
+    expected = []
+    for pos, flat in enumerate(itertools.product(*slots)):
+        tensor = [[list(flat[4 * i + 2 * j:4 * i + 2 * j + 2]) for j in range(2)]
+                  for i in range(2)]
+        try:
+            ring = FiniteRing(p, exps, tensor)
+        except InvalidStructureError:
+            continue
+        expected.append((f"enum_p2_e2.1_{pos:06d}", ring.mul_tensor))
+    got = [(r.name, r.mul_tensor) for r in enumerate_rings(p, exps)]
+    assert len(got) > 1 and got == expected
+
+
+def test_enumerate_first_ring_memory_stays_small():
+    # candidates are decoded chunk by chunk, never copied out of the slot ranges
+    tracemalloc.start()
+    try:
+        tuple(range(2 ** 20))  # what copying the one slot of Z_(2^20) costs
+        copy_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        first = next(enumerate_rings(2, (20,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.name == "enum_p2_e20_000000"
+    assert peak < copy_peak / 4
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetError):
         list(enumerate_rings(5, [1, 1], budget=1000))
@@ -284,9 +303,10 @@ def test_adjoint_power_binomial_3z27(a, k):
     # oracle: x^(k) = sum over i >= 1 of C(k, i) x^i
     ring = ring_3z27()
     x = (a,)
-    acc = ring.zero()
+    acc, power = ring.zero(), x
     for i in range(1, k + 1):
-        acc = ring.add(acc, ring.smul(math.comb(k, i), ring.element_power(x, i)))
+        acc = ring.add(acc, ring.smul(math.comb(k, i), power))  # power = x^i
+        power = ring.mul(power, x)
     assert ring.adjoint_power(x, k) == acc
 
 
