@@ -441,6 +441,20 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
 # -- enumeration ------------------------------------------------------------------
 
 
+def _associative_mask(arr: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Which tensors of an int64 batch (n, d, d, d) are associative mod `moduli`.
+
+    With T one tensor, (e_i e_j) e_k = sum_l T[i,j,l] T[l,k] is the (d*d, d)
+    matrix of rows T[i,j] times the (d, d*d) matrix of planes T[l], and
+    e_i (e_j e_k) = sum_l T[j,k,l] T[i,l] is the same rows times the plane
+    T[i], broadcast over i.  Both come out in [b, i, j, k, m] layout.
+    """
+    n, d = arr.shape[:2]
+    lhs = np.matmul(arr.reshape(n, d * d, d), arr.reshape(n, d, d * d)).reshape(n, d, d, d, d)
+    rhs = np.matmul(arr.reshape(n, 1, d * d, d), arr).reshape(n, d, d, d, d)
+    return ((lhs - rhs) % moduli == 0).all(axis=(1, 2, 3, 4))
+
+
 def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
     """Yield every associative structure tensor on the given additive type.
 
@@ -476,10 +490,7 @@ def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
     for start in range(0, count, _ENUM_CHUNK):
         digits = np.unravel_index(np.arange(start, min(start + _ENUM_CHUNK, count)), radices)
         arr = (np.stack(digits, axis=1) * steps).reshape(-1, d, d, d)
-        lhs = np.einsum("bijl,blkm->bijkm", arr, arr)
-        rhs = np.einsum("bjkl,bilm->bijkm", arr, arr)
-        ok = (((lhs - rhs) % mod_arr) == 0).all(axis=(1, 2, 3, 4))
-        for offset in np.flatnonzero(ok).tolist():
+        for offset in np.flatnonzero(_associative_mask(arr, mod_arr)).tolist():
             name = f"enum_p{p}_e{'.'.join(map(str, exps))}_{start + offset:06d}"
             ring = FiniteRing(p, exps, arr[offset].tolist(), name=name)
             if predicate is None or predicate(ring):
@@ -497,25 +508,42 @@ def ring_to_json(ring: FiniteRing) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; integral floats pass, booleans and anything else raise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidStructureError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_list(value, what: str, length: int) -> list:
+    if not isinstance(value, list):
+        raise InvalidStructureError(f"{what} must be a list, got {value!r}")
+    if len(value) != length:
+        raise InvalidStructureError(f"{what} has {len(value)} items, expected {length}")
+    return value
+
+
 def ring_from_json(obj: dict, name: str | None = None) -> FiniteRing:
     try:
-        p = int(obj["p"])
-        exps = [int(e) for e in obj["exps"]]
-        mul = obj["mul"]
-    except (KeyError, TypeError, ValueError) as exc:
+        p, exps, mul = obj["p"], obj["exps"], obj["mul"]
+    except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"ring JSON missing or malformed field: {exc}") from exc
+    p = _json_int(p, "p")
+    if not isinstance(exps, list):
+        raise InvalidStructureError(f"exps must be a list, got {exps!r}")
+    exps = [_json_int(e, "exps entry") for e in exps]
     d = len(exps)
-    if len(mul) != d:
-        raise InvalidStructureError(f"mul tensor has {len(mul)} planes, expected {d}")
-    for i, plane in enumerate(mul):
-        if len(plane) != d:
-            raise InvalidStructureError(f"mul plane {i} has {len(plane)} rows, expected {d}")
-        for j, entry in enumerate(plane):
-            if len(entry) != d:
-                raise InvalidStructureError(
-                    f"mul entry ({i},{j}) has {len(entry)} coordinates, expected {d}"
-                )
-    return FiniteRing(p, exps, mul, name=name)
+    tensor = [
+        [
+            [_json_int(c, f"mul coefficient ({i},{j},{k})")
+             for k, c in enumerate(_json_list(entry, f"mul entry ({i},{j})", d))]
+            for j, entry in enumerate(_json_list(plane, f"mul plane {i}", d))
+        ]
+        for i, plane in enumerate(_json_list(mul, "mul tensor", d))
+    ]
+    return FiniteRing(p, exps, tensor, name=name)
 
 
 def load_ring(path: str | Path) -> FiniteRing:

@@ -60,6 +60,14 @@ def test_ring_info_malformed_file(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mul", [5, [[["a"]]], [[[None]]], [[[1.5]]]])
+def test_ring_info_malformed_mul_exits_2(tmp_path, capsys, mul):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 2, "exps": [1], "mul": mul}))
+    assert main(["ring-info", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ring_info_unknown_spec(capsys):
     assert main(["ring-info", "nonsense"]) == 2
     assert "unknown ring spec" in capsys.readouterr().err

@@ -12,6 +12,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from adjrings.errors import (
 )
 from adjrings.rings import (
     FiniteRing,
+    _associative_mask,
     additive_closure,
     enumerate_rings,
     ideal_u,
@@ -222,6 +224,72 @@ def test_enumerate_matches_naive_p2_11():
     assert [r.name for r in got] == [r.name for r in again]
 
 
+def test_enumerate_matches_naive_p3_11():
+    # independent naive filter over all 6561 tensors on Z_3 x Z_3: build the
+    # 9 x 9 product table of each tensor, then test every element triple
+    els = list(itertools.product(range(3), repeat=2))
+    pairs = [(x, y) for x in els for y in els]
+    expected = []
+    for flat in itertools.product(range(3), repeat=8):
+        t = [[flat[0:2], flat[2:4]], [flat[4:6], flat[6:8]]]
+        table = {}
+        for x, y in pairs:
+            acc = [0, 0]
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        acc[k] += x[i] * y[j] * t[i][j][k]
+            table[x, y] = (acc[0] % 3, acc[1] % 3)
+        if all(table[table[a, b], c] == table[a, table[b, c]]
+               for a in els for b in els for c in els):
+            expected.append(tuple(tuple(tuple(e) for e in plane) for plane in t))
+    got = [r.mul_tensor for r in enumerate_rings(3, [1, 1])]
+    assert len(expected) > 1 and got == expected
+
+
+def _random_well_defined(rng, p, exps, n):
+    """n random well-defined tensors on the type; each keeps a random share of
+    its slots, so sparse (often associative) and dense ones both occur."""
+    d = len(exps)
+    moduli = np.array([p**e for e in exps])
+    steps = np.array([[[p ** max(0, exps[k] - min(exps[i], exps[j])) for k in range(d)]
+                       for j in range(d)] for i in range(d)])
+    values = rng.integers(0, moduli // steps, size=(n, d, d, d)) * steps
+    keep = rng.random((n, d, d, d)) < rng.random((n, 1, 1, 1))
+    return (values * keep).astype(np.int64), moduli.astype(np.int64)
+
+
+def _oracle_associative(p, exps, tensor):
+    try:
+        FiniteRing(p, exps, tensor.tolist())
+    except InvalidStructureError as exc:
+        assert "associativity" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("exps", [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (3, 1)])
+def test_associative_mask_matches_ring_construction(p, exps):
+    rng = np.random.default_rng([p, *exps])
+    arr, moduli = _random_well_defined(rng, p, exps, 300)
+    expected = [_oracle_associative(p, exps, t) for t in arr]
+    assert _associative_mask(arr, moduli).tolist() == expected
+    if len(exps) > 1:
+        assert 0 < sum(expected) < len(expected)
+
+
+def test_associative_mask_near_int64_product_range():
+    # Z_(2^26) is the largest cyclic 2-type inside the default budget; its
+    # coefficients square to about 2^52
+    p, exps = 2, (26,)
+    coeffs = np.arange(2**26 - 300, 2**26, dtype=np.int64)
+    arr = np.concatenate([coeffs, 2**25 + np.arange(-5, 5)]).reshape(-1, 1, 1, 1)
+    mask = _associative_mask(arr, np.array([2**26], dtype=np.int64))
+    assert mask.tolist() == [_oracle_associative(p, exps, t) for t in arr]
+    assert mask.all()
+
+
 def test_enumerate_order_and_names_match_slot_product():
     # reference: the well-defined slot values in lexicographic order, kept when
     # the tensor is associative; the candidate's position names the ring
@@ -285,6 +353,39 @@ def test_json_rejects_malformed():
         ring_from_json({"p": 3, "exps": [1]})
     with pytest.raises(InvalidStructureError, match=r"\(0,0\)"):
         ring_from_json({"p": 3, "exps": [1], "mul": [[[0, 0]]]})
+
+
+@pytest.mark.parametrize("mul, match", [
+    (5, "mul tensor must be a list"),
+    ([7], "mul plane 0 must be a list"),
+    ([["x"]], r"mul entry \(0,0\) must be a list"),
+    ([[{"0": 1}]], r"mul entry \(0,0\) must be a list"),
+    ([[["a"]]], r"coefficient \(0,0,0\) must be an integer"),
+    ([[[None]]], r"coefficient \(0,0,0\) must be an integer"),
+    ([[[1.5]]], r"coefficient \(0,0,0\) must be an integer"),
+    ([[[True]]], r"coefficient \(0,0,0\) must be an integer"),
+], ids=["mul-int", "plane-int", "entry-str", "entry-dict", "coeff-str", "coeff-null",
+        "coeff-fraction", "coeff-bool"])
+def test_json_rejects_malformed_mul(mul, match):
+    with pytest.raises(InvalidStructureError, match=match):
+        ring_from_json({"p": 2, "exps": [1], "mul": mul})
+
+
+@pytest.mark.parametrize("obj", [
+    {"p": 2.5, "exps": [1], "mul": [[[0]]]},
+    {"p": True, "exps": [1], "mul": [[[0]]]},
+    {"p": 2, "exps": "1", "mul": [[[0]]]},
+    {"p": 2, "exps": [1.5], "mul": [[[0]]]},
+    [2, [1], [[[0]]]],
+], ids=["p-fraction", "p-bool", "exps-str", "exps-fraction", "not-object"])
+def test_json_rejects_malformed_header(obj):
+    with pytest.raises(InvalidStructureError):
+        ring_from_json(obj)
+
+
+def test_json_accepts_integral_floats():
+    ring = ring_from_json({"p": 3.0, "exps": [2.0], "mul": [[[3.0]]]})
+    assert (ring.p, ring.exps, ring.mul_tensor) == (3, (2,), (((3,),),))
 
 
 @settings(max_examples=60, deadline=None)
