@@ -19,7 +19,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 from pathlib import Path
 
@@ -341,7 +341,7 @@ def cmd_ring_info(args) -> int:
     R = _resolve_ring(args.spec)
     prof = ring_profile(R)
     print(f"ring {R.name}")
-    for key, value in prof.as_dict().items():
+    for key, value in asdict(prof).items():
         print(f"  {key}: {value}")
     A = adjoint_group(R)
     print(f"  adjoint order: {A.order}")
@@ -363,7 +363,7 @@ def cmd_group_info(args) -> int:
         print("  not a p-group: no p-profile")
         return 0
     prof = group_profile(G)
-    for key, value in prof.as_dict().items():
+    for key, value in asdict(prof).items():
         if key != "order":
             print(f"  {key}: {value}")
     lower = [H.order for H in lower_central_series(G)]

@@ -200,6 +200,20 @@ def closure(G: FiniteGroup, seed) -> Subgroup:
     return Subgroup(G, tuple(sorted(elems)))
 
 
+def reach(seen: np.ndarray, step) -> np.ndarray:
+    """Grow the bool mask `seen` in place until nothing new appears.
+
+    `step(frontier)` returns the indices one step from the index array
+    `frontier`; the first frontier is everything already seen.
+    """
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        frontier = np.unique(step(frontier))
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return seen
+
+
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.n)))
 

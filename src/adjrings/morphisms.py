@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .groups import (
     omega_subgroup,
     quotient_group,
     is_normal,
+    reach,
     subgroup,
 )
 from .report import CheckReport
@@ -102,6 +104,13 @@ def _compose_table(M: np.ndarray, index: _RowIndex, what: str) -> np.ndarray:
     """Composition table of the rows of M: tab[i, j] is the position of
     M[j][M[i]] (member i, then member j).  Raises when a composite is not a row."""
     return _row_table(M.shape[0], index, lambda rows: M[:, M[rows]].swapaxes(0, 1), what)
+
+
+def _then_rows(M: np.ndarray, index: _RowIndex, gens: list[int], what: str):
+    """Step for reach(): positions of w then g for each frontier member w and
+    each g in gens (read when called, so gens may grow)."""
+    return lambda frontier: np.concatenate(
+        [index.require(M[g][M[frontier]], what) for g in gens])
 
 
 def _verify_hom_rows(src_table: np.ndarray, dst_table: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -474,26 +483,21 @@ def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[tuple[int, ...
 
 
 class AutomorphismGroup:
-    """Aut(G) held member-wise: image rows, composition by lookup.
+    """Aut(G) held member-wise: sorted image rows and one row index.
 
     The full Cayley table is never materialized unless as_group() is called,
     so groups with tens of thousands of automorphisms stay workable.
     """
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
-        order = np.lexsort(matrix.T[::-1])
-        matrix = np.ascontiguousarray(matrix[order])
+        matrix = np.ascontiguousarray(matrix[np.lexsort(matrix.T[::-1])])
+        if (matrix[1:] == matrix[:-1]).all(axis=1).any():
+            raise InvalidStructureError("duplicate automorphisms")
         self.group = G
         self.matrix = matrix
-        self._index = {row.tobytes(): i for i, row in enumerate(matrix)}
-        if len(self._index) != matrix.shape[0]:
-            raise InvalidStructureError("duplicate automorphisms")
-        ident = np.arange(G.n, dtype=matrix.dtype)
-        key = ident.tobytes()
-        if key not in self._index:
-            raise InvalidStructureError("identity map is not a member")
-        self.identity_index = self._index[key]
-        self._orders = None
+        self._index = _RowIndex(matrix)
+        ident = np.arange(G.n, dtype=matrix.dtype)[None, :]
+        self.identity_index = int(self._index.require(ident, "identity automorphism")[0])
 
     @property
     def order(self) -> int:
@@ -502,67 +506,29 @@ class AutomorphismGroup:
     def member(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.matrix[i])
 
-    def index_of(self, images) -> int:
-        key = np.ascontiguousarray(np.asarray(images, dtype=self.matrix.dtype)).tobytes()
-        if key not in self._index:
-            raise InvalidArgumentError("not a member")
-        return self._index[key]
-
-    def compose_idx(self, i: int, j: int) -> int:
-        row = np.ascontiguousarray(self.matrix[j][self.matrix[i]])
-        return self._index[row.tobytes()]
-
-    def inverse_idx(self, i: int) -> int:
-        row = np.ascontiguousarray(np.argsort(self.matrix[i]).astype(self.matrix.dtype))
-        return self._index[row.tobytes()]
-
-    def member_order(self, i: int) -> int:
-        """Order of the member as a permutation of the group elements."""
-        row = self.matrix[i]
-        seen = np.zeros(len(row), dtype=bool)
-        out = 1
-        for s in range(len(row)):
-            if seen[s]:
-                continue
-            length = 0
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = int(row[x])
-                length += 1
-            out = math.lcm(out, length)
-        return out
-
-    @property
-    def member_orders(self) -> list[int]:
-        if self._orders is None:
-            self._orders = [self.member_order(i) for i in range(self.order)]
-        return self._orders
+    @cached_property
+    def member_orders(self) -> np.ndarray:
+        """Order of each member as a permutation of the group elements."""
+        M = self.matrix
+        orders = np.zeros(self.order, dtype=np.int64)
+        acc = M
+        k = 1
+        while (orders == 0).any():
+            orders[(acc == np.arange(M.shape[1])).all(axis=1) & (orders == 0)] = k
+            acc = np.take_along_axis(M, acc, axis=1)
+            k += 1
+        return orders
 
     def exponent(self) -> int:
-        return math.lcm(*self.member_orders)
+        return math.lcm(*self.member_orders.tolist())
 
     def as_group(self, cap: int = 256) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
         m = self.order
         if m > cap:
             raise BoundError(f"automorphism group of order {m} exceeds the table cap {cap}")
-        tab = _compose_table(self.matrix, _RowIndex(self.matrix), "automorphism composition")
+        tab = _compose_table(self.matrix, self._index, "automorphism composition")
         grp = FiniteGroup(tab, identity=self.identity_index, name=f"aut({self.group.name})")
         return grp, [self.member(i) for i in range(m)]
-
-    def _closure(self, gen_indices: list[int]) -> set[int]:
-        reached = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gen_indices:
-                    z = self.compose_idx(w, g)
-                    if z not in reached:
-                        reached.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return reached
 
     def sylow(self, p: int) -> tuple[FiniteGroup, list[int]]:
         """A Sylow p-subgroup by first-found normalizer ascent over members.
@@ -577,29 +543,28 @@ class AutomorphismGroup:
         while m % p == 0:
             target *= p
             m //= p
+        M, index = self.matrix, self._index
         orders = self.member_orders
-        current = {self.identity_index}
+        p_elements = (orders > 1) & (target % orders == 0)
+        inverses = index.require(np.argsort(M, axis=1), "automorphism inverse")
+        current = np.zeros(self.order, dtype=bool)
+        current[self.identity_index] = True
         gens: list[int] = []
-        while len(current) < target:
-            found = None
-            for g in range(self.order):
-                og = orders[g]
-                if g in current or og == 1:
-                    continue
-                pk = prime_power(og)
-                if pk is None or pk[0] != p:
-                    continue
-                ginv = self.inverse_idx(g)
-                if all(self.compose_idx(self.compose_idx(ginv, x), g) in current
-                       for x in gens):
-                    found = g
-                    break
-            if found is None:
+        conjugates = []  # conjugates[k][g] = position of g^-1 gens[k] g
+        while current.sum() < target:
+            normalizer = np.ones(self.order, dtype=bool)
+            for conj in conjugates:
+                normalizer &= current[conj]
+            cand = np.flatnonzero(normalizer & ~current & p_elements)
+            if cand.size == 0:
                 raise InvalidStructureError("sylow ascent stalled")
-            gens.append(found)
-            current = self._closure(gens)
-        ids = sorted(current)
-        sub = self.matrix[ids]
+            x = int(cand[0])
+            gens.append(x)
+            rows = np.take_along_axis(M, M[x][M[inverses]], axis=1)
+            conjugates.append(index.require(rows, "automorphism conjugation"))
+            reach(current, _then_rows(M, index, gens, "automorphism closure"))
+        ids = np.flatnonzero(current).tolist()
+        sub = M[ids]
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
         grp = FiniteGroup(tab, identity=ids.index(self.identity_index),
                           name=f"sylow{p}(aut({self.group.name}))")
@@ -658,28 +623,14 @@ def _monoid_generators(M: np.ndarray, index: _RowIndex, identity_idx: int) -> li
     m = M.shape[0]
     srt = np.sort(M, axis=1)
     image_size = (srt[:, 1:] != srt[:, :-1]).sum(axis=1) + 1
-    cand_order = np.lexsort((np.arange(m), -image_size))
     reached = np.zeros(m, dtype=bool)
     reached[identity_idx] = True
     gens: list[int] = []
-    cursor = 0
-    while not reached.all():
-        while reached[cand_order[cursor]]:
-            cursor += 1
-        new_gen = int(cand_order[cursor])
-        gens.append(new_gen)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            discovered = []
-            for y in gens:
-                block = M[y][M[frontier]]
-                idx = index.require(block, "monoid closure")
-                fresh = idx[~reached[idx]]
-                if fresh.size:
-                    reached[fresh] = True
-                    discovered.append(fresh)
-            frontier = np.unique(np.concatenate(discovered)) if discovered else \
-                np.empty(0, dtype=np.int64)
+    step = _then_rows(M, index, gens, "monoid closure")
+    for g in np.lexsort((np.arange(m), -image_size)).tolist():
+        if not reached[g]:
+            gens.append(g)
+            reach(reached, step)
     return gens
 
 

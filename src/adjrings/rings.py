@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -26,6 +27,7 @@ from .errors import (
     InvalidElementError,
     InvalidStructureError,
 )
+from .groups import reach
 
 Element = tuple[int, ...]
 
@@ -85,6 +87,16 @@ def _is_prime(n: int) -> bool:
     return prime_power(n) == (n, 1)
 
 
+def _integer(value, what: str) -> int:
+    """A Python or numpy integer as an int; booleans and anything else raise."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidStructureError(f"{what} must be an integer, got {value!r}")
+
+
 class FiniteRing:
     """Structure-constant ring on a direct sum of cyclic p-groups.
 
@@ -95,9 +107,10 @@ class FiniteRing:
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):
+        p = _integer(p, "p")
         if not _is_prime(p):
             raise InvalidStructureError(f"p = {p} is not prime")
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(_integer(e, "additive exponent") for e in exps)
         if any(e < 1 for e in exps):
             raise InvalidStructureError("additive exponents must be >= 1")
         self.p = p
@@ -107,7 +120,8 @@ class FiniteRing:
         self.order = math.prod(self.moduli)
         self.name = name or f"ring_p{p}_" + "_".join(map(str, exps))
         self.mul_tensor = tuple(
-            tuple(tuple(int(c) % self.moduli[k] for k, c in enumerate(row)) for row in plane)
+            tuple(tuple(_integer(c, "coefficient") % self.moduli[k] for k, c in enumerate(row))
+                  for row in plane)
             for plane in mul
         )
         self._validate()
@@ -298,12 +312,7 @@ def _closure_mask(ring: FiniteRing, gens) -> np.ndarray:
     gens = np.unique(gens)
     seen = np.zeros(ring.order, dtype=bool)
     seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        frontier = np.unique(add[np.ix_(frontier, gens)])
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return seen
+    return reach(seen, lambda frontier: add[np.ix_(frontier, gens)])
 
 
 def _is_ideal(ring: FiniteRing, mask: np.ndarray) -> bool:

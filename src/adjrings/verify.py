@@ -9,7 +9,7 @@ companions: they record how far a sharper bound holds without ever failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,13 +83,6 @@ class RingProfile:
     right_p_nil: bool
     nil_class: int | None
 
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order, "p": self.p, "m": self.m, "d_plus": self.d_plus,
-            "left_p_nil": self.left_p_nil, "right_p_nil": self.right_p_nil,
-            "nil_class": self.nil_class,
-        }
-
 
 def ring_profile(R: FiniteRing) -> RingProfile:
     return RingProfile(
@@ -129,13 +122,6 @@ class GroupProfile:
         return (self.t == min(self.r, self.s)
                 and self.r1 <= self.r * self.c
                 and self.s1 <= self.s * self.c)
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order, "p": self.p, "c": self.c, "r": self.r,
-            "s": self.s, "t": self.t, "d": self.d, "d_prime": self.d_prime,
-            "r1": self.r1, "s1": self.s1,
-        }
 
 
 def group_profile(G: FiniteGroup) -> GroupProfile:
@@ -412,7 +398,7 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
     prof = group_profile(G)
     S = central_target(G)
     grp, members = aut_n(G, S)
-    computed: dict = {"profile": prof.as_dict(), "s_order": S.order,
+    computed: dict = {"profile": asdict(prof), "s_order": S.order,
                       "aut_order": grp.n, "degenerate": S.order == 1,
                       "parts": {}}
     bound = f"exp <= {p}^{prof.t}, class <= {prof.t}, rank = d*d(S)"
@@ -593,7 +579,7 @@ def check_aut_exponent(G: FiniteGroup, instance: str | None = None,
     expo = grp.exponent()
     syl, _ = auts.sylow(p)
     sylexp = syl.exponent()
-    computed = {"profile": prof.as_dict(), "aut_order": auts.order,
+    computed = {"profile": asdict(prof), "aut_order": auts.order,
                 "coset_exponent": expo, "sylow_order": syl.n,
                 "sylow_exponent": sylexp,
                 "coset_bound": p ** base, "sylow_bound": p ** (base + extra)}
@@ -716,7 +702,7 @@ def check_profile_consistency(G: FiniteGroup, instance: str | None = None) -> Ch
     prof = group_profile(G)
     ok = prof.consistent()
     return CheckReport(check="profile-consistency", instance=name,
-                       hypothesis_met=True, computed=prof.as_dict(),
+                       hypothesis_met=True, computed=asdict(prof),
                        bound="r1 <= r*c, s1 <= s*c",
                        verdict="pass" if ok else "fail",
                        witness=None if ok else "profile inequality violated")

@@ -7,6 +7,7 @@ the defining relations; nothing here is copied from the code under test.
 import numpy as np
 import pytest
 
+from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import BoundError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     abelian_group,
@@ -17,8 +18,10 @@ from adjrings.groups import (
     cyclic_group,
     dihedral_group,
     full_subgroup,
+    prime_of,
     quaternion_group,
     subgroup,
+    sylow_subgroup,
     trivial_subgroup,
 )
 from adjrings.morphisms import (
@@ -335,25 +338,49 @@ def test_aut_group_gl42_order():
     assert auts.order == 20160  # (16-1)(16-2)(16-4)(16-8)
 
 
-def test_aut_group_compose_inverse_consistency():
+def test_aut_group_exponent_and_member_orders():
     auts = aut_group(quaternion_group())
     assert auts.exponent() == 12  # S4
     assert sorted(set(auts.member_orders)) == [1, 2, 3, 4]
-    for i in (0, 3, 11, 23):
-        j = auts.inverse_idx(i)
-        assert auts.compose_idx(i, j) == auts.identity_index
-        assert auts.compose_idx(j, i) == auts.identity_index
 
 
-def test_aut_group_closure_spot_checks():
-    auts = aut_group(builtin_group("sd16"))
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        i, j = rng.integers(0, auts.order, size=2)
-        k = auts.compose_idx(int(i), int(j))
-        expected = tuple(int(v) for v in
-                         np.asarray(auts.member(int(j)))[np.asarray(auts.member(int(i)))])
-        assert auts.member(k) == expected
+def _p_groups_with_small_aut():
+    """Names of the default-corpus p-groups whose Aut(G) fits a Cayley table;
+    the five named here have more than 256 automorphisms."""
+    large = {"c2xc2xc2xc2", "c3xc3xc3", "c9xc9", "c27xc3", "es27"}
+    return [name for name in DEFAULT_GROUP_NAMES
+            if name not in large and prime_of(builtin_group(name)) is not None]
+
+
+@pytest.mark.parametrize("name", _p_groups_with_small_aut())
+def test_aut_sylow_and_orders_match_cayley_table_oracle(name):
+    # the oracle runs groups.sylow_subgroup and element_orders on the full
+    # Cayley table, which shares no lookup code with the member-wise view
+    auts = aut_group(builtin_group(name), bound=81)
+    assert auts.order <= 256
+    table, _ = auts.as_group()
+    assert (auts.member_orders == table.element_orders).all()
+    m = auts.order
+    for q in [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]:
+        _, ids = auts.sylow(q)
+        assert tuple(ids) == sylow_subgroup(table, q).elems, q
+
+
+def test_aut_sylow_orders_of_gl42():
+    auts = aut_group(abelian_group([2, 2, 2, 2]))
+    # |GL(4,2)| = 20160 = 2^6 * 3^2 * 5 * 7
+    for q, size in ((2, 64), (3, 9), (5, 5), (7, 7)):
+        syl, ids = auts.sylow(q)
+        assert syl.n == len(ids) == size
+
+
+def test_aut_group_rejects_bad_member_rows():
+    c4 = cyclic_group(4)
+    ident, inv = [0, 1, 2, 3], [0, 3, 2, 1]
+    with pytest.raises(InvalidStructureError, match="duplicate automorphisms"):
+        AutomorphismGroup(c4, np.array([ident, inv, ident], dtype=np.int32))
+    with pytest.raises(InvalidStructureError):
+        AutomorphismGroup(c4, np.array([inv], dtype=np.int32))
 
 
 def test_aut_sylow_of_s4():

@@ -187,6 +187,30 @@ def test_associativity_rejected():
         FiniteRing(3, [1, 1], bad)
 
 
+@pytest.mark.parametrize("p, exps, mul, match", [
+    (2, [1.7], [[[1.5]]], "exponent"),          # used to build Z_2 with x*x = x
+    (2, [1], [[[1.5]]], "coefficient"),
+    (2, [True], [[[1]]], "exponent"),
+    (2, [1], [[[True]]], "coefficient"),
+    (2, [1], [[[np.True_]]], "coefficient"),
+    (2, [1], [[["1"]]], "coefficient"),
+    (2, [1], [[[None]]], "coefficient"),
+    (2.0, [1], [[[1]]], "p"),                   # used to leak a TypeError
+    (True, [1], [[[1]]], "p"),
+    ("3", [1], [[[1]]], "p"),
+])
+def test_constructor_refuses_non_integers(p, exps, mul, match):
+    with pytest.raises(InvalidStructureError, match=match):
+        FiniteRing(p, exps, mul)
+
+
+def test_constructor_accepts_numpy_integers():
+    r = FiniteRing(np.int64(3), np.array([2], dtype=np.int64), np.array([[[3]]], dtype=np.int64))
+    assert (r.p, r.exps, r.mul_tensor) == (3, (2,), (((3,),),))
+    assert all(type(v) is int for v in (r.p, *r.exps, r.mul_tensor[0][0][0], r.order))
+    assert r.mul((1,), (1,)) == (3,)
+
+
 def test_enumerate_counts_tiny():
     # independent brute force over all tensors for p=2,[1] and p=3,[1]
     def brute(p):
