@@ -48,7 +48,10 @@ class AdjointGroup:
 
 
 def adjoint_group(ring: FiniteRing) -> AdjointGroup:
-    return AdjointGroup(ring)
+    """The circle group, built once per ring and kept in `ring._cache`."""
+    if "adjoint" not in ring._cache:
+        ring._cache["adjoint"] = AdjointGroup(ring)
+    return ring._cache["adjoint"]
 
 
 def additive_group_of(ring: FiniteRing) -> FiniteGroup:

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,11 @@ SUBGROUP_BOUND = 128
 
 
 class FiniteGroup:
-    """A finite group of order <= 256 given by its multiplication table."""
+    """A finite group of order <= 256 given by its multiplication table.
+
+    Memo rule: attributes are `cached_property`s; objects built by module
+    functions are kept in `_cache[key]`, after that function's bound gates.
+    """
 
     def __init__(self, table, identity: int = 0, name: str = "G"):
         tab = np.asarray(table, dtype=np.int32)
@@ -60,12 +65,9 @@ class FiniteGroup:
     def mult(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    @property
+    @cached_property
     def inverses(self) -> np.ndarray:
-        if "inv" not in self._cache:
-            inv = np.argmax(self.table == self.identity, axis=1).astype(np.int32)
-            self._cache["inv"] = inv
-        return self._cache["inv"]
+        return np.argmax(self.table == self.identity, axis=1).astype(np.int32)
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
@@ -82,20 +84,18 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    @property
+    @cached_property
     def element_orders(self) -> np.ndarray:
-        if "orders" not in self._cache:
-            n = self.n
-            orders = np.zeros(n, dtype=np.int64)
-            acc = np.arange(n)
-            k = 1
-            while (orders == 0).any():
-                done = (acc == self.identity) & (orders == 0)
-                orders[done] = k
-                acc = self.table[acc, np.arange(n)]
-                k += 1
-            self._cache["orders"] = orders
-        return self._cache["orders"]
+        n = self.n
+        orders = np.zeros(n, dtype=np.int64)
+        acc = np.arange(n)
+        k = 1
+        while (orders == 0).any():
+            done = (acc == self.identity) & (orders == 0)
+            orders[done] = k
+            acc = self.table[acc, np.arange(n)]
+            k += 1
+        return orders
 
     def order_of(self, a: int) -> int:
         return int(self.element_orders[a])
@@ -106,37 +106,29 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
-    @property
+    @cached_property
     def conj_table(self) -> np.ndarray:
         """conj_table[g, x] = g x g^-1."""
-        if "conj" not in self._cache:
-            t, inv = self.table, self.inverses
-            gx = t  # gx[g, x] = g*x
-            self._cache["conj"] = t[gx, inv[:, None]]
-        return self._cache["conj"]
+        t = self.table  # t[g, x] = g*x
+        return t[t, self.inverses[:, None]]
 
-    @property
+    @cached_property
     def comm_table(self) -> np.ndarray:
         """comm_table[x, g] = x^-1 g^-1 x g."""
-        if "comm" not in self._cache:
-            t, inv = self.table, self.inverses
-            left = t[inv[:, None], inv[None, :]]
-            right = t
-            self._cache["comm"] = t[left, right]
-        return self._cache["comm"]
+        t, inv = self.table, self.inverses
+        return t[t[inv[:, None], inv[None, :]], t]
 
+    @cached_property
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        if "ccls" not in self._cache:
-            seen = np.zeros(self.n, dtype=bool)
-            out = []
-            for x in range(self.n):
-                if seen[x]:
-                    continue
-                cls = np.unique(self.conj_table[:, x])
-                seen[cls] = True
-                out.append(tuple(int(c) for c in cls))
-            self._cache["ccls"] = out
-        return self._cache["ccls"]
+        seen = np.zeros(self.n, dtype=bool)
+        out = []
+        for x in range(self.n):
+            if seen[x]:
+                continue
+            cls = np.unique(self.conj_table[:, x])
+            seen[cls] = True
+            out.append(tuple(int(c) for c in cls))
+        return out
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.n})"
@@ -169,13 +161,14 @@ class Subgroup:
 def subgroup(G: FiniteGroup, elems) -> Subgroup:
     """Wrap a closed element set as a Subgroup (closure is verified)."""
     elems = tuple(sorted(set(int(e) for e in elems)))
-    eset = set(elems)
-    if G.identity not in eset:
+    if G.identity not in elems:
         raise InvalidArgumentError("subgroup must contain the identity")
-    for a in elems:
-        for b in elems:
-            if int(G.table[a, b]) not in eset:
-                raise InvalidArgumentError(f"set not closed: {a}*{b} escapes")
+    hbool = np.zeros(G.n, dtype=bool)
+    hbool[list(elems)] = True
+    escapes = np.argwhere(~hbool[G.table[np.ix_(elems, elems)]])
+    if escapes.size:
+        a, b = (elems[i] for i in escapes[0])
+        raise InvalidArgumentError(f"set not closed: {a}*{b} escapes")
     return Subgroup(G, elems)
 
 
@@ -436,25 +429,21 @@ def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Sub
     while frontier:
         nxt = []
         for helems in frontier:
+            arr = np.array(helems)
             hbool = np.zeros(G.n, dtype=bool)
-            hbool[list(helems)] = True
+            hbool[arr] = True
             gens = gens_of[helems]
-            norm = np.ones(G.n, dtype=bool)
-            for x in gens:
-                norm &= hbool[conj[:, x]]
+            norm = hbool[conj[:, gens]].all(axis=1)
             for q in primes:
                 if len(helems) * q > G.n or G.n % (len(helems) * q):
                     continue
-                cand = norm & ~hbool & hbool[pow_maps[q]]
-                for g in np.flatnonzero(cand):
-                    g = int(g)
-                    arr = np.array(helems)
-                    elems = list(helems)
-                    gi = g
-                    for _ in range(q - 1):
-                        elems.extend(int(x) for x in t[arr, gi])
-                        gi = int(t[gi, g])
-                    key = tuple(sorted(elems))
+                cands = np.flatnonzero(norm & ~hbool & hbool[pow_maps[q]])
+                powers = [np.full(cands.size, G.identity)]
+                for _ in range(q - 1):
+                    powers.append(t[powers[-1], cands])
+                # column c holds h g^k for h in H, k < q: <H, g> for g = cands[c]
+                grown = t[arr[:, None, None], np.stack(powers)].reshape(len(arr) * q, -1)
+                for g, key in zip(cands.tolist(), map(tuple, np.sort(grown, axis=0).T.tolist())):
                     if key not in found:
                         found.add(key)
                         gens_of[key] = gens + [g]
@@ -484,12 +473,17 @@ def _prime_divisors(n: int) -> set[int]:
 
 def rank(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> int:
     """Max of d(H) over all subgroups (0 for the trivial group)."""
-    if G.n == 1:
-        return 0
-    best = 0
-    for h in enumerate_subgroups(G, bound=bound):
-        best = max(best, subgroup_min_generators(G, h))
-    return best
+    return widest_subgroup(G, bound)[0]
+
+
+def widest_subgroup(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> tuple[int, Subgroup]:
+    """The largest d(H) over the subgroups H of G, and the first H reaching it."""
+    subs = enumerate_subgroups(G, bound=bound)
+    if "widest" not in G._cache:
+        ds = [subgroup_min_generators(G, h) for h in subs]
+        first = ds.index(max(ds))
+        G._cache["widest"] = ds[first], subs[first]
+    return G._cache["widest"]
 
 
 def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:
@@ -518,16 +512,11 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         target *= p
         n //= p
     cur = trivial_subgroup(G)
-    p_power = np.zeros(G.n, dtype=bool)
-    for i, o in enumerate(G.element_orders):
-        pk = prime_power(int(o))
-        p_power[i] = int(o) == 1 or (pk is not None and pk[0] == p)
+    p_power = target % G.element_orders == 0  # an order divides |G|: p-power iff it divides target
     while cur.order < target:
         hbool = np.zeros(G.n, dtype=bool)
         hbool[list(cur.elems)] = True
-        norm = np.ones(G.n, dtype=bool)
-        for x in cur.elems:
-            norm &= hbool[G.conj_table[:, x]]
+        norm = hbool[G.conj_table[:, list(cur.elems)]].all(axis=1)
         cand = np.flatnonzero(norm & ~hbool & p_power)
         if len(cand) == 0:
             raise InvalidStructureError("sylow ascent stalled")
@@ -542,15 +531,17 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return bool(hbool[G.conj_table[:, list(H.elems)]].all())
 
 
-def abelian_normal_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Subgroup]:
+def is_abelian_normal(G: FiniteGroup, H: Subgroup) -> bool:
+    block = G.table[np.ix_(H.elems, H.elems)]
+    return bool((block == block.T).all()) and is_normal(G, H)
+
+
+def abelian_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All abelian normal subgroups, ascending by (order, elements)."""
-    out = []
-    for H in enumerate_subgroups(G, bound=bound):
-        arr = np.array(H.elems)
-        block = G.table[np.ix_(arr, arr)]
-        if (block == block.T).all() and is_normal(G, H):
-            out.append(H)
-    return out
+    subs = enumerate_subgroups(G)
+    if "abelian_normal" not in G._cache:
+        G._cache["abelian_normal"] = [H for H in subs if is_abelian_normal(G, H)]
+    return G._cache["abelian_normal"]
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -586,8 +577,7 @@ def is_p_central(G: FiniteGroup) -> bool:
     if p is None:
         raise InvalidArgumentError("p-centrality is a p-group notion")
     n = 2 if p == 2 else 1
-    zset = set(center(G).elems)
-    return all(x in zset for x in omega_subgroup(G, n).elems)
+    return set(omega_subgroup(G, n).elems) <= set(center(G).elems)
 
 
 def power_commutator_subgroup(G: FiniteGroup) -> Subgroup:

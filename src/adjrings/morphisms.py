@@ -27,14 +27,16 @@ from .errors import (
     InvalidStructureError,
 )
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
     Subgroup,
     center,
     commutator_subgroup,
     generating_set,
+    is_abelian_normal,
+    is_normal,
     omega_subgroup,
     quotient_group,
-    is_normal,
     reach,
     subgroup,
 )
@@ -252,14 +254,12 @@ def _validate_coset_target(G: FiniteGroup, N: Subgroup) -> None:
 
 def _validate_module(G: FiniteGroup, N: Subgroup) -> None:
     _validate_coset_target(G, N)
-    arr = np.array(N.elems)
-    if not (G.table[np.ix_(arr, arr)] == G.table[np.ix_(arr, arr)].T).all():
+    if not is_abelian_normal(G, N):
         raise InvalidArgumentError("module subgroup must be abelian")
 
 
 def _is_central(G: FiniteGroup, N: Subgroup) -> bool:
-    zset = set(center(G).elems)
-    return all(x in zset for x in N.elems)
+    return set(N.elems) <= set(center(G).elems)
 
 
 def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
@@ -473,7 +473,7 @@ def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[tuple[int, ...
     M = _endo_matrix(G, N)
     M = M[_bijective_rows(M, G.n)]
     m = M.shape[0]
-    if m > 256:
+    if m > MAX_ORDER:
         raise BoundError(f"Aut_N with {m} members cannot form a Cayley table")
     index = _RowIndex(M)
     tab = _compose_table(M, index, "Aut_N composition")
@@ -486,7 +486,8 @@ class AutomorphismGroup:
     """Aut(G) held member-wise: sorted image rows and one row index.
 
     The full Cayley table is never materialized unless as_group() is called,
-    so groups with tens of thousands of automorphisms stay workable.
+    so groups with tens of thousands of automorphisms stay workable.  Sylow
+    subgroups are kept in `_cache[("sylow", p)]`.
     """
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
@@ -498,6 +499,7 @@ class AutomorphismGroup:
         self._index = _RowIndex(matrix)
         ident = np.arange(G.n, dtype=matrix.dtype)[None, :]
         self.identity_index = int(self._index.require(ident, "identity automorphism")[0])
+        self._cache: dict = {}
 
     @property
     def order(self) -> int:
@@ -522,10 +524,10 @@ class AutomorphismGroup:
     def exponent(self) -> int:
         return math.lcm(*self.member_orders.tolist())
 
-    def as_group(self, cap: int = 256) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    def as_group(self) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
         m = self.order
-        if m > cap:
-            raise BoundError(f"automorphism group of order {m} exceeds the table cap {cap}")
+        if m > MAX_ORDER:
+            raise BoundError(f"automorphism group of order {m} exceeds the table cap {MAX_ORDER}")
         tab = _compose_table(self.matrix, self._index, "automorphism composition")
         grp = FiniteGroup(tab, identity=self.identity_index, name=f"aut({self.group.name})")
         return grp, [self.member(i) for i in range(m)]
@@ -538,6 +540,8 @@ class AutomorphismGroup:
         """
         if prime_power(p) != (p, 1):
             raise InvalidArgumentError(f"{p} is not prime")
+        if ("sylow", p) in self._cache:
+            return self._cache["sylow", p]
         target = 1
         m = self.order
         while m % p == 0:
@@ -546,34 +550,36 @@ class AutomorphismGroup:
         M, index = self.matrix, self._index
         orders = self.member_orders
         p_elements = (orders > 1) & (target % orders == 0)
-        inverses = index.require(np.argsort(M, axis=1), "automorphism inverse")
         current = np.zeros(self.order, dtype=bool)
         current[self.identity_index] = True
         gens: list[int] = []
         conjugates = []  # conjugates[k][g] = position of g^-1 gens[k] g
         while current.sum() < target:
+            if gens:  # only a further step reads the last generator's conjugates
+                if not conjugates:
+                    inverses = index.require(np.argsort(M, axis=1), "automorphism inverse")
+                rows = np.take_along_axis(M, M[gens[-1]][M[inverses]], axis=1)
+                conjugates.append(index.require(rows, "automorphism conjugation"))
             normalizer = np.ones(self.order, dtype=bool)
             for conj in conjugates:
                 normalizer &= current[conj]
             cand = np.flatnonzero(normalizer & ~current & p_elements)
             if cand.size == 0:
                 raise InvalidStructureError("sylow ascent stalled")
-            x = int(cand[0])
-            gens.append(x)
-            rows = np.take_along_axis(M, M[x][M[inverses]], axis=1)
-            conjugates.append(index.require(rows, "automorphism conjugation"))
+            gens.append(int(cand[0]))
             reach(current, _then_rows(M, index, gens, "automorphism closure"))
         ids = np.flatnonzero(current).tolist()
         sub = M[ids]
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
         grp = FiniteGroup(tab, identity=ids.index(self.identity_index),
                           name=f"sylow{p}(aut({self.group.name}))")
+        self._cache["sylow", p] = grp, ids
         return grp, ids
 
 
-def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND,
-              member_cap: int = AUT_MEMBER_CAP) -> AutomorphismGroup:
-    """Full automorphism group by generator-image backtracking.
+def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND) -> AutomorphismGroup:
+    """Full automorphism group by generator-image backtracking, built once per
+    group and kept in `G._cache["aut"]` behind the order gate.
 
     Candidate images are pruned to elements sharing the generator's order and
     conjugacy class size; every surviving assignment is verified as a full
@@ -581,21 +587,21 @@ def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND,
     """
     if G.n > bound:
         raise BoundError(f"automorphism search capped at group order {bound}")
+    if "aut" in G._cache:
+        return G._cache["aut"]
     if G.n == 1:
-        return AutomorphismGroup(G, np.zeros((1, 1), dtype=np.int32))
-    if G.is_abelian():
+        M = np.zeros((1, 1), dtype=np.int32)
+    elif G.is_abelian():
         M = _hom_matrix(G, G, tuple(range(G.n)))
     else:
         gens = generating_set(G)
         class_size = np.zeros(G.n, dtype=np.int64)
-        for cls in G.conjugacy_classes():
+        for cls in G.conjugacy_classes:
             for x in cls:
                 class_size[x] = len(cls)
-        cand_lists = []
-        for g in gens:
-            fp = (G.order_of(g), int(class_size[g]))
-            cand_lists.append([x for x in range(G.n)
-                               if (G.order_of(x), int(class_size[x])) == fp])
+        orders = G.element_orders
+        cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
+                      for g in gens]
         total = 1
         for c in cand_lists:
             total *= len(c)
@@ -606,9 +612,10 @@ def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND,
         U = _fill_endo_rows(G, gens, C)
         M = U[_verify_hom_rows(G.table, G.table, U)]
     M = M[_bijective_rows(M, G.n)]
-    if M.shape[0] > member_cap:
+    if M.shape[0] > AUT_MEMBER_CAP:
         raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")
-    return AutomorphismGroup(G, M)
+    G._cache["aut"] = AutomorphismGroup(G, M)
+    return G._cache["aut"]
 
 
 # -- the correspondence check ------------------------------------------------------

@@ -104,6 +104,9 @@ class FiniteRing:
     Construction verifies well-definedness (each basis product is killed by the
     additive orders of its factors) and associativity on basis triples, which
     bilinearity extends to the whole ring.
+
+    Memo rule: attributes are `cached_property`s; objects built by module
+    functions are kept in `_cache[key]`, after that function's bound gates.
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):
@@ -125,7 +128,7 @@ class FiniteRing:
             for plane in mul
         )
         self._validate()
-        self._power_chain: list[tuple[Element, ...]] | None = None
+        self._cache: dict = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -343,8 +346,8 @@ def omega_additive(ring: FiniteRing, n: int) -> tuple[Element, ...]:
 
 def ring_power_chain(ring: FiniteRing) -> list[tuple[Element, ...]]:
     """[R^1, R^2, ...] down to stabilization; each term a sorted element tuple."""
-    if ring._power_chain is not None:
-        return ring._power_chain
+    if "power_chain" in ring._cache:
+        return ring._cache["power_chain"]
     mul = ring.tables.mul
     basis = ring._arrays[1]
     chain = [np.ones(ring.order, dtype=bool)]
@@ -354,8 +357,8 @@ def ring_power_chain(ring: FiniteRing) -> list[tuple[Element, ...]]:
         if (nxt == prev).all():
             break
         chain.append(nxt)
-    ring._power_chain = [ring.elements_at(mask) for mask in chain]
-    return ring._power_chain
+    ring._cache["power_chain"] = [ring.elements_at(mask) for mask in chain]
+    return ring._cache["power_chain"]
 
 
 def ring_power(ring: FiniteRing, k: int) -> tuple[Element, ...]:
@@ -464,7 +467,7 @@ def _associative_mask(arr: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return ((lhs - rhs) % moduli == 0).all(axis=(1, 2, 3, 4))
 
 
-def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
+def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
     """Yield every associative structure tensor on the given additive type.
 
     Candidates run in lexicographic tensor order; only well-defined tensors are
@@ -478,9 +481,7 @@ def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
     if total > budget:
         raise BudgetError(f"{total} candidate tensors exceed the budget of {budget}")
     if d == 0:
-        ring = FiniteRing(p, (), [], name=f"enum_p{p}_0d")
-        if predicate is None or predicate(ring):
-            yield ring
+        yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
         return
 
     radices, steps = [], []
@@ -501,9 +502,7 @@ def enumerate_rings(p: int, exps, predicate=None, budget: int = ENUM_BUDGET):
         arr = (np.stack(digits, axis=1) * steps).reshape(-1, d, d, d)
         for offset in np.flatnonzero(_associative_mask(arr, mod_arr)).tolist():
             name = f"enum_p{p}_e{'.'.join(map(str, exps))}_{start + offset:06d}"
-            ring = FiniteRing(p, exps, arr[offset].tolist(), name=name)
-            if predicate is None or predicate(ring):
-                yield ring
+            yield FiniteRing(p, exps, arr[offset].tolist(), name=name)
 
 
 # -- serialization ------------------------------------------------------------------

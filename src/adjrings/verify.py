@@ -1,8 +1,9 @@
 """One check per structural claim about p-rings, adjoint groups, and
 coset-trivial automorphisms.
 
-Every check computes both sides of its claim from scratch on the given
-instance and emits a CheckReport.  Hypothesis failures yield skipped verdicts,
+Every check computes both sides of its claim independently on the given
+instance and emits a CheckReport; the derived objects several checks share
+come from the instance's memo.  Hypothesis failures yield skipped verdicts,
 never silent passes; claim failures carry a witness.  Probes are observational
 companions: they record how far a sharper bound holds without ever failing.
 """
@@ -24,7 +25,7 @@ from .groups import (
     closure,
     enumerate_subgroups,
     frattini,
-    is_normal,
+    is_abelian_normal,
     is_p_central,
     lower_central_series,
     lower_p_central_series,
@@ -40,6 +41,7 @@ from .groups import (
     subgroup_min_generators,
     sylow_subgroup,
     upper_central_series,
+    widest_subgroup,
 )
 from .morphisms import (
     AUT_ORDER_BOUND,
@@ -85,15 +87,17 @@ class RingProfile:
 
 
 def ring_profile(R: FiniteRing) -> RingProfile:
-    return RingProfile(
-        order=R.order,
-        p=R.p,
-        m=R.additive_exponent_log(),
-        d_plus=R.dim,
-        left_p_nil=R.is_left_p_nil(),
-        right_p_nil=R.is_right_p_nil(),
-        nil_class=nilpotency_class_ring(R),
-    )
+    if "profile" not in R._cache:
+        R._cache["profile"] = RingProfile(
+            order=R.order,
+            p=R.p,
+            m=R.additive_exponent_log(),
+            d_plus=R.dim,
+            left_p_nil=R.is_left_p_nil(),
+            right_p_nil=R.is_right_p_nil(),
+            nil_class=nilpotency_class_ring(R),
+        )
+    return R._cache["profile"]
 
 
 def _section_exponent_log(upper: Subgroup, lower: Subgroup, p: int) -> int:
@@ -125,7 +129,9 @@ class GroupProfile:
 
 
 def group_profile(G: FiniteGroup) -> GroupProfile:
-    """Recomputed invariants of a nontrivial finite p-group."""
+    """Invariants of a nontrivial finite p-group, kept in `G._cache["profile"]`."""
+    if "profile" in G._cache:
+        return G._cache["profile"]
     p = prime_of(G)
     if p is None:
         raise InvalidStructureError("group profiles require a nontrivial p-group")
@@ -142,10 +148,11 @@ def group_profile(G: FiniteGroup) -> GroupProfile:
     s1 = sum(_section_exponent_log(upper[i + 1], upper[i], p)
              for i in range(len(upper) - 1))
     pgrp, _ = power_commutator_subgroup(G).as_group()
-    return GroupProfile(
+    G._cache["profile"] = GroupProfile(
         order=G.n, p=p, c=c, r=r, s=s, t=min(r, s),
         d=min_generators(G), d_prime=rank(pgrp), r1=r1, s1=s1,
     )
+    return G._cache["profile"]
 
 
 def _skip(check: str, instance: str, reason: str) -> CheckReport:
@@ -425,10 +432,9 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
         q = p ** n
         brace = frozenset(int(i) for i in np.flatnonzero(q % orders == 0))
         gen_sub = frozenset(omega_subgroup(grp, n).elems)
-        omega_in_g = frozenset(lift[x] for x in omega_subgroup(sgrp, n).elems)
-        restricted = frozenset(
-            int(i) for i in range(len(members))
-            if all(int(v) in omega_in_g for v in offsets[i]))
+        in_omega = np.zeros(G.n, dtype=bool)
+        in_omega[[lift[x] for x in omega_subgroup(sgrp, n).elems]] = True
+        restricted = frozenset(np.flatnonzero(in_omega[offsets].all(axis=1)).tolist())
         if not (brace == gen_sub == restricted):
             computed["parts"]["torsion_layers"] = False
             return fail("torsion_layers",
@@ -605,17 +611,12 @@ def _sylow_generator_sweep(check: str, G: FiniteGroup, name: str, bound_val: int
     try:
         auts = aut_group(G, bound=aut_bound)
         syl, _ = auts.sylow(p)
-        subs = enumerate_subgroups(syl, bound=subgroup_bound)
+        worst, worst_sub = widest_subgroup(syl, bound=subgroup_bound)
     except BoundError as exc:
         return _skip(check, name, str(exc))
-    worst = 0
-    worst_sub = None
-    for h in subs:
-        dh = subgroup_min_generators(syl, h)
-        if dh > worst:
-            worst, worst_sub = dh, h
     computed.update({"aut_order": auts.order, "sylow_order": syl.n,
-                     "subgroups": len(subs), "max_d": worst, "bound": bound_val})
+                     "subgroups": len(enumerate_subgroups(syl, bound=subgroup_bound)),
+                     "max_d": worst, "bound": bound_val})
     ok = worst <= bound_val
     return CheckReport(check=check, instance=name, hypothesis_met=True,
                        computed=computed, bound=f"d(H) <= {bound_val}",
@@ -681,9 +682,7 @@ def check_der_subring_p_nil(G: FiniteGroup, N: Subgroup,
     name = instance or f"group:{G.name}/N{len(N.elems)}"
     if prime_of(G) is None:
         return _skip("der-subring-p-nil", name, "not a nontrivial p-group")
-    arr = np.array(N.elems)
-    block = G.table[np.ix_(arr, arr)]
-    if not ((block == block.T).all() and is_normal(G, N)):
+    if not is_abelian_normal(G, N):
         return _skip("der-subring-p-nil", name, "module not abelian normal")
     ring, _ = der_subring_trivial_on_omega(G, N)
     computed = {"module_order": N.order, "subring_order": ring.order}

@@ -121,7 +121,7 @@ class TestBasics:
 
     def test_conjugacy_classes(self):
         q8 = quaternion_group()
-        sizes = sorted(len(c) for c in q8.conjugacy_classes())
+        sizes = sorted(len(c) for c in q8.conjugacy_classes)
         assert sizes == [1, 1, 2, 2, 2]
 
 
@@ -309,7 +309,7 @@ class TestBuilders:
             orders = tuple(sorted(int(o) for o in g.element_orders))
             fp = (orders, g.is_abelian(), center(g).order,
                   commutator_subgroup(g).order, min_generators(g),
-                  tuple(sorted(len(c) for c in g.conjugacy_classes())))
+                  tuple(sorted(len(c) for c in g.conjugacy_classes)))
             prints.add(fp)
         assert len(prints) == 14
 

@@ -1,0 +1,93 @@
+"""Each instance's derived objects are built once and shared by its checks,
+and every bound gate still runs before a memo is read."""
+
+import json
+
+import pytest
+
+from adjrings import morphisms, verify
+from adjrings.adjoint import AdjointGroup
+from adjrings.cli import CHECKS, CorpusEntry, run_check
+from adjrings.errors import BoundError, InvalidArgumentError
+from adjrings.groups import builtin_group, cyclic_group, subgroup, widest_subgroup
+from adjrings.morphisms import aut_group
+from adjrings.rings import multiples_ring
+
+ACCEPTANCE_FLAGS = {"aut_bound": 81, "subgroup_bound": 256, "annihilator_omega": 1}
+AUT_CHECKS = {"sylow-center-probe", "aut-exponent", "aut-gen-bound-abelian", "aut-gen-bound"}
+
+
+def count_inits(monkeypatch, cls) -> list:
+    calls = []
+    original = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def run_kind(kind: str, make) -> list[dict]:
+    """One report per registry task of `kind`, each run on the object make()
+    returns, through cli.run_check."""
+    out = []
+    for name, check in CHECKS.items():
+        if check.kind == kind:
+            for param in check.params(make()):
+                entry = CorpusEntry(f"{kind}:x", kind, make())
+                out.append(json.loads(run_check(entry, name, param, ACCEPTANCE_FLAGS)))
+    return out
+
+
+def test_group_checks_build_aut_group_and_profile_once(monkeypatch):
+    fresh = run_kind("group", lambda: builtin_group("c3xc3"))
+    auts = count_inits(monkeypatch, morphisms.AutomorphismGroup)
+    profiles = count_inits(monkeypatch, verify.GroupProfile)
+    G = builtin_group("c3xc3")
+    shared = run_kind("group", lambda: G)
+    assert AUT_CHECKS <= {rec["check"] for rec in shared if rec["hypothesis_met"]}
+    assert len(auts) == 1
+    assert len(profiles) == 1
+    assert shared == fresh
+
+
+def test_ring_checks_build_adjoint_group_once(monkeypatch):
+    fresh = run_kind("ring", lambda: multiples_ring(3, 27))
+    builds = count_inits(monkeypatch, AdjointGroup)
+    R = multiples_ring(3, 27)
+    shared = run_kind("ring", lambda: R)
+    met = {rec["check"] for rec in shared if rec["hypothesis_met"]}
+    assert {"omega-correspondence", "p-central-adjoint", "adjoint-rank", "sylow-rank"} <= met
+    assert len(builds) == 1
+    assert shared == fresh
+
+
+def test_aut_bound_gate_runs_before_the_memo():
+    G = builtin_group("c3xc3")
+    auts = aut_group(G, bound=G.n)
+    assert aut_group(G, bound=G.n) is auts
+    with pytest.raises(BoundError):
+        aut_group(G, bound=G.n - 1)
+    capped = verify.check_aut_exponent(G, aut_bound=G.n - 1)
+    assert capped.verdict == "skipped" and "capped" in capped.bound
+
+
+def test_subgroup_bound_gate_runs_before_the_sweep_memo():
+    G = builtin_group("c3xc3")
+    syl, _ = aut_group(G).sylow(3)
+    assert aut_group(G).sylow(3)[0] is syl
+    warm = verify.check_aut_gen_bound(G, aut_bound=G.n, subgroup_bound=syl.n)
+    assert warm.hypothesis_met and warm.verdict == "pass"
+    assert widest_subgroup(syl, bound=syl.n)[0] == warm.computed["max_d"]
+    with pytest.raises(BoundError):
+        widest_subgroup(syl, bound=syl.n - 1)
+    capped = verify.check_aut_gen_bound(G, aut_bound=G.n, subgroup_bound=syl.n - 1)
+    assert capped.verdict == "skipped" and "capped" in capped.bound
+
+
+def test_subgroup_names_first_escaping_pair_row_major():
+    # in Z/4 the set {0, 2, 3} first escapes at 2*3 by rows, at 3*2 by columns
+    with pytest.raises(InvalidArgumentError, match=r"set not closed: 2\*3 escapes"):
+        subgroup(cyclic_group(4), [3, 0, 2])

@@ -354,7 +354,7 @@ def test_enumerate_budget():
 
 
 def test_enumerate_filter():
-    nil = list(enumerate_rings(2, [1], predicate=lambda r: r.is_p_nil()))
+    nil = [r for r in enumerate_rings(2, [1]) if r.is_p_nil()]
     assert len(nil) == 1  # only the zero ring; x^2 = x is not 2-nil
 
 
