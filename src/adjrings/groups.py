@@ -369,7 +369,14 @@ def frattini_via_maximals(G: FiniteGroup) -> Subgroup:
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """A minimal generating set (Burnside basis for p-groups, search otherwise)."""
+    """A minimal generating set (Burnside basis for p-groups, search otherwise),
+    kept in `G._cache["gens"]`; each caller gets its own list."""
+    if "gens" not in G._cache:
+        G._cache["gens"] = tuple(_search_generating_set(G))
+    return list(G._cache["gens"])
+
+
+def _search_generating_set(G: FiniteGroup) -> list[int]:
     if G.n == 1:
         return []
     p = prime_of(G)

@@ -1,0 +1,172 @@
+"""The homomorphism, twisted-rule and Laue comparisons read only the columns
+of a generating set of G.  Each is checked here against the full-pair
+comparison it replaces, kept below as the oracle.
+
+Besides rows from the spanning-tree fill, the batches hold rows perturbed on a
+whole left coset rH of each proper subgroup H.  Such a row still obeys the
+rule for every g in H, so it is rejected only through a generator outside H:
+a test set that misses a generator accepts it.
+"""
+
+import numpy as np
+import pytest
+
+from adjrings.groups import (
+    abelian_normal_subgroups,
+    builtin_group,
+    center,
+    cyclic_group,
+    enumerate_subgroups,
+    generating_set,
+)
+from adjrings.morphisms import (
+    _der_matrix,
+    _endo_matrix,
+    _fill_der_rows,
+    _fill_endo_rows,
+    _pair_sides,
+    _test_columns,
+    _verify_cocycle_rows,
+    _verify_hom_rows,
+)
+
+# builtin groups have identity 0, so element 0 is never a perturbation
+GROUPS = ["c4", "c2xc2", "d6", "c4xc2", "d8", "q8", "c3xc3", "a4", "d8xc2", "m27"]
+
+
+def hom_rows_oracle(src_table: np.ndarray, dst_table: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """u(xy) = u(x)u(y) on every pair (x, y)."""
+    return (U[:, src_table] == dst_table[U[:, :, None], U[:, None, :]]).all(axis=(1, 2))
+
+
+def cocycle_rows_oracle(G, U: np.ndarray) -> np.ndarray:
+    """d(xy) = d(x)^y d(y) on every pair (x, y)."""
+    cti = G.conj_table[G.inverses]  # cti[y, v] = y^{-1} v y
+    yidx = np.arange(G.n)[None, None, :]
+    rhs = G.table[cti[yidx, U[:, :, None]], U[:, None, :]]
+    return (U[:, G.table] == rhs).all(axis=(1, 2))
+
+
+def fill_candidates(G, values, rng, cap=3000):
+    """Generator-value tuples drawn from `values`: all of them, or `cap` at random."""
+    S = generating_set(G)
+    values = np.asarray(values, dtype=np.int32)
+    if len(values) ** len(S) <= cap:
+        grids = np.meshgrid(*([values] * len(S)), indexing="ij")
+        return S, np.stack([g.ravel() for g in grids], axis=1).astype(np.int32)
+    return S, rng.choice(values, size=(cap, len(S))).astype(np.int32)
+
+
+def left_cosets(G):
+    """(H.elems, rH) for every proper subgroup H and one coset rH other than H,
+    with rH listed in the order of H.elems."""
+    for H in enumerate_subgroups(G, bound=G.n):
+        if H.order < G.n:
+            r = min(set(range(G.n)) - set(H.elems))
+            yield np.array(H.elems), G.table[r, list(H.elems)]
+
+
+def hom_batch(G, rng):
+    S, C = fill_candidates(G, range(G.n), rng)
+    U = _fill_endo_rows(G, S, C)
+    homs = U[hom_rows_oracle(G.table, G.table, U)][:12]
+    shifted = []
+    for _, coset in left_cosets(G):
+        V = homs.copy()
+        V[:, coset] = G.table[rng.integers(1, G.n), V[:, coset]]  # c u(x), c != 1
+        shifted.append(V)
+    return U, np.concatenate(shifted)
+
+
+def cocycle_batch(G, N, rng):
+    S, C = fill_candidates(G, N.elems, rng)
+    U = _fill_der_rows(G, S, C)
+    ders = U[cocycle_rows_oracle(G, U)][:12]
+    cti = G.conj_table[G.inverses]
+    shifted = []
+    for hs, coset in left_cosets(G):
+        c = N.elems[rng.integers(1, N.order)]  # c != 1
+        V = ders.copy()
+        V[:, coset] = G.table[V[:, coset], cti[hs, c]]  # d(rh) c^h
+        shifted.append(V)
+    return U, np.concatenate(shifted)
+
+
+def modules(G):
+    """The largest abelian normal subgroup and, if there is one, the largest
+    non-central one."""
+    mods = [N for N in abelian_normal_subgroups(G) if N.order > 1]
+    z = set(center(G).elems)
+    noncentral = [N for N in mods if not set(N.elems) <= z]
+    return [mods[-1]] + [N for N in noncentral[-1:] if N is not mods[-1]]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_hom_verifier_matches_full_pair_oracle(name):
+    G = builtin_group(name)
+    rng = np.random.default_rng(7)
+    filled, shifted = hom_batch(G, rng)
+    noise = rng.integers(0, G.n, size=(50, G.n)).astype(np.int32)
+    for U in (filled, shifted, noise):
+        np.testing.assert_array_equal(_verify_hom_rows(G, G.table, U),
+                                      hom_rows_oracle(G.table, G.table, U))
+    assert hom_rows_oracle(G.table, G.table, filled).any()
+    assert not hom_rows_oracle(G.table, G.table, shifted).all()
+
+
+def test_hom_verifier_on_trivial_source():
+    G, H = cyclic_group(1), cyclic_group(4)
+    U = np.arange(4, dtype=np.int32)[:, None]
+    np.testing.assert_array_equal(_verify_hom_rows(G, H.table, U),
+                                  hom_rows_oracle(G.table, H.table, U))
+    assert _verify_hom_rows(G, H.table, U).tolist() == [True, False, False, False]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_cocycle_verifier_matches_full_pair_oracle(name):
+    G = builtin_group(name)
+    rng = np.random.default_rng(11)
+    for N in modules(G):
+        filled, shifted = cocycle_batch(G, N, rng)
+        noise = rng.choice(np.array(N.elems), size=(50, G.n)).astype(np.int32)
+        for U in (filled, shifted, noise):
+            np.testing.assert_array_equal(_verify_cocycle_rows(G, U), cocycle_rows_oracle(G, U))
+        assert cocycle_rows_oracle(G, filled).any()
+        assert not cocycle_rows_oracle(G, shifted).all()
+
+
+@pytest.mark.parametrize("name", ["c4xc2", "d8", "q8", "d8xc2", "c3xc3", "m27"])
+def test_laue_generator_columns_match_full_comparison(name):
+    """Every (i, j) mismatch and every zero test of check_laue, read on the
+    generator columns, equals the comparison on all of G.  Pairing the
+    endomorphisms with a rotated derivation list keeps both sides derivations
+    and makes most pairs mismatch."""
+    G = builtin_group(name)
+    t, inv = G.table, G.inverses
+    S = _test_columns(G)
+    for N in modules(G):
+        ends = _endo_matrix(G, N)
+        assert ends.shape[0] == _der_matrix(G, N).shape[0] <= 256
+        m = ends.shape[0]
+        members = np.arange(m)
+        for shift in (0, 1):
+            DU = np.roll(t[inv[None, :], ends], shift, axis=0)
+            mismatches = 0
+            for i in range(m):
+                W = ends[:, ends[i]]                      # row j: i then j
+                full_left = t[inv[None, :], W]
+                a = DU[i]
+                full_circ = t[t[a[None, :], DU], DU[:, a]]  # row j: d_i o d_j
+                left, circ = _pair_sides(G, ends, DU, i, members, S)
+                full_bad = (full_left != full_circ).any(axis=1)
+                np.testing.assert_array_equal((left != circ).any(axis=1), full_bad)
+                np.testing.assert_array_equal((circ == G.identity).all(axis=1),
+                                              (full_circ == G.identity).all(axis=1))
+                mismatches += int(full_bad.sum())
+                # the mirrored orientation: row v is (v then i)
+                left, circ = _pair_sides(G, ends, DU, members, i, S)
+                full_left = t[inv[None, :], ends[i][ends]]
+                full_circ = t[t[DU, DU[i][None, :]], DU[i][DU]]
+                np.testing.assert_array_equal((left != circ).any(axis=1),
+                                              (full_left != full_circ).any(axis=1))
+            assert (mismatches == 0) == (shift == 0 or m == 1)

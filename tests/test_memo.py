@@ -9,7 +9,13 @@ from adjrings import morphisms, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import CHECKS, CorpusEntry, run_check
 from adjrings.errors import BoundError, InvalidArgumentError
-from adjrings.groups import builtin_group, cyclic_group, subgroup, widest_subgroup
+from adjrings.groups import (
+    abelian_normal_subgroups,
+    builtin_group,
+    cyclic_group,
+    subgroup,
+    widest_subgroup,
+)
 from adjrings.morphisms import aut_group
 from adjrings.rings import multiples_ring
 
@@ -29,12 +35,12 @@ def count_inits(monkeypatch, cls) -> list:
     return calls
 
 
-def run_kind(kind: str, make) -> list[dict]:
-    """One report per registry task of `kind`, each run on the object make()
-    returns, through cli.run_check."""
+def run_kind(kind: str, make, names=None) -> list[dict]:
+    """One report per registry task of `kind` (only the checks in `names`, if
+    given), each run on the object make() returns, through cli.run_check."""
     out = []
     for name, check in CHECKS.items():
-        if check.kind == kind:
+        if check.kind == kind and (names is None or name in names):
             for param in check.params(make()):
                 entry = CorpusEntry(f"{kind}:x", kind, make())
                 out.append(json.loads(run_check(entry, name, param, ACCEPTANCE_FLAGS)))
@@ -61,6 +67,30 @@ def test_ring_checks_build_adjoint_group_once(monkeypatch):
     met = {rec["check"] for rec in shared if rec["hypothesis_met"]}
     assert {"omega-correspondence", "p-central-adjoint", "adjoint-rank", "sylow-rank"} <= met
     assert len(builds) == 1
+    assert shared == fresh
+
+
+def test_laue_and_der_subring_build_derivations_once_per_module(monkeypatch):
+    checks = {"laue", "der-subring-p-nil"}
+    fresh = run_kind("group", lambda: builtin_group("c4xc2"), checks)
+    modules, builds = [], []
+    real_der, real_cocycle = morphisms._der_matrix, morphisms._verify_cocycle_rows
+
+    def der_matrix(G, N):
+        modules.append(N.elems)
+        return real_der(G, N)
+
+    def cocycle_rows(G, U):  # called once per derivation build
+        builds.append(None)
+        return real_cocycle(G, U)
+
+    monkeypatch.setattr(morphisms, "_der_matrix", der_matrix)
+    monkeypatch.setattr(morphisms, "_verify_cocycle_rows", cocycle_rows)
+    G = builtin_group("c4xc2")
+    shared = run_kind("group", lambda: G, checks)
+    assert {rec["check"] for rec in shared if rec["hypothesis_met"]} == checks
+    assert len(modules) > len(set(modules)) == len(builds)
+    assert not morphisms._der_matrix(G, abelian_normal_subgroups(G)[-1]).flags.writeable
     assert shared == fresh
 
 
