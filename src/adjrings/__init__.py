@@ -44,7 +44,7 @@ from .morphisms import (
     hom_ring,
     to_finite_ring,
 )
-from .report import CheckReport, report_from_json_line
+from .report import CheckReport
 from .rings import (
     FiniteRing,
     enumerate_rings,
@@ -100,7 +100,6 @@ __all__ = [
     "quotient_group",
     "quotient_ring",
     "rank",
-    "report_from_json_line",
     "ring_profile",
     "save_group",
     "save_ring",

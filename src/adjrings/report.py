@@ -38,14 +38,17 @@ class CheckReport:
         return json.dumps(obj, sort_keys=True)
 
 
-def report_from_json_line(line: str) -> CheckReport:
-    obj = json.loads(line)
-    return CheckReport(
-        check=obj["check"],
-        instance=obj["instance"],
-        hypothesis_met=obj["hypothesis_met"],
-        computed=obj.get("computed", {}),
-        bound=obj.get("bound", ""),
-        verdict=obj["verdict"],
-        witness=obj.get("witness"),
-    )
+def verdict(check: str, instance: str, computed: dict, bound: str,
+            witness: str | None = None) -> CheckReport:
+    """The line of an instance that meets the check's hypotheses: it fails
+    exactly when it names a witness."""
+    return CheckReport(check=check, instance=instance, hypothesis_met=True,
+                       computed=computed, bound=bound,
+                       verdict="pass" if witness is None else "fail", witness=witness)
+
+
+def skipped(check: str, instance: str, reason: str) -> CheckReport:
+    """The line of an instance outside the check's hypotheses, with the reason
+    as its bound."""
+    return CheckReport(check=check, instance=instance, hypothesis_met=False,
+                       bound=reason, verdict="skipped")

@@ -3,8 +3,10 @@ coset-trivial automorphisms.
 
 Every check computes both sides of its claim independently on the given
 instance and emits a CheckReport; the derived objects several checks share
-come from the instance's memo.  Hypothesis failures yield skipped verdicts,
-never silent passes; claim failures carry a witness.  Probes are observational
+come from the instance's memo.  One rule gives every verdict: a check whose
+instance meets its hypotheses fails exactly when it names a witness, and
+`report.verdict` / `report.skipped` build every line.  Hypothesis failures
+yield skipped verdicts, never silent passes.  Probes are observational
 companions: they record how far a sharper bound holds without ever failing.
 """
 
@@ -33,10 +35,9 @@ from .groups import (
     nilpotency_class,
     omega_subgroup,
     power_commutator_subgroup,
+    power_map,
     prime_of,
-    quotient_group,
     rank,
-    subgroup,
     subgroup_exponent,
     subgroup_min_generators,
     sylow_subgroup,
@@ -47,10 +48,11 @@ from .morphisms import (
     AUT_ORDER_BOUND,
     aut_group,
     aut_n,
+    coset_offsets,
     der_subring_trivial_on_omega,
     hom_ring,
 )
-from .report import CheckReport
+from .report import CheckReport, skipped, verdict
 from .rings import (
     FiniteRing,
     ideal_u,
@@ -101,12 +103,16 @@ def ring_profile(R: FiniteRing) -> RingProfile:
 
 
 def _section_exponent_log(upper: Subgroup, lower: Subgroup, p: int) -> int:
-    """log_p of the exponent of upper/lower (lower normal in upper)."""
-    H, lift = upper.as_group()
-    pos = {x: i for i, x in enumerate(lift)}
-    inner = subgroup(H, [pos[x] for x in lower.elems])
-    Q, _ = quotient_group(H, inner)
-    return _log_exact(p, Q.exponent())
+    """log_p of the exponent of upper/lower (lower normal in upper, inside a
+    p-group): the least k with x^(p^k) in lower for every x in upper."""
+    G = upper.parent
+    p_power = power_map(G, p)
+    in_lower = np.zeros(G.n, dtype=bool)
+    in_lower[list(lower.elems)] = True
+    x, k = np.array(upper.elems), 0
+    while not in_lower[x].all():
+        x, k = p_power[x], k + 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -139,25 +145,18 @@ def group_profile(G: FiniteGroup) -> GroupProfile:
     if lower[-1].order != 1:
         raise InvalidStructureError("group is not nilpotent")
     c = len(lower) - 1
-    Q, _ = quotient_group(G, lower[1] if len(lower) > 1 else lower[0])
-    r = _log_exact(p, Q.exponent())
-    s = _log_exact(p, subgroup_exponent(G, center(G)))
     upper = upper_central_series(G)
-    r1 = sum(_section_exponent_log(lower[i], lower[i + 1], p)
-             for i in range(len(lower) - 1))
-    s1 = sum(_section_exponent_log(upper[i + 1], upper[i], p)
-             for i in range(len(upper) - 1))
+    # r and s are the first terms: the sections G/gamma_2 and Z/1
+    r_logs = [_section_exponent_log(lower[i], lower[i + 1], p) for i in range(c)]
+    s_logs = [_section_exponent_log(upper[i + 1], upper[i], p)
+              for i in range(len(upper) - 1)]
+    r, s = r_logs[0], s_logs[0]
     pgrp, _ = power_commutator_subgroup(G).as_group()
     G._cache["profile"] = GroupProfile(
         order=G.n, p=p, c=c, r=r, s=s, t=min(r, s),
-        d=min_generators(G), d_prime=rank(pgrp), r1=r1, s1=s1,
+        d=min_generators(G), d_prime=rank(pgrp), r1=sum(r_logs), s1=sum(s_logs),
     )
     return G._cache["profile"]
-
-
-def _skip(check: str, instance: str, reason: str) -> CheckReport:
-    return CheckReport(check=check, instance=instance, hypothesis_met=False,
-                       computed={}, bound=reason, verdict="skipped")
 
 
 def _ring_instance(R: FiniteRing, instance: str | None) -> str:
@@ -176,39 +175,31 @@ def check_omega_correspondence(R: FiniteRing, instance: str | None = None) -> Ch
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return _skip("omega-correspondence", name, "not left or right p-nil")
+        return skipped("omega-correspondence", name, "not left or right p-nil")
     A = adjoint_group(R)
     gidx = A.index_of
     computed: dict = {"m": prof.m, "layers": {}}
     top = max(prof.m, 1)
+    bound = f"layers agree for n <= {top}"
     for n in range(1, top + 1):
         circle = omega_circle_set(R, n)
         additive = omega_additive(R, n)
         if circle != additive:
             sample = next(iter(set(circle) ^ set(additive)))
-            return CheckReport(
-                check="omega-correspondence", instance=name, hypothesis_met=True,
-                computed=computed, bound=f"layers agree for n <= {top}",
-                verdict="fail", witness=f"n={n}, element {list(sample)}")
+            return verdict("omega-correspondence", name, computed, bound,
+                           f"n={n}, element {list(sample)}")
         missing = [x for x in circle if x not in gidx]
         if missing:
-            return CheckReport(
-                check="omega-correspondence", instance=name, hypothesis_met=True,
-                computed=computed, bound=f"layers agree for n <= {top}",
-                verdict="fail",
-                witness=f"n={n}, element {list(missing[0])} not quasi-invertible")
+            return verdict("omega-correspondence", name, computed, bound,
+                           f"n={n}, element {list(missing[0])} not quasi-invertible")
         grown = closure(A.group, [gidx[x] for x in circle])
         closed = tuple(sorted(A.members[i] for i in grown.elems)) == circle
         computed["layers"][str(n)] = {
             "size": len(circle), "subgroup_closed": bool(closed)}
         if not closed:
-            return CheckReport(
-                check="omega-correspondence", instance=name, hypothesis_met=True,
-                computed=computed, bound=f"layers agree for n <= {top}",
-                verdict="fail", witness=f"n={n}, set is not a subgroup")
-    return CheckReport(check="omega-correspondence", instance=name,
-                       hypothesis_met=True, computed=computed,
-                       bound=f"layers agree for n <= {top}", verdict="pass")
+            return verdict("omega-correspondence", name, computed, bound,
+                           f"n={n}, set is not a subgroup")
+    return verdict("omega-correspondence", name, computed, bound)
 
 
 def check_p_central_adjoint(R: FiniteRing, instance: str | None = None) -> CheckReport:
@@ -216,21 +207,16 @@ def check_p_central_adjoint(R: FiniteRing, instance: str | None = None) -> Check
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil and prof.right_p_nil):
-        return _skip("p-central-adjoint", name, "not p-nil on both sides")
+        return skipped("p-central-adjoint", name, "not p-nil on both sides")
     A = adjoint_group(R)
     kappa = 2 if R.p == 2 else 1
     computed = {"adjoint_order": A.order, "kappa": kappa}
+    witness = None
     if A.group.n > 1 and prime_of(A.group) != R.p:
-        return CheckReport(check="p-central-adjoint", instance=name,
-                           hypothesis_met=True, computed=computed,
-                           bound=f"omega_{kappa} central", verdict="fail",
-                           witness="adjoint group is not a p-group")
-    ok = is_p_central(A.group)
-    return CheckReport(check="p-central-adjoint", instance=name,
-                       hypothesis_met=True, computed=computed,
-                       bound=f"omega_{kappa} central",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else "small-order layer escapes the center")
+        witness = "adjoint group is not a p-group"
+    elif not is_p_central(A.group):
+        witness = "small-order layer escapes the center"
+    return verdict("p-central-adjoint", name, computed, f"omega_{kappa} central", witness)
 
 
 def check_nilpotency_bound(R: FiniteRing, instance: str | None = None) -> CheckReport:
@@ -238,23 +224,16 @@ def check_nilpotency_bound(R: FiniteRing, instance: str | None = None) -> CheckR
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return _skip("nilpotency-bound", name, "not left or right p-nil")
+        return skipped("nilpotency-bound", name, "not left or right p-nil")
     m = prof.m
     bound = f"class <= m = {m}"
     computed: dict = {"m": m, "ring_class": prof.nil_class}
     if prof.nil_class is None or prof.nil_class > m:
-        return CheckReport(check="nilpotency-bound", instance=name,
-                           hypothesis_met=True, computed=computed, bound=bound,
-                           verdict="fail", witness="ring power chain exceeds m")
+        return verdict("nilpotency-bound", name, computed, bound, "ring power chain exceeds m")
     gclass = nilpotency_class(adjoint_group(R).group)
     computed["group_class"] = gclass
-    if gclass is None or gclass > m:
-        return CheckReport(check="nilpotency-bound", instance=name,
-                           hypothesis_met=True, computed=computed, bound=bound,
-                           verdict="fail", witness="adjoint group class exceeds m")
-    return CheckReport(check="nilpotency-bound", instance=name,
-                       hypothesis_met=True, computed=computed, bound=bound,
-                       verdict="pass")
+    return verdict("nilpotency-bound", name, computed, bound,
+                   "adjoint group class exceeds m" if gclass is None or gclass > m else None)
 
 
 def probe_two_nil_improvement(R: FiniteRing, instance: str | None = None) -> CheckReport:
@@ -262,7 +241,7 @@ def probe_two_nil_improvement(R: FiniteRing, instance: str | None = None) -> Che
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if R.p != 2 or not (prof.left_p_nil or prof.right_p_nil):
-        return _skip("nilpotency-probe", name, "probe applies to p-nil 2-rings")
+        return skipped("nilpotency-probe", name, "probe applies to p-nil 2-rings")
     sharper = prof.m // 2 + 1
     gclass = nilpotency_class(adjoint_group(R).group)
     computed = {
@@ -271,9 +250,7 @@ def probe_two_nil_improvement(R: FiniteRing, instance: str | None = None) -> Che
         "ring_within": prof.nil_class is not None and prof.nil_class <= sharper,
         "group_within": gclass is not None and gclass <= sharper,
     }
-    return CheckReport(check="nilpotency-probe", instance=name, hypothesis_met=True,
-                       computed=computed, bound=f"observed against {sharper}",
-                       verdict="pass")
+    return verdict("nilpotency-probe", name, computed, f"observed against {sharper}")
 
 
 def check_quotient_p_nil(R: FiniteRing, n: int,
@@ -285,7 +262,7 @@ def check_quotient_p_nil(R: FiniteRing, n: int,
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return _skip("quotient-p-nil", name, "not left or right p-nil")
+        return skipped("quotient-p-nil", name, "not left or right p-nil")
     Q, _ = quotient_ring(R, omega_additive(R, n))
     computed: dict = {"n": n, "quotient_order": Q.order}
     witness = None
@@ -297,10 +274,7 @@ def check_quotient_p_nil(R: FiniteRing, n: int,
         computed["right"] = Q.is_right_p_nil()
         if not computed["right"]:
             witness = f"n={n}, quotient lost right p-nil"
-    return CheckReport(check="quotient-p-nil", instance=name, hypothesis_met=True,
-                       computed=computed, bound="quotient keeps one-sided p-nil",
-                       verdict="pass" if witness is None else "fail",
-                       witness=witness)
+    return verdict("quotient-p-nil", name, computed, "quotient keeps one-sided p-nil", witness)
 
 
 def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1,
@@ -310,7 +284,7 @@ def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1,
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not prof.left_p_nil or R.order == 1:
-        return _skip("annihilator-ideal", name, "needs a nonzero left p-nil ring")
+        return skipped("annihilator-ideal", name, "needs a nonzero left p-nil ring")
     settings = (1, 2) if R.p == 2 else (1,)
     results = {}
     for w in settings:
@@ -332,11 +306,9 @@ def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1,
     computed = {"settings": results, "selected_omega": omega_for_two,
                 "settings_diverge": diverge}
     ok = selected.get("nontrivial") and selected.get("quotient_left_p_nil")
-    return CheckReport(check="annihilator-ideal", instance=name,
-                       hypothesis_met=True, computed=computed,
-                       bound="nontrivial ideal, left p-nil quotient",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else f"omega={omega_for_two}: {selected}")
+    return verdict("annihilator-ideal", name, computed,
+                   "nontrivial ideal, left p-nil quotient",
+                   None if ok else f"omega={omega_for_two}: {selected}")
 
 
 def check_adjoint_rank(R: FiniteRing, instance: str | None = None,
@@ -345,22 +317,18 @@ def check_adjoint_rank(R: FiniteRing, instance: str | None = None,
     name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return _skip("adjoint-rank", name, "not left or right p-nil")
+        return skipped("adjoint-rank", name, "not left or right p-nil")
     A = adjoint_group(R)
     computed: dict = {"d_plus": prof.d_plus, "adjoint_order": A.order}
     if A.group.n > 1 and prime_of(A.group) != R.p:
-        return CheckReport(check="adjoint-rank", instance=name, hypothesis_met=True,
-                           computed=computed, bound="rank = d(R+)", verdict="fail",
-                           witness="adjoint group is not a p-group")
+        return verdict("adjoint-rank", name, computed, "rank = d(R+)",
+                       "adjoint group is not a p-group")
     rk = rank(A.group, bound=subgroup_bound)
     d_om = subgroup_min_generators(A.group, omega_subgroup(A.group, 1))
     computed.update({"rank": rk, "d_omega1": d_om})
-    ok = rk == prof.d_plus == d_om
-    return CheckReport(check="adjoint-rank", instance=name, hypothesis_met=True,
-                       computed=computed, bound="rank = d(R+) = d(omega_1)",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else
-                       f"rank {rk}, d+ {prof.d_plus}, d(omega1) {d_om}")
+    return verdict("adjoint-rank", name, computed, "rank = d(R+) = d(omega_1)",
+                   None if rk == prof.d_plus == d_om else
+                   f"rank {rk}, d+ {prof.d_plus}, d(omega1) {d_om}")
 
 
 def check_sylow_rank(R: FiniteRing, instance: str | None = None,
@@ -377,20 +345,11 @@ def check_sylow_rank(R: FiniteRing, instance: str | None = None,
     computed = {"d_plus": prof.d_plus, "alpha": alpha,
                 "sylow_order": syl.order, "sylow_rank": rk,
                 "p_nil": prof.left_p_nil and prof.right_p_nil}
-    ok = rk <= bound_val
-    return CheckReport(check="sylow-rank", instance=name, hypothesis_met=True,
-                       computed=computed, bound=f"rank <= {alpha}*d = {bound_val}",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else f"sylow rank {rk} > {bound_val}")
+    return verdict("sylow-rank", name, computed, f"rank <= {alpha}*d = {bound_val}",
+                   None if rk <= bound_val else f"sylow rank {rk} > {bound_val}")
 
 
 # -- group-side checks -------------------------------------------------------------
-
-
-def _coset_offsets(G: FiniteGroup, members) -> np.ndarray:
-    """Row u -> the map x^{-1} u(x), one row per automorphism image row."""
-    M = np.asarray(members, dtype=np.int32)
-    return G.table[np.broadcast_to(G.inverses, M.shape), M]
 
 
 def check_central_aut(G: FiniteGroup, instance: str | None = None,
@@ -401,7 +360,7 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
     name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return _skip("central-aut", name, "not a nontrivial p-group")
+        return skipped("central-aut", name, "not a nontrivial p-group")
     prof = group_profile(G)
     S = central_target(G)
     grp, members = aut_n(G, S)
@@ -410,22 +369,19 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
                       "parts": {}}
     bound = f"exp <= {p}^{prof.t}, class <= {prof.t}, rank = d*d(S)"
 
-    def fail(part, witness):
-        return CheckReport(check="central-aut", instance=name, hypothesis_met=True,
-                           computed=computed, bound=bound, verdict="fail",
-                           witness=f"{part}: {witness}")
-
     ring, _ = hom_ring(G, S)
     computed["parts"]["hom_ring_right_p_nil"] = ring.is_right_p_nil()
     if not computed["parts"]["hom_ring_right_p_nil"]:
-        return fail("hom_ring_right_p_nil", "hom ring is not right p-nil")
+        return verdict("central-aut", name, computed, bound,
+                       "hom_ring_right_p_nil: hom ring is not right p-nil")
 
     if grp.n > 1 and prime_of(grp) != p:
         computed["parts"]["torsion_layers"] = False
-        return fail("torsion_layers", "aut group is not a p-group")
+        return verdict("central-aut", name, computed, bound,
+                       "torsion_layers: aut group is not a p-group")
     orders = grp.element_orders
     sgrp, lift = S.as_group()
-    offsets = _coset_offsets(G, members)
+    offsets = coset_offsets(G, members)
     e_aut = _log_exact(p, grp.exponent())
     e_s = _log_exact(p, subgroup_exponent(G, S)) if S.order > 1 else 0
     for n in range(1, max(e_aut, e_s, 1) + 1):
@@ -437,28 +393,26 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
         restricted = frozenset(np.flatnonzero(in_omega[offsets].all(axis=1)).tolist())
         if not (brace == gen_sub == restricted):
             computed["parts"]["torsion_layers"] = False
-            return fail("torsion_layers",
-                        f"n={n}: sizes {len(brace)}/{len(gen_sub)}/{len(restricted)}")
+            return verdict("central-aut", name, computed, bound, f"torsion_layers: n={n}: "
+                           f"sizes {len(brace)}/{len(gen_sub)}/{len(restricted)}")
     computed["parts"]["torsion_layers"] = True
 
     expo = grp.exponent()
     computed["parts"]["exponent"] = {"value": expo, "bound": p ** prof.t}
     if expo > p ** prof.t:
-        return fail("exponent", f"{expo} > {p}^{prof.t}")
+        return verdict("central-aut", name, computed, bound,
+                       f"exponent: {expo} > {p}^{prof.t}")
 
     cls = nilpotency_class(grp)
     computed["parts"]["class"] = {"value": cls, "bound": prof.t}
     if cls is None or cls > prof.t:
-        return fail("class", f"{cls} > {prof.t}")
+        return verdict("central-aut", name, computed, bound, f"class: {cls} > {prof.t}")
 
     rk = rank(grp, bound=subgroup_bound)
     expected = prof.d * subgroup_min_generators(G, S)
     computed["parts"]["rank"] = {"value": rk, "expected": expected}
-    if rk != expected:
-        return fail("rank", f"rank {rk} != {expected}")
-
-    return CheckReport(check="central-aut", instance=name, hypothesis_met=True,
-                       computed=computed, bound=bound, verdict="pass")
+    return verdict("central-aut", name, computed, bound,
+                   None if rk == expected else f"rank: rank {rk} != {expected}")
 
 
 def check_central_aut_class(G: FiniteGroup, instance: str | None = None) -> CheckReport:
@@ -467,19 +421,16 @@ def check_central_aut_class(G: FiniteGroup, instance: str | None = None) -> Chec
     name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return _skip("central-aut-class", name, "not a nontrivial p-group")
+        return skipped("central-aut-class", name, "not a nontrivial p-group")
     Z = center(G)
     if not set(Z.elems) <= set(frattini(G).elems):
-        return _skip("central-aut-class", name, "center not inside Frattini")
+        return skipped("central-aut-class", name, "center not inside Frattini")
     prof = group_profile(G)
     grp, _ = aut_n(G, Z)
     cls = nilpotency_class(grp)
     computed = {"aut_order": grp.n, "class": cls, "t": prof.t}
-    ok = cls is not None and cls <= prof.t
-    return CheckReport(check="central-aut-class", instance=name, hypothesis_met=True,
-                       computed=computed, bound=f"class <= t = {prof.t}",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else f"class {cls} > {prof.t}")
+    return verdict("central-aut-class", name, computed, f"class <= t = {prof.t}",
+                   None if cls is not None and cls <= prof.t else f"class {cls} > {prof.t}")
 
 
 def check_aut_center_exponent(G: FiniteGroup, instance: str | None = None) -> CheckReport:
@@ -488,17 +439,13 @@ def check_aut_center_exponent(G: FiniteGroup, instance: str | None = None) -> Ch
     name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return _skip("aut-center-exponent", name, "not a nontrivial p-group")
+        return skipped("aut-center-exponent", name, "not a nontrivial p-group")
     prof = group_profile(G)
     grp, _ = aut_n(G, power_commutator_subgroup(G))
     expz = subgroup_exponent(grp, center(grp))
     computed = {"aut_order": grp.n, "center_exponent": expz, "t": prof.t}
-    ok = expz <= p ** prof.t
-    return CheckReport(check="aut-center-exponent", instance=name,
-                       hypothesis_met=True, computed=computed,
-                       bound=f"exp(center) <= {p}^{prof.t}",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else f"exponent {expz} > {p ** prof.t}")
+    return verdict("aut-center-exponent", name, computed, f"exp(center) <= {p}^{prof.t}",
+                   None if expz <= p ** prof.t else f"exponent {expz} > {p ** prof.t}")
 
 
 def probe_sylow_center(G: FiniteGroup, instance: str | None = None,
@@ -508,21 +455,19 @@ def probe_sylow_center(G: FiniteGroup, instance: str | None = None,
     name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None or p == 2:
-        return _skip("sylow-center-probe", name, "probe applies to odd p-groups")
+        return skipped("sylow-center-probe", name, "probe applies to odd p-groups")
     try:
         auts = aut_group(G, bound=aut_bound)
     except BoundError as exc:
-        return _skip("sylow-center-probe", name, str(exc))
+        return skipped("sylow-center-probe", name, str(exc))
     syl, ids = auts.sylow(p)
     zc = center(syl)
     rows = np.array([auts.member(ids[j]) for j in zc.elems], dtype=np.int32)
-    offsets = _coset_offsets(G, rows)
+    offsets = coset_offsets(G, rows)
     inside = np.isin(offsets, list(frattini(G).elems)).all(axis=1)
     computed = {"sylow_order": syl.n, "center_order": zc.order,
                 "violations": int((~inside).sum())}
-    return CheckReport(check="sylow-center-probe", instance=name,
-                       hypothesis_met=True, computed=computed,
-                       bound="observed against Frattini cosets", verdict="pass")
+    return verdict("sylow-center-probe", name, computed, "observed against Frattini cosets")
 
 
 def check_frattini_aut_class(G: FiniteGroup, instance: str | None = None) -> CheckReport:
@@ -531,7 +476,7 @@ def check_frattini_aut_class(G: FiniteGroup, instance: str | None = None) -> Che
     name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return _skip("frattini-aut-class", name, "not a nontrivial p-group")
+        return skipped("frattini-aut-class", name, "not a nontrivial p-group")
     prof = group_profile(G)
     grp, members = aut_n(G, frattini(G))
     cls = nilpotency_class(grp)
@@ -542,28 +487,21 @@ def check_frattini_aut_class(G: FiniteGroup, instance: str | None = None) -> Che
                 "r1": prof.r1, "s1": prof.s1}
     bound = f"class <= {bound1} <= {bound2}"
     if cls is None or cls > bound1:
-        return CheckReport(check="frattini-aut-class", instance=name,
-                           hypothesis_met=True, computed=computed, bound=bound,
-                           verdict="fail", witness=f"class {cls} > {bound1}")
+        return verdict("frattini-aut-class", name, computed, bound, f"class {cls} > {bound1}")
     if bound1 > bound2:
-        return CheckReport(check="frattini-aut-class", instance=name,
-                           hypothesis_met=True, computed=computed, bound=bound,
-                           verdict="fail",
-                           witness=f"series bound {bound1} > tc-1 = {bound2}")
+        return verdict("frattini-aut-class", name, computed, bound,
+                       f"series bound {bound1} > tc-1 = {bound2}")
     series = lower_p_central_series(G)
-    offsets = _coset_offsets(G, members)
+    offsets = coset_offsets(G, members)
+    witness = None
     for i in range(len(series) - 1):
         nxt = np.zeros(G.n, dtype=bool)
         nxt[list(series[i + 1].elems)] = True
         if not nxt[offsets[:, list(series[i].elems)]].all():
-            computed["stable"] = False
-            return CheckReport(check="frattini-aut-class", instance=name,
-                               hypothesis_met=True, computed=computed, bound=bound,
-                               verdict="fail",
-                               witness=f"action moves layer {i + 1} off its successor")
-    computed["stable"] = True
-    return CheckReport(check="frattini-aut-class", instance=name, hypothesis_met=True,
-                       computed=computed, bound=bound, verdict="pass")
+            witness = f"action moves layer {i + 1} off its successor"
+            break
+    computed["stable"] = witness is None
+    return verdict("frattini-aut-class", name, computed, bound, witness)
 
 
 def check_aut_exponent(G: FiniteGroup, instance: str | None = None,
@@ -573,12 +511,12 @@ def check_aut_exponent(G: FiniteGroup, instance: str | None = None,
     name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return _skip("aut-exponent", name, "not a nontrivial p-group")
+        return skipped("aut-exponent", name, "not a nontrivial p-group")
     prof = group_profile(G)
     try:
         auts = aut_group(G, bound=aut_bound)
     except BoundError as exc:
-        return _skip("aut-exponent", name, str(exc))
+        return skipped("aut-exponent", name, str(exc))
     base = prof.t * prof.t * prof.c - prof.t
     extra = prof.d - 1 if p > 2 else 2 * prof.d - 1
     grp, _ = aut_n(G, power_commutator_subgroup(G))
@@ -589,17 +527,13 @@ def check_aut_exponent(G: FiniteGroup, instance: str | None = None,
                 "coset_exponent": expo, "sylow_order": syl.n,
                 "sylow_exponent": sylexp,
                 "coset_bound": p ** base, "sylow_bound": p ** (base + extra)}
-    bound = f"exp <= {p}^{base}; sylow exp <= {p}^{base + extra}"
+    witness = None
     if expo > p ** base:
-        return CheckReport(check="aut-exponent", instance=name, hypothesis_met=True,
-                           computed=computed, bound=bound, verdict="fail",
-                           witness=f"coset exponent {expo} > {p}^{base}")
-    if sylexp > p ** (base + extra):
-        return CheckReport(check="aut-exponent", instance=name, hypothesis_met=True,
-                           computed=computed, bound=bound, verdict="fail",
-                           witness=f"sylow exponent {sylexp} > {p}^{base + extra}")
-    return CheckReport(check="aut-exponent", instance=name, hypothesis_met=True,
-                       computed=computed, bound=bound, verdict="pass")
+        witness = f"coset exponent {expo} > {p}^{base}"
+    elif sylexp > p ** (base + extra):
+        witness = f"sylow exponent {sylexp} > {p}^{base + extra}"
+    return verdict("aut-exponent", name, computed,
+                   f"exp <= {p}^{base}; sylow exp <= {p}^{base + extra}", witness)
 
 
 def _sylow_generator_sweep(check: str, G: FiniteGroup, name: str, bound_val: int,
@@ -613,16 +547,13 @@ def _sylow_generator_sweep(check: str, G: FiniteGroup, name: str, bound_val: int
         syl, _ = auts.sylow(p)
         worst, worst_sub = widest_subgroup(syl, bound=subgroup_bound)
     except BoundError as exc:
-        return _skip(check, name, str(exc))
+        return skipped(check, name, str(exc))
     computed.update({"aut_order": auts.order, "sylow_order": syl.n,
                      "subgroups": len(enumerate_subgroups(syl, bound=subgroup_bound)),
                      "max_d": worst, "bound": bound_val})
-    ok = worst <= bound_val
-    return CheckReport(check=check, instance=name, hypothesis_met=True,
-                       computed=computed, bound=f"d(H) <= {bound_val}",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else
-                       f"subgroup of order {worst_sub.order} needs {worst} generators")
+    return verdict(check, name, computed, f"d(H) <= {bound_val}",
+                   None if worst <= bound_val else
+                   f"subgroup of order {worst_sub.order} needs {worst} generators")
 
 
 def check_aut_gen_bound_abelian(G: FiniteGroup, instance: str | None = None,
@@ -632,14 +563,12 @@ def check_aut_gen_bound_abelian(G: FiniteGroup, instance: str | None = None,
     abelian p-group, from its rank and its power subgroup's rank."""
     name = _group_instance(G, instance)
     if not G.is_abelian():
-        return _skip("aut-gen-bound-abelian", name, "group is not abelian")
+        return skipped("aut-gen-bound-abelian", name, "group is not abelian")
     if G.n == 1:
-        return CheckReport(check="aut-gen-bound-abelian", instance=name,
-                           hypothesis_met=True, computed={"d": 0, "bound": 0},
-                           bound="d(H) <= 0", verdict="pass")
+        return verdict("aut-gen-bound-abelian", name, {"d": 0, "bound": 0}, "d(H) <= 0")
     p = prime_of(G)
     if p is None:
-        return _skip("aut-gen-bound-abelian", name, "not a p-group")
+        return skipped("aut-gen-bound-abelian", name, "not a p-group")
     d = rank(G)
     pgrp, _ = power_commutator_subgroup(G).as_group()
     d_prime = rank(pgrp)
@@ -659,12 +588,10 @@ def check_aut_gen_bound(G: FiniteGroup, instance: str | None = None,
     automorphism group."""
     name = _group_instance(G, instance)
     if G.n == 1:
-        return CheckReport(check="aut-gen-bound", instance=name,
-                           hypothesis_met=True, computed={"k": 0, "bound": 0},
-                           bound="d(H) <= 0", verdict="pass")
+        return verdict("aut-gen-bound", name, {"k": 0, "bound": 0}, "d(H) <= 0")
     p = prime_of(G)
     if p is None:
-        return _skip("aut-gen-bound", name, "not a nontrivial p-group")
+        return skipped("aut-gen-bound", name, "not a nontrivial p-group")
     k = rank(G)
     if p > 2:
         bound_val = (9 * k * k) // 4
@@ -681,27 +608,20 @@ def check_der_subring_p_nil(G: FiniteGroup, N: Subgroup,
     left p-nil ring once rebased on structure constants."""
     name = instance or f"group:{G.name}/N{len(N.elems)}"
     if prime_of(G) is None:
-        return _skip("der-subring-p-nil", name, "not a nontrivial p-group")
+        return skipped("der-subring-p-nil", name, "not a nontrivial p-group")
     if not is_abelian_normal(G, N):
-        return _skip("der-subring-p-nil", name, "module not abelian normal")
+        return skipped("der-subring-p-nil", name, "module not abelian normal")
     ring, _ = der_subring_trivial_on_omega(G, N)
     computed = {"module_order": N.order, "subring_order": ring.order}
-    ok = ring.is_left_p_nil()
-    return CheckReport(check="der-subring-p-nil", instance=name, hypothesis_met=True,
-                       computed=computed, bound="left p-nil",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else "subring is not left p-nil")
+    return verdict("der-subring-p-nil", name, computed, "left p-nil",
+                   None if ring.is_left_p_nil() else "subring is not left p-nil")
 
 
 def check_profile_consistency(G: FiniteGroup, instance: str | None = None) -> CheckReport:
     """Layered exponent sums stay within class times exponent logs."""
     name = _group_instance(G, instance)
     if prime_of(G) is None:
-        return _skip("profile-consistency", name, "not a nontrivial p-group")
+        return skipped("profile-consistency", name, "not a nontrivial p-group")
     prof = group_profile(G)
-    ok = prof.consistent()
-    return CheckReport(check="profile-consistency", instance=name,
-                       hypothesis_met=True, computed=asdict(prof),
-                       bound="r1 <= r*c, s1 <= s*c",
-                       verdict="pass" if ok else "fail",
-                       witness=None if ok else "profile inequality violated")
+    return verdict("profile-consistency", name, asdict(prof), "r1 <= r*c, s1 <= s*c",
+                   None if prof.consistent() else "profile inequality violated")

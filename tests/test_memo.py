@@ -5,14 +5,19 @@ import json
 
 import pytest
 
-from adjrings import morphisms, verify
+from adjrings import groups, morphisms, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import CHECKS, CorpusEntry, run_check
 from adjrings.errors import BoundError, InvalidArgumentError
 from adjrings.groups import (
+    Subgroup,
     abelian_normal_subgroups,
     builtin_group,
+    center,
     cyclic_group,
+    enumerate_subgroups,
+    full_subgroup,
+    is_normal,
     subgroup,
     widest_subgroup,
 )
@@ -92,6 +97,43 @@ def test_laue_and_der_subring_build_derivations_once_per_module(monkeypatch):
     assert len(modules) > len(set(modules)) == len(builds)
     assert not morphisms._der_matrix(G, abelian_normal_subgroups(G)[-1]).flags.writeable
     assert shared == fresh
+
+
+def test_der_subring_task_tests_its_module_at_most_twice(monkeypatch):
+    G = builtin_group("d8xc2")
+    morphisms._abelianization_coords(G)  # its quotient by G' tests normality once per group
+    calls = []
+
+    def counted(G, H):
+        calls.append(None)
+        return is_normal(G, H)
+
+    monkeypatch.setattr(groups, "is_normal", counted)
+    monkeypatch.setattr(morphisms, "is_normal", counted)
+    per_task = []
+    for label in CHECKS["der-subring-p-nil"].params(G):
+        before = len(calls)
+        run_check(CorpusEntry("group:x", "group", G), "der-subring-p-nil", label,
+                  ACCEPTANCE_FLAGS)
+        per_task.append(len(calls) - before)
+    assert len(per_task) == 20
+    assert max(per_task) <= 2
+
+
+@pytest.mark.parametrize("build", [morphisms.der_ring, morphisms.der_subring_trivial_on_omega])
+def test_der_rings_refuse_bad_modules_before_the_memo(build):
+    G = builtin_group("d8")
+    Z = center(G)
+    build(G, Z)  # keeps the derivations into Z in G's memo
+    not_normal = next(H for H in enumerate_subgroups(G) if not is_normal(G, H))
+    refused = [
+        (Subgroup(builtin_group("q8"), Z.elems), "must live in the same group"),
+        (not_normal, "must be normal"),
+        (full_subgroup(G), "module subgroup must be abelian"),
+    ]
+    for N, message in refused:
+        with pytest.raises(InvalidArgumentError, match=message):
+            build(G, N)
 
 
 def test_aut_bound_gate_runs_before_the_memo():

@@ -2,20 +2,28 @@
 
 import pytest
 
+from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     abelian_group,
     agemo,
     builtin_group,
     cyclic_group,
+    full_subgroup,
+    lower_central_series,
+    lower_p_central_series,
+    prime_of,
+    quotient_group,
     subgroup,
     trivial_group,
     trivial_subgroup,
+    upper_central_series,
 )
 from adjrings.rings import multiples_ring, unital_ring, zero_ring
 from adjrings.verify import (
     GroupProfile,
     RingProfile,
+    _section_exponent_log,
     check_adjoint_rank,
     check_annihilator_ideal,
     check_aut_center_exponent,
@@ -76,6 +84,35 @@ def test_group_profile_rejects_non_p_group():
         group_profile(builtin_group("c6"))
     with pytest.raises(InvalidStructureError):
         group_profile(trivial_group())
+
+
+def quotient_exponent_log(upper, lower, p):
+    """Oracle: log_p of the exponent of upper/lower, built as its own table."""
+    H, lift = upper.as_group()
+    pos = {x: i for i, x in enumerate(lift)}
+    Q, _ = quotient_group(H, subgroup(H, [pos[x] for x in lower.elems]))
+    k = 0
+    while p ** k < Q.exponent():
+        k += 1
+    assert p ** k == Q.exponent()
+    return k
+
+
+def test_section_exponents_match_the_quotient_oracle():
+    sections = 0
+    for name in DEFAULT_GROUP_NAMES:
+        G = builtin_group(name)
+        p = prime_of(G)
+        if p is None:
+            continue
+        series = (lower_central_series(G), upper_central_series(G)[::-1],
+                  lower_p_central_series(G), [full_subgroup(G), trivial_subgroup(G)])
+        for chain in series:
+            for upper, lower in zip(chain, chain[1:]):
+                expected = quotient_exponent_log(upper, lower, p)
+                assert _section_exponent_log(upper, lower, p) == expected, (name, upper.order)
+                sections += 1
+    assert sections > 200
 
 
 def test_omega_correspondence_3z27():
