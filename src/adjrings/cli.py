@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import re
 import sys
@@ -24,7 +25,7 @@ from typing import Callable
 from pathlib import Path
 
 from .adjoint import adjoint_group
-from .errors import AlgebraError
+from .errors import AlgebraError, InvalidStructureError
 from .groups import (
     SUBGROUP_BOUND,
     FiniteGroup,
@@ -45,6 +46,7 @@ from .groups import (
 )
 from .morphisms import AUT_ORDER_BOUND, check_laue, der_ring, hom_ring
 from .rings import (
+    ENUM_BUDGET,
     FiniteRing,
     enumerate_rings,
     load_ring,
@@ -381,22 +383,23 @@ _ENUM_FILTERS = {
 
 
 def cmd_enumerate_rings(args) -> int:
-    exps = [int(tok) for tok in args.exps.split(",") if tok]
+    try:
+        exps = [int(tok) for tok in args.exps.split(",") if tok]
+    except ValueError:
+        raise InvalidStructureError(f"--exps must be comma-separated integers, "
+                                    f"got {args.exps!r}") from None
     pred = _ENUM_FILTERS[args.filter] if args.filter != "none" else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    order = 1
-    for e in exps:
-        order *= args.p ** e
-    associative = 0
-    kept = 0
+    associative = kept = 0
     for R in enumerate_rings(args.p, exps, budget=args.budget):
         associative += 1
         if pred is not None and not pred(R):
             continue
         kept += 1
         save_ring(R, out / f"{R.name}.json")
-    print(f"candidates: {order ** (len(exps) ** 2)}")
+    # enumerate_rings has checked p and exps by now
+    print(f"candidates: {math.prod(args.p ** e for e in exps) ** (len(exps) ** 2)}")
     print(f"associative: {associative}")
     print(f"kept: {kept}")
     print(f"wrote {kept} files to {out}")
@@ -458,7 +461,7 @@ def main(argv=None) -> int:
     p_enum.add_argument("--filter", choices=("none",) + tuple(_ENUM_FILTERS),
                         default="none")
     p_enum.add_argument("--out", default="rings_out")
-    p_enum.add_argument("--budget", type=int, default=100_000_000)
+    p_enum.add_argument("--budget", type=int, default=ENUM_BUDGET)
     p_enum.set_defaults(func=cmd_enumerate_rings)
 
     p_verify = sub.add_parser("verify", help="run checks over a corpus")

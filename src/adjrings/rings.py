@@ -97,6 +97,17 @@ def _integer(value, what: str) -> int:
     raise InvalidStructureError(f"{what} must be an integer, got {value!r}")
 
 
+def _additive_type(p, exps) -> tuple[int, tuple[int, ...]]:
+    """A prime p and additive exponents (each >= 1) as ints; anything else raises."""
+    p = _integer(p, "p")
+    if not _is_prime(p):
+        raise InvalidStructureError(f"p = {p} is not prime")
+    exps = tuple(_integer(e, "additive exponent") for e in exps)
+    if any(e < 1 for e in exps):
+        raise InvalidStructureError("additive exponents must be >= 1")
+    return p, exps
+
+
 class FiniteRing:
     """Structure-constant ring on a direct sum of cyclic p-groups.
 
@@ -110,12 +121,7 @@ class FiniteRing:
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):
-        p = _integer(p, "p")
-        if not _is_prime(p):
-            raise InvalidStructureError(f"p = {p} is not prime")
-        exps = tuple(_integer(e, "additive exponent") for e in exps)
-        if any(e < 1 for e in exps):
-            raise InvalidStructureError("additive exponents must be >= 1")
+        p, exps = _additive_type(p, exps)
         self.p = p
         self.exps = exps
         self.dim = len(exps)
@@ -453,8 +459,9 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
 # -- enumeration ------------------------------------------------------------------
 
 
-def _associative_mask(arr: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """Which tensors of an int64 batch (n, d, d, d) are associative mod `moduli`.
+def _associative_mask(arr: np.ndarray, moduli: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Which tensors of an int64 batch (n, d, d, d) are associative mod `moduli`
+    on the basis triples (i, j, k) marked in the (d, d, d) bool array `triples`.
 
     With T one tensor, (e_i e_j) e_k = sum_l T[i,j,l] T[l,k] is the (d*d, d)
     matrix of rows T[i,j] times the (d, d*d) matrix of planes T[l], and
@@ -464,17 +471,22 @@ def _associative_mask(arr: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     n, d = arr.shape[:2]
     lhs = np.matmul(arr.reshape(n, d * d, d), arr.reshape(n, d, d * d)).reshape(n, d, d, d, d)
     rhs = np.matmul(arr.reshape(n, 1, d * d, d), arr).reshape(n, d, d, d, d)
-    return ((lhs - rhs) % moduli == 0).all(axis=(1, 2, 3, 4))
+    return ((lhs - rhs)[:, triples] % moduli == 0).all(axis=(1, 2))
 
 
 def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
     """Yield every associative structure tensor on the given additive type.
 
-    Candidates run in lexicographic tensor order; only well-defined tensors are
-    materialized and associativity is filtered in vectorized batches.  The raw
-    candidate count |R|^(d^2) must stay within `budget`.
+    Rings come in lexicographic tensor order, named by their mixed-radix index
+    among the well-defined candidates, whose raw count |R|^(d^2) must stay
+    within `budget`.  The planes T[i][j] are assigned in lexicographic order,
+    depth first, in blocks of at most _ENUM_CHUNK partial tensors (later planes
+    zero).  Triple (i, j, k) reads the planes (i, j), (j, k), (l, k) and (i, l)
+    for every l, so plane (i, d-1) or (d-1, k), whichever is later, decides it.
+    Each block drops the tensors failing the triples its plane decides, so only
+    survivors are extended (backtrack pruning: Holt, Eick and O'Brien 2005, 4.6).
     """
-    exps = tuple(int(e) for e in exps)
+    p, exps = _additive_type(p, exps)
     d = len(exps)
     moduli = [p**e for e in exps]
     total = math.prod(moduli) ** (d * d)
@@ -484,25 +496,39 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
         yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
         return
 
-    radices, steps = [], []
-    for i in range(d):
-        for j in range(d):
-            bound = min(exps[i], exps[j])
-            for k in range(d):
-                step = p ** max(0, exps[k] - bound)
-                radices.append(moduli[k] // step)
-                steps.append(step)
-
-    # candidate c is the mixed-radix number of its slot values, last slot fastest
+    # slot (i, j, k) holds the multiples of p^max(0, e_k - min(e_i, e_j)) below p^e_k
+    e = np.array(exps, dtype=np.int64)
+    steps = p ** np.maximum(0, e - np.minimum.outer(e, e)[:, :, None])
     mod_arr = np.array(moduli, dtype=np.int64)
-    steps = np.array(steps, dtype=np.int64)
-    count = math.prod(radices)
-    for start in range(0, count, _ENUM_CHUNK):
-        digits = np.unravel_index(np.arange(start, min(start + _ENUM_CHUNK, count)), radices)
-        arr = (np.stack(digits, axis=1) * steps).reshape(-1, d, d, d)
-        for offset in np.flatnonzero(_associative_mask(arr, mod_arr)).tolist():
-            name = f"enum_p{p}_e{'.'.join(map(str, exps))}_{start + offset:06d}"
-            yield FiniteRing(p, exps, arr[offset].tolist(), name=name)
+    radices = mod_arr // steps
+    i, _, k = np.indices((d, d, d))
+    last = np.maximum(i * d + d - 1, (d - 1) * d + k)  # the plane deciding each triple
+
+    def extend(level, frontier):
+        # plane (a, b): frontier rows times plane values, both in order, stay lexicographic
+        a, b = divmod(level, d)
+        size = int(radices[a, b].prod())
+        rows, span = max(1, _ENUM_CHUNK // size), min(size, _ENUM_CHUNK)
+        decided = last == level
+        for r in range(0, len(frontier), rows):
+            head = frontier[r:r + rows]
+            for v in range(0, size, span):
+                digits = np.unravel_index(np.arange(v, min(v + span, size)), radices[a, b])
+                block = np.repeat(head, len(digits[0]), axis=0)
+                block[:, a, b] = np.tile(np.stack(digits, axis=1) * steps[a, b], (len(head), 1))
+                if decided.any():
+                    block = block[_associative_mask(block, mod_arr, decided)]
+                if level + 1 < d * d:
+                    yield from extend(level + 1, block)
+                else:
+                    yield block
+
+    prefix = f"enum_p{p}_e{'.'.join(map(str, exps))}_"
+    for block in extend(0, np.zeros((1, d, d, d), dtype=np.int64)):
+        digits = (block // steps).reshape(len(block), -1).T
+        names = np.ravel_multi_index(tuple(digits), radices.ravel().tolist())
+        for name, tensor in zip(names.tolist(), block):
+            yield FiniteRing(p, exps, tensor.tolist(), name=f"{prefix}{name:06d}")
 
 
 # -- serialization ------------------------------------------------------------------

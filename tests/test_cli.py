@@ -112,6 +112,14 @@ def test_enumerate_rings_budget(tmp_path, capsys):
     assert "error" in err and "100" in err
 
 
+@pytest.mark.parametrize("exps", ["x", "-1"])
+def test_enumerate_rings_bad_exps_exit_2(tmp_path, capsys, exps):
+    code = main(["enumerate-rings", "--p", "7", "--exps", exps,
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_builtin_ring_specs():
     assert builtin_ring("trivial").order == 1
     assert builtin_ring("z9").order == 9

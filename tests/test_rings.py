@@ -23,6 +23,7 @@ from adjrings.errors import (
     InvalidStructureError,
 )
 from adjrings.rings import (
+    _ENUM_CHUNK,
     FiniteRing,
     _associative_mask,
     additive_closure,
@@ -212,16 +213,15 @@ def test_constructor_accepts_numpy_integers():
 
 
 def test_enumerate_counts_tiny():
-    # independent brute force over all tensors for p=2,[1] and p=3,[1]
-    def brute(p):
-        count = 0
-        for c in range(p):
-            # d=1 is always associative and well-defined
-            count += 1
-        return count
-
-    assert len(list(enumerate_rings(2, [1]))) == brute(2) == 2
-    assert len(list(enumerate_rings(3, [1]))) == brute(3) == 3
+    # independent brute force on Z_4 and Z_9: every coefficient c of
+    # x*y = c*x*y, kept when (ab)z = a(bz) for every element triple
+    for p, e in ((2, 2), (3, 2)):
+        n = p**e
+        brute = [c for c in range(n)
+                 if all(c * (c * a * b % n) * z % n == c * a * (c * b * z % n) % n
+                        for a in range(n) for b in range(n) for z in range(n))]
+        assert [r.mul_tensor[0][0][0] for r in enumerate_rings(p, [e])] == brute
+        assert len(brute) == n
 
 
 def test_enumerate_matches_naive_p2_11():
@@ -298,7 +298,8 @@ def test_associative_mask_matches_ring_construction(p, exps):
     rng = np.random.default_rng([p, *exps])
     arr, moduli = _random_well_defined(rng, p, exps, 300)
     expected = [_oracle_associative(p, exps, t) for t in arr]
-    assert _associative_mask(arr, moduli).tolist() == expected
+    every = np.ones((len(exps),) * 3, dtype=bool)
+    assert _associative_mask(arr, moduli, every).tolist() == expected
     if len(exps) > 1:
         assert 0 < sum(expected) < len(expected)
 
@@ -309,7 +310,7 @@ def test_associative_mask_near_int64_product_range():
     p, exps = 2, (26,)
     coeffs = np.arange(2**26 - 300, 2**26, dtype=np.int64)
     arr = np.concatenate([coeffs, 2**25 + np.arange(-5, 5)]).reshape(-1, 1, 1, 1)
-    mask = _associative_mask(arr, np.array([2**26], dtype=np.int64))
+    mask = _associative_mask(arr, np.array([2**26], dtype=np.int64), np.ones((1, 1, 1), bool))
     assert mask.tolist() == [_oracle_associative(p, exps, t) for t in arr]
     assert mask.all()
 
@@ -351,6 +352,49 @@ def test_enumerate_first_ring_memory_stays_small():
 def test_enumerate_budget():
     with pytest.raises(BudgetError):
         list(enumerate_rings(5, [1, 1], budget=1000))
+
+
+@pytest.mark.parametrize("p, exps, match", [
+    (4, [1], "not prime"), (2.0, [1], "p must be an integer"), (2, [0, 1], ">= 1"),
+    (3, [-1], ">= 1"), (2, [1.5], "additive exponent"), (2, ["1"], "additive exponent"),
+])
+def test_enumerate_refuses_bad_type_before_the_budget(p, exps, match):
+    with pytest.raises(InvalidStructureError, match=match):
+        next(enumerate_rings(p, exps, budget=0))
+
+
+def _flat_scan(p, exps):
+    """The former enumerator, kept as the oracle: every well-defined candidate
+    decoded in lexicographic chunks, and all basis triples tested at once."""
+    d = len(exps)
+    moduli = [p**e for e in exps]
+    radices, steps = [], []
+    for i, j, k in itertools.product(range(d), repeat=3):
+        step = p ** max(0, exps[k] - min(exps[i], exps[j]))
+        radices.append(moduli[k] // step)
+        steps.append(step)
+    count = math.prod(radices)
+    every = np.ones((d, d, d), dtype=bool)
+    out = []
+    for start in range(0, count, _ENUM_CHUNK):
+        digits = np.unravel_index(np.arange(start, min(start + _ENUM_CHUNK, count)), radices)
+        arr = (np.stack(digits, axis=1) * steps).reshape(-1, d, d, d)
+        mask = _associative_mask(arr, np.array(moduli, dtype=np.int64), every)
+        for offset in np.flatnonzero(mask).tolist():
+            name = f"enum_p{p}_e{'.'.join(map(str, exps))}_{start + offset:06d}"
+            out.append((name, tuple(tuple(map(tuple, plane)) for plane in arr[offset].tolist())))
+    return out
+
+
+# (5, (1, 1)) extends a 15625-row frontier in blocks of 65536 // 125 rows;
+# (2, (17,)) has one plane of 2^17 values, so it crosses a value-range boundary
+@pytest.mark.parametrize("p, exps", [
+    (5, (1, 1)), (2, (2, 2)), (3, (2, 1)), (2, (3, 1)), (2, (2, 1)), (2, (17,)),
+])
+def test_staged_enumeration_matches_flat_scan(p, exps):
+    expected = _flat_scan(p, exps)
+    got = [(r.name, r.mul_tensor) for r in enumerate_rings(p, exps)]
+    assert len(expected) > 1 and got == expected
 
 
 def test_enumerate_filter():
