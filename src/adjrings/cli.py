@@ -13,6 +13,7 @@ the worker count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import multiprocessing
@@ -389,16 +390,17 @@ def cmd_enumerate_rings(args) -> int:
         raise InvalidStructureError(f"--exps must be comma-separated integers, "
                                     f"got {args.exps!r}") from None
     pred = _ENUM_FILTERS[args.filter] if args.filter != "none" else None
+    rings = enumerate_rings(args.p, exps, budget=args.budget)
+    rings = itertools.chain(list(itertools.islice(rings, 1)), rings)  # checks run before mkdir
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     associative = kept = 0
-    for R in enumerate_rings(args.p, exps, budget=args.budget):
+    for R in rings:
         associative += 1
         if pred is not None and not pred(R):
             continue
         kept += 1
         save_ring(R, out / f"{R.name}.json")
-    # enumerate_rings has checked p and exps by now
     print(f"candidates: {math.prod(args.p ** e for e in exps) ** (len(exps) ** 2)}")
     print(f"associative: {associative}")
     print(f"kept: {kept}")

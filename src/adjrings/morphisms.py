@@ -51,6 +51,8 @@ TABLE_RING_CAP = 256
 AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
 CHUNK_ENTRIES = 4_000_000  # entries per vectorized block
+_PAIR_BLOCK = 1 << 16  # pairs x columns per Laue comparison block
+_PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 
 def _chunked_all(U: np.ndarray, width: int, predicate) -> np.ndarray:
@@ -661,13 +663,35 @@ def _monoid_generators(M: np.ndarray, index: _RowIndex, identity_idx: int) -> li
     return gens
 
 
+def _pair_kernel(G: FiniteGroup, ends: np.ndarray, DU: np.ndarray, cols):
+    """sides(i, j): both sides of the correspondence on x in cols, one row per
+    pair of broadcast member indices (i, j): x^{-1}(u_i then u_j)(x) and
+    (d_i o d_j)(x) = d_i(x) d_j(x) d_j(d_i(x)), d_k being row k of DU."""
+    m, n, t = ends.shape[0], G.n, G.table.ravel()
+    eT, dT, eS, dS = (M.T.copy().ravel() for M in (ends, DU, ends[:, cols], DU[:, cols]))
+
+    def sides(i, j):  # computed with the cols axis first, returned last
+        s = np.arange(len(cols)).reshape((-1,) + (1,) * max(np.ndim(i), np.ndim(j)))
+        y, a = eS[s * m + i], dS[s * m + i]  # u_i(x), d_i(x)
+        left = t[G.inverses[cols].reshape(s.shape) * n + eT[y * m + j]]
+        circ = t[t[a * n + dS[s * m + j]] * n + dT[a * m + j]]
+        return np.moveaxis(left, 0, -1), np.moveaxis(circ, 0, -1)
+    return sides
+
+
 def _pair_sides(G: FiniteGroup, ends: np.ndarray, DU: np.ndarray, i, j, cols):
-    """Both sides of the correspondence on x in cols, one row per pair (i, j)
-    of broadcast indices: x^{-1}(u_i then u_j)(x), and the circle
-    (d_i o d_j)(x) = d_i(x) d_j(x) d_j(d_i(x)) where d_k is row k of DU."""
-    t, i, j = G.table, np.asarray(i)[..., None], np.asarray(j)[..., None]
-    a = DU[i, cols]
-    return t[G.inverses[cols], ends[j, ends[i, cols]]], t[t[a, DU[j, cols]], DU[j, a]]
+    return _pair_kernel(G, ends, DU, cols)(i, j)
+
+
+def _all_pairs(G: FiniteGroup, sides, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mismatch and left-zero masks of all m x m pairs, in row blocks of <= _PAIR_BLOCK."""
+    bad, zero, every = np.zeros((m, m), bool), np.zeros((m, m), bool), np.arange(m)
+    rows = max(1, _PAIR_BLOCK // (m * width))
+    for lo in range(0, m, rows):
+        left, circ = sides(every[lo:lo + rows, None], every)
+        bad[lo:lo + rows] = (left != circ).any(axis=-1)
+        zero[lo:lo + rows] = (circ == G.identity).all(axis=-1)
+    return bad, zero
 
 
 def check_laue(G: FiniteGroup, N: Subgroup, instance: str | None = None,
@@ -683,7 +707,8 @@ def check_laue(G: FiniteGroup, N: Subgroup, instance: str | None = None,
 
     Every row compared is a derivation G -> N (x^{-1}W(x) for an endomorphism
     W; d_i o d_j as N is abelian and d(n^y) = d(n)^y), so comparisons and zero
-    tests read only the generator columns S of _test_columns: m^2 |S| entries.
+    tests read only the generator columns S of _test_columns: m^2 |S| entries,
+    compared in row blocks, as flat takes on j-contiguous (transposed) tables.
     """
     name = instance or f"{G.name}/N[{','.join(str(e) for e in N.elems)}]"
     ders = _der_matrix(G, N)
@@ -721,26 +746,14 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
     computed["aut_count"] = int(bijective.size)
 
     S, every = _test_columns(G), np.arange(m)
-
-    def check_rows(i, j) -> tuple[str | None, np.ndarray]:
-        """Compare i-then-j against d_i o d_j on S; one of i, j is `every`."""
-        left, circ = _pair_sides(G, ends, DU, i, j, S)
-        bad = np.flatnonzero((left != circ).any(axis=1))
-        if not bad.size:
-            return None, circ
-        pair = (i, bad[0]) if j is every else (bad[0], j)
-        return f"pair ({pair[0]},{pair[1]}) breaks the correspondence", circ
-
+    sides = _pair_kernel(G, ends, DU, S)
     if m <= pairs_cap:
         computed["pairs_mode"] = "all-pairs"
-        left_zero = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            witness, circ = check_rows(i, every)
-            if witness:
-                return witness
-            left_zero[i] = (circ == G.identity).all(axis=1)
-        quasi = {i for i in range(m) if (left_zero[i] & left_zero[:, i]).any()}
-        if quasi != {int(b) for b in bijective}:
+        bad, left_zero = _all_pairs(G, sides, m, S.size)
+        if bad.any():
+            return _PAIR_BROKEN.format(*divmod(int(bad.argmax()), m))
+        quasi = np.flatnonzero((left_zero & left_zero.T).any(axis=1))
+        if not np.array_equal(quasi, bijective):
             return "invertible sides do not match"
         computed["restriction"] = "exhaustive"
     else:
@@ -750,17 +763,17 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
         gens = _monoid_generators(ends, end_index, ident_idx)
         computed["monoid_generators"] = len(gens)
         for y in gens:  # both orientations: y then every v, every v then y
-            witness = check_rows(y, every)[0] or check_rows(every, y)[0]
-            if witness:
-                return witness
+            for i, j in ((y, every), (every, y)):
+                bad = np.flatnonzero(np.not_equal(*sides(i, j)).any(axis=1))
+                if bad.size:
+                    return _PAIR_BROKEN.format(*((y, bad[0]) if j is every else (bad[0], y)))
         if bijective.size:
             binv_rows = np.argsort(ends[bijective], axis=1).astype(ends.dtype)
             jidx, jfound = end_index.find(binv_rows)
             if not jfound.all():
                 b = int(bijective[np.flatnonzero(~jfound)[0]])
                 return f"automorphism {b} lacks an inverse member"
-            one = _pair_sides(G, ends, DU, bijective, jidx, S)[1]
-            other = _pair_sides(G, ends, DU, jidx, bijective, S)[1]
+            one, other = sides(bijective, jidx)[1], sides(jidx, bijective)[1]
             bad = np.flatnonzero(((one != G.identity) | (other != G.identity)).any(axis=1))
             if bad.size:
                 return f"automorphism {int(bijective[bad[0]])} has no circle inverse"

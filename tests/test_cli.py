@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from adjrings import cli
 from adjrings.cli import (
     ALL_CHECKS,
     GROUP_CHECKS,
@@ -118,6 +119,27 @@ def test_enumerate_rings_bad_exps_exit_2(tmp_path, capsys, exps):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--p", "7", "--exps", "-1"],
+    ["--p", "4", "--exps", "1"],
+    ["--p", "2", "--exps", "1,1,1", "--budget", "100"],
+])
+def test_enumerate_rings_refusal_leaves_no_out_dir(tmp_path, capsys, args):
+    out = tmp_path / "x"
+    assert main(["enumerate-rings", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_enumerate_rings_keeping_no_ring_still_creates_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._ENUM_FILTERS, "p-nil", lambda ring: False)
+    out = tmp_path / "x"
+    assert main(["enumerate-rings", "--p", "3", "--exps", "1", "--filter", "p-nil",
+                 "--out", str(out)]) == 0
+    assert "kept: 0" in capsys.readouterr().out
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_builtin_ring_specs():

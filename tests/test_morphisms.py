@@ -24,15 +24,24 @@ from adjrings.groups import (
     sylow_subgroup,
     trivial_subgroup,
 )
+from adjrings import morphisms
 from adjrings.morphisms import (
+    _PAIR_BLOCK,
+    PAIRS_CAP,
     AutomorphismGroup,
     Derivation,
     GroupHom,
+    _all_pairs,
     _compose_table,
+    _der_matrix,
+    _endo_matrix,
+    _pair_kernel,
     _RowIndex,
+    _test_columns,
     aut_group,
     aut_n,
     check_laue,
+    coset_offsets,
     der_ring,
     der_subring_trivial_on_omega,
     enumerate_derivations,
@@ -179,6 +188,103 @@ def test_laue_across_all_modules_of_one_group():
     g = builtin_group("m16")
     for n in abelian_normal_subgroups(g):
         assert check_laue(g, n).verdict == "pass"
+
+
+def per_row_laue_oracle(G, ends, DU, S):
+    """Mismatch and left-zero masks of every pair (i, j), one row i at a time,
+    by 2-D gathers on the untransposed tables."""
+    t, m = G.table, ends.shape[0]
+    j = np.arange(m)[:, None]
+    bad, zero = np.zeros((m, m), bool), np.zeros((m, m), bool)
+    for i in range(m):
+        a = DU[i, S]
+        left = t[G.inverses[S], ends[j, ends[i, S]]]
+        circ = t[t[a, DU[j, S]], DU[j, a]]
+        bad[i] = (left != circ).any(axis=1)
+        zero[i] = (circ == G.identity).all(axis=1)
+    return bad, zero
+
+
+def late_failure(G, DU, S):
+    """DU with d_0(a) changed for the a outside S whose first row in DU[:, S] is
+    latest.  Only the pairs (i, 0) with a in d_i(S) read d_0(a), so the first
+    failing pair in row-major order is (that row, 0)."""
+    outside = np.setdiff1d(np.arange(G.n), S)
+    hits = (DU[:, S][:, :, None] == outside).any(axis=1)  # rows x outside
+    first = np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+    a = int(outside[first.argmax()])
+    bent = DU.copy()
+    bent[0, a] = (bent[0, a] + 1) % G.n
+    return bent, int(first.max())
+
+
+def laue_witness_with(G, N, ends, DU, monkeypatch, pairs_cap=PAIRS_CAP):
+    """_laue_witness on the true endomorphisms and derivations, with every
+    pair comparison reading DU in place of the true derivation rows."""
+    kernel = morphisms._pair_kernel
+    monkeypatch.setattr(morphisms, "_pair_kernel", lambda G, e, _, cols: kernel(G, e, DU, cols))
+    computed = {"central": True}
+    return morphisms._laue_witness(G, N, _der_matrix(G, N), ends, computed, pairs_cap)
+
+
+@pytest.mark.parametrize("name", ["c4xc2xc2", "c4xc8", "c2xc2xc2"])
+def test_laue_row_blocks_match_per_row_oracle(name, monkeypatch):
+    """The blocked all-pairs comparison gives the per-row loop's mismatch and
+    left-zero masks, and check_laue names the oracle's first failing pair.
+    A rolled DU keeps both sides derivations and makes most pairs mismatch."""
+    G = builtin_group(name)
+    S = _test_columns(G)
+    blocks = []
+    for N in abelian_normal_subgroups(G):
+        ends = _endo_matrix(G, N)
+        m = ends.shape[0]
+        if m > PAIRS_CAP:
+            continue
+        blocks.append(-(-m // max(1, _PAIR_BLOCK // (m * S.size))))
+        DU = coset_offsets(G, ends)
+        for bent in (DU, np.roll(DU, 1, axis=0), late_failure(G, DU, S)[0]):
+            bad, zero = _all_pairs(G, _pair_kernel(G, ends, bent, S), m, S.size)
+            obad, ozero = per_row_laue_oracle(G, ends, bent, S)
+            np.testing.assert_array_equal(bad, obad)
+            np.testing.assert_array_equal(zero, ozero)
+            with monkeypatch.context() as mp:
+                witness = laue_witness_with(G, N, ends, bent, mp)
+            if obad.any():
+                i, j = np.argwhere(obad)[0]
+                assert witness == f"pair ({i},{j}) breaks the correspondence"
+            else:
+                assert witness is None
+    assert max(blocks) > 1  # some module spans several row blocks
+
+
+def test_laue_witness_row_past_the_first_block(monkeypatch):
+    """On c4xc8 with its 512 endomorphisms of the full module, the first failing
+    pair of a late perturbation lies in a later row block than the first."""
+    G = builtin_group("c4xc8")
+    S = _test_columns(G)
+    N = abelian_normal_subgroups(G)[-1]
+    ends = _endo_matrix(G, N)
+    m = ends.shape[0]
+    rows = max(1, _PAIR_BLOCK // (m * S.size))
+    bent, row = late_failure(G, coset_offsets(G, ends), S)
+    assert m == 512 and row >= rows
+    assert laue_witness_with(G, N, ends, bent, monkeypatch) == \
+        f"pair ({row},0) breaks the correspondence"
+    obad = per_row_laue_oracle(G, ends, bent, S)[0]
+    assert [tuple(p) for p in np.argwhere(obad)][0] == (row, 0)
+
+
+def test_laue_generator_mode_witness_is_a_failing_pair(monkeypatch):
+    """Past pairs_cap the witness comes from the generator rows and columns;
+    under a rolled DU it names a pair the per-row oracle marks as failing."""
+    G = builtin_group("c4xc8")
+    S = _test_columns(G)
+    N = abelian_normal_subgroups(G)[-1]
+    ends = _endo_matrix(G, N)
+    rolled = np.roll(coset_offsets(G, ends), 1, axis=0)
+    witness = laue_witness_with(G, N, ends, rolled, monkeypatch, pairs_cap=8)
+    i, j = map(int, witness.removeprefix("pair (").split(")")[0].split(","))
+    assert per_row_laue_oracle(G, ends, rolled, S)[0][i, j]
 
 
 # -- rings of morphisms --------------------------------------------------------
