@@ -8,7 +8,7 @@ JSON-serializable reports; the `adjrings` console script batches them over a
 corpus.
 """
 
-from .adjoint import AdjointGroup, adjoint_group, additive_group_of, omega_circle_set
+from .adjoint import AdjointGroup, adjoint_group, omega_circle_set
 from .errors import (
     AlgebraError,
     BoundError,
@@ -21,7 +21,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
-    abelian_group,
     builtin_group,
     center,
     cyclic_group,
@@ -32,15 +31,12 @@ from .groups import (
     omega_subgroup,
     quotient_group,
     rank,
-    save_group,
 )
 from .morphisms import (
     aut_group,
     aut_n,
     check_laue,
     der_ring,
-    enumerate_derivations,
-    enumerate_homs,
     hom_ring,
     to_finite_ring,
 )
@@ -74,8 +70,6 @@ __all__ = [
     "InvalidStructureError",
     "RingProfile",
     "Subgroup",
-    "abelian_group",
-    "additive_group_of",
     "adjoint_group",
     "aut_group",
     "aut_n",
@@ -84,8 +78,6 @@ __all__ = [
     "check_laue",
     "cyclic_group",
     "der_ring",
-    "enumerate_derivations",
-    "enumerate_homs",
     "enumerate_rings",
     "enumerate_subgroups",
     "frattini",
@@ -101,7 +93,6 @@ __all__ = [
     "quotient_ring",
     "rank",
     "ring_profile",
-    "save_group",
     "save_ring",
     "to_finite_ring",
     "unital_ring",

@@ -54,11 +54,6 @@ def adjoint_group(ring: FiniteRing) -> AdjointGroup:
     return ring._cache["adjoint"]
 
 
-def additive_group_of(ring: FiniteRing) -> FiniteGroup:
-    """The underlying abelian group of the ring, in ring element order."""
-    return FiniteGroup(ring.tables.add, identity=0, name=f"add({ring.name})")
-
-
 def omega_circle_set(ring: FiniteRing, n: int) -> tuple:
     """Ring elements whose circle order divides p^n, as a sorted tuple.
 

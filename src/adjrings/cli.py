@@ -171,14 +171,20 @@ def default_corpus() -> list[CorpusEntry]:
     return entries
 
 
+def _field(obj, key: str, what: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise AlgebraError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def load_manifest(path: str) -> list[CorpusEntry]:
     obj = json.loads(Path(path).read_text())
-    raw = obj["entries"] if isinstance(obj, dict) else obj
+    raw = _field(obj, "entries", "corpus manifest") if isinstance(obj, dict) else obj
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
-    for item in raw:
-        eid = item["id"]
-        kind = item["kind"]
+    for k, item in enumerate(raw):
+        eid = _field(item, "id", f"corpus entry {k}")
+        kind = _field(item, "kind", f"corpus entry {eid!r}")
         if eid in seen:
             raise AlgebraError(f"duplicate corpus id {eid!r}")
         if kind not in ("ring", "group"):

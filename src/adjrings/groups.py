@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abelian import prime_power, table_decomposition
+from .abelian import prime_power
 from .errors import (
     BoundError,
     InvalidArgumentError,
@@ -71,18 +71,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        acc = self.identity
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mult(acc, base)
-            base = self.mult(base, base)
-            k >>= 1
-        return acc
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -143,19 +131,19 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elems)
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elems)
-
-    def as_group(self, name: str | None = None) -> tuple[FiniteGroup, list[int]]:
-        """Re-indexed Cayley table plus the list mapping new indices to parent ones."""
-        pos = {e: i for i, e in enumerate(self.elems)}
-        arr = np.array(self.elems)
-        tab = self.parent.table[np.ix_(arr, arr)]
-        reindex = np.full(self.parent.n, -1, dtype=np.int32)
-        reindex[arr] = np.arange(len(arr))
-        sub = FiniteGroup(reindex[tab], identity=pos[self.parent.identity],
-                          name=name or f"{self.parent.name}_sub{len(arr)}")
-        return sub, list(self.elems)
+    def as_group(self) -> FiniteGroup:
+        """The subgroup as its own Cayley table, element i being `elems[i]`;
+        kept in `parent._cache[("as_group", elems)]`."""
+        key = ("as_group", self.elems)
+        if key not in self.parent._cache:
+            arr = np.array(self.elems)
+            reindex = np.full(self.parent.n, -1, dtype=np.int32)
+            reindex[arr] = np.arange(len(arr))
+            self.parent._cache[key] = FiniteGroup(
+                reindex[self.parent.table[np.ix_(arr, arr)]],
+                identity=int(reindex[self.parent.identity]),
+                name=f"{self.parent.name}_sub{len(arr)}")
+        return self.parent._cache[key]
 
 
 def subgroup(G: FiniteGroup, elems) -> Subgroup:
@@ -217,12 +205,6 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     mask = (G.table == G.table.T).all(axis=1)
-    return Subgroup(G, tuple(int(i) for i in np.flatnonzero(mask)))
-
-
-def centralizer(G: FiniteGroup, elems) -> Subgroup:
-    arr = np.array(sorted(set(elems)), dtype=np.int64)
-    mask = (G.conj_table[:, arr] == arr[None, :]).all(axis=1)
     return Subgroup(G, tuple(int(i) for i in np.flatnonzero(mask)))
 
 
@@ -499,8 +481,7 @@ def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:
         return 0
     pk = prime_power(H.order)
     if pk is None:
-        sub, _ = H.as_group()
-        return min_generators(sub)
+        return min_generators(H.as_group())
     p = pk[0]
     arr = np.array(H.elems)
     gens = set(int(x) for x in power_map(G, p)[arr])
@@ -606,14 +587,6 @@ def central_target(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(sorted(zset & pset)))
 
 
-def abelian_invariants(G: FiniteGroup) -> list[int]:
-    """Invariant factors of an abelian group, descending."""
-    if not G.is_abelian():
-        raise InvalidArgumentError("invariants need an abelian group")
-    factors, _, _ = table_decomposition([list(map(int, row)) for row in G.table], G.identity)
-    return factors
-
-
 def subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
     return int(math.lcm(*(int(G.element_orders[x]) for x in H.elems)))
 
@@ -642,10 +615,6 @@ def group_from_mult(elements, mult, name: str) -> FiniteGroup:
     return FiniteGroup(tab, identity=identity, name=name)
 
 
-def trivial_group() -> FiniteGroup:
-    return cyclic_group(1)
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     return group_from_mult(list(range(n)), lambda a, b: (a + b) % n, f"c{n}")
 
@@ -657,13 +626,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> F
         lambda a, b: (G.mult(a[0], b[0]), H.mult(a[1], b[1])),
         name or f"{G.name}x{H.name}",
     )
-
-
-def abelian_group(invariants) -> FiniteGroup:
-    g = cyclic_group(invariants[0])
-    for m in invariants[1:]:
-        g = direct_product(g, cyclic_group(m))
-    return g
 
 
 def dihedral_group(order: int) -> FiniteGroup:
@@ -695,10 +657,6 @@ def dicyclic_group(order: int) -> FiniteGroup:
         return (base, (e + f) % 2)
 
     return group_from_mult(list(itertools.product(range(m), range(2))), mult, f"q{order}")
-
-
-def quaternion_group() -> FiniteGroup:
-    return dicyclic_group(8)
 
 
 def semidirect_cyclic(n: int, m: int, r: int, name: str | None = None) -> FiniteGroup:
@@ -796,23 +754,45 @@ def alternating4() -> FiniteGroup:
     return from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], name="a4")
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; integral floats pass, booleans and anything else raise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidStructureError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_list(value, what: str, length: int | None = None) -> list:
+    """A JSON list, of exactly `length` items when that is given."""
+    if not isinstance(value, list):
+        raise InvalidStructureError(f"{what} must be a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise InvalidStructureError(f"{what} has {len(value)} items, expected {length}")
+    return value
+
+
+def _json_ints(value, what: str, length: int) -> list[int]:
+    return [_json_int(x, f"{what} entry {k}") for k, x in enumerate(_json_list(value, what, length))]
+
+
 def group_from_json(obj: dict, name: str | None = None) -> FiniteGroup:
+    if not isinstance(obj, dict):
+        raise InvalidStructureError(f"group JSON must be an object, got {obj!r}")
     if "table" in obj:
-        try:
-            order = int(obj["order"])
-            identity = int(obj["identity"])
-            table = obj["table"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidStructureError(f"group JSON missing or malformed field: {exc}") from exc
-        if len(table) != order:
-            raise InvalidStructureError(f"table has {len(table)} rows, expected {order}")
-        return FiniteGroup(table, identity=identity, name=name or "file_group")
+        if "order" not in obj or "identity" not in obj:
+            raise InvalidStructureError("a group table needs its order and identity")
+        order = _json_int(obj["order"], "order")
+        table = [_json_ints(row, f"table row {i}", order)
+                 for i, row in enumerate(_json_list(obj["table"], "table", order))]
+        return FiniteGroup(table, identity=_json_int(obj["identity"], "identity"),
+                           name=name or "file_group")
     if "perm_gens" in obj:
-        degree = int(obj.get("degree", 0))
-        gens = [tuple(int(x) for x in g) for g in obj["perm_gens"]]
-        for g in gens:
-            if len(g) != degree:
-                raise InvalidStructureError("permutation length does not match degree")
+        degree = _json_int(obj.get("degree", 0), "degree")
+        gens = [tuple(_json_ints(g, f"perm_gens[{k}]", degree))
+                for k, g in enumerate(_json_list(obj["perm_gens"], "perm_gens"))]
+        if not gens:
+            raise InvalidStructureError("perm_gens needs at least one permutation")
         return from_permutations(gens, name=name or "perm_group")
     raise InvalidStructureError("group JSON needs either a table or perm_gens")
 
@@ -820,11 +800,6 @@ def group_from_json(obj: dict, name: str | None = None) -> FiniteGroup:
 def load_group(path: str | Path) -> FiniteGroup:
     path = Path(path)
     return group_from_json(json.loads(path.read_text()), name=path.stem)
-
-
-def save_group(G: FiniteGroup, path: str | Path) -> None:
-    obj = {"order": G.n, "identity": G.identity, "table": [[int(x) for x in row] for row in G.table]}
-    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
 
 
 _SPECIAL_BUILDERS = {

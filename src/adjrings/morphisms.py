@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -210,11 +209,11 @@ def _abelianization_coords(G: FiniteGroup):
 def _target_basis(ambient: FiniteGroup, elems) -> tuple[list[int], list[int]]:
     """Invariant factors of an abelian subgroup and basis lifted to the ambient group."""
     sub = subgroup(ambient, elems)
-    grp, lift = sub.as_group()
+    grp = sub.as_group()
     if not grp.is_abelian():
         raise InvalidArgumentError("target subgroup must be abelian")
     factors, basis, _ = table_decomposition([list(map(int, r)) for r in grp.table], grp.identity)
-    return factors, [lift[b] for b in basis]
+    return factors, [sub.elems[b] for b in basis]
 
 
 def _hom_matrix(G: FiniteGroup, ambient: FiniteGroup, elems) -> np.ndarray:
@@ -252,17 +251,6 @@ def _hom_matrix(G: FiniteGroup, ambient: FiniteGroup, elems) -> np.ndarray:
     if not _verify_hom_rows(G, ambient.table, U).all():
         raise InvalidStructureError("structural homomorphism failed verification")
     return U
-
-
-def _normalize_target(target):
-    """Accept an abelian FiniteGroup or a Subgroup; return (ambient, elems)."""
-    if isinstance(target, FiniteGroup):
-        if not target.is_abelian():
-            raise InvalidArgumentError("homomorphism target must be abelian")
-        return target, tuple(range(target.n))
-    if isinstance(target, Subgroup):
-        return target.parent, target.elems
-    raise InvalidArgumentError(f"cannot interpret {target!r} as a target")
 
 
 def _validate_coset_target(G: FiniteGroup, N: Subgroup) -> None:
@@ -334,59 +322,6 @@ def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     if not nbool[coset_offsets(G, U)].all():
         raise InvalidStructureError("endomorphism escaped its cosets")
     return U
-
-
-# -- public objects -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source.n:
-            raise InvalidArgumentError("image vector length must match the source order")
-        U = np.array(self.images, dtype=np.int32)[None, :]
-        if not _verify_hom_rows(self.source, self.target.table, U)[0]:
-            raise InvalidArgumentError("images do not define a homomorphism")
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-
-@dataclass(frozen=True)
-class Derivation:
-    group: FiniteGroup
-    module: Subgroup
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.group.n:
-            raise InvalidArgumentError("image vector length must match the group order")
-        nset = set(self.module.elems)
-        if any(v not in nset for v in self.images):
-            raise InvalidArgumentError("derivation values must stay inside the module")
-        U = np.array(self.images, dtype=np.int32)[None, :]
-        if not _verify_cocycle_rows(self.group, U)[0]:
-            raise InvalidArgumentError("images violate the twisted product rule")
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-
-def enumerate_homs(G: FiniteGroup, target) -> list[GroupHom]:
-    """All homomorphisms from G into an abelian target, deterministic order."""
-    ambient, elems = _normalize_target(target)
-    U = _hom_matrix(G, ambient, elems)
-    return [GroupHom(G, ambient, tuple(int(v) for v in row)) for row in U]
-
-
-def enumerate_derivations(G: FiniteGroup, N: Subgroup) -> list[Derivation]:
-    """All derivations of G into the abelian normal subgroup N."""
-    U = _der_matrix(G, N)
-    return [Derivation(G, N, tuple(int(v) for v in row)) for row in U]
 
 
 # -- table rings ------------------------------------------------------------------
@@ -480,8 +415,7 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRin
         if pk is None:
             raise InvalidArgumentError("module must be a p-group")
         kappa = 2 if pk[0] == 2 else 1
-        ngrp, lift = N.as_group()
-        omega_ids = [lift[x] for x in omega_subgroup(ngrp, kappa).elems]
+        omega_ids = [N.elems[x] for x in omega_subgroup(N.as_group(), kappa).elems]
         sel = M[(M[:, omega_ids] == G.identity).all(axis=1)]
     return _rows_to_ring_tables(G, sel, name=f"der0({G.name},N{N.order})")
 
@@ -679,10 +613,6 @@ def _pair_kernel(G: FiniteGroup, ends: np.ndarray, DU: np.ndarray, cols):
     return sides
 
 
-def _pair_sides(G: FiniteGroup, ends: np.ndarray, DU: np.ndarray, i, j, cols):
-    return _pair_kernel(G, ends, DU, cols)(i, j)
-
-
 def _all_pairs(G: FiniteGroup, sides, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Mismatch and left-zero masks of all m x m pairs, in row blocks of <= _PAIR_BLOCK."""
     bad, zero, every = np.zeros((m, m), bool), np.zeros((m, m), bool), np.arange(m)
@@ -780,7 +710,7 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
         computed["restriction"] = "constructive"
 
     # ring-law witness: each derivation restricts to a homomorphism on N
-    ngrp, narr = N.as_group()
+    ngrp, narr = N.as_group(), list(N.elems)
     pos = np.zeros(G.n, dtype=np.int32)
     pos[narr] = np.arange(N.order)  # position in N of each element of N
     additive = _verify_hom_rows(ngrp, ngrp.table, pos[ders[:, narr]])

@@ -27,7 +27,7 @@ from .errors import (
     InvalidElementError,
     InvalidStructureError,
 )
-from .groups import reach
+from .groups import _json_int, _json_list, reach
 
 Element = tuple[int, ...]
 
@@ -234,9 +234,6 @@ class FiniteRing:
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
 
-    def smul(self, c: int, x: Element) -> Element:
-        return tuple((c * a) % m for a, m in zip(x, self.moduli))
-
     def mul(self, x: Element, y: Element) -> Element:
         acc = [0] * self.dim
         for i, xi in enumerate(x):
@@ -253,32 +250,6 @@ class FiniteRing:
 
     def circle(self, x: Element, y: Element) -> Element:
         return self.add(self.add(x, y), self.mul(x, y))
-
-    def additive_order(self, x: Element) -> int:
-        o = 1
-        for c, m in zip(x, self.moduli):
-            o = max(o, m // math.gcd(m, c))
-        return o
-
-    def quasi_inverse(self, x: Element) -> Element | None:
-        """Two-sided circle inverse of x, or None, read off the index tables.
-
-        When x is nilpotent the alternating series -x + x^2 - x^3 + ... is
-        cross-asserted against the table result.
-        """
-        t = self.tables
-        i = np.array([self.index(self.check_element(x))])
-        every = np.arange(self.order)
-        found = (t.circle(i, every) == 0) & (t.circle(every, i) == 0)
-        y = t.quasi_inverses(i, found[None])[0]
-        return None if y < 0 else self.element(int(y))
-
-    def adjoint_power(self, x: Element, k: int) -> Element:
-        """k-fold circle power of x (k >= 0); the 0th power is 0."""
-        if k < 0:
-            raise InvalidArgumentError("adjoint powers need k >= 0")
-        i = np.array([self.index(self.check_element(x))])
-        return self.element(int(self.tables.circle_power(i, k)[0]))
 
     # -- structural predicates -------------------------------------------------
 
@@ -300,9 +271,6 @@ class FiniteRing:
 
     def is_right_p_nil(self) -> bool:
         return self._small_order_kills(1)
-
-    def is_p_nil(self) -> bool:
-        return self.is_left_p_nil() and self.is_right_p_nil()
 
     def additive_exponent_log(self) -> int:
         """m with exp(R,+) = p^m."""
@@ -365,13 +333,6 @@ def ring_power_chain(ring: FiniteRing) -> list[tuple[Element, ...]]:
         chain.append(nxt)
     ring._cache["power_chain"] = [ring.elements_at(mask) for mask in chain]
     return ring._cache["power_chain"]
-
-
-def ring_power(ring: FiniteRing, k: int) -> tuple[Element, ...]:
-    if k < 1:
-        raise InvalidArgumentError("ring powers need k >= 1")
-    chain = ring_power_chain(ring)
-    return chain[min(k, len(chain)) - 1]
 
 
 def nilpotency_class_ring(ring: FiniteRing) -> int | None:
@@ -540,23 +501,6 @@ def ring_to_json(ring: FiniteRing) -> dict:
         "exps": list(ring.exps),
         "mul": [[list(entry) for entry in plane] for plane in ring.mul_tensor],
     }
-
-
-def _json_int(value, what: str) -> int:
-    """A JSON integer; integral floats pass, booleans and anything else raise."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidStructureError(f"{what} must be an integer, got {value!r}")
-
-
-def _json_list(value, what: str, length: int) -> list:
-    if not isinstance(value, list):
-        raise InvalidStructureError(f"{what} must be a list, got {value!r}")
-    if len(value) != length:
-        raise InvalidStructureError(f"{what} has {len(value)} items, expected {length}")
-    return value
 
 
 def ring_from_json(obj: dict, name: str | None = None) -> FiniteRing:

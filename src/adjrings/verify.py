@@ -151,7 +151,7 @@ def group_profile(G: FiniteGroup) -> GroupProfile:
     s_logs = [_section_exponent_log(upper[i + 1], upper[i], p)
               for i in range(len(upper) - 1)]
     r, s = r_logs[0], s_logs[0]
-    pgrp, _ = power_commutator_subgroup(G).as_group()
+    pgrp = power_commutator_subgroup(G).as_group()
     G._cache["profile"] = GroupProfile(
         order=G.n, p=p, c=c, r=r, s=s, t=min(r, s),
         d=min_generators(G), d_prime=rank(pgrp), r1=sum(r_logs), s1=sum(s_logs),
@@ -339,7 +339,7 @@ def check_sylow_rank(R: FiniteRing, instance: str | None = None,
     A = adjoint_group(R)
     alpha = 3 if R.p == 2 else 2
     syl = sylow_subgroup(A.group, R.p)
-    sgrp, _ = syl.as_group()
+    sgrp = syl.as_group()
     rk = rank(sgrp, bound=subgroup_bound)
     bound_val = alpha * prof.d_plus
     computed = {"d_plus": prof.d_plus, "alpha": alpha,
@@ -380,7 +380,7 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
         return verdict("central-aut", name, computed, bound,
                        "torsion_layers: aut group is not a p-group")
     orders = grp.element_orders
-    sgrp, lift = S.as_group()
+    sgrp = S.as_group()
     offsets = coset_offsets(G, members)
     e_aut = _log_exact(p, grp.exponent())
     e_s = _log_exact(p, subgroup_exponent(G, S)) if S.order > 1 else 0
@@ -389,7 +389,7 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
         brace = frozenset(int(i) for i in np.flatnonzero(q % orders == 0))
         gen_sub = frozenset(omega_subgroup(grp, n).elems)
         in_omega = np.zeros(G.n, dtype=bool)
-        in_omega[[lift[x] for x in omega_subgroup(sgrp, n).elems]] = True
+        in_omega[[S.elems[x] for x in omega_subgroup(sgrp, n).elems]] = True
         restricted = frozenset(np.flatnonzero(in_omega[offsets].all(axis=1)).tolist())
         if not (brace == gen_sub == restricted):
             computed["parts"]["torsion_layers"] = False
@@ -570,7 +570,7 @@ def check_aut_gen_bound_abelian(G: FiniteGroup, instance: str | None = None,
     if p is None:
         return skipped("aut-gen-bound-abelian", name, "not a p-group")
     d = rank(G)
-    pgrp, _ = power_commutator_subgroup(G).as_group()
+    pgrp = power_commutator_subgroup(G).as_group()
     d_prime = rank(pgrp)
     if p > 2:
         bound_val = d * d_prime + (d * d) // 4

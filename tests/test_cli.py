@@ -74,6 +74,24 @@ def test_ring_info_unknown_spec(capsys):
     assert "unknown ring spec" in capsys.readouterr().err
 
 
+C2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("obj", [
+    {"order": 2.9, "identity": False, "table": [[0, 1.9], [1.2, 0]]},
+    {"order": 2.9, "identity": 0, "table": C2_TABLE},
+    {"order": 2, "identity": False, "table": C2_TABLE},
+    {"order": 2, "identity": 0, "table": [[0, 1.9], [1.2, 0]]},
+    {"order": 2, "identity": 0, "table": [[0, 1], [1]]},
+    {"degree": 0, "perm_gens": []},
+], ids=["all-wrong", "float-order", "bool-identity", "float-entries", "ragged", "no-perms"])
+def test_group_info_malformed_json_exits_2(tmp_path, capsys, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["group-info", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_group_info_p_group(capsys):
     assert main(["group-info", "q8"]) == 0
     out = capsys.readouterr().out
@@ -165,6 +183,17 @@ def test_manifest_bad_kind(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps(
         {"entries": [{"id": "a", "kind": "field", "builtin": "z4"}]}))
     assert main(["verify", "--corpus", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"items": []}, "entries"),
+    ({"entries": [{"kind": "ring", "builtin": "z4"}]}, "id"),
+    ({"entries": [{"id": "a", "builtin": "z4"}]}, "kind"),
+])
+def test_manifest_missing_field_exits_2(tmp_path, capsys, obj, field):
+    (tmp_path / "m.json").write_text(json.dumps(obj))
+    assert main(["verify", "--corpus", str(tmp_path / "m.json")]) == 2
+    assert f"no {field!r} field" in capsys.readouterr().err
 
 
 def test_manifest_paths(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjrings.abelian import table_decomposition
 from adjrings.errors import (
     BoundError,
     InvalidArgumentError,
@@ -21,12 +22,10 @@ from adjrings.errors import (
 )
 from adjrings.groups import (
     FiniteGroup,
-    abelian_invariants,
     agemo,
     alternating4,
     builtin_group,
     center,
-    centralizer,
     closure,
     commutator_subgroup,
     cyclic_group,
@@ -50,18 +49,18 @@ from adjrings.groups import (
     omega_set,
     omega_subgroup,
     pauli_group,
+    power_map,
     power_commutator_subgroup,
     central_target,
-    quaternion_group,
     quotient_group,
     rank,
-    save_group,
     semidihedral_group,
     subgroup,
     subgroup_exponent,
     sylow_subgroup,
     upper_central_series,
 )
+from adjrings.morphisms import _target_basis
 
 
 def subgroups_by_joins(G):
@@ -89,7 +88,7 @@ class TestBasics:
         g = cyclic_group(12)
         assert g.n == 12 and g.exponent() == 12 and g.is_abelian()
         assert g.order_of(5) == 12 and g.order_of(8) == 3
-        assert g.inv(5) == 7 and g.power(7, 5) == 35 % 12
+        assert g.inv(5) == 7 and power_map(g, 5)[7] == 35 % 12
 
     def test_dihedral_center_and_class(self):
         d8 = dihedral_group(8)
@@ -108,7 +107,7 @@ class TestBasics:
         assert nilpotency_class(d16) == 3
 
     def test_quaternion(self):
-        q8 = quaternion_group()
+        q8 = builtin_group("q8")
         assert q8.exponent() == 4
         assert center(q8).order == 2
         assert nilpotency_class(q8) == 2
@@ -120,7 +119,7 @@ class TestBasics:
         assert nilpotency_class(alternating4()) is None
 
     def test_conjugacy_classes(self):
-        q8 = quaternion_group()
+        q8 = builtin_group("q8")
         sizes = sorted(len(c) for c in q8.conjugacy_classes)
         assert sizes == [1, 1, 2, 2, 2]
 
@@ -163,7 +162,7 @@ class TestSubgroups:
             assert len(enumerate_subgroups(g)) == dihedral_subgroup_count(order)
 
     def test_quaternion_count(self):
-        assert len(enumerate_subgroups(quaternion_group())) == 6
+        assert len(enumerate_subgroups(builtin_group("q8"))) == 6
 
     def test_a4_count(self):
         assert len(enumerate_subgroups(alternating4())) == 10
@@ -212,7 +211,7 @@ class TestPGroupToolbox:
     def test_p_central_examples(self):
         assert is_p_central(cyclic_group(8))
         assert is_p_central(builtin_group("c4xc4"))
-        assert not is_p_central(quaternion_group())
+        assert not is_p_central(builtin_group("q8"))
         assert not is_p_central(pauli_group())
         assert is_p_central(builtin_group("c9xc3"))
 
@@ -220,13 +219,13 @@ class TestPGroupToolbox:
         d8 = dihedral_group(8)
         assert frattini(d8).order == 2
         assert frattini(d8).elems == frattini_via_maximals(d8).elems
-        q8 = quaternion_group()
+        q8 = builtin_group("q8")
         assert frattini(q8).order == 2
         assert frattini(q8).elems == frattini_via_maximals(q8).elems
         assert frattini(alternating4()).order == 1
 
     def test_p_central_series(self):
-        q8 = quaternion_group()
+        q8 = builtin_group("q8")
         series = lower_p_central_series(q8)
         assert [s.order for s in series] == [8, 2, 1]
         e16 = builtin_group("c2xc2xc2xc2")
@@ -250,7 +249,7 @@ class TestPGroupToolbox:
     def test_rank(self):
         assert rank(builtin_group("c2xc2xc2xc2")) == 4
         assert rank(dihedral_group(16)) == 2
-        assert rank(quaternion_group()) == 2
+        assert rank(builtin_group("q8")) == 2
         assert rank(cyclic_group(1)) == 0
         assert rank(builtin_group("es27")) == 2
 
@@ -285,7 +284,7 @@ class TestQuotients:
                 assert proj[d8.mult(a, b)] == q.mult(proj[a], proj[b])
 
     def test_q8_mod_center(self):
-        q8 = quaternion_group()
+        q8 = builtin_group("q8")
         q, _ = quotient_group(q8, center(q8))
         assert q.n == 4 and q.exponent() == 2
 
@@ -329,7 +328,7 @@ class TestBuilders:
         q12 = dicyclic_group(12)
         assert q12.n == 12
         assert sylow_subgroup(q12, 2).order == 4
-        assert len(omega_set(sylow_subgroup(q12, 2).as_group()[0], 1)) == 2
+        assert len(omega_set(sylow_subgroup(q12, 2).as_group(), 1)) == 2
 
     def test_heisenberg(self):
         es = builtin_group("es27")
@@ -343,12 +342,14 @@ class TestBuilders:
         assert commutator_subgroup(p16).order == 2
 
     def test_abelian_invariants(self):
-        assert abelian_invariants(cyclic_group(12)) == [12]
-        assert abelian_invariants(builtin_group("c2xc6")) == [6, 2]
-        assert abelian_invariants(builtin_group("c4xc2")) == [4, 2]
-        assert abelian_invariants(builtin_group("c9xc3")) == [9, 3]
-        with pytest.raises(InvalidArgumentError):
-            abelian_invariants(dihedral_group(8))
+        def invariants(G):
+            return table_decomposition(G.table.tolist(), G.identity)[0]
+        assert invariants(cyclic_group(12)) == [12]
+        assert invariants(builtin_group("c2xc6")) == [6, 2]
+        assert invariants(builtin_group("c4xc2")) == [4, 2]
+        assert invariants(builtin_group("c9xc3")) == [9, 3]
+        with pytest.raises(InvalidArgumentError, match="must be abelian"):
+            _target_basis(dihedral_group(8), range(8))
 
     def test_builtin_products(self):
         g = builtin_group("c2xc2xc2")
@@ -362,7 +363,7 @@ class TestBuilders:
     def test_centralizer(self):
         d8 = dihedral_group(8)
         r = next(x for x in range(8) if d8.order_of(x) == 4)
-        assert centralizer(d8, [r]).order == 4
+        assert (d8.conj_table[:, r] == r).sum() == 4  # the g with g r g^-1 = r
 
     def test_subgroup_exponent(self):
         d8 = dihedral_group(8)
@@ -374,7 +375,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         g = builtin_group("q8")
         path = tmp_path / "q8.json"
-        save_group(g, path)
+        path.write_text(json.dumps({"order": g.n, "identity": g.identity,
+                                    "table": g.table.tolist()}))
         h = load_group(path)
         assert (h.table == g.table).all() and h.identity == g.identity
 
@@ -390,6 +392,21 @@ class TestSerialization:
         with pytest.raises(InvalidStructureError):
             group_from_json({"order": 3, "identity": 0, "table": [[0, 1], [1, 0]]})
 
+    @pytest.mark.parametrize("obj, match", [
+        ({"order": 2.9, "identity": 0, "table": [[0, 1], [1, 0]]}, "order must be an integer"),
+        ({"order": 2, "identity": False, "table": [[0, 1], [1, 0]]}, "identity must be"),
+        ({"order": 2, "identity": 0, "table": [[0, 1.9], [1.2, 0]]}, "table row 0 entry 1"),
+        ({"order": 2, "identity": 0, "table": [[0, 1], [1]]}, "table row 1 has 1 items"),
+        ({"degree": 0, "perm_gens": []}, "at least one permutation"),
+    ])
+    def test_json_fields_are_checked(self, obj, match):
+        with pytest.raises(InvalidStructureError, match=match):
+            group_from_json(obj)
+
+    def test_integral_floats_pass(self):
+        g = group_from_json({"order": 2.0, "identity": 0.0, "table": [[0, 1.0], [1, 0]]})
+        assert g.n == 2 and g.identity == 0
+
 
 NAMES = st.sampled_from(["c12", "d8", "q8", "m16", "sd16", "a4", "es27", "c9xc3", "pauli16"])
 
@@ -401,7 +418,7 @@ class TestProperties:
         g = builtin_group(name)
         x = seed % g.n
         assert closure(g, [x]).order == g.order_of(x)
-        assert g.power(x, g.order_of(x)) == g.identity
+        assert power_map(g, g.order_of(x))[x] == g.identity
 
     @given(NAMES, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)

@@ -62,7 +62,7 @@ def test_tables_match_reference_arithmetic(ring):
     elems = list(ring.elements())
     assert [tuple(c) for c in t.coords.tolist()] == elems
     for i, x in enumerate(elems):
-        assert t.neg[i] == ring.index(ring.smul(-1, x))
+        assert t.neg[i] == ring.index(ring.check_element(tuple(-c for c in x)))
         for j, y in enumerate(elems):
             assert t.add[i, j] == ring.index(ring.add(x, y))
             assert t.mul[i, j] == ring.index(ring.mul(x, y))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adjrings.adjoint import adjoint_group
 from adjrings.errors import (
     BudgetError,
     HypothesisError,
@@ -37,7 +38,7 @@ from adjrings.rings import (
     quotient_ring,
     right_annihilator,
     ring_from_json,
-    ring_power,
+    ring_power_chain,
     ring_to_json,
     save_ring,
     unital_ring,
@@ -55,15 +56,28 @@ class ModOracle:
     def circle(self, x, y):
         return (x + y + x * y) % self.n
 
-    def quasi_inverse(self, x):
+    def circle_inverse(self, x):
         out = [y for y in self.elements if self.circle(x, y) == 0 and self.circle(y, x) == 0]
         return out[0] if out else None
 
-    def adjoint_power(self, x, k):
+    def circle_power(self, x, k):
         acc = 0
         for _ in range(k):
             acc = self.circle(acc, x)
         return acc
+
+
+def circle_power(ring, x, k):
+    """k-fold circle power of x, through the ring's index tables."""
+    return ring.element(int(ring.tables.circle_power(np.array([ring.index(x)]), k)[0]))
+
+
+def circle_inverse(ring, x):
+    """Circle inverse of x read off the adjoint group, or None outside it."""
+    A = adjoint_group(ring)
+    if x not in A.index_of:
+        return None
+    return A.members[A.group.inverses[A.index_of[x]]]
 
 
 def ring_3z27():
@@ -85,6 +99,7 @@ def test_3z27_arithmetic_matches_oracle():
     oracle = ModOracle(3, 27)
     assert ring.order == 9
     for xv in oracle.elements:
+        assert to_int_3z27(circle_inverse(ring, from_int_3z27(xv))) == oracle.circle_inverse(xv)
         for yv in oracle.elements:
             x, y = from_int_3z27(xv), from_int_3z27(yv)
             assert to_int_3z27(ring.add(x, y)) == (xv + yv) % 27
@@ -96,25 +111,27 @@ def test_3z27_worked_values():
     ring = ring_3z27()
     oracle = ModOracle(3, 27)
     # frozen oracle outputs: 3+6=9, 3*6=18, 3o3=15, qi(3)=6, 3^(3)=9, 9^(3)=0
-    assert (oracle.circle(3, 3), oracle.quasi_inverse(3)) == (15, 6)
-    assert (oracle.adjoint_power(3, 3), oracle.adjoint_power(9, 3)) == (9, 0)
+    assert (oracle.circle(3, 3), oracle.circle_inverse(3)) == (15, 6)
+    assert (oracle.circle_power(3, 3), oracle.circle_power(9, 3)) == (9, 0)
     assert to_int_3z27(ring.add(from_int_3z27(3), from_int_3z27(6))) == 9
     assert to_int_3z27(ring.mul(from_int_3z27(3), from_int_3z27(6))) == 18
     assert to_int_3z27(ring.circle(from_int_3z27(3), from_int_3z27(3))) == 15
-    assert to_int_3z27(ring.quasi_inverse(from_int_3z27(3))) == 6
-    assert to_int_3z27(ring.adjoint_power(from_int_3z27(3), 3)) == 9
-    assert to_int_3z27(ring.adjoint_power(from_int_3z27(9), 3)) == 0
+    assert to_int_3z27(circle_inverse(ring, from_int_3z27(3))) == 6
+    assert to_int_3z27(circle_power(ring, from_int_3z27(3), 3)) == 9
+    assert to_int_3z27(circle_power(ring, from_int_3z27(9), 3)) == 0
 
 
 def test_3z27_structure():
     ring = ring_3z27()
-    assert ring.is_p_nil()
+    assert ring.is_left_p_nil() and ring.is_right_p_nil()
     assert nilpotency_class_ring(ring) == 2
-    assert {to_int_3z27(x) for x in ring_power(ring, 2)} == {0, 9, 18}
-    assert {to_int_3z27(x) for x in ring_power(ring, 3)} == {0}
+    chain = ring_power_chain(ring)  # [R, R^2, R^3, ...]
+    assert {to_int_3z27(x) for x in chain[1]} == {0, 9, 18}
+    assert {to_int_3z27(x) for x in chain[2]} == {0}
     assert {to_int_3z27(x) for x in omega_additive(ring, 1)} == {0, 9, 18}
-    assert ring.additive_order(from_int_3z27(3)) == 9
-    assert ring.additive_order(from_int_3z27(9)) == 3
+    # 3 has additive order 9 and 9 has order 3: the omega layers they first enter
+    assert from_int_3z27(3) in set(omega_additive(ring, 2)) - set(omega_additive(ring, 1))
+    assert from_int_3z27(9) in omega_additive(ring, 1)
 
 
 def test_4z16():
@@ -126,7 +143,7 @@ def test_4z16():
     for x in ring.elements():
         for y in ring.elements():
             assert ring.mul(x, y) == zero
-    assert ring.is_p_nil()
+    assert ring.is_left_p_nil() and ring.is_right_p_nil()
     assert ring.additive_exponent_log() == 2
     assert nilpotency_class_ring(ring) == 1
     u = ideal_u(ring)
@@ -155,24 +172,26 @@ def test_unital_rings_not_p_nil():
 
 def test_quasi_inverse_absent():
     z3 = unital_ring(3)
-    assert z3.quasi_inverse((2,)) is None
-    assert z3.quasi_inverse((1,)) == (1,)  # 1o1 = 1+1+1 = 0 mod 3
+    assert circle_inverse(z3, (2,)) is None  # 2oy = 2 + 3y = 2 mod 3
+    assert circle_inverse(z3, (1,)) == (1,)  # 1o1 = 1+1+1 = 0 mod 3
 
 
 def test_zero_dim_ring():
     r = FiniteRing(3, [], [])
     assert r.order == 1
     assert list(r.elements()) == [()]
-    assert r.is_p_nil()
+    assert r.is_left_p_nil() and r.is_right_p_nil()
     assert nilpotency_class_ring(r) == 0
 
 
 def test_additive_order_mixed_type():
+    # additive order 2^n: in the omega-n layer and not in the omega-(n-1) layer
     r = zero_ring(2, [1, 2])
-    assert r.additive_order((1, 2)) == 2
+    layers = [set(omega_additive(r, n)) for n in range(3)]
+    assert layers[0] == {(0, 0)}
+    assert (1, 2) in layers[1] - layers[0]
     assert r.add((1, 3), (1, 2)) == (0, 1)
-    assert r.additive_order((0, 1)) == 4
-    assert r.additive_order((0, 0)) == 1
+    assert (0, 1) in layers[2] - layers[1]
 
 
 def test_well_definedness_rejected():
@@ -398,7 +417,7 @@ def test_staged_enumeration_matches_flat_scan(p, exps):
 
 
 def test_enumerate_filter():
-    nil = [r for r in enumerate_rings(2, [1]) if r.is_p_nil()]
+    nil = [r for r in enumerate_rings(2, [1]) if r.is_left_p_nil() and r.is_right_p_nil()]
     assert len(nil) == 1  # only the zero ring; x^2 = x is not 2-nil
 
 
@@ -474,9 +493,10 @@ def test_adjoint_power_binomial_3z27(a, k):
     x = (a,)
     acc, power = ring.zero(), x
     for i in range(1, k + 1):
-        acc = ring.add(acc, ring.smul(math.comb(k, i), power))  # power = x^i
+        scaled = ring.check_element(tuple(math.comb(k, i) * c for c in power))
+        acc = ring.add(acc, scaled)  # power = x^i
         power = ring.mul(power, x)
-    assert ring.adjoint_power(x, k) == acc
+    assert circle_power(ring, x, k) == acc
 
 
 def test_additive_closure():

@@ -5,7 +5,6 @@ import pytest
 from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
-    abelian_group,
     agemo,
     builtin_group,
     cyclic_group,
@@ -15,7 +14,6 @@ from adjrings.groups import (
     prime_of,
     quotient_group,
     subgroup,
-    trivial_group,
     trivial_subgroup,
     upper_central_series,
 )
@@ -83,12 +81,12 @@ def test_group_profile_rejects_non_p_group():
     with pytest.raises(InvalidStructureError):
         group_profile(builtin_group("c6"))
     with pytest.raises(InvalidStructureError):
-        group_profile(trivial_group())
+        group_profile(builtin_group("c1"))
 
 
 def quotient_exponent_log(upper, lower, p):
     """Oracle: log_p of the exponent of upper/lower, built as its own table."""
-    H, lift = upper.as_group()
+    H, lift = upper.as_group(), upper.elems
     pos = {x: i for i, x in enumerate(lift)}
     Q, _ = quotient_group(H, subgroup(H, [pos[x] for x in lower.elems]))
     k = 0
@@ -216,7 +214,7 @@ def test_central_aut_q8():
 
 
 def test_central_aut_degenerate_elementary_abelian():
-    rep = check_central_aut(abelian_group([2, 2, 2, 2]))
+    rep = check_central_aut(builtin_group("c2xc2xc2xc2"))
     assert rep.verdict == "pass" and rep.computed["degenerate"]
     assert rep.computed["aut_order"] == 1
 
@@ -234,7 +232,7 @@ def test_aut_center_exponent_anchors():
     rep = check_aut_center_exponent(cyclic_group(9))
     assert rep.verdict == "pass"
     assert rep.computed == {"aut_order": 3, "center_exponent": 3, "t": 2}
-    assert check_aut_center_exponent(abelian_group([3, 3])).computed["aut_order"] == 1
+    assert check_aut_center_exponent(builtin_group("c3xc3")).computed["aut_order"] == 1
 
 
 def test_sylow_center_probe():
@@ -254,7 +252,7 @@ def test_frattini_aut_class_anchors():
     assert rep.verdict == "pass"
     assert rep.computed["r1"] == 2 and rep.computed["s1"] == 2
     assert rep.computed["stable"]
-    rep = check_frattini_aut_class(abelian_group([3, 3]))
+    rep = check_frattini_aut_class(builtin_group("c3xc3"))
     assert rep.verdict == "pass" and rep.computed["aut_order"] == 1
 
 
@@ -275,14 +273,14 @@ def test_aut_exponent_cyclic():
 
 
 def test_aut_gen_bound_abelian_anchors():
-    rep = check_aut_gen_bound_abelian(abelian_group([3, 3]))
+    rep = check_aut_gen_bound_abelian(builtin_group("c3xc3"))
     assert rep.verdict == "pass"
     assert rep.computed["bound"] == 1 and rep.computed["max_d"] == 1
     assert rep.computed["sylow_order"] == 3
     rep = check_aut_gen_bound_abelian(cyclic_group(4))
     assert rep.verdict == "pass" and rep.computed["bound"] == 1
     assert check_aut_gen_bound_abelian(builtin_group("q8")).verdict == "skipped"
-    assert check_aut_gen_bound_abelian(trivial_group()).verdict == "pass"
+    assert check_aut_gen_bound_abelian(builtin_group("c1")).verdict == "pass"
 
 
 def test_aut_gen_bound_q8():
@@ -290,7 +288,7 @@ def test_aut_gen_bound_q8():
     assert rep.verdict == "pass"
     assert rep.computed["k"] == 2 and rep.computed["bound"] == 13
     assert rep.computed["max_d"] == 2
-    assert check_aut_gen_bound(trivial_group()).verdict == "pass"
+    assert check_aut_gen_bound(builtin_group("c1")).verdict == "pass"
     assert check_aut_gen_bound(builtin_group("c6")).verdict == "skipped"
 
 
