@@ -509,9 +509,7 @@ def ring_from_json(obj: dict, name: str | None = None) -> FiniteRing:
     except (KeyError, TypeError) as exc:
         raise InvalidStructureError(f"ring JSON missing or malformed field: {exc}") from exc
     p = _json_int(p, "p")
-    if not isinstance(exps, list):
-        raise InvalidStructureError(f"exps must be a list, got {exps!r}")
-    exps = [_json_int(e, "exps entry") for e in exps]
+    exps = [_json_int(e, "exps entry") for e in _json_list(exps, "exps")]
     d = len(exps)
     tensor = [
         [

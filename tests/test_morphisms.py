@@ -53,7 +53,7 @@ from adjrings.rings import nilpotency_class_ring
 
 
 def homs(G, H):
-    """Image rows of every homomorphism from G onto the whole of abelian H."""
+    """Image rows of every homomorphism from G into the abelian group H."""
     return _hom_matrix(G, H, range(H.n))
 
 

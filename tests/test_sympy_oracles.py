@@ -5,18 +5,16 @@ permutation x -> xg is the table column G.table[:, g], taken for g in a
 generating set of G.  sympy composes permutations left to right, so
 g -> (x -> xg) is an isomorphism onto the PermutationGroup, and sympy computes
 every invariant there with its own algorithms, sharing no code with the
-Cayley-table kernels.  The groups are the builtin corpus groups and the
-adjoint groups of the left or right p-nil rings of the default corpus.
+Cayley-table kernels.  The groups are the builtin corpus groups, the
+adjoint groups of the left or right p-nil rings of the default corpus, and
+C3 wr C3.
 """
 
 import pytest
 
-sympy = pytest.importorskip("sympy")
-from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
-
-from adjrings.adjoint import adjoint_group  # noqa: E402
-from adjrings.cli import DEFAULT_GROUP_NAMES, default_corpus  # noqa: E402
-from adjrings.groups import (  # noqa: E402
+from adjrings.adjoint import adjoint_group
+from adjrings.cli import DEFAULT_GROUP_NAMES, default_corpus
+from adjrings.groups import (
     builtin_group,
     center,
     commutator,
@@ -29,7 +27,10 @@ from adjrings.groups import (  # noqa: E402
     prime_of,
     sylow_subgroup,
 )
-from adjrings.morphisms import _abelianization_coords  # noqa: E402
+from adjrings.morphisms import _abelianization_coords
+
+sympy = pytest.importorskip("sympy")
+from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
 
 P_NIL_RINGS = {e.id: e.obj for e in default_corpus()
                if e.kind == "ring" and (e.obj.is_left_p_nil() or e.obj.is_right_p_nil())}
