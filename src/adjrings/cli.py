@@ -180,6 +180,8 @@ def _field(obj, key: str, what: str):
 def load_manifest(path: str) -> list[CorpusEntry]:
     obj = json.loads(Path(path).read_text())
     raw = _field(obj, "entries", "corpus manifest") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list):
+        raise AlgebraError("corpus manifest entries must be a list")
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
     for k, item in enumerate(raw):
@@ -191,8 +193,8 @@ def load_manifest(path: str) -> list[CorpusEntry]:
             raise AlgebraError(f"unknown corpus kind {kind!r} for {eid!r}")
         seen.add(eid)
         spec = item.get("path") or item.get("builtin")
-        if not spec:
-            raise AlgebraError(f"entry {eid!r} needs a path or builtin spec")
+        if not spec or not isinstance(spec, str):
+            raise AlgebraError(f"entry {eid!r} needs a path or builtin spec string")
         if "path" in item:
             loaded = load_ring(spec) if kind == "ring" else load_group(spec)
         else:
@@ -491,7 +493,7 @@ def main(argv=None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

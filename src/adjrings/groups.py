@@ -28,6 +28,11 @@ MAX_ORDER = 256
 SUBGROUP_BOUND = 128
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise BoundError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
+
+
 class FiniteGroup:
     """A finite group of order <= 256 given by its multiplication table.
 
@@ -40,8 +45,7 @@ class FiniteGroup:
         n = tab.shape[0]
         if tab.ndim != 2 or tab.shape[1] != n:
             raise InvalidStructureError("multiplication table must be square")
-        if n > MAX_ORDER:
-            raise BoundError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
+        _check_order(n)
         if tab.min() < 0 or tab.max() >= n:
             raise InvalidStructureError("table entries must be element indices")
         if not 0 <= identity < n:
@@ -598,6 +602,7 @@ def group_from_mult(elements, mult, name: str) -> FiniteGroup:
     """Cayley table from explicit elements and a multiplication callable."""
     pos = {e: i for i, e in enumerate(elements)}
     n = len(elements)
+    _check_order(n)  # before the n x n table and its n^2 products
     tab = np.zeros((n, n), dtype=np.int32)
     identity = None
     for i, a in enumerate(elements):

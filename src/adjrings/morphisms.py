@@ -54,6 +54,14 @@ _PAIR_BLOCK = 1 << 16  # pairs x columns per Laue comparison block
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 
+def _candidate_grid(choices, what: str) -> np.ndarray:
+    """Every choice of one value per list, as int32 rows in lexicographic
+    order, once their number passes the batch budget."""
+    if math.prod(map(len, choices)) > BATCH_BUDGET:
+        raise BudgetError(f"{what} exceeds the batch budget")
+    return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(-1, len(choices))
+
+
 def _chunked_all(U: np.ndarray, width: int, predicate) -> np.ndarray:
     chunk = max(1, CHUNK_ENTRIES // (U.shape[1] * width))
     ok = np.ones(U.shape[0], dtype=bool)
@@ -285,10 +293,7 @@ def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
             raise InvalidStructureError("central derivation failed the twisted product rule")
     else:
         gens = generating_set(G)
-        if len(N.elems) ** len(gens) > BATCH_BUDGET:
-            raise BudgetError("derivation search space exceeds the batch budget")
-        C = np.array(list(itertools.product(sorted(N.elems), repeat=len(gens))), dtype=np.int32)
-        C = C.reshape(-1, len(gens))
+        C = _candidate_grid([sorted(N.elems)] * len(gens), "derivation search space")
         U = _fill_der_rows(G, gens, C)
         U = U[_verify_cocycle_rows(G, U) & np.isin(U, N.elems).all(axis=1)]
     U.setflags(write=False)
@@ -308,13 +313,7 @@ def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     gens = generating_set(G)
     narr = np.array(sorted(N.elems))
     cosets = [sorted(int(v) for v in G.table[g, narr]) for g in gens]
-    total = 1
-    for c in cosets:
-        total *= len(c)
-    if total > BATCH_BUDGET:
-        raise BudgetError("endomorphism search space exceeds the batch budget")
-    C = np.array(list(itertools.product(*cosets)), dtype=np.int32).reshape(-1, len(gens))
-    U = _fill_endo_rows(G, gens, C)
+    U = _fill_endo_rows(G, gens, _candidate_grid(cosets, "endomorphism search space"))
     U = U[_verify_hom_rows(G, G.table, U)]
     # coset condition propagates from generators to all elements; assert anyway
     nbool = np.zeros(G.n, dtype=bool)
@@ -558,14 +557,7 @@ def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND) -> AutomorphismGroup
         orders = G.element_orders
         cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
                       for g in gens]
-        total = 1
-        for c in cand_lists:
-            total *= len(c)
-        if total > BATCH_BUDGET:
-            raise BudgetError("automorphism candidate space exceeds the batch budget")
-        C = np.array(list(itertools.product(*cand_lists)), dtype=np.int32)
-        C = C.reshape(-1, len(gens))
-        U = _fill_endo_rows(G, gens, C)
+        U = _fill_endo_rows(G, gens, _candidate_grid(cand_lists, "automorphism candidate space"))
         M = U[_verify_hom_rows(G, G.table, U)]
     M = M[_bijective_rows(M, G.n)]
     if M.shape[0] > AUT_MEMBER_CAP:

@@ -8,6 +8,7 @@ adjoint monoid; the group of quasi-invertible elements is built in adjoint.py.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -111,10 +112,11 @@ def _additive_type(p, exps) -> tuple[int, tuple[int, ...]]:
 class FiniteRing:
     """Structure-constant ring on a direct sum of cyclic p-groups.
 
-    `mul[i][j]` is the coordinate vector of the product of basis elements i, j.
-    Construction verifies well-definedness (each basis product is killed by the
-    additive orders of its factors) and associativity on basis triples, which
-    bilinearity extends to the whole ring.
+    `mul[i][j]` is the coordinate vector of the product of basis elements i, j,
+    kept reduced as the exact (d, d, d) integer array `tensor` (dtype object)
+    and as the nested tuples `mul_tensor`.  Construction verifies
+    well-definedness (`_slot_steps`) and associativity on every basis triple
+    (`_associative_mask`), which trilinearity extends to the whole ring.
 
     Memo rule: attributes are `cached_property`s; objects built by module
     functions are kept in `_cache[key]`, after that function's bound gates.
@@ -124,47 +126,32 @@ class FiniteRing:
         p, exps = _additive_type(p, exps)
         self.p = p
         self.exps = exps
-        self.dim = len(exps)
+        self.dim = d = len(exps)
         self.moduli = tuple(p**e for e in exps)
         self.order = math.prod(self.moduli)
         self.name = name or f"ring_p{p}_" + "_".join(map(str, exps))
-        self.mul_tensor = tuple(
-            tuple(tuple(_integer(c, "coefficient") % self.moduli[k] for k, c in enumerate(row))
-                  for row in plane)
-            for plane in mul
-        )
+        tensor = np.array(mul, dtype=object)
+        if tensor.shape != (d,) * 3 and (d or tensor.size):
+            raise InvalidStructureError("multiplication tensor must be d x d x d")
+        tensor = np.frompyfunc(_integer, 2, 1)(tensor.reshape((d,) * 3), "coefficient")
+        self.tensor = tensor % np.array(self.moduli, dtype=object)
+        self.tensor.flags.writeable = False
+        self.mul_tensor = tuple(tuple(map(tuple, plane)) for plane in self.tensor.tolist())
         self._validate()
         self._cache: dict = {}
 
     # -- construction checks -------------------------------------------------
 
     def _validate(self) -> None:
-        d, p, T = self.dim, self.p, self.mul_tensor
-        if len(T) != d or any(len(plane) != d for plane in T):
-            raise InvalidStructureError("multiplication tensor must be d x d x d")
-        for i, j in itertools.product(range(d), repeat=2):
-            if len(T[i][j]) != d:
-                raise InvalidStructureError(f"basis product ({i},{j}) has wrong length")
-            bound = min(self.exps[i], self.exps[j])
-            for k in range(d):
-                step = p ** max(0, self.exps[k] - bound)
-                if T[i][j][k] % step:
-                    raise InvalidStructureError(f"ill-defined product: entry ({i},{j},{k}) = "
-                                                f"{T[i][j][k]} is not a multiple of {step}")
-        for i, j, k in itertools.product(range(d), repeat=3):
-            lhs = self._combo(T[i][j], lambda l: T[l][k])
-            rhs = self._combo(T[j][k], lambda l: T[i][l])
-            if lhs != rhs:
-                raise InvalidStructureError(f"associativity fails on basis triple ({i},{j},{k})")
-
-    def _combo(self, coeffs, pick) -> Element:
-        acc = [0] * self.dim
-        for l, c in enumerate(coeffs):
-            if c:
-                row = pick(l)
-                for k in range(self.dim):
-                    acc[k] += c * row[k]
-        return tuple(a % m for a, m in zip(acc, self.moduli))
+        T, steps = self.tensor, _slot_steps(self.p, self.exps)
+        ill = T % steps != 0
+        if ill.any():
+            i, j, k = np.argwhere(ill)[0].tolist()
+            raise InvalidStructureError(f"ill-defined product: entry ({i},{j},{k}) = "
+                                        f"{T[i, j, k]} is not a multiple of {steps[i, j, k]}")
+        every = np.ones(T.shape, dtype=bool)
+        if not _associative_mask(T[None], np.array(self.moduli, dtype=object), every)[0]:
+            raise InvalidStructureError("associativity fails on a basis triple")
 
     # -- elements -------------------------------------------------------------
 
@@ -202,8 +189,8 @@ class FiniteRing:
         if self.order > TABLE_CAP:
             raise BoundError(f"ring tables capped at {TABLE_CAP} elements")
         weights = [math.prod(self.moduli[k + 1:]) for k in range(self.dim)]
-        tensor = np.array(self.mul_tensor, dtype=np.int64).reshape((self.dim,) * 3)
-        return np.array(self.moduli, dtype=np.int64), np.array(weights, dtype=np.int64), tensor
+        return (np.array(self.moduli, dtype=np.int64), np.array(weights, dtype=np.int64),
+                self.tensor.astype(np.int64))
 
     def indices(self, elems) -> np.ndarray:
         """Index array of coordinate tuples, reduced mod the moduli."""
@@ -254,16 +241,7 @@ class FiniteRing:
     # -- structural predicates -------------------------------------------------
 
     def _small_order_kills(self, side: int) -> bool:
-        # the p^(e_a - kappa) e_a generate the small-order layer and products are
-        # additive in each factor, so generators against basis elements decide it
-        kappa = 2 if self.p == 2 else 1
-        for a, e in enumerate(self.exps):
-            step = self.p ** max(0, e - kappa)
-            for b in range(self.dim):
-                row = self.mul_tensor[a][b] if side == 0 else self.mul_tensor[b][a]
-                if any(step * c % m for c, m in zip(row, self.moduli)):
-                    return False
-        return True
+        return not (self.tensor % _slot_steps(self.p, self.exps, side)).any()
 
     def is_left_p_nil(self) -> bool:
         """Every x with px = 0 (4x = 0 when p = 2) satisfies xR = 0."""
@@ -417,12 +395,34 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
     return q, proj
 
 
-# -- enumeration ------------------------------------------------------------------
+# -- tensor laws and enumeration ----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_steps(p: int, exps: tuple[int, ...], side: int | None = None) -> np.ndarray:
+    """Read-only exact (d, d, d) integers: slot (i, j, k) of a tensor must be a
+    multiple of p^max(0, e_k - m[i, j]) for p^m[i, j] to kill it.  Side None
+    takes m[i, j] = min(e_i, e_j): well-definedness.  Side 0 (1) takes
+    m[i, j] = max(0, e_s - kappa) with s = i (j), kappa = 2 if p = 2 else 1: the
+    p^m e_s generate the small-order layer, so these steps are left (right) p-nil.
+    """
+    e = np.array(exps, dtype=np.int64)
+    if side is None:
+        m = np.minimum.outer(e, e)
+    else:
+        layer = np.maximum(0, e - (2 if p == 2 else 1))
+        m = layer[:, None] if side == 0 else layer[None, :]
+    steps = p ** np.maximum(0, e - m[:, :, None]).astype(object)
+    steps.flags.writeable = False
+    return steps
 
 
 def _associative_mask(arr: np.ndarray, moduli: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """Which tensors of an int64 batch (n, d, d, d) are associative mod `moduli`
-    on the basis triples (i, j, k) marked in the (d, d, d) bool array `triples`.
+    """Which tensors of a batch (n, d, d, d) are associative mod `moduli` on the
+    basis triples (i, j, k) marked in the (d, d, d) bool array `triples`.
+
+    The batch is int64 in `enumerate_rings`, whose budget keeps the products
+    in range, and exact integers (dtype object) in `FiniteRing._validate`.
 
     With T one tensor, (e_i e_j) e_k = sum_l T[i,j,l] T[l,k] is the (d*d, d)
     matrix of rows T[i,j] times the (d, d*d) matrix of planes T[l], and
@@ -457,9 +457,8 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
         yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
         return
 
-    # slot (i, j, k) holds the multiples of p^max(0, e_k - min(e_i, e_j)) below p^e_k
-    e = np.array(exps, dtype=np.int64)
-    steps = p ** np.maximum(0, e - np.minimum.outer(e, e)[:, :, None])
+    # slot (i, j, k) holds the well-defined multiples of its step below p^e_k
+    steps = _slot_steps(p, exps).astype(np.int64)
     mod_arr = np.array(moduli, dtype=np.int64)
     radices = mod_arr // steps
     i, _, k = np.indices((d, d, d))

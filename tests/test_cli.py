@@ -196,6 +196,23 @@ def test_manifest_missing_field_exits_2(tmp_path, capsys, obj, field):
     assert f"no {field!r} field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries, message", [
+    (5, "entries must be a list"),
+    ([{"id": "a", "kind": "group", "builtin": 7}], "needs a path or builtin spec string"),
+    ([{"id": "a", "kind": "ring", "path": "{dir}"}], "{dir}"),
+], ids=["entries-not-a-list", "builtin-not-a-string", "path-is-a-directory"])
+def test_manifest_malformed_exits_2(tmp_path, capsys, entries, message):
+    text = json.dumps({"entries": entries}).replace("{dir}", str(tmp_path))
+    (tmp_path / "m.json").write_text(text)
+    assert main(["verify", "--corpus", str(tmp_path / "m.json"), "--checks", "laue"]) == 2
+    assert message.replace("{dir}", str(tmp_path)) in capsys.readouterr().err
+
+
+def test_corpus_directory_exits_2(tmp_path, capsys):
+    assert main(["verify", "--corpus", str(tmp_path), "--checks", "laue"]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_manifest_paths(tmp_path):
     assert main(["enumerate-rings", "--p", "2", "--exps", "1",
                  "--out", str(tmp_path)]) == 0

@@ -38,6 +38,7 @@ from adjrings.groups import (
     full_subgroup,
     generating_set,
     group_from_json,
+    group_from_mult,
     is_normal,
     is_p_central,
     load_group,
@@ -149,6 +150,17 @@ class TestValidation:
     def test_order_cap(self):
         with pytest.raises(BoundError):
             cyclic_group(257)
+
+    def test_order_cap_comes_before_the_table(self):
+        calls = []
+
+        def mult(a, b):
+            calls.append((a, b))
+            return (a + b) % 257
+
+        with pytest.raises(BoundError, match="group order 257"):
+            group_from_mult(list(range(257)), mult, "c257")
+        assert calls == []
 
     def test_subgroup_requires_closure(self):
         with pytest.raises(InvalidArgumentError, match="closed"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adjrings.cli import DEFAULT_GROUP_NAMES
-from adjrings.errors import BoundError, InvalidArgumentError, InvalidStructureError
+from adjrings.errors import BoundError, BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     abelian_normal_subgroups,
     agemo,
@@ -123,6 +123,26 @@ def test_derivation_count_dihedral_rotations():
     assert _der_matrix(d8, rot).shape[0] == 16
     # the endomorphisms preserving the cosets of <r>, enumerated independently
     assert check_laue(d8, rot).computed["end_count"] == 16
+
+
+def _d8_rotations():
+    d8 = dihedral_group(8)
+    return d8, subgroup(d8, ROT8)
+
+
+# each search has 16 (d8 into <r>) or 36 (q8: six candidates per generator)
+# candidates; a budget one below refuses it, the exact count admits it
+@pytest.mark.parametrize("search, build, count, rows", [
+    ("derivation", lambda: _der_matrix(*_d8_rotations()), 16, 16),
+    ("endomorphism", lambda: _endo_matrix(*_d8_rotations()), 16, 16),
+    ("automorphism", lambda: aut_group(builtin_group("q8")).matrix, 36, 24),
+], ids=["derivation", "endomorphism", "automorphism"])
+def test_candidate_search_budget(monkeypatch, search, build, count, rows):
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", count - 1)
+    with pytest.raises(BudgetError, match=f"{search} .* exceeds the batch budget"):
+        build()
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", count)
+    assert len(build()) == rows
 
 
 def test_derivation_rejects_non_normal_module():

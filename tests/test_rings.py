@@ -14,9 +14,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from adjrings.adjoint import adjoint_group
+from adjrings.adjoint import adjoint_group, omega_circle_set
 from adjrings.errors import (
     BudgetError,
     HypothesisError,
@@ -302,9 +302,20 @@ def _random_well_defined(rng, p, exps, n):
     return (values * keep).astype(np.int64), moduli.astype(np.int64)
 
 
-def _oracle_associative(p, exps, tensor):
+def _associative_on_basis(p, exps, tensor):
+    """Oracle in plain integers: (e_i e_j) e_k = e_i (e_j e_k) on every basis
+    triple, coordinate by coordinate mod p^e_m."""
+    T, d = np.asarray(tensor).tolist(), len(exps)
+    return all(
+        sum(T[i][j][l] * T[l][k][m] - T[j][k][l] * T[i][l][m] for l in range(d)) % p ** exps[m] == 0
+        for i, j, k, m in itertools.product(range(d), repeat=4))
+
+
+def _constructs(p, exps, tensor):
+    """Whether FiniteRing accepts a well-defined tensor; any refusal must be
+    an associativity refusal."""
     try:
-        FiniteRing(p, exps, tensor.tolist())
+        FiniteRing(p, exps, np.asarray(tensor).tolist())
     except InvalidStructureError as exc:
         assert "associativity" in str(exc)
         return False
@@ -316,11 +327,45 @@ def _oracle_associative(p, exps, tensor):
 def test_associative_mask_matches_ring_construction(p, exps):
     rng = np.random.default_rng([p, *exps])
     arr, moduli = _random_well_defined(rng, p, exps, 300)
-    expected = [_oracle_associative(p, exps, t) for t in arr]
+    expected = [_associative_on_basis(p, exps, t) for t in arr]
     every = np.ones((len(exps),) * 3, dtype=bool)
     assert _associative_mask(arr, moduli, every).tolist() == expected
+    assert [_constructs(p, exps, t) for t in arr] == expected
     if len(exps) > 1:
         assert 0 < sum(expected) < len(expected)
+
+
+def _random_basis_tensor(rng, n, tensor):
+    """A structure tensor on (Z/n)^2 rewritten in a random basis f = M e with
+    det M a unit: T'[i,j,k] is the k-th coordinate of f_i f_j over f."""
+    while True:
+        (a, b), (c, d) = M = rng.integers(0, n, size=(2, 2)).tolist()
+        if math.gcd(a * d - b * c, n) == 1:
+            break
+    u = pow(a * d - b * c, -1, n)
+    Minv = [[d * u, -b * u], [-c * u, a * u]]
+    r = range(2)
+    return [[[sum(M[i][x] * M[j][y] * tensor[x][y][z] * Minv[z][k]
+                  for x in r for y in r for z in r) % n for k in r] for j in r] for i in r]
+
+
+def test_ring_construction_is_exact_beyond_int64():
+    # Z/3^30[x]/(x^2) in 30 random bases: coefficients near 3^30 ~ 2^47.5, so the
+    # products in the associativity test overflow int64; an odd p keeps a wrapped
+    # product from agreeing by accident, as 2-power moduli dividing 2^64 would
+    p, e = 3, 30
+    dual = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    rng = np.random.default_rng(30)
+    refused = 0
+    for _ in range(30):
+        tensor = _random_basis_tensor(rng, p**e, dual)
+        assert _associative_on_basis(p, (e, e), tensor)
+        ring = FiniteRing(p, (e, e), tensor)
+        assert ring.mul_tensor == tuple(tuple(map(tuple, plane)) for plane in tensor)
+        tensor[1][0][1] = (tensor[1][0][1] + 1) % p**e
+        assert _constructs(p, (e, e), tensor) == _associative_on_basis(p, (e, e), tensor)
+        refused += not _associative_on_basis(p, (e, e), tensor)
+    assert refused > 0
 
 
 def test_associative_mask_near_int64_product_range():
@@ -330,8 +375,8 @@ def test_associative_mask_near_int64_product_range():
     coeffs = np.arange(2**26 - 300, 2**26, dtype=np.int64)
     arr = np.concatenate([coeffs, 2**25 + np.arange(-5, 5)]).reshape(-1, 1, 1, 1)
     mask = _associative_mask(arr, np.array([2**26], dtype=np.int64), np.ones((1, 1, 1), bool))
-    assert mask.tolist() == [_oracle_associative(p, exps, t) for t in arr]
-    assert mask.all()
+    assert mask.tolist() == [_associative_on_basis(p, exps, t) for t in arr]
+    assert mask.all() and all(_constructs(p, exps, t) for t in arr)
 
 
 def test_enumerate_order_and_names_match_slot_product():
@@ -342,13 +387,10 @@ def test_enumerate_order_and_names_match_slot_product():
              for i in range(2) for j in range(2) for k in range(2)]
     expected = []
     for pos, flat in enumerate(itertools.product(*slots)):
-        tensor = [[list(flat[4 * i + 2 * j:4 * i + 2 * j + 2]) for j in range(2)]
-                  for i in range(2)]
-        try:
-            ring = FiniteRing(p, exps, tensor)
-        except InvalidStructureError:
-            continue
-        expected.append((f"enum_p2_e2.1_{pos:06d}", ring.mul_tensor))
+        tensor = tuple(tuple(flat[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2))
+                       for i in range(2))
+        if _associative_on_basis(p, exps, tensor):
+            expected.append((f"enum_p2_e2.1_{pos:06d}", tensor))
     got = [(r.name, r.mul_tensor) for r in enumerate_rings(p, exps)]
     assert len(got) > 1 and got == expected
 
@@ -504,3 +546,82 @@ def test_additive_closure():
     sub = additive_closure(r, [(2, 0)])
     assert sub == ((0, 0), (2, 0))
     assert additive_closure(r, [(1, 0)]) == ((0, 0), (1, 0), (2, 0), (3, 0))
+
+
+# -- properties of random well-defined tensors ----------------------------------------
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first, *rest)
+
+
+# every additive type with |R| <= 27 for p in {2, 3}, the trivial one included
+SMALL_TYPES = [(p, exps) for p, top in ((2, 4), (3, 3))
+               for n in range(top + 1) for exps in _compositions(n)]
+
+
+@st.composite
+def small_tensors(draw):
+    """(p, exps, tensor): a well-defined tensor whose slots are zero about half
+    the time, so both associative and non-associative ones are drawn."""
+    p, exps = draw(st.sampled_from(SMALL_TYPES))
+    r = range(len(exps))
+
+    def slot(i, j, k):
+        step = p ** max(0, exps[k] - min(exps[i], exps[j]))
+        return draw(st.just(0) | st.integers(0, p ** exps[k] // step - 1)) * step
+
+    return p, exps, [[[slot(i, j, k) for k in r] for j in r] for i in r]
+
+
+@st.composite
+def small_rings(draw):
+    p, exps, tensor = draw(small_tensors())
+    assume(_associative_on_basis(p, exps, tensor))
+    return FiniteRing(p, exps, tensor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tensors())
+def test_property_construction_accepts_exactly_the_associative(case):
+    p, exps, tensor = case
+    assert _constructs(p, exps, tensor) == _associative_on_basis(p, exps, tensor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rings())
+# right but not left p-nil: e1 e0 = 3 e0 with e0 of order 9, e1 of order 3
+@example(FiniteRing(3, (2, 1), [[[0, 0], [0, 0]], [[3, 0], [0, 0]]]))
+def test_property_p_nil_matches_element_definition(ring):
+    k = 4 if ring.p == 2 else ring.p
+    zero, elems = ring.zero(), list(ring.elements())
+    small = [x for x in elems if ring.check_element(tuple(k * c for c in x)) == zero]
+    assert ring.is_left_p_nil() == all(ring.mul(x, y) == zero for x in small for y in elems)
+    assert ring.is_right_p_nil() == all(ring.mul(y, x) == zero for x in small for y in elems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rings())
+def test_property_adjoint_order_counts_circle_units(ring):
+    zero, elems = ring.zero(), list(ring.elements())
+    units = [x for x in elems
+             if any(ring.circle(x, y) == zero == ring.circle(y, x) for y in elems)]
+    assert adjoint_group(ring).order == len(units)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rings())
+def test_property_omega_circle_set_matches_circle_powers(ring):
+    for n in range(ring.additive_exponent_log() + 2):
+        expected = []
+        for x in ring.elements():
+            acc = ring.zero()
+            for _ in range(ring.p ** n):
+                acc = ring.circle(acc, x)
+            if acc == ring.zero():
+                expected.append(x)
+        assert omega_circle_set(ring, n) == tuple(expected)
