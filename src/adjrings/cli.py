@@ -186,13 +186,15 @@ def load_manifest(path: str) -> list[CorpusEntry]:
     seen: set[str] = set()
     for k, item in enumerate(raw):
         eid = _field(item, "id", f"corpus entry {k}")
+        if not isinstance(eid, str):
+            raise AlgebraError(f"corpus entry {k} id must be a string")
         kind = _field(item, "kind", f"corpus entry {eid!r}")
         if eid in seen:
             raise AlgebraError(f"duplicate corpus id {eid!r}")
         if kind not in ("ring", "group"):
             raise AlgebraError(f"unknown corpus kind {kind!r} for {eid!r}")
         seen.add(eid)
-        spec = item.get("path") or item.get("builtin")
+        spec = item["path"] if "path" in item else item.get("builtin")
         if not spec or not isinstance(spec, str):
             raise AlgebraError(f"entry {eid!r} needs a path or builtin spec string")
         if "path" in item:

@@ -150,20 +150,6 @@ class Subgroup:
         return self.parent._cache[key]
 
 
-def subgroup(G: FiniteGroup, elems) -> Subgroup:
-    """Wrap a closed element set as a Subgroup (closure is verified)."""
-    elems = tuple(sorted(set(int(e) for e in elems)))
-    if G.identity not in elems:
-        raise InvalidArgumentError("subgroup must contain the identity")
-    hbool = np.zeros(G.n, dtype=bool)
-    hbool[list(elems)] = True
-    escapes = np.argwhere(~hbool[G.table[np.ix_(elems, elems)]])
-    if escapes.size:
-        a, b = (elems[i] for i in escapes[0])
-        raise InvalidArgumentError(f"set not closed: {a}*{b} escapes")
-    return Subgroup(G, elems)
-
-
 def closure(G: FiniteGroup, seed) -> Subgroup:
     """Subgroup generated by `seed` (right-multiplication reachability)."""
     gens = sorted(set(int(s) for s in seed))

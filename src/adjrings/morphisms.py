@@ -32,14 +32,11 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     center,
-    commutator_subgroup,
     generating_set,
     is_abelian_normal,
     is_normal,
     omega_subgroup,
-    quotient_group,
     reach,
-    subgroup,
 )
 from .report import CheckReport, verdict
 from .rings import FiniteRing
@@ -56,10 +53,12 @@ _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 def _candidate_grid(choices, what: str) -> np.ndarray:
     """Every choice of one value per list, as int32 rows in lexicographic
-    order, once their number passes the batch budget."""
-    if math.prod(map(len, choices)) > BATCH_BUDGET:
+    order, once their number passes the batch budget (one empty row when
+    there are no lists, as for the trivial group)."""
+    count = math.prod(map(len, choices))
+    if count > BATCH_BUDGET:
         raise BudgetError(f"{what} exceeds the batch budget")
-    return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(-1, len(choices))
+    return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(count, len(choices))
 
 
 def _chunked_all(U: np.ndarray, width: int, predicate) -> np.ndarray:
@@ -71,7 +70,7 @@ def _chunked_all(U: np.ndarray, width: int, predicate) -> np.ndarray:
 
 
 class _RowIndex:
-    """Vectorized exact-row lookup into a fixed matrix of image rows."""
+    """Vectorized exact-row lookup into a fixed matrix of distinct image rows."""
 
     def __init__(self, M: np.ndarray):
         Mc = np.ascontiguousarray(M)
@@ -80,6 +79,8 @@ class _RowIndex:
         void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
         self.order = np.argsort(void)
         self._sorted = void[self.order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise InvalidStructureError("duplicate image rows")
 
     def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices of each row plus a found mask; index is junk where not found."""
@@ -202,65 +203,6 @@ def _fill_der_rows(G: FiniteGroup, gens: list[int], C: np.ndarray) -> np.ndarray
     return U
 
 
-def _abelianization_coords(G: FiniteGroup):
-    """Invariant factors of G/G' and each element's coordinate row, kept in
-    `G._cache["abelianization"]`."""
-    if "abelianization" not in G._cache:
-        A, proj = quotient_group(G, commutator_subgroup(G))
-        factors, _, coords = table_decomposition([list(map(int, r)) for r in A.table], A.identity)
-        C = np.array([coords[proj[x]] for x in range(G.n)], np.int64).reshape(G.n, len(factors))
-        C.setflags(write=False)
-        G._cache["abelianization"] = tuple(factors), C
-    return G._cache["abelianization"]
-
-
-def _target_basis(ambient: FiniteGroup, elems) -> tuple[list[int], list[int]]:
-    """Invariant factors of an abelian subgroup and basis lifted to the ambient group."""
-    sub = subgroup(ambient, elems)
-    grp = sub.as_group()
-    if not grp.is_abelian():
-        raise InvalidArgumentError("target subgroup must be abelian")
-    factors, basis, _ = table_decomposition([list(map(int, r)) for r in grp.table], grp.identity)
-    return factors, [sub.elems[b] for b in basis]
-
-
-def _hom_matrix(G: FiniteGroup, ambient: FiniteGroup, elems) -> np.ndarray:
-    """All homomorphisms G -> <elems> as image rows, lexicographic over a basis.
-
-    Built structurally over the abelianization, then every row is re-verified
-    against the defining tables, so the construction cannot smuggle in a
-    non-homomorphism.
-    """
-    inv_a, C = _abelianization_coords(G)
-    q_inv, n_basis = _target_basis(ambient, elems)
-    powers = np.empty((ambient.n, max([*inv_a, *q_inv, 1])), dtype=np.int32)  # x^e
-    powers[:, 0] = ambient.identity
-    for e in range(1, powers.shape[1]):
-        powers[:, e] = ambient.table[powers[:, e - 1], np.arange(ambient.n)]
-    cand_lists = []
-    for a in inv_a:
-        # images of a generator of order a: products of b_j^(t q_j / gcd(a, q_j))
-        cands = np.array([ambient.identity], dtype=np.int32)
-        for j, q in enumerate(q_inv):
-            steps = powers[n_basis[j], :q:q // math.gcd(a, q)]
-            cands = ambient.table[cands[:, None], steps[None, :]].ravel()
-        cand_lists.append(cands)
-    total = 1
-    for c in cand_lists:
-        total *= len(c)
-    if total > BATCH_BUDGET:
-        raise BudgetError(f"{total} candidate homomorphisms exceed the batch budget")
-    U = np.full((1, G.n), ambient.identity, dtype=np.int32)
-    for i, (a, cands) in enumerate(zip(inv_a, cand_lists)):
-        col = powers[cands[:, None], C[None, :, i]]
-        U = ambient.table[U[:, None, :], col[None, :, :]].reshape(-1, G.n)
-    if np.unique(U, axis=0).shape[0] != U.shape[0]:
-        raise InvalidStructureError("structural homomorphisms collide")
-    if not _verify_hom_rows(G, ambient.table, U).all():
-        raise InvalidStructureError("structural homomorphism failed verification")
-    return U
-
-
 def _validate_coset_target(G: FiniteGroup, N: Subgroup) -> None:
     if N.parent is not G:
         raise InvalidArgumentError("target subgroup must live in the same group")
@@ -283,19 +225,19 @@ def _is_central(G: FiniteGroup, N: Subgroup) -> bool:
 
 def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     """All derivations G -> N as read-only image rows, kept in
-    `G._cache[("der", N.elems)]` once they pass the fixed batch budget."""
+    `G._cache[("der", N.elems)]` once they pass the fixed batch budget.
+
+    Candidates are generator values in N, extended by the twisted rule and
+    filtered by the cocycle check.  For a central N the twist is trivial, so
+    these rows are exactly Hom(G, N).
+    """
     _validate_module(G, N)
     if ("der", N.elems) in G._cache:
         return G._cache["der", N.elems]
-    if _is_central(G, N):
-        U = _hom_matrix(G, G, N.elems)
-        if not _verify_cocycle_rows(G, U).all():
-            raise InvalidStructureError("central derivation failed the twisted product rule")
-    else:
-        gens = generating_set(G)
-        C = _candidate_grid([sorted(N.elems)] * len(gens), "derivation search space")
-        U = _fill_der_rows(G, gens, C)
-        U = U[_verify_cocycle_rows(G, U) & np.isin(U, N.elems).all(axis=1)]
+    gens = generating_set(G)
+    C = _candidate_grid([sorted(N.elems)] * len(gens), "derivation search space")
+    U = _fill_der_rows(G, gens, C)
+    U = U[_verify_cocycle_rows(G, U) & np.isin(U, N.elems).all(axis=1)]
     U.setflags(write=False)
     G._cache["der", N.elems] = U
     return U
@@ -308,8 +250,6 @@ def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     generator images inside their N-cosets, extended multiplicatively and
     filtered by the homomorphism check.
     """
-    if G.n == 1:
-        return np.zeros((1, 1), dtype=np.int32)
     gens = generating_set(G)
     narr = np.array(sorted(N.elems))
     cosets = [sorted(int(v) for v in G.table[g, narr]) for g in gens]
@@ -374,8 +314,6 @@ def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray,
     m = M.shape[0]
     if m > TABLE_RING_CAP:
         raise BoundError(f"{name} has {m} members; table rings cap at {TABLE_RING_CAP}")
-    if len(np.unique(M, axis=0)) != m:
-        raise InvalidStructureError("duplicate members")
     index = _RowIndex(M)
     add = _row_table(m, index, lambda rows: G.table[M[rows, None], M], name)
     mul = _compose_table(M, index, name)
@@ -387,10 +325,14 @@ def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray,
 
 
 def hom_ring(G: FiniteGroup, S: Subgroup) -> tuple[FiniteRing, np.ndarray]:
-    """Ring of homomorphisms into a central subgroup S, and their image rows."""
+    """Ring of homomorphisms into a central subgroup S, and their image rows.
+
+    On a central S the twisted rule is the homomorphism rule, so Hom(G, S) is
+    Der(G, S) and the rows are the memoized derivation rows.
+    """
     if not _is_central(G, S):
         raise InvalidArgumentError("homomorphism ring needs a central target")
-    M = _hom_matrix(G, G, S.elems)
+    M = _der_matrix(G, S)
     return _rows_to_ring_tables(G, M, name=f"hom({G.name},S{S.order})")
 
 
@@ -447,8 +389,6 @@ class AutomorphismGroup:
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
         matrix = np.ascontiguousarray(matrix[np.lexsort(matrix.T[::-1])])
-        if (matrix[1:] == matrix[:-1]).all(axis=1).any():
-            raise InvalidStructureError("duplicate automorphisms")
         self.group = G
         self.matrix = matrix
         self._index = _RowIndex(matrix)
@@ -544,21 +484,16 @@ def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND) -> AutomorphismGroup
         raise BoundError(f"automorphism search capped at group order {bound}")
     if "aut" in G._cache:
         return G._cache["aut"]
-    if G.n == 1:
-        M = np.zeros((1, 1), dtype=np.int32)
-    elif G.is_abelian():
-        M = _hom_matrix(G, G, tuple(range(G.n)))
-    else:
-        gens = generating_set(G)
-        class_size = np.zeros(G.n, dtype=np.int64)
-        for cls in G.conjugacy_classes:
-            for x in cls:
-                class_size[x] = len(cls)
-        orders = G.element_orders
-        cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
-                      for g in gens]
-        U = _fill_endo_rows(G, gens, _candidate_grid(cand_lists, "automorphism candidate space"))
-        M = U[_verify_hom_rows(G, G.table, U)]
+    gens = generating_set(G)
+    class_size = np.zeros(G.n, dtype=np.int64)
+    for cls in G.conjugacy_classes:
+        for x in cls:
+            class_size[x] = len(cls)
+    orders = G.element_orders
+    cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
+                  for g in gens]
+    U = _fill_endo_rows(G, gens, _candidate_grid(cand_lists, "automorphism candidate space"))
+    M = U[_verify_hom_rows(G, G.table, U)]
     M = M[_bijective_rows(M, G.n)]
     if M.shape[0] > AUT_MEMBER_CAP:
         raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")

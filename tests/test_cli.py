@@ -200,7 +200,11 @@ def test_manifest_missing_field_exits_2(tmp_path, capsys, obj, field):
     (5, "entries must be a list"),
     ([{"id": "a", "kind": "group", "builtin": 7}], "needs a path or builtin spec string"),
     ([{"id": "a", "kind": "ring", "path": "{dir}"}], "{dir}"),
-], ids=["entries-not-a-list", "builtin-not-a-string", "path-is-a-directory"])
+    ([{"id": ["a"], "kind": "ring", "builtin": "z4"}], "id must be a string"),
+    ([{"id": "a", "kind": "ring", "path": "", "builtin": "z4"}],
+     "needs a path or builtin spec string"),
+], ids=["entries-not-a-list", "builtin-not-a-string", "path-is-a-directory",
+        "id-not-a-string", "empty-path-beside-builtin"])
 def test_manifest_malformed_exits_2(tmp_path, capsys, entries, message):
     text = json.dumps({"entries": entries}).replace("{dir}", str(tmp_path))
     (tmp_path / "m.json").write_text(text)

@@ -56,12 +56,11 @@ from adjrings.groups import (
     quotient_group,
     rank,
     semidihedral_group,
-    subgroup,
     subgroup_exponent,
     sylow_subgroup,
     upper_central_series,
 )
-from adjrings.morphisms import _target_basis
+from adjrings.morphisms import _der_matrix
 
 
 def subgroups_by_joins(G):
@@ -161,10 +160,6 @@ class TestValidation:
         with pytest.raises(BoundError, match="group order 257"):
             group_from_mult(list(range(257)), mult, "c257")
         assert calls == []
-
-    def test_subgroup_requires_closure(self):
-        with pytest.raises(InvalidArgumentError, match="closed"):
-            subgroup(cyclic_group(4), [0, 1])
 
 
 class TestSubgroups:
@@ -360,8 +355,9 @@ class TestBuilders:
         assert invariants(builtin_group("c2xc6")) == [6, 2]
         assert invariants(builtin_group("c4xc2")) == [4, 2]
         assert invariants(builtin_group("c9xc3")) == [9, 3]
-        with pytest.raises(InvalidArgumentError, match="must be abelian"):
-            _target_basis(dihedral_group(8), range(8))
+        d8 = dihedral_group(8)
+        with pytest.raises(InvalidArgumentError, match="module subgroup must be abelian"):
+            _der_matrix(d8, full_subgroup(d8))
 
     def test_builtin_products(self):
         g = builtin_group("c2xc2xc2")

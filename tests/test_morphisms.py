@@ -10,6 +10,7 @@ import pytest
 from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import BoundError, BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
+    Subgroup,
     abelian_normal_subgroups,
     agemo,
     builtin_group,
@@ -18,7 +19,6 @@ from adjrings.groups import (
     dihedral_group,
     full_subgroup,
     prime_of,
-    subgroup,
     sylow_subgroup,
     trivial_subgroup,
 )
@@ -31,9 +31,9 @@ from adjrings.morphisms import (
     _compose_table,
     _der_matrix,
     _endo_matrix,
-    _hom_matrix,
     _pair_kernel,
     _RowIndex,
+    _rows_to_ring_tables,
     _test_columns,
     _verify_cocycle_rows,
     _verify_hom_rows,
@@ -49,42 +49,51 @@ from adjrings.morphisms import (
 from adjrings.rings import nilpotency_class_ring
 
 
-# -- homomorphism enumeration ------------------------------------------------
+# -- homomorphisms into a central module --------------------------------------
+# On a central N the twisted rule d(xy) = d(x)^y d(y) is the homomorphism rule,
+# so the derivation rows into N are exactly Hom(G, N).
 
 
-def homs(G, H):
-    """Image rows of every homomorphism from G into the abelian group H."""
-    return _hom_matrix(G, H, range(H.n))
+def homs(G, N=None):
+    """Image rows of every homomorphism from G into its central subgroup N
+    (all of G by default, for an abelian G)."""
+    return _der_matrix(G, N or full_subgroup(G))
 
 
 def test_hom_counts_cyclic():
     # |Hom(Z_m, Z_n)| = gcd(m, n)
-    assert homs(cyclic_group(9), cyclic_group(3)).shape[0] == 3
-    assert homs(cyclic_group(12), cyclic_group(12)).shape[0] == 12
-    assert homs(cyclic_group(8), cyclic_group(5)).shape[0] == 1
+    c9, c12 = cyclic_group(9), cyclic_group(12)
+    assert homs(c9, agemo(c9, 1)).shape[0] == 3
+    assert homs(c12).shape[0] == 12
+    assert homs(c12, Subgroup(c12, (0, 4, 8))).shape[0] == 3  # into its C3
+    assert homs(c12, trivial_subgroup(c12)).shape[0] == 1
 
 
 def test_hom_count_quaternion_to_c2():
-    # Q8 abelianized is C2 x C2, so four maps to C2
-    rows = homs(builtin_group("q8"), cyclic_group(2))
+    # Q8 abelianized is C2 x C2, so four maps to its center C2
+    q8 = builtin_group("q8")
+    rows = homs(q8, center(q8))
     assert rows.shape[0] == 4
-    assert (rows == 0).all(axis=1).sum() == 1
+    assert (rows == q8.identity).all(axis=1).sum() == 1
 
 
 def test_hom_count_v4_self():
     v4 = builtin_group("c2xc2")
-    rows = homs(v4, v4)
+    rows = homs(v4)
     assert rows.shape[0] == 16
     assert np.unique(rows, axis=0).shape[0] == 16
+    assert _verify_hom_rows(v4, v4.table, rows).all()
 
 
 def test_homs_into_subgroup():
     c9 = cyclic_group(9)
     third = agemo(c9, 1)
     assert third.order == 3
-    rows = _hom_matrix(c9, c9, third.elems)
+    rows = homs(c9, third)
     assert rows.shape[0] == 3
     assert set(rows.ravel().tolist()) <= set(third.elems)
+    _, ring_rows = hom_ring(c9, third)
+    assert sorted(ring_rows.tolist()) == sorted(rows.tolist())
 
 
 def test_hom_composition_and_validation():
@@ -93,13 +102,25 @@ def test_hom_composition_and_validation():
 
 
 def test_hom_target_must_be_abelian():
-    with pytest.raises(InvalidArgumentError, match="must be abelian"):
-        homs(cyclic_group(2), builtin_group("q8"))
+    d8 = dihedral_group(8)
+    with pytest.raises(InvalidArgumentError, match="module subgroup must be abelian"):
+        _der_matrix(d8, full_subgroup(d8))
+    with pytest.raises(InvalidArgumentError, match="central target"):
+        hom_ring(d8, full_subgroup(d8))
 
 
 def test_hom_enumeration_is_deterministic():
-    g = builtin_group("c4xc2")
-    assert (homs(g, g) == homs(g, g)).all()
+    g, h = builtin_group("c4xc2"), builtin_group("c4xc2")
+    assert g is not h
+    assert (homs(g) == homs(h)).all()
+
+
+def test_trivial_group_has_one_map_of_each_kind():
+    c1 = builtin_group("c1")
+    one = [[c1.identity]]
+    assert homs(c1).tolist() == one
+    assert _endo_matrix(c1, full_subgroup(c1)).tolist() == one
+    assert aut_group(c1).matrix.tolist() == one
 
 
 # -- derivations ---------------------------------------------------------------
@@ -119,7 +140,7 @@ def test_derivation_count_dihedral_rotations():
     # d(r) may be any rotation, d(s) any of the four values with d(s)^s d(s)=e;
     # working the relations by hand gives 16 derivations into <r>
     d8 = dihedral_group(8)
-    rot = subgroup(d8, ROT8)
+    rot = Subgroup(d8, tuple(ROT8))
     assert _der_matrix(d8, rot).shape[0] == 16
     # the endomorphisms preserving the cosets of <r>, enumerated independently
     assert check_laue(d8, rot).computed["end_count"] == 16
@@ -127,7 +148,7 @@ def test_derivation_count_dihedral_rotations():
 
 def _d8_rotations():
     d8 = dihedral_group(8)
-    return d8, subgroup(d8, ROT8)
+    return d8, Subgroup(d8, tuple(ROT8))
 
 
 # each search has 16 (d8 into <r>) or 36 (q8: six candidates per generator)
@@ -147,14 +168,14 @@ def test_candidate_search_budget(monkeypatch, search, build, count, rows):
 
 def test_derivation_rejects_non_normal_module():
     d8 = dihedral_group(8)
-    refl = subgroup(d8, [0, 1])
+    refl = Subgroup(d8, (0, 1))
     with pytest.raises(InvalidArgumentError):
         _der_matrix(d8, refl)
 
 
 def test_derivation_validation_twisted_rule():
     d8 = dihedral_group(8)
-    rot = subgroup(d8, ROT8)
+    rot = Subgroup(d8, tuple(ROT8))
     # values stay in the module but d(r^3) contradicts d(r)
     row = np.array([[0, 0, 4, 0, 0, 0, 0, 0]])
     assert np.isin(row, rot.elems).all()
@@ -166,7 +187,7 @@ def test_derivation_validation_twisted_rule():
 
 def test_check_laue_passes_central_and_noncentral():
     d8 = dihedral_group(8)
-    rot = subgroup(d8, ROT8)
+    rot = Subgroup(d8, tuple(ROT8))
     rep = check_laue(d8, rot)
     assert rep.verdict == "pass"
     assert rep.computed["central"] is False
@@ -329,7 +350,7 @@ def test_hom_ring_quaternion_center_is_zero_ring():
 
 def test_der_ring_v4_projection_products():
     v4 = builtin_group("c2xc2")
-    axis = subgroup(v4, [0, 2])  # the (a, 0) coordinate line
+    axis = Subgroup(v4, (0, 2))  # the (a, 0) coordinate line
     ring, rows = der_ring(v4, axis)
     assert ring.order == 4
     idx = {tuple(img): i for i, img in enumerate(rows.tolist())}
@@ -350,6 +371,13 @@ def test_der_ring_full_module_of_c4_is_z4():
     assert nilpotency_class_ring(ring) is None  # has the identity map
     assert (rows[0] == c4.identity).all()  # the zero element is the zero derivation
     assert sorted(rows.tolist()) == sorted(_der_matrix(c4, full_subgroup(c4)).tolist())
+
+
+def test_table_ring_rejects_duplicate_rows():
+    c4 = cyclic_group(4)
+    rows = np.array([[0, 0, 0, 0], [0, 2, 0, 2], [0, 0, 0, 0]], dtype=np.int32)
+    with pytest.raises(InvalidStructureError, match="duplicate image rows"):
+        _rows_to_ring_tables(c4, rows, "test")
 
 
 def test_to_finite_ring_requires_prime_power():
@@ -406,7 +434,7 @@ def test_compose_table_rejects_missing_member():
 
 def test_aut_tables_are_associative():
     d8 = dihedral_group(8)
-    aut_n_table = aut_n(d8, subgroup(d8, ROT8))[0].table
+    aut_n_table = aut_n(d8, Subgroup(d8, tuple(ROT8)))[0].table
     aut_table = aut_group(builtin_group("q8")).as_group()[0].table
     for tab in (aut_n_table, aut_table):
         m = tab.shape[0]
@@ -498,7 +526,7 @@ def test_aut_sylow_orders_of_gl42():
 def test_aut_group_rejects_bad_member_rows():
     c4 = cyclic_group(4)
     ident, inv = [0, 1, 2, 3], [0, 3, 2, 1]
-    with pytest.raises(InvalidStructureError, match="duplicate automorphisms"):
+    with pytest.raises(InvalidStructureError, match="duplicate image rows"):
         AutomorphismGroup(c4, np.array([ident, inv, ident], dtype=np.int32))
     with pytest.raises(InvalidStructureError):
         AutomorphismGroup(c4, np.array([inv], dtype=np.int32))

@@ -7,17 +7,24 @@ g -> (x -> xg) is an isomorphism onto the PermutationGroup, and sympy computes
 every invariant there with its own algorithms, sharing no code with the
 Cayley-table kernels.  The groups are the builtin corpus groups, the
 adjoint groups of the left or right p-nil rings of the default corpus, and
-C3 wr C3.
+C3 wr C3.  The abelian invariants sympy computes also fix the number of maps
+the generator-image searches of morphisms.py must find: |Hom(A, B)| for
+abelian A and B, and |Aut(A)| for an abelian p-group A.
 """
+
+import math
 
 import pytest
 
+from adjrings.abelian import table_decomposition
 from adjrings.adjoint import adjoint_group
 from adjrings.cli import DEFAULT_GROUP_NAMES, default_corpus
 from adjrings.groups import (
+    abelian_normal_subgroups,
     builtin_group,
     center,
     commutator,
+    commutator_subgroup,
     from_permutations,
     full_subgroup,
     generating_set,
@@ -25,9 +32,10 @@ from adjrings.groups import (
     lower_p_central_series,
     nilpotency_class,
     prime_of,
+    quotient_group,
     sylow_subgroup,
 )
-from adjrings.morphisms import _abelianization_coords
+from adjrings.morphisms import _der_matrix, aut_group
 
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
@@ -75,7 +83,9 @@ def assert_matches_sympy(G):
     assert nilpotency_class(G) == (len(lower) - 1 if P.is_nilpotent else None)
     assert derived_orders(G) == [H.order() for H in P.derived_series()]
     assert len(G.conjugacy_classes) == len(P.conjugacy_classes())
-    assert primary_parts(_abelianization_coords(G)[0]) == sorted(P.abelian_invariants())
+    A, _ = quotient_group(G, commutator_subgroup(G))
+    factors = table_decomposition(A.table.tolist(), A.identity)[0]
+    assert primary_parts(factors) == sorted(P.abelian_invariants())
     for q in sympy.primefactors(G.n):
         assert sylow_subgroup(G, q).order == P.sylow_subgroup(q).order(), q
     p = prime_of(G)
@@ -106,3 +116,56 @@ def test_p_central_oracle_by_hand():
     assert p_central_orders(regular(builtin_group("m16")), 2) == [16, 4, 2, 1]
     # exponent 3 and class 2: P_2 = [G, G] = Z(G) of order 3, then P_3 = 1
     assert p_central_orders(regular(builtin_group("es27")), 3) == [27, 3, 1]
+
+
+SMALL_GROUP_NAMES = [name for name in DEFAULT_GROUP_NAMES if builtin_group(name).n <= 32]
+ABELIAN_P_GROUP_NAMES = [name for name in DEFAULT_GROUP_NAMES
+                         if builtin_group(name).is_abelian() and prime_of(builtin_group(name))]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUP_NAMES)
+def test_central_derivations_count_homs(name):
+    # on a central module the twisted rule is the hom rule, and
+    # |Hom(A, B)| = prod gcd(a_i, b_j) over cyclic decompositions of A = G/G' and B
+    G = builtin_group(name)
+    a = regular(G).abelian_invariants()
+    central = set(center(G).elems)
+    modules = [N for N in abelian_normal_subgroups(G) if set(N.elems) <= central]
+    assert modules
+    for N in modules:
+        b = regular(N.as_group()).abelian_invariants()
+        want = math.prod(math.gcd(x, y) for x in a for y in b)
+        assert _der_matrix(G, N).shape[0] == want, N.elems
+
+
+def hillar_rhea_order(p, exps):
+    """|Aut(Z/p^e_1 + ... + Z/p^e_n)|, e_1 <= ... <= e_n (C. J. Hillar and
+    D. L. Rhea, Automorphisms of finite abelian groups, Amer. Math. Monthly
+    114 (2007), Thm. 4.1): with d_k = max{l : e_l = e_k} and
+    c_k = min{l : e_l = e_k}, the order is
+    prod_k (p^d_k - p^(k-1)) * prod_j p^(e_j (n - d_j)) * prod_i p^((e_i - 1)(n - c_i + 1))."""
+    n, order = len(exps), 1
+    for k, ek in enumerate(sorted(exps), start=1):
+        d = sum(x <= ek for x in exps)
+        c = 1 + sum(x < ek for x in exps)
+        order *= (p ** d - p ** (k - 1)) * p ** (ek * (n - d)) * p ** ((ek - 1) * (n - c + 1))
+    return order
+
+
+def test_hillar_rhea_by_hand():
+    assert hillar_rhea_order(2, [1, 1, 1, 1]) == 20160  # |GL_4(2)|
+    assert hillar_rhea_order(3, [2, 2]) == 3888  # |GL_2(Z/9)|
+    assert hillar_rhea_order(3, [3, 1]) == 324
+    assert hillar_rhea_order(5, [1]) == 4
+
+
+def test_abelian_p_groups_are_all_found():
+    assert len(ABELIAN_P_GROUP_NAMES) == 27
+
+
+@pytest.mark.parametrize("name", ABELIAN_P_GROUP_NAMES)
+def test_abelian_aut_order_matches_hillar_rhea(name):
+    G = builtin_group(name)
+    p = prime_of(G)
+    exps = [sympy.multiplicity(p, q) for q in regular(G).abelian_invariants()]
+    assert aut_group(G, bound=81).order == hillar_rhea_order(p, exps)

@@ -5,6 +5,7 @@ import pytest
 from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
+    Subgroup,
     agemo,
     builtin_group,
     cyclic_group,
@@ -13,7 +14,6 @@ from adjrings.groups import (
     lower_p_central_series,
     prime_of,
     quotient_group,
-    subgroup,
     trivial_subgroup,
     upper_central_series,
 )
@@ -88,7 +88,7 @@ def quotient_exponent_log(upper, lower, p):
     """Oracle: log_p of the exponent of upper/lower, built as its own table."""
     H, lift = upper.as_group(), upper.elems
     pos = {x: i for i, x in enumerate(lift)}
-    Q, _ = quotient_group(H, subgroup(H, [pos[x] for x in lower.elems]))
+    Q, _ = quotient_group(H, Subgroup(H, tuple(sorted(pos[x] for x in lower.elems))))
     k = 0
     while p ** k < Q.exponent():
         k += 1
@@ -297,11 +297,11 @@ def test_der_subring_p_nil_anchors():
     rep = check_der_subring_p_nil(c8, agemo(c8, 1))
     assert rep.verdict == "pass" and rep.computed["subring_order"] == 2
     d8 = builtin_group("d8")
-    rep = check_der_subring_p_nil(d8, subgroup(d8, [0, 2, 4, 6]))
+    rep = check_der_subring_p_nil(d8, Subgroup(d8, (0, 2, 4, 6)))
     assert rep.verdict == "pass" and rep.computed["subring_order"] == 4
     q8 = builtin_group("q8")
     assert check_der_subring_p_nil(q8, trivial_subgroup(q8)).verdict == "pass"
-    assert check_der_subring_p_nil(d8, subgroup(d8, [0, 1])).verdict == "skipped"
+    assert check_der_subring_p_nil(d8, Subgroup(d8, (0, 1))).verdict == "skipped"
 
 
 def test_profile_consistency():
