@@ -2,17 +2,17 @@
 
 Two consumers: quotients of structure-constant rings (the ambient group is an
 explicit direct sum of cyclic p-groups) and opaque addition tables coming from
-homomorphism or derivation rings.  Both reduce to a Smith normal form over Z,
-so the invariant factors come out canonical and deterministic.
+homomorphism or derivation rings.  A table is presented by its own spanning
+search, one relation per generator.  Both reduce to a Smith normal form over
+Z, so the invariant factors come out canonical and deterministic, and the
+projection onto them gives every element's coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
-from .errors import BoundError, InvalidStructureError
-
-_KERNEL_CAP = 1 << 22
+from .errors import InvalidStructureError
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -40,9 +40,9 @@ def prime_power(n: int) -> tuple[int, int] | None:
 def smith_normal_form(rows: list[list[int]], cols: int):
     """Diagonalize the lattice spanned by `rows` inside Z^cols.
 
-    Returns (diag, v, vinv) where u @ A @ v is diagonal for some unimodular u,
-    diag[i] divides diag[i+1], and vinv is the inverse of v.  Only the column
-    transform is tracked; callers never need u.
+    Returns (diag, v) where u @ A @ v is diagonal for some unimodular u and
+    diag[i] divides diag[i+1].  Only the column transform is tracked; callers
+    never need u.
     """
     m = [list(r) for r in rows]
     n = len(m)
@@ -50,7 +50,6 @@ def smith_normal_form(rows: list[list[int]], cols: int):
         if len(r) != cols:
             raise InvalidStructureError("ragged relation matrix")
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -61,28 +60,16 @@ def smith_normal_form(rows: list[list[int]], cols: int):
             md[k] += c * ms[k]
 
     def swap_cols(i, j):
-        for row in m:
+        for row in m + v:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_col(src, dst, c):
-        # col_dst += c * col_src mirrors as row_src -= c * row_dst on the inverse
-        for row in m:
+        for row in m + v:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-        vs, vd = vinv[src], vinv[dst]
-        for k in range(cols):
-            vs[k] -= c * vd[k]
 
     def negate_col(i):
-        for row in m:
+        for row in m + v:
             row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        vinv[i] = [-x for x in vinv[i]]
 
     rank = min(n, cols)
     t = 0
@@ -134,27 +121,25 @@ def smith_normal_form(rows: list[list[int]], cols: int):
         t += 1
 
     diag = [m[i][i] if i < n else 0 for i in range(cols)]
-    return diag, v, vinv
+    return diag, v
 
 
 def quotient_decomposition(moduli: list[int], gen_rows: list[list[int]]):
     """Canonical form of (Z_m1 x ... x Z_md) / <gen_rows>.
 
-    Returns (factors, basis, project): nontrivial invariant factors in
-    descending order, a coordinate vector in the ambient group for each factor,
-    and project(vec) mapping an ambient vector to quotient coordinates.
+    Returns (factors, project): nontrivial invariant factors in descending
+    order, and project(vec) mapping an ambient vector to quotient coordinates.
     """
     d = len(moduli)
     rows = [list(r) for r in gen_rows]
     for i, q in enumerate(moduli):
         rows.append([q if j == i else 0 for j in range(d)])
-    diag, v, vinv = smith_normal_form(rows, d)
+    diag, v = smith_normal_form(rows, d)
     if any(x == 0 for x in diag):
         raise InvalidStructureError("quotient of a finite group came out infinite")
     kept = [i for i in range(d) if diag[i] > 1]
     kept.reverse()  # SNF ascends by divisibility; we want descending exponents
     factors = [diag[i] for i in kept]
-    basis = [tuple(vinv[i][j] % moduli[j] for j in range(d)) for i in kept]
 
     vt = [[v[i][j] for i in range(d)] for j in range(d)]  # columns of v
 
@@ -163,20 +148,7 @@ def quotient_decomposition(moduli: list[int], gen_rows: list[list[int]]):
             sum(vec[i] * vt[j][i] for i in range(d)) % diag[j] for j in kept
         )
 
-    return factors, basis, project
-
-
-def _table_orders(table, identity: int) -> list[int]:
-    n = len(table)
-    orders = [0] * n
-    for x in range(n):
-        acc = x
-        k = 1
-        while acc != identity:
-            acc = table[acc][x]
-            k += 1
-        orders[x] = k
-    return orders
+    return factors, project
 
 
 def table_decomposition(table, identity: int):
@@ -184,78 +156,35 @@ def table_decomposition(table, identity: int):
 
     Returns (factors, basis, coords): descending nontrivial invariant factors,
     one table index per factor, and a dict mapping every element index to its
-    coordinate tuple relative to the basis.
+    coordinate tuple relative to the basis.  Each element x outside the span
+    so far joins it with the least q such that q x = s lies in the span; the
+    relations q e_x - s present the group.
     """
     n = len(table)
-    if n == 1:
-        return [], [], {identity: ()}
-    orders = _table_orders(table, identity)
-    # greedy spanning set, largest orders first for a near-tight relation lattice
-    by_order = sorted(range(n), key=lambda x: (-orders[x], x))
-    span = {identity}
-    gens: list[int] = []
-    for x in by_order:
-        if x in span:
-            continue
-        gens.append(x)
-        new_span = set()
-        for s in span:
-            acc = s
-            for _ in range(orders[x]):
-                new_span.add(acc)
-                acc = table[acc][x]
-        span = new_span
+    span = {identity: ()}  # element -> its multiples of the generators so far
+    relations: list[list[int]] = []
+    for x in range(n):
         if len(span) == n:
             break
+        if x in span:
+            continue
+        acc, q = table[x][x], 2
+        while acc not in span:
+            acc, q = table[acc][x], q + 1
+        relations = [r + [0] for r in relations] + [[-c for c in span[acc]] + [q]]
+        grown = {}
+        for s, c in span.items():
+            for j in range(q):
+                grown[s] = c + (j,)
+                s = table[s][x]
+        span = grown
     if len(span) != n:
         raise InvalidStructureError("spanning set failed to close; table not a group?")
-
-    qs = [orders[g] for g in gens]
-    total = 1
-    for q in qs:
-        total *= q
-    if total > _KERNEL_CAP:
-        raise BoundError(f"relation search space {total} too large")
-
-    multiples = []
-    for g, q in zip(gens, qs):
-        row = [identity]
-        for _ in range(q - 1):
-            row.append(table[row[-1]][g])
-        multiples.append(row)
-
-    kernel = []
-    for combo in itertools.product(*(range(q) for q in qs)):
-        acc = identity
-        for mult, c in zip(multiples, combo):
-            acc = table[acc][mult[c]]
-        if acc == identity and any(combo):
-            kernel.append(list(combo))
-
-    k = len(gens)
-    factors, basis_rows, _ = quotient_decomposition(qs, kernel)
-    basis = []
-    for row in basis_rows:
-        acc = identity
-        for mult, c in zip(multiples, row):
-            acc = table[acc][mult[c % len(mult)]]
-        basis.append(acc)
-
-    # walk the coordinate grid once to invert the basis map
-    coords: dict[int, tuple[int, ...]] = {}
-    basis_multiples = []
-    for b, f in zip(basis, factors):
-        row = [identity]
-        for _ in range(f - 1):
-            row.append(table[row[-1]][b])
-        basis_multiples.append(row)
-    for combo in itertools.product(*(range(f) for f in factors)):
-        acc = identity
-        for mult, c in zip(basis_multiples, combo):
-            acc = table[acc][mult[c]]
-        if acc in coords:
-            raise InvalidStructureError("basis candidate is not independent")
-        coords[acc] = tuple(combo)
-    if len(coords) != n:
-        raise InvalidStructureError("basis does not span the group")
+    factors, project = quotient_decomposition([n] * len(relations), relations)
+    coords = {x: project(c) for x, c in span.items()}
+    inverse = {c: x for x, c in coords.items()}
+    if len(inverse) != n or math.prod(factors) != n:
+        raise InvalidStructureError("coordinate map is not a bijection")
+    basis = [inverse[tuple(int(i == k) for i in range(len(factors)))]
+             for k in range(len(factors))]
     return factors, basis, coords

@@ -529,20 +529,10 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     """
     if not is_normal(G, N):
         raise InvalidArgumentError("quotient needs a normal subgroup")
-    narr = np.array(N.elems)
-    proj = np.full(G.n, -1, dtype=np.int64)
-    reps = []
-    for x in range(G.n):
-        if proj[x] >= 0:
-            continue
-        coset = np.sort(G.table[x, narr])
-        proj[coset] = len(reps)
-        reps.append(int(coset[0]))
-    order_ids = sorted(range(len(reps)), key=lambda i: reps[i])
-    relabel = {old: new for new, old in enumerate(order_ids)}
-    proj = np.array([relabel[int(c)] for c in proj])
-    reps = [reps[i] for i in order_ids]
-    qtab = proj[G.table[np.ix_(np.array(reps), np.array(reps))]]
+    rep = G.table[:, np.array(N.elems)].min(axis=1)  # least element of each coset xN
+    reps = np.unique(rep)
+    proj = np.searchsorted(reps, rep)
+    qtab = proj[G.table[np.ix_(reps, reps)]]
     q = FiniteGroup(qtab, identity=int(proj[G.identity]), name=f"{G.name}/N{N.order}")
     return q, [int(x) for x in proj]
 

@@ -282,7 +282,8 @@ def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np
         raise InvalidStructureError("tables must be square and same-sized")
     if min(add.min(), mul.min()) < 0 or max(add.max(), mul.max()) >= m:
         raise InvalidStructureError("table entries out of range")
-    # a zero row and column and Latin columns keep the decomposition finite
+    # a zero row and column and Latin columns keep the decomposition finite: each
+    # multiples loop is an orbit of a column permutation, so it returns to zero
     if not (0 <= zero < m and (add[zero] == every).all() and (add[:, zero] == every).all()):
         raise InvalidStructureError(f"element {zero} is not an additive zero")
     if not (np.sort(add, axis=0) == every[:, None]).all():

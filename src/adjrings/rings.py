@@ -376,21 +376,21 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
         raise InvalidArgumentError("ideal is not an additive subgroup")
     if not _is_ideal(ring, np.isin(np.arange(ring.order), ring.indices(ideal))):
         raise InvalidArgumentError("subgroup is not a two-sided ideal")
-    factors, basis_rows, project = quotient_decomposition(
-        list(ring.moduli), [list(x) for x in ideal]
-    )
+    factors, project = quotient_decomposition(list(ring.moduli), [list(x) for x in ideal])
     exps = []
     for f in factors:
         pk = prime_power(f)
         if pk is None or pk[0] != ring.p:
             raise InvalidStructureError("quotient factor is not a power of p")
         exps.append(pk[1])
-    lifts = [ring.check_element(row) for row in basis_rows]
+    # any lift of a unit vector will do: products of cosets are well defined
+    lift = {project(x): x for x in ring.elements()}
+    lifts = [lift[tuple(int(i == k) for i in range(len(factors)))] for k in range(len(factors))]
     tensor = [[list(project(ring.mul(a, b))) for b in lifts] for a in lifts]
     q = FiniteRing(ring.p, exps, tensor, name=f"{ring.name}/I{len(ideal)}")
 
     def proj(x: Element) -> Element:
-        return tuple(project(ring.check_element(x)))
+        return project(ring.check_element(x))
 
     return q, proj
 

@@ -7,9 +7,7 @@ from the defining presentations.
 
 import itertools
 import json
-import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +29,6 @@ from adjrings.groups import (
     cyclic_group,
     dicyclic_group,
     dihedral_group,
-    direct_product,
     enumerate_subgroups,
     frattini,
     frattini_via_maximals,
@@ -294,6 +291,21 @@ class TestQuotients:
         q8 = builtin_group("q8")
         q, _ = quotient_group(q8, center(q8))
         assert q.n == 4 and q.exponent() == 2
+
+    @pytest.mark.parametrize("name", ["d8", "q8", "c4xc2", "a4", "m16", "es27"])
+    def test_matches_coset_reference(self, name):
+        # cosets rN listed by least representative r, membership read off r n
+        G = builtin_group(name)
+        table = G.table.tolist()
+        for N in enumerate_subgroups(G):
+            if not is_normal(G, N):
+                continue
+            q, proj = quotient_group(G, N)
+            reps = sorted({min(table[x][n] for n in N.elems) for x in range(G.n)})
+            coset = {table[r][n]: i for i, r in enumerate(reps) for n in N.elems}
+            assert proj == [coset[x] for x in range(G.n)]
+            assert q.identity == coset[G.identity]
+            assert q.table.tolist() == [[coset[table[a][b]] for b in reps] for a in reps]
 
     def test_rejects_non_normal(self):
         d8 = dihedral_group(8)

@@ -6,13 +6,19 @@ pin the tables to `FiniteRing.add`/`mul`, pin the adjoint construction to the
 element-by-element double loop it replaced, and check that the vectorized
 assertions still fire on tampered tables.  `to_finite_ring`, the table
 constructor of FiniteRing, must refuse every table that breaks a ring law.
+`table_decomposition`, which gives it coordinates, must not depend on where
+the table puts its elements.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from adjrings import morphisms
+from adjrings.abelian import table_decomposition
 from adjrings.adjoint import adjoint_group, omega_circle_set
+from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import InvalidStructureError
 from adjrings.groups import builtin_group, center
 from adjrings.morphisms import der_ring, to_finite_ring
@@ -202,3 +208,33 @@ def test_corrupted_witness_map_fires(monkeypatch):
     _patched_coords(monkeypatch, lambda c: {k: tuple(reversed(v)) for k, v in c.items()})
     with pytest.raises(InvalidStructureError, match="witness map breaks multiplication"):
         to_finite_ring(XOR4, F2_Z2, 0)
+
+
+ABELIAN_NAMES = [name for name in DEFAULT_GROUP_NAMES if builtin_group(name).is_abelian()]
+
+
+def _name_invariants(name):
+    """Invariant factors read off a name "c<a1>xc<a2>x...", descending."""
+    factors = sorted((int(c[1:]) for c in name.split("x") if c != "c1"), reverse=True)
+    assert all(a % b == 0 for a, b in zip(factors, factors[1:])), name
+    return factors
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ABELIAN_NAMES)
+def test_table_decomposition_of_relabelled_table(name, seed):
+    G = builtin_group(name)
+    n = G.n
+    perm = np.random.default_rng(seed).permutation(n)
+    if n > 1 and perm[G.identity] == 0:
+        perm = (perm + 1) % n  # move the identity off index 0
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    factors, basis, coords = table_decomposition(table.tolist(), int(perm[G.identity]))
+    assert factors == _name_invariants(name)
+    # coords is a bijection onto Z_f1 x ... x Z_fr carrying the table to coordinate addition
+    assert sorted(coords) == list(range(n))
+    at = np.array([coords[x] for x in range(n)], dtype=np.int64).reshape(n, len(factors))
+    assert set(map(tuple, at.tolist())) == set(itertools.product(*map(range, factors)))
+    assert ((at[:, None] + at) % np.array(factors, dtype=np.int64) == at[table]).all()
+    assert [list(coords[b]) for b in basis] == np.eye(len(factors), dtype=int).tolist()

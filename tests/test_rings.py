@@ -8,7 +8,6 @@ identified with the integers they represent.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from adjrings.adjoint import adjoint_group, omega_circle_set
+from adjrings.cli import default_corpus
 from adjrings.errors import (
     BudgetError,
     HypothesisError,
@@ -39,7 +39,6 @@ from adjrings.rings import (
     right_annihilator,
     ring_from_json,
     ring_power_chain,
-    ring_to_json,
     save_ring,
     unital_ring,
     zero_ring,
@@ -162,6 +161,23 @@ def test_z4_annihilators_and_quotient():
     assert q.mul(one, one) == one
     with pytest.raises(InvalidArgumentError):
         quotient_ring(z4, [(0,), (1,)])  # not a subgroup of index compatible... not closed
+
+
+QUOTIENT_RINGS = [e.obj for e in default_corpus() if e.kind == "ring" and e.obj.tensor.any()][::7]
+
+
+@pytest.mark.parametrize("ring", QUOTIENT_RINGS, ids=lambda r: r.name)
+def test_quotient_projection_is_a_ring_homomorphism(ring):
+    ideals = [(ring.zero(),), *ring_power_chain(ring)[1:],
+              *(omega_additive(ring, n) for n in range(1, max(ring.exps) + 1))]
+    elems = list(ring.elements())
+    for ideal in ideals:
+        q, proj = quotient_ring(ring, ideal)
+        at = q.indices(proj(x) for x in elems)
+        assert (q.tables.add[at[:, None], at] == at[ring.tables.add]).all()
+        assert (q.tables.mul[at[:, None], at] == at[ring.tables.mul]).all()
+        assert set(at.tolist()) == set(range(q.order))
+        assert ring.elements_at(at == q.index(q.zero())) == tuple(sorted(ideal))
 
 
 def test_unital_rings_not_p_nil():
