@@ -308,36 +308,20 @@ def lower_p_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 
 def frattini(G: FiniteGroup) -> Subgroup:
-    """Frattini subgroup; for p-groups computed as (commutator)(p-th powers)."""
+    """Frattini subgroup of a p-group: G'G^p (Burnside's basis theorem)."""
     if "frattini" in G._cache:
         return G._cache["frattini"]
     p = prime_of(G)
+    if p is None and G.n > 1:
+        raise InvalidArgumentError("frattini needs a p-group")
     if G.n == 1:
         out = trivial_subgroup(G)
-    elif p is not None:
+    else:
         gens = set(int(x) for x in np.unique(power_map(G, p)))
         gens |= set(commutator_subgroup(G).elems)
         out = closure(G, gens)
-    else:
-        out = frattini_via_maximals(G)
     G._cache["frattini"] = out
     return out
-
-
-def frattini_via_maximals(G: FiniteGroup) -> Subgroup:
-    """Intersection of maximal subgroups, from the full subgroup lattice."""
-    subs = [s for s in enumerate_subgroups(G) if s.order < G.n]
-    if not subs:
-        return full_subgroup(G)
-    maximal = []
-    for h in subs:
-        hset = set(h.elems)
-        if not any(hset < set(k.elems) for k in subs if k.order > h.order):
-            maximal.append(h)
-    common = set(maximal[0].elems)
-    for h in maximal[1:]:
-        common &= set(h.elems)
-    return Subgroup(G, tuple(sorted(common)))
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
@@ -662,10 +646,12 @@ def semidihedral_group(order: int) -> FiniteGroup:
 
 
 def modular_group(order: int) -> FiniteGroup:
-    """The modular (Iwasawa) group of order p^k, k >= 3."""
+    """The modular (Iwasawa) group of order p^k: k >= 3 for odd p, k >= 4 for
+    p = 2 (the construction at order 8 gives D_8)."""
     pk = prime_power(order)
-    if pk is None or pk[1] < 3:
-        raise InvalidArgumentError("modular groups need order p^k with k >= 3")
+    if pk is None or pk[1] < (4 if pk[0] == 2 else 3):
+        raise InvalidArgumentError("modular groups need order p^k with k >= 3, "
+                                   "and k >= 4 when p = 2")
     p, k = pk
     return semidirect_cyclic(order // p, p, 1 + order // (p * p), name=f"m{order}")
 
@@ -805,9 +791,9 @@ def builtin_group(name: str) -> FiniteGroup:
     if name == "c4sc4":
         g = semidirect_cyclic(4, 4, 3, name="c4sc4")
         return g
-    if name.startswith("es_p3_"):
-        return heisenberg_group(int(name[6:]))
     try:
+        if name.startswith("es_p3_"):
+            return heisenberg_group(int(name[6:]))
         if name.startswith("sd"):
             return semidihedral_group(int(name[2:]))
         if name.startswith("c"):

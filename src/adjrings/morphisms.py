@@ -417,9 +417,6 @@ class AutomorphismGroup:
             k += 1
         return orders
 
-    def exponent(self) -> int:
-        return math.lcm(*self.member_orders.tolist())
-
     def as_group(self) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
         m = self.order
         if m > MAX_ORDER:

@@ -113,10 +113,11 @@ class FiniteRing:
     """Structure-constant ring on a direct sum of cyclic p-groups.
 
     `mul[i][j]` is the coordinate vector of the product of basis elements i, j,
-    kept reduced as the exact (d, d, d) integer array `tensor` (dtype object)
-    and as the nested tuples `mul_tensor`.  Construction verifies
-    well-definedness (`_slot_steps`) and associativity on every basis triple
-    (`_associative_mask`), which trilinearity extends to the whole ring.
+    kept reduced as the exact (d, d, d) integer array `tensor` (dtype object).
+    Construction verifies well-definedness (`_slot_steps`) and associativity
+    on every basis triple (`_associative_mask`), which trilinearity extends to
+    the whole ring.  Element arithmetic is read off the index tables `tables`,
+    built on first use for rings of at most TABLE_CAP elements.
 
     Memo rule: attributes are `cached_property`s; objects built by module
     functions are kept in `_cache[key]`, after that function's bound gates.
@@ -136,7 +137,6 @@ class FiniteRing:
         tensor = np.frompyfunc(_integer, 2, 1)(tensor.reshape((d,) * 3), "coefficient")
         self.tensor = tensor % np.array(self.moduli, dtype=object)
         self.tensor.flags.writeable = False
-        self.mul_tensor = tuple(tuple(map(tuple, plane)) for plane in self.tensor.tolist())
         self._validate()
         self._cache: dict = {}
 
@@ -155,25 +155,9 @@ class FiniteRing:
 
     # -- elements -------------------------------------------------------------
 
-    def zero(self) -> Element:
-        return (0,) * self.dim
-
     def elements(self):
         """All elements in lexicographic coordinate order."""
         return (tuple(t) for t in itertools.product(*(range(m) for m in self.moduli)))
-
-    def index(self, x: Element) -> int:
-        idx = 0
-        for c, m in zip(x, self.moduli):
-            idx = idx * m + c
-        return idx
-
-    def element(self, idx: int) -> Element:
-        coords = []
-        for m in reversed(self.moduli):
-            coords.append(idx % m)
-            idx //= m
-        return tuple(reversed(coords))
 
     def check_element(self, x: Element) -> Element:
         if len(x) != self.dim:
@@ -215,28 +199,6 @@ class FiniteRing:
         for arr in out:
             arr.flags.writeable = False
         return out
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def mul(self, x: Element, y: Element) -> Element:
-        acc = [0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = self.mul_tensor[i][j]
-                c = xi * yj
-                for k in range(self.dim):
-                    acc[k] += c * row[k]
-        return tuple(a % m for a, m in zip(acc, self.moduli))
-
-    def circle(self, x: Element, y: Element) -> Element:
-        return self.add(self.add(x, y), self.mul(x, y))
 
     # -- structural predicates -------------------------------------------------
 
@@ -385,8 +347,10 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
         exps.append(pk[1])
     # any lift of a unit vector will do: products of cosets are well defined
     lift = {project(x): x for x in ring.elements()}
-    lifts = [lift[tuple(int(i == k) for i in range(len(factors)))] for k in range(len(factors))]
-    tensor = [[list(project(ring.mul(a, b))) for b in lifts] for a in lifts]
+    idx = ring.indices(lift[tuple(int(i == k) for i in range(len(factors)))]
+                       for k in range(len(factors)))
+    products = ring.tables.coords[ring.tables.mul[np.ix_(idx, idx)]]
+    tensor = [[project(tuple(x)) for x in row] for row in products.tolist()]
     q = FiniteRing(ring.p, exps, tensor, name=f"{ring.name}/I{len(ideal)}")
 
     def proj(x: Element) -> Element:
@@ -498,7 +462,7 @@ def ring_to_json(ring: FiniteRing) -> dict:
     return {
         "p": ring.p,
         "exps": list(ring.exps),
-        "mul": [[list(entry) for entry in plane] for plane in ring.mul_tensor],
+        "mul": ring.tensor.tolist(),
     }
 
 

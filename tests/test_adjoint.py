@@ -8,6 +8,8 @@ from adjrings.adjoint import adjoint_group, omega_circle_set
 from adjrings.groups import min_generators, nilpotency_class
 from adjrings.rings import multiples_ring, omega_additive, unital_ring, zero_ring
 
+import oracle
+
 
 def test_3z27_adjoint_is_cyclic9():
     ring = multiples_ring(3, 27)
@@ -21,7 +23,7 @@ def test_3z27_adjoint_is_cyclic9():
 def test_3z27_omega_matches_additive():
     ring = multiples_ring(3, 27)
     # integers 0, 9, 18 are the multiples of 3 with circle-cube zero mod 27
-    expected = tuple(sorted([ring.zero(), (3,), (6,)]))
+    expected = tuple(sorted([oracle.zero(ring), (3,), (6,)]))
     assert omega_circle_set(ring, 1) == expected
     assert tuple(sorted(omega_additive(ring, 1))) == expected
 
@@ -75,5 +77,5 @@ def test_omega_circle_vs_group_orders():
 def test_adjoint_group_member_zero_first():
     ring = multiples_ring(2, 8)
     adj = adjoint_group(ring)
-    assert adj.members[0] == ring.zero()
+    assert adj.members[0] == oracle.zero(ring)
     assert adj.group.identity == 0

@@ -103,6 +103,13 @@ def test_group_info_trivial(capsys):
     assert "trivial" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["es_p3_ab", "m8"])
+def test_group_info_unknown_builtin_exits_2(capsys, name):
+    assert main(["group-info", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_group_info_non_p_group(capsys):
     assert main(["group-info", "d12"]) == 0
     out = capsys.readouterr().out
@@ -203,8 +210,9 @@ def test_manifest_missing_field_exits_2(tmp_path, capsys, obj, field):
     ([{"id": ["a"], "kind": "ring", "builtin": "z4"}], "id must be a string"),
     ([{"id": "a", "kind": "ring", "path": "", "builtin": "z4"}],
      "needs a path or builtin spec string"),
+    ([{"id": "a", "kind": "group", "builtin": "es_p3_q"}], "unknown group name 'es_p3_q'"),
 ], ids=["entries-not-a-list", "builtin-not-a-string", "path-is-a-directory",
-        "id-not-a-string", "empty-path-beside-builtin"])
+        "id-not-a-string", "empty-path-beside-builtin", "builtin-group-not-a-name"])
 def test_manifest_malformed_exits_2(tmp_path, capsys, entries, message):
     text = json.dumps({"entries": entries}).replace("{dir}", str(tmp_path))
     (tmp_path / "m.json").write_text(text)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjrings.abelian import table_decomposition
+from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import (
     BoundError,
     InvalidArgumentError,
@@ -31,7 +32,6 @@ from adjrings.groups import (
     dihedral_group,
     enumerate_subgroups,
     frattini,
-    frattini_via_maximals,
     full_subgroup,
     generating_set,
     group_from_json,
@@ -49,6 +49,7 @@ from adjrings.groups import (
     pauli_group,
     power_map,
     power_commutator_subgroup,
+    prime_of,
     central_target,
     quotient_group,
     rank,
@@ -58,6 +59,8 @@ from adjrings.groups import (
     upper_central_series,
 )
 from adjrings.morphisms import _der_matrix
+
+import oracle
 
 
 def subgroups_by_joins(G):
@@ -220,13 +223,19 @@ class TestPGroupToolbox:
         assert is_p_central(builtin_group("c9xc3"))
 
     def test_frattini(self):
-        d8 = dihedral_group(8)
-        assert frattini(d8).order == 2
-        assert frattini(d8).elems == frattini_via_maximals(d8).elems
-        q8 = builtin_group("q8")
-        assert frattini(q8).order == 2
-        assert frattini(q8).elems == frattini_via_maximals(q8).elems
-        assert frattini(alternating4()).order == 1
+        assert frattini(dihedral_group(8)).order == 2
+        assert frattini(builtin_group("q8")).order == 2
+        # G'G^p against the intersection of maximal subgroups, on every
+        # builtin p-group small enough for the full subgroup lattice
+        groups = [builtin_group(name) for name in DEFAULT_GROUP_NAMES]
+        p_groups = [G for G in groups if prime_of(G) is not None and G.n <= 128]
+        assert len(p_groups) == 44
+        for G in p_groups:
+            assert frattini(G).elems == oracle.frattini_via_maximals(G).elems, G.name
+        # only p-groups have a Frattini subgroup here
+        for G in (alternating4(), cyclic_group(6), cyclic_group(12)):
+            with pytest.raises(InvalidArgumentError, match="p-group"):
+                frattini(G)
 
     def test_p_central_series(self):
         q8 = builtin_group("q8")
@@ -379,6 +388,15 @@ class TestBuilders:
     def test_unknown_name(self):
         with pytest.raises(InvalidArgumentError):
             builtin_group("frobnitz")
+        for name in ("es_p3_ab", "es_p3_q", "es_p3_"):
+            with pytest.raises(InvalidArgumentError, match="unknown group name"):
+                builtin_group(name)
+
+    def test_modular_needs_order_16_for_p_2(self):
+        # the order-8 construction C4 x| C2 with x -> x^3 is D8
+        with pytest.raises(InvalidArgumentError, match="k >= 4 when p = 2"):
+            modular_group(8)
+        assert modular_group(16).n == 16 and modular_group(27).n == 27
 
     def test_centralizer(self):
         d8 = dihedral_group(8)

@@ -4,6 +4,8 @@ Counts marked with a source are classical values or were derived by hand from
 the defining relations; nothing here is copied from the code under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -489,7 +491,7 @@ def test_aut_group_gl42_order():
 
 def test_aut_group_exponent_and_member_orders():
     auts = aut_group(builtin_group("q8"))
-    assert auts.exponent() == 12  # S4
+    assert math.lcm(*auts.member_orders.tolist()) == 12  # S4
     assert sorted(set(auts.member_orders)) == [1, 2, 3, 4]
 
 

@@ -2,9 +2,9 @@
 
 The adjoint group, the circle torsion layers and the structure-constant form
 of a table ring are all read off the `add`/`mul` index tables.  These tests
-pin the tables to `FiniteRing.add`/`mul`, pin the adjoint construction to the
-element-by-element double loop it replaced, and check that the vectorized
-assertions still fire on tampered tables.  `to_finite_ring`, the table
+pin the tables to the per-element arithmetic of `oracle.py`, pin the adjoint
+construction to the element-by-element double loop it replaced, and check
+that the vectorized assertions still fire on tampered tables.  `to_finite_ring`, the table
 constructor of FiniteRing, must refuse every table that breaks a ring law.
 `table_decomposition`, which gives it coordinates, must not depend on where
 the table puts its elements.
@@ -23,6 +23,8 @@ from adjrings.errors import InvalidStructureError
 from adjrings.groups import builtin_group, center
 from adjrings.morphisms import der_ring, to_finite_ring
 from adjrings.rings import enumerate_rings, multiples_ring, unital_ring, zero_ring
+
+import oracle
 
 
 def _der_c4xc2():
@@ -51,15 +53,15 @@ def _old_adjoint(ring):
     circle = np.zeros((ring.order, ring.order), dtype=np.int32)
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
-            circle[i, j] = ring.index(ring.circle(x, y))
-    zero_idx = ring.index(ring.zero())
+            circle[i, j] = oracle.index(ring, oracle.circle(ring, x, y))
+    zero_idx = oracle.index(ring, oracle.zero(ring))
     left = set(np.flatnonzero((circle == zero_idx).any(axis=1)))
     right = set(np.flatnonzero((circle == zero_idx).any(axis=0)))
     member_idx = sorted(left & right)
     pos = {ri: gi for gi, ri in enumerate(member_idx)}
     sub = circle[np.ix_(member_idx, member_idx)]
     table = np.array([[pos[int(v)] for v in row] for row in sub])
-    return [ring.element(i) for i in member_idx], table
+    return [oracle.element(ring, i) for i in member_idx], table
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
@@ -68,10 +70,10 @@ def test_tables_match_reference_arithmetic(ring):
     elems = list(ring.elements())
     assert [tuple(c) for c in t.coords.tolist()] == elems
     for i, x in enumerate(elems):
-        assert t.neg[i] == ring.index(ring.check_element(tuple(-c for c in x)))
+        assert t.neg[i] == oracle.index(ring, ring.check_element(tuple(-c for c in x)))
         for j, y in enumerate(elems):
-            assert t.add[i, j] == ring.index(ring.add(x, y))
-            assert t.mul[i, j] == ring.index(ring.mul(x, y))
+            assert t.add[i, j] == oracle.index(ring, oracle.add(ring, x, y))
+            assert t.mul[i, j] == oracle.index(ring, oracle.mul(ring, x, y))
     assert not (t.add.flags.writeable or t.mul.flags.writeable)
 
 
@@ -89,10 +91,10 @@ def test_omega_circle_set_matches_iterated_circle(ring):
         q = ring.p ** n
         expected = []
         for x in ring.elements():
-            acc = ring.zero()
+            acc = oracle.zero(ring)
             for _ in range(q):
-                acc = ring.circle(acc, x)
-            if acc == ring.zero():
+                acc = oracle.circle(ring, acc, x)
+            if acc == oracle.zero(ring):
                 expected.append(x)
         assert omega_circle_set(ring, n) == tuple(expected)
 
