@@ -21,31 +21,25 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .adjoint import adjoint_group
-from .errors import AlgebraError, InvalidStructureError
+from .errors import AlgebraError, BoundError, BudgetError, InvalidStructureError
 from .groups import (
-    SUBGROUP_BOUND,
     FiniteGroup,
-    abelian_normal_subgroups,
     builtin_group,
     center,
     central_target,
-    commutator_subgroup,
-    frattini,
     load_group,
     lower_central_series,
     min_generators,
     nilpotency_class,
-    omega_subgroup,
-    power_commutator_subgroup,
     prime_of,
     upper_central_series,
 )
-from .morphisms import AUT_ORDER_BOUND, check_laue, der_ring, hom_ring
+from .morphisms import der_ring, hom_ring
+from .report import skipped
 from .rings import (
     ENUM_BUDGET,
     FiniteRing,
@@ -57,30 +51,14 @@ from .rings import (
     zero_ring,
 )
 from .verify import (
-    check_adjoint_rank,
-    check_annihilator_ideal,
-    check_aut_center_exponent,
-    check_aut_exponent,
-    check_aut_gen_bound,
-    check_aut_gen_bound_abelian,
-    check_central_aut,
-    check_central_aut_class,
-    check_der_subring_p_nil,
-    check_frattini_aut_class,
-    check_nilpotency_bound,
-    check_omega_correspondence,
-    check_p_central_adjoint,
-    check_profile_consistency,
-    check_quotient_p_nil,
-    check_sylow_rank,
+    ALL_CHECKS,
+    CHECKS,
+    DEFAULT_FLAGS,
+    MODULE_SWEEP_CAP,
     group_profile,
-    probe_sylow_center,
-    probe_two_nil_improvement,
     ring_profile,
 )
 
-# groups small enough to sweep every abelian normal subgroup as a module
-MODULE_SWEEP_CAP = 16
 HARVEST_MAP_CAP = 256
 
 DEFAULT_GROUP_NAMES = (
@@ -96,16 +74,6 @@ DEFAULT_GROUP_NAMES = (
     "c32", "c4xc8", "c2xc16", "d32", "q32", "sd32", "m32",
     "c81", "c27xc3", "c9xc9",
 )
-
-_NAMED_MODULES = (
-    ("center", center),
-    ("commutator", commutator_subgroup),
-    ("frattini", frattini),
-    ("power-commutator", power_commutator_subgroup),
-    ("central-target", central_target),
-    ("omega1", lambda G: omega_subgroup(G, 1)),
-)
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -212,105 +180,6 @@ _CORPUS: dict[str, CorpusEntry] = {}
 _FLAGS: dict[str, int] = {}
 
 
-def _module_by_label(G: FiniteGroup, label: str):
-    if label.startswith("an"):
-        return abelian_normal_subgroups(G)[int(label[2:])]
-    for key, fn in _NAMED_MODULES:
-        if key == label:
-            return fn(G)
-    raise AlgebraError(f"unknown module label {label!r}")
-
-
-def _once(obj) -> list:
-    return [None]
-
-
-def _levels(R: FiniteRing) -> range:
-    """Torsion levels 1..m for exp(R,+) = p^m, at least level 1."""
-    return range(1, max(R.additive_exponent_log(), 1) + 1)
-
-
-def _module_indices(G: FiniteGroup) -> range:
-    return range(len(abelian_normal_subgroups(G)))
-
-
-def _module_labels(G: FiniteGroup) -> list[str]:
-    """Named modules, plus every abelian normal subgroup of a small group;
-    none for groups that are not nontrivial p-groups."""
-    if G.n == 1 or prime_of(G) is None:
-        return []
-    labels = [label for label, _ in _NAMED_MODULES]
-    if G.n <= MODULE_SWEEP_CAP:
-        labels += [f"an{i:03d}" for i in _module_indices(G)]
-    return labels
-
-
-@dataclass(frozen=True)
-class Check:
-    kind: str  # "ring" | "group"
-    params: Callable  # object -> task parameters, one task each
-    run: Callable  # (object, instance id, parameter, flags) -> CheckReport
-
-
-# Runners look their check function up by name at call time, so a wrapper
-# installed on this module's namespace sees every call.
-CHECKS: dict[str, Check] = {
-    "omega-correspondence": Check(
-        "ring", _once, lambda R, iid, _, f: check_omega_correspondence(R, instance=iid)),
-    "p-central-adjoint": Check(
-        "ring", _once, lambda R, iid, _, f: check_p_central_adjoint(R, instance=iid)),
-    "nilpotency-bound": Check(
-        "ring", _once, lambda R, iid, _, f: check_nilpotency_bound(R, instance=iid)),
-    "nilpotency-probe": Check(
-        "ring", _once, lambda R, iid, _, f: probe_two_nil_improvement(R, instance=iid)),
-    "quotient-p-nil": Check(
-        "ring", _levels, lambda R, iid, n, f: check_quotient_p_nil(R, n, instance=iid)),
-    "annihilator-ideal": Check(
-        "ring", _once, lambda R, iid, _, f: check_annihilator_ideal(
-            R, omega_for_two=f["annihilator_omega"], instance=iid)),
-    "adjoint-rank": Check(
-        "ring", _once, lambda R, iid, _, f: check_adjoint_rank(
-            R, instance=iid, subgroup_bound=f["subgroup_bound"])),
-    "sylow-rank": Check(
-        "ring", _once, lambda R, iid, _, f: check_sylow_rank(
-            R, instance=iid, subgroup_bound=f["subgroup_bound"])),
-    "profile-consistency": Check(
-        "group", _once, lambda G, iid, _, f: check_profile_consistency(G, instance=iid)),
-    "laue": Check(
-        "group", _module_indices, lambda G, iid, i, f: check_laue(
-            G, abelian_normal_subgroups(G)[i], instance=f"{iid}/an{i:03d}")),
-    "central-aut": Check(
-        "group", _once, lambda G, iid, _, f: check_central_aut(
-            G, instance=iid, subgroup_bound=f["subgroup_bound"])),
-    "central-aut-class": Check(
-        "group", _once, lambda G, iid, _, f: check_central_aut_class(G, instance=iid)),
-    "aut-center-exponent": Check(
-        "group", _once, lambda G, iid, _, f: check_aut_center_exponent(G, instance=iid)),
-    "sylow-center-probe": Check(
-        "group", _once, lambda G, iid, _, f: probe_sylow_center(
-            G, instance=iid, aut_bound=f["aut_bound"])),
-    "frattini-aut-class": Check(
-        "group", _once, lambda G, iid, _, f: check_frattini_aut_class(G, instance=iid)),
-    "aut-exponent": Check(
-        "group", _once, lambda G, iid, _, f: check_aut_exponent(
-            G, instance=iid, aut_bound=f["aut_bound"])),
-    "aut-gen-bound-abelian": Check(
-        "group", _once, lambda G, iid, _, f: check_aut_gen_bound_abelian(
-            G, instance=iid, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
-    "aut-gen-bound": Check(
-        "group", _once, lambda G, iid, _, f: check_aut_gen_bound(
-            G, instance=iid, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
-    "der-subring-p-nil": Check(
-        "group", _module_labels, lambda G, iid, label, f: check_der_subring_p_nil(
-            G, _module_by_label(G, label), instance=f"{iid}/{label}")),
-}
-RING_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "ring")
-GROUP_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "group")
-ALL_CHECKS = tuple(CHECKS)
-DEFAULT_FLAGS = {"annihilator_omega": 1, "aut_bound": AUT_ORDER_BOUND,
-                 "subgroup_bound": SUBGROUP_BOUND}
-
-
 def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
     """Instance x check task list in deterministic order."""
     wanted = set(checks)
@@ -321,11 +190,17 @@ def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
 
 
 def run_check(entry: CorpusEntry, check: str, param, flags: dict) -> str:
-    """One verdict line; `param` selects the torsion level or module."""
+    """The report line of one task; `param` selects the torsion level or
+    module.  A search that hits its bound or budget yields a skip whose bound
+    is the reason."""
     if check not in CHECKS:
         raise AlgebraError(f"unknown check {check!r}")
-    rep = CHECKS[check].run(entry.obj, entry.id, param, {**DEFAULT_FLAGS, **flags})
-    return rep.to_json_line()
+    c = CHECKS[check]
+    try:
+        rep = c.run(entry.obj, param, {**DEFAULT_FLAGS, **flags})
+    except (BoundError, BudgetError) as exc:
+        rep = skipped(str(exc))
+    return replace(rep, check=check, instance=entry.id + c.suffix(param)).to_json_line()
 
 
 def _run_task(task: tuple) -> str:
@@ -420,7 +295,7 @@ def cmd_enumerate_rings(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = ALL_CHECKS if args.checks is None else \
-        tuple(tok for tok in args.checks.split(",") if tok)
+        tuple(dict.fromkeys(tok for tok in args.checks.split(",") if tok))
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise AlgebraError(f"unknown checks: {', '.join(unknown)}")
@@ -481,11 +356,12 @@ def main(argv=None) -> int:
     p_verify.add_argument("--checks", help="comma list (default: all)")
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--report", help="write JSON-lines report here")
-    p_verify.add_argument("--annihilator-omega", type=int, choices=(1, 2), default=1,
+    p_verify.add_argument("--annihilator-omega", type=int, choices=(1, 2),
+                          default=DEFAULT_FLAGS["annihilator_omega"],
                           help="torsion layer feeding the annihilator ideal at p=2")
-    p_verify.add_argument("--aut-bound", type=int, default=AUT_ORDER_BOUND,
+    p_verify.add_argument("--aut-bound", type=int, default=DEFAULT_FLAGS["aut_bound"],
                           help="max group order for automorphism searches")
-    p_verify.add_argument("--subgroup-bound", type=int, default=SUBGROUP_BOUND,
+    p_verify.add_argument("--subgroup-bound", type=int, default=DEFAULT_FLAGS["subgroup_bound"],
                           help="max group order for subgroup enumeration")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -549,13 +549,12 @@ def _all_pairs(G: FiniteGroup, sides, m: int, width: int) -> tuple[np.ndarray, n
     return bad, zero
 
 
-def check_laue(G: FiniteGroup, N: Subgroup, instance: str | None = None,
-               pairs_cap: int = PAIRS_CAP) -> CheckReport:
+def check_laue(G: FiniteGroup, N: Subgroup) -> CheckReport:
     """Verify that u -> x^{-1}u(x) matches End_N(G) with the derivation ring's
     circle monoid, restricting to Aut_N(G) on the invertible side.
 
     Both sides are enumerated independently.  Small monoids are compared on
-    every composition pair; past `pairs_cap` members the comparison runs on a
+    every composition pair; past `PAIRS_CAP` members the comparison runs on a
     monoid generating set against all members (both orientations), which
     extends to all pairs by induction on word length once the ring laws and
     structural associativity of composition are verified.
@@ -565,17 +564,16 @@ def check_laue(G: FiniteGroup, N: Subgroup, instance: str | None = None,
     tests read only the generator columns S of _test_columns: m^2 |S| entries,
     compared in row blocks, as flat takes on j-contiguous (transposed) tables.
     """
-    name = instance or f"{G.name}/N[{','.join(str(e) for e in N.elems)}]"
     ders = _der_matrix(G, N)
     ends = _endo_matrix(G, N)
     computed: dict = {"der_count": int(ders.shape[0]), "end_count": int(ends.shape[0]),
                       "module_order": N.order, "central": _is_central(G, N)}
-    witness = _laue_witness(G, N, ders, ends, computed, pairs_cap)
-    return verdict("laue", name, computed, "monoid-isomorphism", witness)
+    witness = _laue_witness(G, N, ders, ends, computed)
+    return verdict(computed, "monoid-isomorphism", witness)
 
 
 def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarray,
-                  computed: dict, pairs_cap: int) -> str | None:
+                  computed: dict) -> str | None:
     """The first law of check_laue's correspondence that breaks, or None;
     each part that holds is recorded in `computed`."""
     if ders.shape[0] != ends.shape[0]:
@@ -602,7 +600,7 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
 
     S, every = _test_columns(G), np.arange(m)
     sides = _pair_kernel(G, ends, DU, S)
-    if m <= pairs_cap:
+    if m <= PAIRS_CAP:
         computed["pairs_mode"] = "all-pairs"
         bad, left_zero = _all_pairs(G, sides, m, S.size)
         if bad.any():

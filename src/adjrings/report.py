@@ -38,17 +38,17 @@ class CheckReport:
         return json.dumps(obj, sort_keys=True)
 
 
-def verdict(check: str, instance: str, computed: dict, bound: str,
-            witness: str | None = None) -> CheckReport:
+def verdict(computed: dict, bound: str, witness: str | None = None) -> CheckReport:
     """The line of an instance that meets the check's hypotheses: it fails
-    exactly when it names a witness."""
-    return CheckReport(check=check, instance=instance, hypothesis_met=True,
+    exactly when it names a witness.  `cli.run_check` fills in the check and
+    instance names."""
+    return CheckReport(check="", instance="", hypothesis_met=True,
                        computed=computed, bound=bound,
                        verdict="pass" if witness is None else "fail", witness=witness)
 
 
-def skipped(check: str, instance: str, reason: str) -> CheckReport:
+def skipped(reason: str) -> CheckReport:
     """The line of an instance outside the check's hypotheses, with the reason
     as its bound."""
-    return CheckReport(check=check, instance=instance, hypothesis_met=False,
+    return CheckReport(check="", instance="", hypothesis_met=False,
                        bound=reason, verdict="skipped")

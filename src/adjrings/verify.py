@@ -1,30 +1,39 @@
 """One check per structural claim about p-rings, adjoint groups, and
-coset-trivial automorphisms.
+coset-trivial automorphisms, and the registry that names them.
 
 Every check computes both sides of its claim independently on the given
-instance and emits a CheckReport; the derived objects several checks share
-come from the instance's memo.  One rule gives every verdict: a check whose
-instance meets its hypotheses fails exactly when it names a witness, and
-`report.verdict` / `report.skipped` build every line.  Hypothesis failures
-yield skipped verdicts, never silent passes.  Probes are observational
-companions: they record how far a sharper bound holds without ever failing.
+instance and returns an unnamed CheckReport; the derived objects several
+checks share come from the instance's memo.  One rule gives every verdict: a
+check whose instance meets its hypotheses fails exactly when it names a
+witness, and `report.verdict` / `report.skipped` build every line.
+Hypothesis failures yield skipped verdicts, never silent passes.  Probes are
+observational companions: they record how far a sharper bound holds without
+ever failing.
+
+`CHECKS` at the end of the module is the only place that names a check: it
+maps each name to its task parameters, its runner and the instance suffix of
+its lines.  `cli.run_check` runs an entry, turns a search that hits its bound
+or budget into a skip, and stamps the check and instance names on the line.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .adjoint import adjoint_group, omega_circle_set
-from .errors import BoundError, InvalidArgumentError, InvalidStructureError
+from .errors import AlgebraError, InvalidArgumentError, InvalidStructureError
 from .groups import (
     SUBGROUP_BOUND,
     FiniteGroup,
     Subgroup,
+    abelian_normal_subgroups,
     center,
     central_target,
     closure,
+    commutator_subgroup,
     enumerate_subgroups,
     frattini,
     is_abelian_normal,
@@ -48,6 +57,7 @@ from .morphisms import (
     AUT_ORDER_BOUND,
     aut_group,
     aut_n,
+    check_laue,
     coset_offsets,
     der_subring_trivial_on_omega,
     hom_ring,
@@ -159,23 +169,14 @@ def group_profile(G: FiniteGroup) -> GroupProfile:
     return G._cache["profile"]
 
 
-def _ring_instance(R: FiniteRing, instance: str | None) -> str:
-    return instance or f"ring:{R.name}"
-
-
-def _group_instance(G: FiniteGroup, instance: str | None) -> str:
-    return instance or f"group:{G.name}"
-
-
 # -- ring-side checks --------------------------------------------------------------
 
 
-def check_omega_correspondence(R: FiniteRing, instance: str | None = None) -> CheckReport:
+def check_omega_correspondence(R: FiniteRing) -> CheckReport:
     """Circle-torsion layers equal additive ones, and each is a subgroup."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return skipped("omega-correspondence", name, "not left or right p-nil")
+        return skipped("not left or right p-nil")
     A = adjoint_group(R)
     gidx = A.index_of
     computed: dict = {"m": prof.m, "layers": {}}
@@ -186,28 +187,25 @@ def check_omega_correspondence(R: FiniteRing, instance: str | None = None) -> Ch
         additive = omega_additive(R, n)
         if circle != additive:
             sample = next(iter(set(circle) ^ set(additive)))
-            return verdict("omega-correspondence", name, computed, bound,
-                           f"n={n}, element {list(sample)}")
+            return verdict(computed, bound, f"n={n}, element {list(sample)}")
         missing = [x for x in circle if x not in gidx]
         if missing:
-            return verdict("omega-correspondence", name, computed, bound,
+            return verdict(computed, bound,
                            f"n={n}, element {list(missing[0])} not quasi-invertible")
         grown = closure(A.group, [gidx[x] for x in circle])
         closed = tuple(sorted(A.members[i] for i in grown.elems)) == circle
         computed["layers"][str(n)] = {
             "size": len(circle), "subgroup_closed": bool(closed)}
         if not closed:
-            return verdict("omega-correspondence", name, computed, bound,
-                           f"n={n}, set is not a subgroup")
-    return verdict("omega-correspondence", name, computed, bound)
+            return verdict(computed, bound, f"n={n}, set is not a subgroup")
+    return verdict(computed, bound)
 
 
-def check_p_central_adjoint(R: FiniteRing, instance: str | None = None) -> CheckReport:
+def check_p_central_adjoint(R: FiniteRing) -> CheckReport:
     """The adjoint group of a p-nil ring keeps its bottom torsion layer central."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil and prof.right_p_nil):
-        return skipped("p-central-adjoint", name, "not p-nil on both sides")
+        return skipped("not p-nil on both sides")
     A = adjoint_group(R)
     kappa = 2 if R.p == 2 else 1
     computed = {"adjoint_order": A.order, "kappa": kappa}
@@ -216,32 +214,30 @@ def check_p_central_adjoint(R: FiniteRing, instance: str | None = None) -> Check
         witness = "adjoint group is not a p-group"
     elif not is_p_central(A.group):
         witness = "small-order layer escapes the center"
-    return verdict("p-central-adjoint", name, computed, f"omega_{kappa} central", witness)
+    return verdict(computed, f"omega_{kappa} central", witness)
 
 
-def check_nilpotency_bound(R: FiniteRing, instance: str | None = None) -> CheckReport:
+def check_nilpotency_bound(R: FiniteRing) -> CheckReport:
     """Multiplication and the circle group are nilpotent of class at most m."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return skipped("nilpotency-bound", name, "not left or right p-nil")
+        return skipped("not left or right p-nil")
     m = prof.m
     bound = f"class <= m = {m}"
     computed: dict = {"m": m, "ring_class": prof.nil_class}
     if prof.nil_class is None or prof.nil_class > m:
-        return verdict("nilpotency-bound", name, computed, bound, "ring power chain exceeds m")
+        return verdict(computed, bound, "ring power chain exceeds m")
     gclass = nilpotency_class(adjoint_group(R).group)
     computed["group_class"] = gclass
-    return verdict("nilpotency-bound", name, computed, bound,
+    return verdict(computed, bound,
                    "adjoint group class exceeds m" if gclass is None or gclass > m else None)
 
 
-def probe_two_nil_improvement(R: FiniteRing, instance: str | None = None) -> CheckReport:
+def probe_two_nil_improvement(R: FiniteRing) -> CheckReport:
     """Observe whether class <= m//2 + 1 also holds at p = 2; never fails."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if R.p != 2 or not (prof.left_p_nil or prof.right_p_nil):
-        return skipped("nilpotency-probe", name, "probe applies to p-nil 2-rings")
+        return skipped("probe applies to p-nil 2-rings")
     sharper = prof.m // 2 + 1
     gclass = nilpotency_class(adjoint_group(R).group)
     computed = {
@@ -250,19 +246,17 @@ def probe_two_nil_improvement(R: FiniteRing, instance: str | None = None) -> Che
         "ring_within": prof.nil_class is not None and prof.nil_class <= sharper,
         "group_within": gclass is not None and gclass <= sharper,
     }
-    return verdict("nilpotency-probe", name, computed, f"observed against {sharper}")
+    return verdict(computed, f"observed against {sharper}")
 
 
-def check_quotient_p_nil(R: FiniteRing, n: int,
-                         instance: str | None = None) -> CheckReport:
+def check_quotient_p_nil(R: FiniteRing, n: int) -> CheckReport:
     """Factoring by the n-th additive torsion layer preserves whichever
     one-sided p-nil properties the ring has."""
     if n < 1:
         raise InvalidArgumentError("torsion layer index must be >= 1")
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return skipped("quotient-p-nil", name, "not left or right p-nil")
+        return skipped("not left or right p-nil")
     Q, _ = quotient_ring(R, omega_additive(R, n))
     computed: dict = {"n": n, "quotient_order": Q.order}
     witness = None
@@ -274,17 +268,15 @@ def check_quotient_p_nil(R: FiniteRing, n: int,
         computed["right"] = Q.is_right_p_nil()
         if not computed["right"]:
             witness = f"n={n}, quotient lost right p-nil"
-    return verdict("quotient-p-nil", name, computed, "quotient keeps one-sided p-nil", witness)
+    return verdict(computed, "quotient keeps one-sided p-nil", witness)
 
 
-def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1,
-                            instance: str | None = None) -> CheckReport:
+def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1) -> CheckReport:
     """The annihilator meet the bottom torsion layer is a nontrivial ideal
     with a left p-nil quotient; both omega readings are computed side by side."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not prof.left_p_nil or R.order == 1:
-        return skipped("annihilator-ideal", name, "needs a nonzero left p-nil ring")
+        return skipped("needs a nonzero left p-nil ring")
     settings = (1, 2) if R.p == 2 else (1,)
     results = {}
     for w in settings:
@@ -306,35 +298,29 @@ def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1,
     computed = {"settings": results, "selected_omega": omega_for_two,
                 "settings_diverge": diverge}
     ok = selected.get("nontrivial") and selected.get("quotient_left_p_nil")
-    return verdict("annihilator-ideal", name, computed,
-                   "nontrivial ideal, left p-nil quotient",
+    return verdict(computed, "nontrivial ideal, left p-nil quotient",
                    None if ok else f"omega={omega_for_two}: {selected}")
 
 
-def check_adjoint_rank(R: FiniteRing, instance: str | None = None,
-                       subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_adjoint_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
     """Rank of the circle group equals the additive generator count, twice over."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
-        return skipped("adjoint-rank", name, "not left or right p-nil")
+        return skipped("not left or right p-nil")
     A = adjoint_group(R)
     computed: dict = {"d_plus": prof.d_plus, "adjoint_order": A.order}
     if A.group.n > 1 and prime_of(A.group) != R.p:
-        return verdict("adjoint-rank", name, computed, "rank = d(R+)",
-                       "adjoint group is not a p-group")
+        return verdict(computed, "rank = d(R+)", "adjoint group is not a p-group")
     rk = rank(A.group, bound=subgroup_bound)
     d_om = subgroup_min_generators(A.group, omega_subgroup(A.group, 1))
     computed.update({"rank": rk, "d_omega1": d_om})
-    return verdict("adjoint-rank", name, computed, "rank = d(R+) = d(omega_1)",
+    return verdict(computed, "rank = d(R+) = d(omega_1)",
                    None if rk == prof.d_plus == d_om else
                    f"rank {rk}, d+ {prof.d_plus}, d(omega1) {d_om}")
 
 
-def check_sylow_rank(R: FiniteRing, instance: str | None = None,
-                     subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_sylow_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
     """Sylow p-rank of the circle group against the additive generator count."""
-    name = _ring_instance(R, instance)
     prof = ring_profile(R)
     A = adjoint_group(R)
     alpha = 3 if R.p == 2 else 2
@@ -345,22 +331,20 @@ def check_sylow_rank(R: FiniteRing, instance: str | None = None,
     computed = {"d_plus": prof.d_plus, "alpha": alpha,
                 "sylow_order": syl.order, "sylow_rank": rk,
                 "p_nil": prof.left_p_nil and prof.right_p_nil}
-    return verdict("sylow-rank", name, computed, f"rank <= {alpha}*d = {bound_val}",
+    return verdict(computed, f"rank <= {alpha}*d = {bound_val}",
                    None if rk <= bound_val else f"sylow rank {rk} > {bound_val}")
 
 
 # -- group-side checks -------------------------------------------------------------
 
 
-def check_central_aut(G: FiniteGroup, instance: str | None = None,
-                      subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_central_aut(G: FiniteGroup, subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
     """Five facets of the automorphisms trivial on cosets of S = Z meet P:
     the hom ring is right p-nil, torsion layers line up three ways, and the
     exponent, class, and rank obey the t and d(G)d(S) bounds."""
-    name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return skipped("central-aut", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     prof = group_profile(G)
     S = central_target(G)
     grp, members = aut_n(G, S)
@@ -372,13 +356,11 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
     ring, _ = hom_ring(G, S)
     computed["parts"]["hom_ring_right_p_nil"] = ring.is_right_p_nil()
     if not computed["parts"]["hom_ring_right_p_nil"]:
-        return verdict("central-aut", name, computed, bound,
-                       "hom_ring_right_p_nil: hom ring is not right p-nil")
+        return verdict(computed, bound, "hom_ring_right_p_nil: hom ring is not right p-nil")
 
     if grp.n > 1 and prime_of(grp) != p:
         computed["parts"]["torsion_layers"] = False
-        return verdict("central-aut", name, computed, bound,
-                       "torsion_layers: aut group is not a p-group")
+        return verdict(computed, bound, "torsion_layers: aut group is not a p-group")
     orders = grp.element_orders
     sgrp = S.as_group()
     offsets = coset_offsets(G, members)
@@ -393,73 +375,65 @@ def check_central_aut(G: FiniteGroup, instance: str | None = None,
         restricted = frozenset(np.flatnonzero(in_omega[offsets].all(axis=1)).tolist())
         if not (brace == gen_sub == restricted):
             computed["parts"]["torsion_layers"] = False
-            return verdict("central-aut", name, computed, bound, f"torsion_layers: n={n}: "
+            return verdict(computed, bound, f"torsion_layers: n={n}: "
                            f"sizes {len(brace)}/{len(gen_sub)}/{len(restricted)}")
     computed["parts"]["torsion_layers"] = True
 
     expo = grp.exponent()
     computed["parts"]["exponent"] = {"value": expo, "bound": p ** prof.t}
     if expo > p ** prof.t:
-        return verdict("central-aut", name, computed, bound,
-                       f"exponent: {expo} > {p}^{prof.t}")
+        return verdict(computed, bound, f"exponent: {expo} > {p}^{prof.t}")
 
     cls = nilpotency_class(grp)
     computed["parts"]["class"] = {"value": cls, "bound": prof.t}
     if cls is None or cls > prof.t:
-        return verdict("central-aut", name, computed, bound, f"class: {cls} > {prof.t}")
+        return verdict(computed, bound, f"class: {cls} > {prof.t}")
 
     rk = rank(grp, bound=subgroup_bound)
     expected = prof.d * subgroup_min_generators(G, S)
     computed["parts"]["rank"] = {"value": rk, "expected": expected}
-    return verdict("central-aut", name, computed, bound,
+    return verdict(computed, bound,
                    None if rk == expected else f"rank: rank {rk} != {expected}")
 
 
-def check_central_aut_class(G: FiniteGroup, instance: str | None = None) -> CheckReport:
+def check_central_aut_class(G: FiniteGroup) -> CheckReport:
     """When the center hides inside the Frattini subgroup, center-coset
     automorphisms have class at most t."""
-    name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return skipped("central-aut-class", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     Z = center(G)
     if not set(Z.elems) <= set(frattini(G).elems):
-        return skipped("central-aut-class", name, "center not inside Frattini")
+        return skipped("center not inside Frattini")
     prof = group_profile(G)
     grp, _ = aut_n(G, Z)
     cls = nilpotency_class(grp)
     computed = {"aut_order": grp.n, "class": cls, "t": prof.t}
-    return verdict("central-aut-class", name, computed, f"class <= t = {prof.t}",
+    return verdict(computed, f"class <= t = {prof.t}",
                    None if cls is not None and cls <= prof.t else f"class {cls} > {prof.t}")
 
 
-def check_aut_center_exponent(G: FiniteGroup, instance: str | None = None) -> CheckReport:
+def check_aut_center_exponent(G: FiniteGroup) -> CheckReport:
     """The center of the power-commutator-coset automorphism group has
     exponent at most p^t."""
-    name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return skipped("aut-center-exponent", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     prof = group_profile(G)
     grp, _ = aut_n(G, power_commutator_subgroup(G))
     expz = subgroup_exponent(grp, center(grp))
     computed = {"aut_order": grp.n, "center_exponent": expz, "t": prof.t}
-    return verdict("aut-center-exponent", name, computed, f"exp(center) <= {p}^{prof.t}",
+    return verdict(computed, f"exp(center) <= {p}^{prof.t}",
                    None if expz <= p ** prof.t else f"exponent {expz} > {p ** prof.t}")
 
 
-def probe_sylow_center(G: FiniteGroup, instance: str | None = None,
-                       aut_bound: int = AUT_ORDER_BOUND) -> CheckReport:
+def probe_sylow_center(G: FiniteGroup, aut_bound: int = AUT_ORDER_BOUND) -> CheckReport:
     """Observe, for odd p, whether the center of a Sylow p-subgroup of the
     full automorphism group moves elements only within Frattini cosets."""
-    name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None or p == 2:
-        return skipped("sylow-center-probe", name, "probe applies to odd p-groups")
-    try:
-        auts = aut_group(G, bound=aut_bound)
-    except BoundError as exc:
-        return skipped("sylow-center-probe", name, str(exc))
+        return skipped("probe applies to odd p-groups")
+    auts = aut_group(G, bound=aut_bound)
     syl, ids = auts.sylow(p)
     zc = center(syl)
     rows = np.array([auts.member(ids[j]) for j in zc.elems], dtype=np.int32)
@@ -467,16 +441,15 @@ def probe_sylow_center(G: FiniteGroup, instance: str | None = None,
     inside = np.isin(offsets, list(frattini(G).elems)).all(axis=1)
     computed = {"sylow_order": syl.n, "center_order": zc.order,
                 "violations": int((~inside).sum())}
-    return verdict("sylow-center-probe", name, computed, "observed against Frattini cosets")
+    return verdict(computed, "observed against Frattini cosets")
 
 
-def check_frattini_aut_class(G: FiniteGroup, instance: str | None = None) -> CheckReport:
+def check_frattini_aut_class(G: FiniteGroup) -> CheckReport:
     """Frattini-coset automorphisms: class bounds via layered exponent sums,
     plus literal stability on the lower p-central series."""
-    name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return skipped("frattini-aut-class", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     prof = group_profile(G)
     grp, members = aut_n(G, frattini(G))
     cls = nilpotency_class(grp)
@@ -487,10 +460,9 @@ def check_frattini_aut_class(G: FiniteGroup, instance: str | None = None) -> Che
                 "r1": prof.r1, "s1": prof.s1}
     bound = f"class <= {bound1} <= {bound2}"
     if cls is None or cls > bound1:
-        return verdict("frattini-aut-class", name, computed, bound, f"class {cls} > {bound1}")
+        return verdict(computed, bound, f"class {cls} > {bound1}")
     if bound1 > bound2:
-        return verdict("frattini-aut-class", name, computed, bound,
-                       f"series bound {bound1} > tc-1 = {bound2}")
+        return verdict(computed, bound, f"series bound {bound1} > tc-1 = {bound2}")
     series = lower_p_central_series(G)
     offsets = coset_offsets(G, members)
     witness = None
@@ -501,22 +473,17 @@ def check_frattini_aut_class(G: FiniteGroup, instance: str | None = None) -> Che
             witness = f"action moves layer {i + 1} off its successor"
             break
     computed["stable"] = witness is None
-    return verdict("frattini-aut-class", name, computed, bound, witness)
+    return verdict(computed, bound, witness)
 
 
-def check_aut_exponent(G: FiniteGroup, instance: str | None = None,
-                       aut_bound: int = AUT_ORDER_BOUND) -> CheckReport:
+def check_aut_exponent(G: FiniteGroup, aut_bound: int = AUT_ORDER_BOUND) -> CheckReport:
     """Exponent of the power-commutator-coset automorphism group, and of a
     Sylow p-subgroup of the full automorphism group."""
-    name = _group_instance(G, instance)
     p = prime_of(G)
     if p is None:
-        return skipped("aut-exponent", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     prof = group_profile(G)
-    try:
-        auts = aut_group(G, bound=aut_bound)
-    except BoundError as exc:
-        return skipped("aut-exponent", name, str(exc))
+    auts = aut_group(G, bound=aut_bound)
     base = prof.t * prof.t * prof.c - prof.t
     extra = prof.d - 1 if p > 2 else 2 * prof.d - 1
     grp, _ = aut_n(G, power_commutator_subgroup(G))
@@ -532,43 +499,36 @@ def check_aut_exponent(G: FiniteGroup, instance: str | None = None,
         witness = f"coset exponent {expo} > {p}^{base}"
     elif sylexp > p ** (base + extra):
         witness = f"sylow exponent {sylexp} > {p}^{base + extra}"
-    return verdict("aut-exponent", name, computed,
-                   f"exp <= {p}^{base}; sylow exp <= {p}^{base + extra}", witness)
+    return verdict(computed, f"exp <= {p}^{base}; sylow exp <= {p}^{base + extra}", witness)
 
 
-def _sylow_generator_sweep(check: str, G: FiniteGroup, name: str, bound_val: int,
-                           computed: dict, aut_bound: int,
-                           subgroup_bound: int) -> CheckReport:
+def _sylow_generator_sweep(G: FiniteGroup, bound_val: int, computed: dict,
+                           aut_bound: int, subgroup_bound: int) -> CheckReport:
     """Shared tail of the generator-bound checks: materialize one Sylow
     p-subgroup of the full automorphism group and bound d(H) over its subgroups."""
-    p = prime_of(G)
-    try:
-        auts = aut_group(G, bound=aut_bound)
-        syl, _ = auts.sylow(p)
-        worst, worst_sub = widest_subgroup(syl, bound=subgroup_bound)
-    except BoundError as exc:
-        return skipped(check, name, str(exc))
+    auts = aut_group(G, bound=aut_bound)
+    syl, _ = auts.sylow(prime_of(G))
+    worst, worst_sub = widest_subgroup(syl, bound=subgroup_bound)
     computed.update({"aut_order": auts.order, "sylow_order": syl.n,
                      "subgroups": len(enumerate_subgroups(syl, bound=subgroup_bound)),
                      "max_d": worst, "bound": bound_val})
-    return verdict(check, name, computed, f"d(H) <= {bound_val}",
+    return verdict(computed, f"d(H) <= {bound_val}",
                    None if worst <= bound_val else
                    f"subgroup of order {worst_sub.order} needs {worst} generators")
 
 
-def check_aut_gen_bound_abelian(G: FiniteGroup, instance: str | None = None,
+def check_aut_gen_bound_abelian(G: FiniteGroup,
                                 aut_bound: int = AUT_ORDER_BOUND,
                                 subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
     """Generator bound for p-subgroups of the automorphism group of an
     abelian p-group, from its rank and its power subgroup's rank."""
-    name = _group_instance(G, instance)
     if not G.is_abelian():
-        return skipped("aut-gen-bound-abelian", name, "group is not abelian")
+        return skipped("group is not abelian")
     if G.n == 1:
-        return verdict("aut-gen-bound-abelian", name, {"d": 0, "bound": 0}, "d(H) <= 0")
+        return verdict({"d": 0, "bound": 0}, "d(H) <= 0")
     p = prime_of(G)
     if p is None:
-        return skipped("aut-gen-bound-abelian", name, "not a p-group")
+        return skipped("not a p-group")
     d = rank(G)
     pgrp = power_commutator_subgroup(G).as_group()
     d_prime = rank(pgrp)
@@ -577,51 +537,148 @@ def check_aut_gen_bound_abelian(G: FiniteGroup, instance: str | None = None,
     else:
         bound_val = d * d_prime + (3 * d * d - d) // 2
     computed = {"d": d, "d_prime": d_prime, "p": p}
-    return _sylow_generator_sweep("aut-gen-bound-abelian", G, name, bound_val,
-                                  computed, aut_bound, subgroup_bound)
+    return _sylow_generator_sweep(G, bound_val, computed, aut_bound, subgroup_bound)
 
 
-def check_aut_gen_bound(G: FiniteGroup, instance: str | None = None,
+def check_aut_gen_bound(G: FiniteGroup,
                         aut_bound: int = AUT_ORDER_BOUND,
                         subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
     """Rank-only generator bound for p-subgroups of any p-group's
     automorphism group."""
-    name = _group_instance(G, instance)
     if G.n == 1:
-        return verdict("aut-gen-bound", name, {"k": 0, "bound": 0}, "d(H) <= 0")
+        return verdict({"k": 0, "bound": 0}, "d(H) <= 0")
     p = prime_of(G)
     if p is None:
-        return skipped("aut-gen-bound", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     k = rank(G)
     if p > 2:
         bound_val = (9 * k * k) // 4
     else:
         bound_val = (7 * k * k - k) // 2
     computed = {"k": k, "p": p}
-    return _sylow_generator_sweep("aut-gen-bound", G, name, bound_val,
-                                  computed, aut_bound, subgroup_bound)
+    return _sylow_generator_sweep(G, bound_val, computed, aut_bound, subgroup_bound)
 
 
-def check_der_subring_p_nil(G: FiniteGroup, N: Subgroup,
-                            instance: str | None = None) -> CheckReport:
+def check_der_subring_p_nil(G: FiniteGroup, N: Subgroup) -> CheckReport:
     """Derivations vanishing on the module's bottom torsion layer form a
     left p-nil ring once rebased on structure constants."""
-    name = instance or f"group:{G.name}/N{len(N.elems)}"
     if prime_of(G) is None:
-        return skipped("der-subring-p-nil", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     if not is_abelian_normal(G, N):
-        return skipped("der-subring-p-nil", name, "module not abelian normal")
+        return skipped("module not abelian normal")
     ring, _ = der_subring_trivial_on_omega(G, N)
     computed = {"module_order": N.order, "subring_order": ring.order}
-    return verdict("der-subring-p-nil", name, computed, "left p-nil",
+    return verdict(computed, "left p-nil",
                    None if ring.is_left_p_nil() else "subring is not left p-nil")
 
 
-def check_profile_consistency(G: FiniteGroup, instance: str | None = None) -> CheckReport:
+def check_profile_consistency(G: FiniteGroup) -> CheckReport:
     """Layered exponent sums stay within class times exponent logs."""
-    name = _group_instance(G, instance)
     if prime_of(G) is None:
-        return skipped("profile-consistency", name, "not a nontrivial p-group")
+        return skipped("not a nontrivial p-group")
     prof = group_profile(G)
-    return verdict("profile-consistency", name, asdict(prof), "r1 <= r*c, s1 <= s*c",
+    return verdict(asdict(prof), "r1 <= r*c, s1 <= s*c",
                    None if prof.consistent() else "profile inequality violated")
+
+
+# -- registry ----------------------------------------------------------------------
+
+# groups small enough to sweep every abelian normal subgroup as a module
+MODULE_SWEEP_CAP = 16
+
+_NAMED_MODULES = (
+    ("center", center),
+    ("commutator", commutator_subgroup),
+    ("frattini", frattini),
+    ("power-commutator", power_commutator_subgroup),
+    ("central-target", central_target),
+    ("omega1", lambda G: omega_subgroup(G, 1)),
+)
+
+
+def _once(obj) -> list:
+    return [None]
+
+
+def _levels(R: FiniteRing) -> range:
+    """Torsion levels 1..m for exp(R,+) = p^m, at least level 1."""
+    return range(1, max(R.additive_exponent_log(), 1) + 1)
+
+
+def _module_indices(G: FiniteGroup) -> range:
+    return range(len(abelian_normal_subgroups(G)))
+
+
+def _module_labels(G: FiniteGroup) -> list[str]:
+    """Named modules, plus every abelian normal subgroup of a small group;
+    none for groups that are not nontrivial p-groups."""
+    if G.n == 1 or prime_of(G) is None:
+        return []
+    labels = [label for label, _ in _NAMED_MODULES]
+    if G.n <= MODULE_SWEEP_CAP:
+        labels += [f"an{i:03d}" for i in _module_indices(G)]
+    return labels
+
+
+def _module_by_label(G: FiniteGroup, label: str) -> Subgroup:
+    if label.startswith("an"):
+        return abelian_normal_subgroups(G)[int(label[2:])]
+    for key, fn in _NAMED_MODULES:
+        if key == label:
+            return fn(G)
+    raise AlgebraError(f"unknown module label {label!r}")
+
+
+def _no_suffix(param) -> str:
+    return ""
+
+
+@dataclass(frozen=True)
+class Check:
+    kind: str  # "ring" | "group"
+    params: Callable  # object -> task parameters, one report line each
+    run: Callable  # (object, parameter, flags) -> CheckReport
+    suffix: Callable = _no_suffix  # parameter -> text appended to the corpus id
+
+
+# Each runner looks its check function up by name at call time, so a wrapper
+# installed on this module's namespace sees every call.
+CHECKS: dict[str, Check] = {
+    "omega-correspondence": Check("ring", _once, lambda R, _, f: check_omega_correspondence(R)),
+    "p-central-adjoint": Check("ring", _once, lambda R, _, f: check_p_central_adjoint(R)),
+    "nilpotency-bound": Check("ring", _once, lambda R, _, f: check_nilpotency_bound(R)),
+    "nilpotency-probe": Check("ring", _once, lambda R, _, f: probe_two_nil_improvement(R)),
+    "quotient-p-nil": Check("ring", _levels, lambda R, n, f: check_quotient_p_nil(R, n)),
+    "annihilator-ideal": Check("ring", _once, lambda R, _, f: check_annihilator_ideal(
+        R, omega_for_two=f["annihilator_omega"])),
+    "adjoint-rank": Check("ring", _once, lambda R, _, f: check_adjoint_rank(
+        R, subgroup_bound=f["subgroup_bound"])),
+    "sylow-rank": Check("ring", _once, lambda R, _, f: check_sylow_rank(
+        R, subgroup_bound=f["subgroup_bound"])),
+    "profile-consistency": Check("group", _once, lambda G, _, f: check_profile_consistency(G)),
+    "laue": Check("group", _module_indices,
+                  lambda G, i, f: check_laue(G, abelian_normal_subgroups(G)[i]),
+                  lambda i: f"/an{i:03d}"),
+    "central-aut": Check("group", _once, lambda G, _, f: check_central_aut(
+        G, subgroup_bound=f["subgroup_bound"])),
+    "central-aut-class": Check("group", _once, lambda G, _, f: check_central_aut_class(G)),
+    "aut-center-exponent": Check("group", _once, lambda G, _, f: check_aut_center_exponent(G)),
+    "sylow-center-probe": Check("group", _once, lambda G, _, f: probe_sylow_center(
+        G, aut_bound=f["aut_bound"])),
+    "frattini-aut-class": Check("group", _once, lambda G, _, f: check_frattini_aut_class(G)),
+    "aut-exponent": Check("group", _once, lambda G, _, f: check_aut_exponent(
+        G, aut_bound=f["aut_bound"])),
+    "aut-gen-bound-abelian": Check("group", _once, lambda G, _, f: check_aut_gen_bound_abelian(
+        G, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
+    "aut-gen-bound": Check("group", _once, lambda G, _, f: check_aut_gen_bound(
+        G, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
+    "der-subring-p-nil": Check("group", _module_labels,
+                               lambda G, label, f: check_der_subring_p_nil(
+                                   G, _module_by_label(G, label)),
+                               lambda label: f"/{label}"),
+}
+RING_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "ring")
+GROUP_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "group")
+ALL_CHECKS = tuple(CHECKS)
+DEFAULT_FLAGS = {"annihilator_omega": 1, "aut_bound": AUT_ORDER_BOUND,
+                 "subgroup_bound": SUBGROUP_BOUND}

@@ -1,15 +1,17 @@
 """End-to-end tests for the command line interface."""
 
+import ast
 import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from adjrings import cli
+from adjrings import cli, morphisms
 from adjrings.cli import (
     ALL_CHECKS,
-    GROUP_CHECKS,
-    RING_CHECKS,
+    CorpusEntry,
     build_tasks,
     builtin_ring,
     default_corpus,
@@ -18,6 +20,8 @@ from adjrings.cli import (
     run_check,
 )
 from adjrings.errors import AlgebraError
+from adjrings.groups import builtin_group
+from adjrings.verify import CHECKS, GROUP_CHECKS, RING_CHECKS
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +278,51 @@ def test_verify_checks_subset(tmp_path):
                  "profile-consistency,laue", "--report", str(report)]) == 0
     recs = [json.loads(line) for line in report.read_text().splitlines()]
     assert {r["check"] for r in recs} == {"profile-consistency", "laue"}
+
+
+def test_verify_repeated_check_prints_one_row(tmp_path, capsys):
+    man = write_manifest(tmp_path / "m.json", [
+        {"id": "ring:z9", "kind": "ring", "builtin": "z9"},
+        {"id": "group:q8", "kind": "group", "builtin": "q8"},
+    ])
+    assert main(["verify", "--corpus", man, "--checks", "sylow-rank,sylow-rank"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out[1:-1]] == ["sylow-rank"]
+    assert out[-1].startswith("1 reports")
+
+
+def test_verify_capped_ring_becomes_skips(tmp_path):
+    """A ring past the table cap gets a skip line per task, and the batch
+    still writes every line of the other entries."""
+    man = write_manifest(tmp_path / "m.json", [
+        {"id": "ring:z9", "kind": "ring", "builtin": "z9"},
+        {"id": "ring:big", "kind": "ring", "builtin": "zero:2:10"},
+    ])
+    report = tmp_path / "rep.jsonl"
+    assert main(["verify", "--corpus", man, "--report", str(report)]) == 0
+    recs = [json.loads(line) for line in report.read_text().splitlines()]
+    assert len(recs) == 26
+    big = [r for r in recs if r["instance"] == "ring:big"]
+    assert len(big) == 17  # 7 single-line checks and 10 torsion levels
+    assert {(r["verdict"], r["bound"]) for r in big} == {
+        ("skipped", "ring tables capped at 512 elements")}
+
+
+def test_budget_error_becomes_a_skip(monkeypatch):
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", 1)
+    entry = CorpusEntry("group:c4", "group", builtin_group("c4"))
+    assert json.loads(run_check(entry, "laue", 2, {})) == {
+        "check": "laue", "instance": "group:c4/an002", "hypothesis_met": False,
+        "computed": {}, "bound": "derivation search space exceeds the batch budget",
+        "verdict": "skipped"}
+
+
+def test_each_check_name_is_written_once_in_src():
+    src = Path(cli.__file__).parent
+    written = Counter(node.value for path in src.rglob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Constant) and node.value in CHECKS)
+    assert written == Counter(ALL_CHECKS)
 
 
 def test_verify_unknown_check(tmp_path, capsys):

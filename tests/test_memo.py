@@ -139,8 +139,9 @@ def test_aut_bound_gate_runs_before_the_memo():
     assert aut_group(G, bound=G.n) is auts
     with pytest.raises(BoundError):
         aut_group(G, bound=G.n - 1)
-    capped = verify.check_aut_exponent(G, aut_bound=G.n - 1)
-    assert capped.verdict == "skipped" and "capped" in capped.bound
+    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-exponent", None,
+                                  {"aut_bound": G.n - 1}))
+    assert capped["verdict"] == "skipped" and "capped" in capped["bound"]
 
 
 def test_subgroup_bound_gate_runs_before_the_sweep_memo():
@@ -152,5 +153,6 @@ def test_subgroup_bound_gate_runs_before_the_sweep_memo():
     assert widest_subgroup(syl, bound=syl.n)[0] == warm.computed["max_d"]
     with pytest.raises(BoundError):
         widest_subgroup(syl, bound=syl.n - 1)
-    capped = verify.check_aut_gen_bound(G, aut_bound=G.n, subgroup_bound=syl.n - 1)
-    assert capped.verdict == "skipped" and "capped" in capped.bound
+    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-gen-bound", None,
+                                  {"aut_bound": G.n, "subgroup_bound": syl.n - 1}))
+    assert capped["verdict"] == "skipped" and "capped" in capped["bound"]

@@ -203,14 +203,15 @@ def test_check_laue_passes_central_and_noncentral():
     assert rep2.computed["der_count"] == 4
 
 
-def test_check_laue_generator_mode_agrees_with_all_pairs():
+def test_check_laue_generator_mode_agrees_with_all_pairs(monkeypatch):
     g = builtin_group("c4xc2")
     n = full_subgroup(g)
     exhaustive = check_laue(g, n)
     assert exhaustive.verdict == "pass"
     assert exhaustive.computed["pairs_mode"] == "all-pairs"
     assert exhaustive.computed["der_count"] == 32
-    generators = check_laue(g, n, pairs_cap=8)
+    monkeypatch.setattr(morphisms, "PAIRS_CAP", 8)
+    generators = check_laue(g, n)
     assert generators.verdict == "pass"
     assert generators.computed["pairs_mode"] == "generators"
     assert generators.computed["aut_count"] == exhaustive.computed["aut_count"]
@@ -257,13 +258,13 @@ def late_failure(G, DU, S):
     return bent, int(first.max())
 
 
-def laue_witness_with(G, N, ends, DU, monkeypatch, pairs_cap=PAIRS_CAP):
+def laue_witness_with(G, N, ends, DU, monkeypatch):
     """_laue_witness on the true endomorphisms and derivations, with every
     pair comparison reading DU in place of the true derivation rows."""
     kernel = morphisms._pair_kernel
     monkeypatch.setattr(morphisms, "_pair_kernel", lambda G, e, _, cols: kernel(G, e, DU, cols))
     computed = {"central": True}
-    return morphisms._laue_witness(G, N, _der_matrix(G, N), ends, computed, pairs_cap)
+    return morphisms._laue_witness(G, N, _der_matrix(G, N), ends, computed)
 
 
 @pytest.mark.parametrize("name", ["c4xc2xc2", "c4xc8", "c2xc2xc2"])
@@ -314,14 +315,15 @@ def test_laue_witness_row_past_the_first_block(monkeypatch):
 
 
 def test_laue_generator_mode_witness_is_a_failing_pair(monkeypatch):
-    """Past pairs_cap the witness comes from the generator rows and columns;
+    """Past PAIRS_CAP the witness comes from the generator rows and columns;
     under a rolled DU it names a pair the per-row oracle marks as failing."""
     G = builtin_group("c4xc8")
     S = _test_columns(G)
     N = abelian_normal_subgroups(G)[-1]
     ends = _endo_matrix(G, N)
     rolled = np.roll(coset_offsets(G, ends), 1, axis=0)
-    witness = laue_witness_with(G, N, ends, rolled, monkeypatch, pairs_cap=8)
+    monkeypatch.setattr(morphisms, "PAIRS_CAP", 8)
+    witness = laue_witness_with(G, N, ends, rolled, monkeypatch)
     i, j = map(int, witness.removeprefix("pair (").split(")")[0].split(","))
     assert per_row_laue_oracle(G, ends, rolled, S)[0][i, j]
 

@@ -28,19 +28,19 @@ def test_unknown_verdict_is_refused():
 
 
 def test_verdict_fails_exactly_when_a_witness_is_named():
-    passed = verdict("c", "i", {"k": 1}, "k <= 1")
+    passed = verdict({"k": 1}, "k <= 1")
     assert (passed.hypothesis_met, passed.verdict, passed.witness) == (True, "pass", None)
     assert "witness" not in json.loads(passed.to_json_line())
-    failed = verdict("c", "i", {"k": 2}, "k <= 1", "k = 2")
+    failed = verdict({"k": 2}, "k <= 1", "k = 2")
     assert (failed.hypothesis_met, failed.verdict, failed.witness) == (True, "fail", "k = 2")
     assert json.loads(failed.to_json_line())["witness"] == "k = 2"
     with pytest.raises(ValueError, match="witness"):
-        verdict("c", "i", {}, "", "")
+        verdict({}, "", "")
 
 
 def test_skipped_keeps_the_reason_as_its_bound():
-    rep = skipped("c", "i", "not a p-group")
+    rep = skipped("not a p-group")
     assert (rep.hypothesis_met, rep.verdict, rep.witness) == (False, "skipped", None)
     assert json.loads(rep.to_json_line()) == {
-        "check": "c", "instance": "i", "hypothesis_met": False, "computed": {},
+        "check": "", "instance": "", "hypothesis_met": False, "computed": {},
         "bound": "not a p-group", "verdict": "skipped"}
