@@ -38,7 +38,6 @@ from .morphisms import (
     check_laue,
     der_ring,
     hom_ring,
-    to_finite_ring,
 )
 from .report import CheckReport
 from .rings import (
@@ -48,6 +47,7 @@ from .rings import (
     multiples_ring,
     quotient_ring,
     save_ring,
+    to_finite_ring,
     unital_ring,
     zero_ring,
 )

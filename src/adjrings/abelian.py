@@ -1,11 +1,11 @@
 """Integer normal forms and canonical decompositions of finite abelian groups.
 
-Two consumers: quotients of structure-constant rings (the ambient group is an
-explicit direct sum of cyclic p-groups) and opaque addition tables coming from
-homomorphism or derivation rings.  A table is presented by its own spanning
-search, one relation per generator.  Both reduce to a Smith normal form over
-Z, so the invariant factors come out canonical and deterministic, and the
-projection onto them gives every element's coordinates.
+The consumer is `rings.to_finite_ring`, which rebases opaque addition tables:
+those of homomorphism and derivation rings, and the coset tables of quotient
+rings.  A table is presented by its own spanning search, one relation per
+generator, and reduced to a Smith normal form over Z, so the invariant
+factors come out canonical and deterministic, and the projection onto them
+gives every element's coordinates.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Under x o y = x + y + xy the ring is a monoid with neutral element 0; the
 invertible elements of that monoid form a group.  For nilpotent rings the
-group is the whole ring, which is asserted rather than assumed.
+group is the whole ring, which is asserted rather than assumed.  Ring
+elements are table indices and ring subsets are bool masks, as in rings.py;
+two index arrays translate between ring and group indices.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from .rings import FiniteRing, nilpotency_class_ring
 
 
 class AdjointGroup:
-    """Circle group of a ring: a FiniteGroup plus the element dictionary.
+    """Circle group of a ring: a FiniteGroup plus two read-only index arrays.
 
-    `members[i]` is the ring element at group index i; the zero element is
-    always group index 0 (the neutral element of the circle operation).
+    `member_idx[i]` is the ring index of group element i, and `position[x]`
+    the group index of ring element x (-1 outside the group).  The zero
+    element is always group index 0 (the neutral element of the circle
+    operation).
     """
 
     def __init__(self, ring: FiniteRing):
@@ -31,20 +35,20 @@ class AdjointGroup:
             raise InvalidStructureError("zero must be the first group member")
         if (t.quasi_inverses(member_idx, (hits & hits.T)[member_idx]) < 0).any():
             raise InvalidStructureError("one-sided circle inverse detected")
-        pos = np.full(ring.order, -1)
-        pos[member_idx] = np.arange(len(member_idx))
-        table = pos[circle[np.ix_(member_idx, member_idx)]]
+        position = np.full(ring.order, -1)
+        position[member_idx] = np.arange(len(member_idx))
+        table = position[circle[np.ix_(member_idx, member_idx)]]
         if (table < 0).any():
             raise InvalidStructureError("circle product left the invertible set")
-        self.members = list(ring.elements_at(member_idx))
-        self.index_of = {m: gi for gi, m in enumerate(self.members)}
+        member_idx.flags.writeable = position.flags.writeable = False
+        self.member_idx, self.position = member_idx, position
         self.group = FiniteGroup(table, identity=0, name=f"adj({ring.name})")
-        if nilpotency_class_ring(ring) is not None and len(self.members) != ring.order:
+        if nilpotency_class_ring(ring) is not None and len(member_idx) != ring.order:
             raise InvalidStructureError("nilpotent ring must be entirely quasi-invertible")
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return len(self.member_idx)
 
 
 def adjoint_group(ring: FiniteRing) -> AdjointGroup:
@@ -54,11 +58,11 @@ def adjoint_group(ring: FiniteRing) -> AdjointGroup:
     return ring._cache["adjoint"]
 
 
-def omega_circle_set(ring: FiniteRing, n: int) -> tuple:
-    """Ring elements whose circle order divides p^n, as a sorted tuple.
+def omega_circle_set(ring: FiniteRing, n: int) -> np.ndarray:
+    """Mask of the ring elements whose circle order divides p^n.
 
     Computed directly from iterated circle powers, independently of the
     adjoint group construction, so the two can be cross-checked.
     """
     powers = ring.tables.circle_power(np.arange(ring.order), ring.p ** n)
-    return ring.elements_at(powers == 0)
+    return powers == 0

@@ -135,6 +135,14 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elems)
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only bool mask of the members among the parent's elements."""
+        mask = np.zeros(self.parent.n, dtype=bool)
+        mask[list(self.elems)] = True
+        mask.flags.writeable = False
+        return mask
+
     def as_group(self) -> FiniteGroup:
         """The subgroup as its own Cayley table, element i being `elems[i]`;
         kept in `parent._cache[("as_group", elems)]`."""
@@ -224,9 +232,7 @@ def upper_central_series(G: FiniteGroup) -> list[Subgroup]:
     """1 = Z_0 <= Z_1 <= ... up to stabilization."""
     series = [trivial_subgroup(G)]
     while True:
-        zbool = np.zeros(G.n, dtype=bool)
-        zbool[list(series[-1].elems)] = True
-        mask = zbool[G.comm_table].all(axis=1)
+        mask = series[-1].mask[G.comm_table].all(axis=1)
         nxt = Subgroup(G, tuple(int(i) for i in np.flatnonzero(mask)))
         if nxt.elems == series[-1].elems:
             break
@@ -476,10 +482,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     cur = trivial_subgroup(G)
     p_power = target % G.element_orders == 0  # an order divides |G|: p-power iff it divides target
     while cur.order < target:
-        hbool = np.zeros(G.n, dtype=bool)
-        hbool[list(cur.elems)] = True
-        norm = hbool[G.conj_table[:, list(cur.elems)]].all(axis=1)
-        cand = np.flatnonzero(norm & ~hbool & p_power)
+        norm = cur.mask[G.conj_table[:, list(cur.elems)]].all(axis=1)
+        cand = np.flatnonzero(norm & ~cur.mask & p_power)
         if len(cand) == 0:
             raise InvalidStructureError("sylow ascent stalled")
         g = int(cand[0])
@@ -488,9 +492,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    hbool = np.zeros(G.n, dtype=bool)
-    hbool[list(H.elems)] = True
-    return bool(hbool[G.conj_table[:, list(H.elems)]].all())
+    return bool(H.mask[G.conj_table[:, list(H.elems)]].all())
 
 
 def is_abelian_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -514,8 +516,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
     if not is_normal(G, N):
         raise InvalidArgumentError("quotient needs a normal subgroup")
     rep = G.table[:, np.array(N.elems)].min(axis=1)  # least element of each coset xN
-    reps = np.unique(rep)
-    proj = np.searchsorted(reps, rep)
+    reps, proj = np.unique(rep, return_inverse=True)
     qtab = proj[G.table[np.ix_(reps, reps)]]
     q = FiniteGroup(qtab, identity=int(proj[G.identity]), name=f"{G.name}/N{N.order}")
     return q, [int(x) for x in proj]
@@ -546,9 +547,8 @@ def power_commutator_subgroup(G: FiniteGroup) -> Subgroup:
 
 def central_target(G: FiniteGroup) -> Subgroup:
     """Center meet commutator-power subgroup: the canonical central target."""
-    zset = set(center(G).elems)
-    pset = set(power_commutator_subgroup(G).elems)
-    return Subgroup(G, tuple(sorted(zset & pset)))
+    both = center(G).mask & power_commutator_subgroup(G).mask
+    return Subgroup(G, tuple(np.flatnonzero(both).tolist()))
 
 
 def subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:

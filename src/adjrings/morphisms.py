@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .abelian import prime_power, table_decomposition
+from .abelian import prime_power
 from .errors import (
     BoundError,
     BudgetError,
@@ -39,7 +39,7 @@ from .groups import (
     reach,
 )
 from .report import CheckReport, verdict
-from .rings import FiniteRing
+from .rings import FiniteRing, to_finite_ring
 
 BATCH_BUDGET = 2_000_000
 PAIRS_CAP = 1024
@@ -237,7 +237,7 @@ def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     gens = generating_set(G)
     C = _candidate_grid([sorted(N.elems)] * len(gens), "derivation search space")
     U = _fill_der_rows(G, gens, C)
-    U = U[_verify_cocycle_rows(G, U) & np.isin(U, N.elems).all(axis=1)]
+    U = U[_verify_cocycle_rows(G, U) & N.mask[U].all(axis=1)]
     U.setflags(write=False)
     G._cache["der", N.elems] = U
     return U
@@ -256,56 +256,12 @@ def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     U = _fill_endo_rows(G, gens, _candidate_grid(cosets, "endomorphism search space"))
     U = U[_verify_hom_rows(G, G.table, U)]
     # coset condition propagates from generators to all elements; assert anyway
-    nbool = np.zeros(G.n, dtype=bool)
-    nbool[list(N.elems)] = True
-    if not nbool[coset_offsets(G, U)].all():
+    if not N.mask[coset_offsets(G, U)].all():
         raise InvalidStructureError("endomorphism escaped its cosets")
     return U
 
 
 # -- table rings ------------------------------------------------------------------
-
-
-def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np.ndarray]:
-    """Structure-constant ring isomorphic to the ring given by index tables.
-
-    Returns (R, at) where at[i] is the index in R of table element i.  The
-    witness proves every ring axiom for the tables: at is a bijection onto R
-    that fixes zero and carries `add` and `mul` to R's tables on every pair,
-    so the tables are an isomorphic copy of the validated ring R.
-    """
-    add = np.asarray(add, dtype=np.int64)
-    mul = np.asarray(mul, dtype=np.int64)
-    m = add.shape[0]
-    every = np.arange(m)
-    if add.shape != (m, m) or mul.shape != (m, m):
-        raise InvalidStructureError("tables must be square and same-sized")
-    if min(add.min(), mul.min()) < 0 or max(add.max(), mul.max()) >= m:
-        raise InvalidStructureError("table entries out of range")
-    # a zero row and column and Latin columns keep the decomposition finite: each
-    # multiples loop is an orbit of a column permutation, so it returns to zero
-    if not (0 <= zero < m and (add[zero] == every).all() and (add[:, zero] == every).all()):
-        raise InvalidStructureError(f"element {zero} is not an additive zero")
-    if not (np.sort(add, axis=0) == every[:, None]).all():
-        raise InvalidStructureError("addition table is not a Latin square")
-    factors, basis, coords = table_decomposition(add.tolist(), zero)
-    pks = [prime_power(f) for f in factors]
-    if any(pk is None for pk in pks) or len({pk[0] for pk in pks}) > 1:
-        raise InvalidStructureError("additive group is not a p-group")
-    tensor = [[list(coords[int(mul[a, b])]) for b in basis] for a in basis]
-    ring = FiniteRing(pks[0][0] if pks else 2, [pk[1] for pk in pks], tensor,
-                      name=f"{name}_sc")
-    at = ring.indices(coords[i] for i in range(m))
-    if ring.order != m or np.unique(at).size != m:
-        raise InvalidStructureError("witness map is not a bijection")
-    if at[zero] != 0:
-        raise InvalidStructureError("witness map moves zero")
-    grid = np.ix_(at, at)
-    if not (ring.tables.add[grid] == at[add]).all():
-        raise InvalidStructureError("witness map breaks addition")
-    if not (ring.tables.mul[grid] == at[mul]).all():
-        raise InvalidStructureError("witness map breaks multiplication")
-    return ring, at
 
 
 def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray,
@@ -365,8 +321,9 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRin
 # -- automorphisms -------------------------------------------------------------
 
 
-def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
-    """Aut_N(G): bijective members of End_N(G), as a group under composition."""
+def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+    """Aut_N(G): bijective members of End_N(G), as a group under composition,
+    and the read-only image rows of its members, row i being group element i."""
     _validate_coset_target(G, N)
     M = _endo_matrix(G, N)
     M = M[_bijective_rows(M, G.n)]
@@ -377,7 +334,8 @@ def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[tuple[int, ...
     tab = _compose_table(M, index, "Aut_N composition")
     ident = index.require(np.arange(G.n)[None, :], "identity automorphism")
     grp = FiniteGroup(tab, identity=int(ident[0]), name=f"aut_N({G.name},N{N.order})")
-    return grp, [tuple(row) for row in M.tolist()]
+    M.flags.writeable = False
+    return grp, M
 
 
 class AutomorphismGroup:
@@ -390,6 +348,7 @@ class AutomorphismGroup:
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
         matrix = np.ascontiguousarray(matrix[np.lexsort(matrix.T[::-1])])
+        matrix.flags.writeable = False
         self.group = G
         self.matrix = matrix
         self._index = _RowIndex(matrix)
@@ -400,9 +359,6 @@ class AutomorphismGroup:
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
-
-    def member(self, i: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.matrix[i])
 
     @cached_property
     def member_orders(self) -> np.ndarray:
@@ -417,13 +373,14 @@ class AutomorphismGroup:
             k += 1
         return orders
 
-    def as_group(self) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    def as_group(self) -> tuple[FiniteGroup, np.ndarray]:
+        """The members as a Cayley table, and the read-only member matrix."""
         m = self.order
         if m > MAX_ORDER:
             raise BoundError(f"automorphism group of order {m} exceeds the table cap {MAX_ORDER}")
         tab = _compose_table(self.matrix, self._index, "automorphism composition")
         grp = FiniteGroup(tab, identity=self.identity_index, name=f"aut({self.group.name})")
-        return grp, [self.member(i) for i in range(m)]
+        return grp, self.matrix
 
     def sylow(self, p: int) -> tuple[FiniteGroup, list[int]]:
         """A Sylow p-subgroup by first-found normalizer ascent over members.

@@ -1,15 +1,18 @@
 """Finite p-rings presented by structure constants.
 
-A ring lives on an additive group Z_{p^e1} + ... + Z_{p^ed}; elements are
-coordinate tuples and multiplication is determined by the d*d basis products.
-The circle operation x o y = x + y + xy and its quasi-inverses give the
-adjoint monoid; the group of quasi-invertible elements is built in adjoint.py.
+A ring lives on an additive group Z_{p^e1} + ... + Z_{p^ed}, and
+multiplication is determined by the d*d basis products.  An element is its
+index into the tables `FiniteRing.tables`, in lexicographic coordinate order,
+and a subset of R is a bool mask of shape (|R|,); coordinates are read only to
+print an element.  The circle operation x o y = x + y + xy and its
+quasi-inverses give the adjoint monoid; the group of quasi-invertible elements
+is built in adjoint.py.  `to_finite_ring` rebases any pair of addition and
+multiplication tables, quotient tables among them, on structure constants.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -19,18 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abelian import prime_power, quotient_decomposition
+from .abelian import prime_power, table_decomposition
 from .errors import (
     BoundError,
     BudgetError,
     HypothesisError,
     InvalidArgumentError,
-    InvalidElementError,
     InvalidStructureError,
 )
 from .groups import _json_int, _json_list, reach
-
-Element = tuple[int, ...]
 
 ENUM_BUDGET = 100_000_000
 _ENUM_CHUNK = 1 << 16
@@ -153,17 +153,6 @@ class FiniteRing:
         if not _associative_mask(T[None], np.array(self.moduli, dtype=object), every)[0]:
             raise InvalidStructureError("associativity fails on a basis triple")
 
-    # -- elements -------------------------------------------------------------
-
-    def elements(self):
-        """All elements in lexicographic coordinate order."""
-        return (tuple(t) for t in itertools.product(*(range(m) for m in self.moduli)))
-
-    def check_element(self, x: Element) -> Element:
-        if len(x) != self.dim:
-            raise InvalidElementError(f"{x} has {len(x)} coordinates, expected {self.dim}")
-        return tuple(c % m for c, m in zip(x, self.moduli))
-
     # -- index tables ---------------------------------------------------------
 
     @cached_property
@@ -176,21 +165,11 @@ class FiniteRing:
         return (np.array(self.moduli, dtype=np.int64), np.array(weights, dtype=np.int64),
                 self.tensor.astype(np.int64))
 
-    def indices(self, elems) -> np.ndarray:
-        """Index array of coordinate tuples, reduced mod the moduli."""
-        moduli, weights, _ = self._arrays
-        elems = list(elems)
-        return (np.array(elems, dtype=np.int64).reshape(len(elems), self.dim) % moduli) @ weights
-
-    def elements_at(self, idx) -> tuple[Element, ...]:
-        """Coordinate tuples at an index array or mask, in index (= sorted) order."""
-        return tuple(map(tuple, self.tables.coords[idx].tolist()))
-
     @cached_property
     def tables(self) -> RingTables:
         """Index tables of +, * and negation, built on first use."""
         moduli, weights, tensor = self._arrays
-        coords = np.array(list(self.elements()), dtype=np.int64).reshape(self.order, self.dim)
+        coords = np.indices(self.moduli, dtype=np.int64).reshape(self.dim, self.order).T
         add = (coords[:, None] + coords) % moduli @ weights
         # x y = sum_b y_b (x e_b): contract x with the tensor, then with y
         mul = (coords @ np.tensordot(coords, tensor, axes=(1, 0))) % moduli @ weights
@@ -220,16 +199,16 @@ class FiniteRing:
         return f"FiniteRing({self.name}, order={self.order})"
 
 
-# -- additive subgroups ---------------------------------------------------------
+# -- subsets ----------------------------------------------------------------------
 
 
-def _closure_mask(ring: FiniteRing, gens) -> np.ndarray:
-    """Membership mask of the subgroup of (R,+) generated by an index array."""
-    add = ring.tables.add
-    gens = np.unique(gens)
-    seen = np.zeros(ring.order, dtype=bool)
-    seen[0] = True
-    return reach(seen, lambda frontier: add[np.ix_(frontier, gens)])
+def _subset(ring: FiniteRing, mask) -> np.ndarray:
+    """A subset of R, which must be a bool mask of shape (|R|,)."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (ring.order,):
+        raise InvalidArgumentError(f"a subset of {ring.name} must be a bool mask of shape "
+                                   f"({ring.order},), got {mask.dtype} of shape {mask.shape}")
+    return mask
 
 
 def _is_ideal(ring: FiniteRing, mask: np.ndarray) -> bool:
@@ -241,73 +220,75 @@ def _is_ideal(ring: FiniteRing, mask: np.ndarray) -> bool:
                 and mask[mul[np.ix_(basis, members)]].all())
 
 
-def additive_closure(ring: FiniteRing, gens) -> tuple[Element, ...]:
-    """Subgroup of (R,+) generated by `gens`, as a sorted element tuple."""
-    gens = ring.indices(ring.check_element(g) for g in gens)
-    return ring.elements_at(_closure_mask(ring, gens))
+def additive_closure(ring: FiniteRing, gens) -> np.ndarray:
+    """Mask of the subgroup of (R,+) generated by the elements of a mask."""
+    add = ring.tables.add
+    gens = np.flatnonzero(_subset(ring, gens))
+    seen = np.zeros(ring.order, dtype=bool)
+    seen[0] = True
+    return reach(seen, lambda frontier: add[np.ix_(frontier, gens)])
 
 
-def omega_additive(ring: FiniteRing, n: int) -> tuple[Element, ...]:
-    """Elements killed by p^n, i.e. the additive omega-n subgroup."""
+def omega_additive(ring: FiniteRing, n: int) -> np.ndarray:
+    """Mask of the elements killed by p^n, the additive omega-n subgroup:
+    coordinate k is a multiple of p^max(0, e_k - n)."""
     if n < 0:
         raise InvalidArgumentError("omega index must be >= 0")
-    choices = []
-    for e, m in zip(ring.exps, ring.moduli):
-        step = ring.p ** max(0, e - n)
-        choices.append(range(0, m, step))
-    return tuple(sorted(itertools.product(*choices)))
+    steps = np.array([ring.p ** max(0, e - n) for e in ring.exps], dtype=np.int64)
+    return (ring.tables.coords % steps == 0).all(axis=1)
 
 
-def ring_power_chain(ring: FiniteRing) -> list[tuple[Element, ...]]:
-    """[R^1, R^2, ...] down to stabilization; each term a sorted element tuple."""
+def ring_power_chain(ring: FiniteRing) -> list[np.ndarray]:
+    """[R^1, R^2, ...] down to stabilization, as read-only masks."""
     if "power_chain" in ring._cache:
         return ring._cache["power_chain"]
     mul = ring.tables.mul
     basis = ring._arrays[1]
     chain = [np.ones(ring.order, dtype=bool)]
     while True:
-        prev = chain[-1]
-        nxt = _closure_mask(ring, mul[np.ix_(np.flatnonzero(prev), basis)].ravel())
-        if (nxt == prev).all():
+        products = np.zeros(ring.order, dtype=bool)
+        products[mul[np.ix_(chain[-1], basis)]] = True
+        nxt = additive_closure(ring, products)
+        if (nxt == chain[-1]).all():
             break
         chain.append(nxt)
-    ring._cache["power_chain"] = [ring.elements_at(mask) for mask in chain]
-    return ring._cache["power_chain"]
+    for mask in chain:
+        mask.flags.writeable = False
+    ring._cache["power_chain"] = chain
+    return chain
 
 
 def nilpotency_class_ring(ring: FiniteRing) -> int | None:
     """Least n with R^(n+1) = 0, or None if the power chain stalls above 0."""
     chain = ring_power_chain(ring)
-    if len(chain[-1]) != 1:
+    if chain[-1].sum() != 1:
         return None
-    if ring.order == 1:
-        return 0
     return len(chain) - 1
 
 
-def _annihilator_mask(ring: FiniteRing, targets, side: int) -> np.ndarray:
-    """{x : x t = 0} (side 0) or {x : t x = 0} (side 1) for all t in targets,
-    verified to be an additive subgroup."""
+def _annihilator(ring: FiniteRing, targets, side: int) -> np.ndarray:
+    """{x : x t = 0} (side 0) or {x : t x = 0} (side 1) for all t in the
+    target mask, verified to be an additive subgroup."""
     mul = ring.tables.mul
-    targets = ring.indices(ring.check_element(t) for t in targets)
+    targets = _subset(ring, targets)
     mask = (mul[:, targets] == 0).all(axis=1) if side == 0 else (mul[targets] == 0).all(axis=0)
-    if not (_closure_mask(ring, np.flatnonzero(mask)) == mask).all():
+    if not (additive_closure(ring, mask) == mask).all():
         raise InvalidStructureError("annihilator failed subgroup closure")
     return mask
 
 
-def left_annihilator(ring: FiniteRing, targets) -> tuple[Element, ...]:
-    """{x : x t = 0 for all t in targets}, verified to be an additive subgroup."""
-    return ring.elements_at(_annihilator_mask(ring, targets, 0))
+def left_annihilator(ring: FiniteRing, targets) -> np.ndarray:
+    """Mask of {x : x t = 0 for all masked t}, verified to be an additive subgroup."""
+    return _annihilator(ring, targets, 0)
 
 
-def right_annihilator(ring: FiniteRing, targets) -> tuple[Element, ...]:
-    """{x : t x = 0 for all t in targets}, verified to be an additive subgroup."""
-    return ring.elements_at(_annihilator_mask(ring, targets, 1))
+def right_annihilator(ring: FiniteRing, targets) -> np.ndarray:
+    """Mask of {x : t x = 0 for all masked t}, verified to be an additive subgroup."""
+    return _annihilator(ring, targets, 1)
 
 
-def ideal_u(ring: FiniteRing, omega_for_two: int = 1) -> tuple[Element, ...]:
-    """Right annihilator of R meeting the additive omega-1 subgroup.
+def ideal_u(ring: FiniteRing, omega_for_two: int = 1) -> np.ndarray:
+    """Mask of the right annihilator of R meeting the additive omega-1 subgroup.
 
     For p = 2 the omega index is adjustable (1 or 2); the two readings can
     produce different ideals and verification reports both.  Requires a left
@@ -319,44 +300,76 @@ def ideal_u(ring: FiniteRing, omega_for_two: int = 1) -> tuple[Element, ...]:
     if not ring.is_left_p_nil():
         raise HypothesisError("ideal_u needs a left p-nil ring")
     n = omega_for_two if ring.p == 2 else 1
-    omega = np.isin(np.arange(ring.order), ring.indices(omega_additive(ring, n)))
-    u = _annihilator_mask(ring, ring.elements(), 1) & omega
+    u = right_annihilator(ring, np.ones(ring.order, dtype=bool)) & omega_additive(ring, n)
     if not _is_ideal(ring, u):
         raise InvalidStructureError("ideal_u is not two-sided")
     if ring.order > 1 and u.sum() == 1:
         raise InvalidStructureError("ideal_u came out trivial on a nonzero ring")
-    return ring.elements_at(u)
+    return u
 
 
-def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, "object"]:
-    """Quotient by a two-sided ideal, re-based on canonical invariant factors.
+def quotient_ring(ring: FiniteRing, ideal) -> tuple[FiniteRing, np.ndarray]:
+    """Quotient by a two-sided ideal given as a mask, rebased by to_finite_ring.
 
-    Returns (Q, project) with project mapping parent elements to Q elements.
+    Each coset is represented by its least element, as in `quotient_group`.
+    Returns (Q, at) with at[x] the index in Q of the coset of x, so the mask
+    of at == 0 is the ideal.  Q's p comes from to_finite_ring, so the order-1
+    quotient R/R takes p = 2, as trivial hom and der rings do.
     """
-    ideal = tuple(sorted(ring.check_element(x) for x in ideal))
-    if additive_closure(ring, ideal) != ideal:
+    ideal = _subset(ring, ideal)
+    if not (additive_closure(ring, ideal) == ideal).all():
         raise InvalidArgumentError("ideal is not an additive subgroup")
-    if not _is_ideal(ring, np.isin(np.arange(ring.order), ring.indices(ideal))):
+    if not _is_ideal(ring, ideal):
         raise InvalidArgumentError("subgroup is not a two-sided ideal")
-    factors, project = quotient_decomposition(list(ring.moduli), [list(x) for x in ideal])
-    exps = []
-    for f in factors:
-        pk = prime_power(f)
-        if pk is None or pk[0] != ring.p:
-            raise InvalidStructureError("quotient factor is not a power of p")
-        exps.append(pk[1])
-    # any lift of a unit vector will do: products of cosets are well defined
-    lift = {project(x): x for x in ring.elements()}
-    idx = ring.indices(lift[tuple(int(i == k) for i in range(len(factors)))]
-                       for k in range(len(factors)))
-    products = ring.tables.coords[ring.tables.mul[np.ix_(idx, idx)]]
-    tensor = [[project(tuple(x)) for x in row] for row in products.tolist()]
-    q = FiniteRing(ring.p, exps, tensor, name=f"{ring.name}/I{len(ideal)}")
+    t = ring.tables
+    rep = t.add[:, ideal].min(axis=1)  # least element of each coset x + I
+    reps, coset = np.unique(rep, return_inverse=True)
+    grid = np.ix_(reps, reps)
+    q, at = to_finite_ring(coset[t.add[grid]], coset[t.mul[grid]], 0,
+                           name=f"{ring.name}/I{int(ideal.sum())}")
+    return q, at[coset]
 
-    def proj(x: Element) -> Element:
-        return project(ring.check_element(x))
 
-    return q, proj
+def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np.ndarray]:
+    """Structure-constant ring isomorphic to the ring given by index tables.
+
+    Returns (R, at) where at[i] is the index in R of table element i.  The
+    witness proves every ring axiom for the tables: at is a bijection onto R
+    that fixes zero and carries `add` and `mul` to R's tables on every pair,
+    so the tables are an isomorphic copy of the validated ring R.
+    """
+    add = np.asarray(add, dtype=np.int64)
+    mul = np.asarray(mul, dtype=np.int64)
+    m = add.shape[0]
+    every = np.arange(m)
+    if add.shape != (m, m) or mul.shape != (m, m):
+        raise InvalidStructureError("tables must be square and same-sized")
+    if min(add.min(), mul.min()) < 0 or max(add.max(), mul.max()) >= m:
+        raise InvalidStructureError("table entries out of range")
+    # a zero row and column and Latin columns keep the decomposition finite: each
+    # multiples loop is an orbit of a column permutation, so it returns to zero
+    if not (0 <= zero < m and (add[zero] == every).all() and (add[:, zero] == every).all()):
+        raise InvalidStructureError(f"element {zero} is not an additive zero")
+    if not (np.sort(add, axis=0) == every[:, None]).all():
+        raise InvalidStructureError("addition table is not a Latin square")
+    factors, basis, coords = table_decomposition(add.tolist(), zero)
+    pks = [prime_power(f) for f in factors]
+    if any(pk is None for pk in pks) or len({pk[0] for pk in pks}) > 1:
+        raise InvalidStructureError("additive group is not a p-group")
+    tensor = [[list(coords[int(mul[a, b])]) for b in basis] for a in basis]
+    ring = FiniteRing(pks[0][0] if pks else 2, [pk[1] for pk in pks], tensor,
+                      name=f"{name}_sc")
+    at = np.array([coords[i] for i in range(m)], np.int64).reshape(m, ring.dim) @ ring._arrays[1]
+    if ring.order != m or np.unique(at).size != m:
+        raise InvalidStructureError("witness map is not a bijection")
+    if at[zero] != 0:
+        raise InvalidStructureError("witness map moves zero")
+    grid = np.ix_(at, at)
+    if not (ring.tables.add[grid] == at[add]).all():
+        raise InvalidStructureError("witness map breaks addition")
+    if not (ring.tables.mul[grid] == at[mul]).all():
+        raise InvalidStructureError("witness map breaks multiplication")
+    return ring, at
 
 
 # -- tensor laws and enumeration ----------------------------------------------------

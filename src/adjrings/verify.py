@@ -117,10 +117,8 @@ def _section_exponent_log(upper: Subgroup, lower: Subgroup, p: int) -> int:
     p-group): the least k with x^(p^k) in lower for every x in upper."""
     G = upper.parent
     p_power = power_map(G, p)
-    in_lower = np.zeros(G.n, dtype=bool)
-    in_lower[list(lower.elems)] = True
     x, k = np.array(upper.elems), 0
-    while not in_lower[x].all():
+    while not lower.mask[x].all():
         x, k = p_power[x], k + 1
     return k
 
@@ -178,24 +176,23 @@ def check_omega_correspondence(R: FiniteRing) -> CheckReport:
     if not (prof.left_p_nil or prof.right_p_nil):
         return skipped("not left or right p-nil")
     A = adjoint_group(R)
-    gidx = A.index_of
+    coords = R.tables.coords
     computed: dict = {"m": prof.m, "layers": {}}
     top = max(prof.m, 1)
     bound = f"layers agree for n <= {top}"
     for n in range(1, top + 1):
         circle = omega_circle_set(R, n)
-        additive = omega_additive(R, n)
-        if circle != additive:
-            sample = next(iter(set(circle) ^ set(additive)))
-            return verdict(computed, bound, f"n={n}, element {list(sample)}")
-        missing = [x for x in circle if x not in gidx]
-        if missing:
+        differ = np.flatnonzero(circle != omega_additive(R, n))
+        if differ.size:
+            return verdict(computed, bound, f"n={n}, element {coords[differ[0]].tolist()}")
+        outside = np.flatnonzero(circle & (A.position < 0))
+        if outside.size:
             return verdict(computed, bound,
-                           f"n={n}, element {list(missing[0])} not quasi-invertible")
-        grown = closure(A.group, [gidx[x] for x in circle])
-        closed = tuple(sorted(A.members[i] for i in grown.elems)) == circle
-        computed["layers"][str(n)] = {
-            "size": len(circle), "subgroup_closed": bool(closed)}
+                           f"n={n}, element {coords[outside[0]].tolist()} not quasi-invertible")
+        # the closure holds the layer's distinct group indices, so equal sizes mean equal sets
+        size = int(circle.sum())
+        closed = closure(A.group, A.position[circle]).order == size
+        computed["layers"][str(n)] = {"size": size, "subgroup_closed": closed}
         if not closed:
             return verdict(computed, bound, f"n={n}, set is not a subgroup")
     return verdict(computed, bound)
@@ -283,9 +280,10 @@ def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1) -> CheckRepor
         try:
             u = ideal_u(R, omega_for_two=w)
             Q, _ = quotient_ring(R, u)
+            size = int(u.sum())
             results[str(w)] = {
-                "ideal_order": len(u),
-                "nontrivial": len(u) > 1,
+                "ideal_order": size,
+                "nontrivial": size > 1,
                 "quotient_left_p_nil": Q.is_left_p_nil(),
             }
         except InvalidStructureError as exc:
@@ -436,9 +434,8 @@ def probe_sylow_center(G: FiniteGroup, aut_bound: int = AUT_ORDER_BOUND) -> Chec
     auts = aut_group(G, bound=aut_bound)
     syl, ids = auts.sylow(p)
     zc = center(syl)
-    rows = np.array([auts.member(ids[j]) for j in zc.elems], dtype=np.int32)
-    offsets = coset_offsets(G, rows)
-    inside = np.isin(offsets, list(frattini(G).elems)).all(axis=1)
+    offsets = coset_offsets(G, auts.matrix[np.asarray(ids)[list(zc.elems)]])
+    inside = frattini(G).mask[offsets].all(axis=1)
     computed = {"sylow_order": syl.n, "center_order": zc.order,
                 "violations": int((~inside).sum())}
     return verdict(computed, "observed against Frattini cosets")
@@ -467,9 +464,7 @@ def check_frattini_aut_class(G: FiniteGroup) -> CheckReport:
     offsets = coset_offsets(G, members)
     witness = None
     for i in range(len(series) - 1):
-        nxt = np.zeros(G.n, dtype=bool)
-        nxt[list(series[i + 1].elems)] = True
-        if not nxt[offsets[:, list(series[i].elems)]].all():
+        if not series[i + 1].mask[offsets[:, list(series[i].elems)]].all():
             witness = f"action moves layer {i + 1} off its successor"
             break
     computed["stable"] = witness is None

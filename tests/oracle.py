@@ -2,18 +2,47 @@
 
 Ring arithmetic here works element by element on coordinate tuples, summing
 products from the exact structure tensor `ring.tensor` in Python integers;
-`FiniteRing.tables` must agree with it entry for entry.  The Frattini
+`FiniteRing.tables` must agree with it entry for entry.  `elements` lists the
+coordinate tuples in lexicographic order, the order `tables.coords` must
+have; `mask` and `members` translate between sets of tuples and the bool
+masks the library takes and returns.  The Frattini
 subgroup here is the intersection of the maximal subgroups, read off the full
 subgroup lattice; `groups.frattini` computes G'G^p instead.
 """
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from adjrings.groups import Subgroup, enumerate_subgroups, full_subgroup
 
 
 def zero(ring):
     return (0,) * ring.dim
+
+
+def elements(ring) -> list:
+    """Every element as a coordinate tuple, in lexicographic order."""
+    return list(itertools.product(*(range(m) for m in ring.moduli)))
+
+
+def reduce(ring, x):
+    """A coordinate tuple reduced mod the moduli."""
+    return tuple(c % m for c, m in zip(x, ring.moduli))
+
+
+def mask(ring, elems) -> np.ndarray:
+    """Bool mask of a collection of coordinate tuples (reduced first)."""
+    out = np.zeros(ring.order, dtype=bool)
+    out[[index(ring, reduce(ring, x)) for x in elems]] = True
+    return out
+
+
+def members(ring, mask) -> set:
+    """The coordinate tuples a bool mask marks."""
+    return {element(ring, int(i)) for i in np.flatnonzero(mask)}
 
 
 def index(ring, x) -> int:

@@ -249,7 +249,7 @@ def test_criterion_12_spot_anchors():
     A = adjoint_group(R)
     assert A.order == 9
     assert A.group.is_abelian() and A.group.exponent() == 9  # cyclic of order 9
-    layer1 = {3 * x[0] % 27 for x in omega_circle_set(R, 1)}
+    layer1 = {3 * c % 27 for c in R.tables.coords[omega_circle_set(R, 1), 0].tolist()}
     assert layer1 == {0, 9, 18}
     q8 = builtin_group("q8")
     stab, _ = aut_n(q8, center(q8))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from adjrings import cli, morphisms
+from adjrings import cli, morphisms, verify
 from adjrings.cli import (
     ALL_CHECKS,
     CorpusEntry,
@@ -21,6 +21,7 @@ from adjrings.cli import (
 )
 from adjrings.errors import AlgebraError
 from adjrings.groups import builtin_group
+from adjrings.report import verdict
 from adjrings.verify import CHECKS, GROUP_CHECKS, RING_CHECKS
 
 
@@ -361,13 +362,21 @@ def test_verify_annihilator_omega_flag(tmp_path):
     assert rec["computed"]["settings_diverge"] is True
 
 
-def test_verify_report_verdict_fail_exit(tmp_path):
-    # a manifest with no entries cannot fail; build one that can and make
-    # sure failures drive the exit code by checking the clean path instead
-    man = write_manifest(tmp_path / "m.json", [])
+def test_verify_report_verdict_fail_exit(tmp_path, capsys, monkeypatch):
+    # runners look their check up by name at call time, so they see the patch
+    monkeypatch.setattr(verify, "check_profile_consistency",
+                        lambda G: verdict({}, "b", "forced"))
+    man = write_manifest(tmp_path / "m.json", [{"id": "group:q8", "kind": "group",
+                                                "builtin": "q8"}])
     report = tmp_path / "rep.jsonl"
-    assert main(["verify", "--corpus", man, "--report", str(report)]) == 0
-    assert report.read_text() == ""
+    assert main(["verify", "--corpus", man, "--checks", "profile-consistency",
+                 "--report", str(report)]) == 1
+    assert [json.loads(line) for line in report.read_text().splitlines()] == [{
+        "check": "profile-consistency", "instance": "group:q8", "hypothesis_met": True,
+        "computed": {}, "bound": "b", "verdict": "fail", "witness": "forced"}]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["profile-consistency", "0", "1", "0"]
+    assert out[-1].startswith("1 reports, 1 failures")
 
 
 def test_build_tasks_deterministic(corpus):
