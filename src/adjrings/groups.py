@@ -267,6 +267,8 @@ def prime_of(G: FiniteGroup) -> int | None:
 
 def agemo(G: FiniteGroup, n: int) -> Subgroup:
     """Subgroup generated by p^n-th powers (G must be a p-group)."""
+    if n < 0:
+        raise InvalidArgumentError("omega index must be >= 0")
     p = prime_of(G)
     if p is None and G.n > 1:
         raise InvalidArgumentError("agemo needs a p-group")
@@ -277,6 +279,8 @@ def agemo(G: FiniteGroup, n: int) -> Subgroup:
 
 def omega_set(G: FiniteGroup, n: int) -> tuple[int, ...]:
     """Elements of order dividing p^n, as a sorted index tuple."""
+    if n < 0:
+        raise InvalidArgumentError("omega index must be >= 0")
     p = prime_of(G)
     if p is None and G.n > 1:
         raise InvalidArgumentError("omega needs a p-group")
@@ -530,7 +534,7 @@ def is_p_central(G: FiniteGroup) -> bool:
     if p is None:
         raise InvalidArgumentError("p-centrality is a p-group notion")
     n = 2 if p == 2 else 1
-    return set(omega_subgroup(G, n).elems) <= set(center(G).elems)
+    return bool((omega_subgroup(G, n).mask <= center(G).mask).all())
 
 
 def power_commutator_subgroup(G: FiniteGroup) -> Subgroup:

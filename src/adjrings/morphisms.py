@@ -4,10 +4,12 @@ Derivations into an abelian normal subgroup N follow the twisted product rule
 d(xy) = d(x)^y d(y).  They form a ring under pointwise addition and
 composition multiplication (d1 d2)(x) = d2(d1(x)), and the map u -> d_u with
 d_u(x) = x^{-1} u(x) matches the coset-preserving endomorphism monoid with
-that ring's circle monoid.  Everything here verifies those laws rather than
-assuming them, on every pair (x, g) with g in a generating set of G, which
-covers every pair (x, y) by induction on the length of y (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005, sec. 2).
+that ring's circle monoid.  A homomorphism follows the same rule under the
+trivial action, so Hom, Der, End_N and Aut sets all come from one
+generator-image search, `_image_rows`.  Everything here verifies those laws
+rather than assuming them, on every pair (x, g) with g in a generating set of
+G, which covers every pair (x, y) by induction on the length of y (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, sec. 2).
 
 Composition is written left-to-right throughout: (u * v)(x) = v(u(x)).
 """
@@ -59,14 +61,6 @@ def _candidate_grid(choices, what: str) -> np.ndarray:
     if count > BATCH_BUDGET:
         raise BudgetError(f"{what} exceeds the batch budget")
     return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(count, len(choices))
-
-
-def _chunked_all(U: np.ndarray, width: int, predicate) -> np.ndarray:
-    chunk = max(1, CHUNK_ENTRIES // (U.shape[1] * width))
-    ok = np.ones(U.shape[0], dtype=bool)
-    for s in range(0, U.shape[0], chunk):
-        ok[s:s + chunk] = predicate(U[s:s + chunk])
-    return ok
 
 
 class _RowIndex:
@@ -139,28 +133,27 @@ def _test_columns(G: FiniteGroup) -> np.ndarray:
     return np.array(generating_set(G) or [G.identity])
 
 
-def _verify_hom_rows(G: FiniteGroup, dst_table: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Mask of the rows u of U that are homomorphisms G -> dst."""
+def _trivial_action(G: FiniteGroup) -> np.ndarray:
+    """One identity row per test column: under it the law is the homomorphism rule."""
+    return np.broadcast_to(np.arange(G.n), (_test_columns(G).size, G.n))
+
+
+def _law_rows(G: FiniteGroup, act: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Mask of the rows u of U with u(xs) = act_s(u(x)) u(s) for every x in G
+    and s in S = _test_columns(G), act_s being row s of `act`; checked in
+    blocks of at most CHUNK_ENTRIES entries."""
     S = _test_columns(G)
-
-    def pred(u):
-        return (u[:, G.table[:, S]] == dst_table[u[:, :, None], u[:, None, S]]).all(axis=(1, 2))
-    return _chunked_all(U, len(S), pred)
-
-
-def _verify_cocycle_rows(G: FiniteGroup, U: np.ndarray) -> np.ndarray:
-    """Mask of the rows d of U that follow d(xy) = d(x)^y d(y)."""
-    S = _test_columns(G)
-    conj = G.conj_table[G.inverses[S]]  # conj[s, v] = S[s]^{-1} v S[s]
-    slot = np.arange(len(S))
-
-    def pred(u):
-        twisted = G.table[conj[slot, u[:, :, None]], u[:, None, S]]
-        return (u[:, G.table[:, S]] == twisted).all(axis=(1, 2))
-    return _chunked_all(U, len(S), pred)
+    slot = np.arange(S.size)
+    chunk = max(1, CHUNK_ENTRIES // (G.n * S.size))
+    ok = np.ones(U.shape[0], dtype=bool)
+    for lo in range(0, U.shape[0], chunk):
+        u = U[lo:lo + chunk]
+        acted = G.table[act[slot, u[:, :, None]], u[:, None, S]]
+        ok[lo:lo + chunk] = (u[:, G.table[:, S]] == acted).all(axis=(1, 2))
+    return ok
 
 
-def _bfs_plan(G: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
+def _bfs_plan(G: FiniteGroup, gens: np.ndarray) -> list[tuple[int, int, int]]:
     """Fill order (element, parent, gen slot) covering G from the generators."""
     seen = {G.identity}
     plan = []
@@ -181,26 +174,22 @@ def _bfs_plan(G: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     return plan
 
 
-def _fill_endo_rows(G: FiniteGroup, gens: list[int], C: np.ndarray) -> np.ndarray:
-    """Extend generator images multiplicatively along a spanning tree."""
-    B = C.shape[0]
-    U = np.zeros((B, G.n), dtype=np.int32)
-    U[:, G.identity] = G.identity
-    for elem, parent, gi in _bfs_plan(G, gens):
-        U[:, elem] = G.table[U[:, parent], C[:, gi]]
-    return U
+def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarray:
+    """The one generator-image search: every map u with u(s) in choices[k] for
+    the k-th test column s that follows u(xs) = act_s(u(x)) u(s).
 
-
-def _fill_der_rows(G: FiniteGroup, gens: list[int], C: np.ndarray) -> np.ndarray:
-    """Extend generator values along a spanning tree by the twisted rule."""
-    B = C.shape[0]
-    U = np.zeros((B, G.n), dtype=np.int32)
+    Each candidate is extended from its test-column values along a spanning
+    tree by that rule, then kept if the rule holds on every x and s.  Under
+    the trivial action the rows are homomorphisms; under conjugation,
+    act_s(v) = s^{-1} v s, they are derivations.
+    """
+    S = _test_columns(G)
+    C = _candidate_grid(choices, what)
+    U = np.zeros((C.shape[0], G.n), dtype=np.int32)
     U[:, G.identity] = G.identity
-    conj_by = {g: G.conj_table[G.inv(g)] for g in gens}
-    for elem, parent, gi in _bfs_plan(G, gens):
-        g = gens[gi]
-        U[:, elem] = G.table[conj_by[g][U[:, parent]], C[:, gi]]
-    return U
+    for elem, parent, k in _bfs_plan(G, S):
+        U[:, elem] = G.table[act[k][U[:, parent]], C[:, k]]
+    return U[_law_rows(G, act, U)]
 
 
 def _validate_coset_target(G: FiniteGroup, N: Subgroup) -> None:
@@ -220,24 +209,23 @@ def _validate_module(G: FiniteGroup, N: Subgroup) -> None:
 
 
 def _is_central(G: FiniteGroup, N: Subgroup) -> bool:
-    return set(N.elems) <= set(center(G).elems)
+    return bool((N.mask <= center(G).mask).all())
 
 
 def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     """All derivations G -> N as read-only image rows, kept in
     `G._cache[("der", N.elems)]` once they pass the fixed batch budget.
 
-    Candidates are generator values in N, extended by the twisted rule and
-    filtered by the cocycle check.  For a central N the twist is trivial, so
-    these rows are exactly Hom(G, N).
+    Candidates are generator values in N, searched under conjugation.  For a
+    central N the action is trivial, so these rows are exactly Hom(G, N).
     """
     _validate_module(G, N)
     if ("der", N.elems) in G._cache:
         return G._cache["der", N.elems]
-    gens = generating_set(G)
-    C = _candidate_grid([sorted(N.elems)] * len(gens), "derivation search space")
-    U = _fill_der_rows(G, gens, C)
-    U = U[_verify_cocycle_rows(G, U) & N.mask[U].all(axis=1)]
+    S = _test_columns(G)
+    U = _image_rows(G, [sorted(N.elems)] * S.size, G.conj_table[G.inverses[S]],
+                    "derivation search space")
+    U = U[N.mask[U].all(axis=1)]
     U.setflags(write=False)
     G._cache["der", N.elems] = U
     return U
@@ -246,15 +234,13 @@ def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
 def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     """All endomorphisms u with x^{-1}u(x) in N, enumerated from coset images.
 
-    This search is independent of the derivation enumeration: candidates are
-    generator images inside their N-cosets, extended multiplicatively and
-    filtered by the homomorphism check.
+    The search is shared with the derivations but its inputs are not:
+    candidates are generator images inside their N-cosets, searched under the
+    trivial action.
     """
-    gens = generating_set(G)
     narr = np.array(sorted(N.elems))
-    cosets = [sorted(int(v) for v in G.table[g, narr]) for g in gens]
-    U = _fill_endo_rows(G, gens, _candidate_grid(cosets, "endomorphism search space"))
-    U = U[_verify_hom_rows(G, G.table, U)]
+    cosets = [sorted(int(v) for v in G.table[g, narr]) for g in _test_columns(G)]
+    U = _image_rows(G, cosets, _trivial_action(G), "endomorphism search space")
     # coset condition propagates from generators to all elements; assert anyway
     if not N.mask[coset_offsets(G, U)].all():
         raise InvalidStructureError("endomorphism escaped its cosets")
@@ -323,23 +309,16 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRin
 
 def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """Aut_N(G): bijective members of End_N(G), as a group under composition,
-    and the read-only image rows of its members, row i being group element i."""
+    and the read-only image rows of its members in lexicographic order, row i
+    being group element i."""
     _validate_coset_target(G, N)
     M = _endo_matrix(G, N)
-    M = M[_bijective_rows(M, G.n)]
-    m = M.shape[0]
-    if m > MAX_ORDER:
-        raise BoundError(f"Aut_N with {m} members cannot form a Cayley table")
-    index = _RowIndex(M)
-    tab = _compose_table(M, index, "Aut_N composition")
-    ident = index.require(np.arange(G.n)[None, :], "identity automorphism")
-    grp = FiniteGroup(tab, identity=int(ident[0]), name=f"aut_N({G.name},N{N.order})")
-    M.flags.writeable = False
-    return grp, M
+    return AutomorphismGroup(G, M[_bijective_rows(M, G.n)]).as_group()
 
 
 class AutomorphismGroup:
-    """Aut(G) held member-wise: sorted image rows and one row index.
+    """A group of automorphisms of G (all of Aut(G), or Aut_N(G)) held
+    member-wise: lexsorted image rows and one row index.
 
     The full Cayley table is never materialized unless as_group() is called,
     so groups with tens of thousands of automorphisms stay workable.  Sylow
@@ -439,16 +418,14 @@ def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND) -> AutomorphismGroup
         raise BoundError(f"automorphism search capped at group order {bound}")
     if "aut" in G._cache:
         return G._cache["aut"]
-    gens = generating_set(G)
     class_size = np.zeros(G.n, dtype=np.int64)
     for cls in G.conjugacy_classes:
         for x in cls:
             class_size[x] = len(cls)
     orders = G.element_orders
     cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
-                  for g in gens]
-    U = _fill_endo_rows(G, gens, _candidate_grid(cand_lists, "automorphism candidate space"))
-    M = U[_verify_hom_rows(G, G.table, U)]
+                  for g in _test_columns(G)]
+    M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
     M = M[_bijective_rows(M, G.n)]
     if M.shape[0] > AUT_MEMBER_CAP:
         raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")
@@ -593,7 +570,7 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
     ngrp, narr = N.as_group(), list(N.elems)
     pos = np.zeros(G.n, dtype=np.int32)
     pos[narr] = np.arange(N.order)  # position in N of each element of N
-    additive = _verify_hom_rows(ngrp, ngrp.table, pos[ders[:, narr]])
+    additive = _law_rows(ngrp, _trivial_action(ngrp), pos[ders[:, narr]])
     if not additive.all():
         bad = int(np.flatnonzero(~additive)[0])
         return f"derivation {bad} is not additive on the module"

@@ -360,21 +360,19 @@ def check_central_aut(G: FiniteGroup, subgroup_bound: int = SUBGROUP_BOUND) -> C
         computed["parts"]["torsion_layers"] = False
         return verdict(computed, bound, "torsion_layers: aut group is not a p-group")
     orders = grp.element_orders
-    sgrp = S.as_group()
     offsets = coset_offsets(G, members)
     e_aut = _log_exact(p, grp.exponent())
     e_s = _log_exact(p, subgroup_exponent(G, S)) if S.order > 1 else 0
     for n in range(1, max(e_aut, e_s, 1) + 1):
         q = p ** n
-        brace = frozenset(int(i) for i in np.flatnonzero(q % orders == 0))
-        gen_sub = frozenset(omega_subgroup(grp, n).elems)
-        in_omega = np.zeros(G.n, dtype=bool)
-        in_omega[[S.elems[x] for x in omega_subgroup(sgrp, n).elems]] = True
-        restricted = frozenset(np.flatnonzero(in_omega[offsets].all(axis=1)).tolist())
-        if not (brace == gen_sub == restricted):
+        brace = q % orders == 0
+        gen_sub = omega_subgroup(grp, n).mask
+        # S is central, so its elements of order dividing q are Omega_n(S)
+        restricted = (S.mask & (q % G.element_orders == 0))[offsets].all(axis=1)
+        if not ((brace == gen_sub).all() and (gen_sub == restricted).all()):
             computed["parts"]["torsion_layers"] = False
             return verdict(computed, bound, f"torsion_layers: n={n}: "
-                           f"sizes {len(brace)}/{len(gen_sub)}/{len(restricted)}")
+                           f"sizes {brace.sum()}/{gen_sub.sum()}/{restricted.sum()}")
     computed["parts"]["torsion_layers"] = True
 
     expo = grp.exponent()
@@ -401,7 +399,7 @@ def check_central_aut_class(G: FiniteGroup) -> CheckReport:
     if p is None:
         return skipped("not a nontrivial p-group")
     Z = center(G)
-    if not set(Z.elems) <= set(frattini(G).elems):
+    if not (Z.mask <= frattini(G).mask).all():
         return skipped("center not inside Frattini")
     prof = group_profile(G)
     grp, _ = aut_n(G, Z)

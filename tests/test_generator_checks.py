@@ -1,6 +1,7 @@
-"""The homomorphism, twisted-rule and Laue comparisons read only the columns
-of a generating set of G.  Each is checked here against the full-pair
-comparison it replaces, kept below as the oracle.
+"""The law filter and the Laue comparisons read only the columns of a
+generating set of G.  Each is checked here against the full-pair comparison
+it replaces, kept below as the oracle: the law filter under the trivial action
+against the homomorphism rule, and under conjugation against the twisted rule.
 
 Besides rows from the spanning-tree fill, the batches hold rows perturbed on a
 whole left coset rH of each proper subgroup H.  Such a row still obeys the
@@ -11,23 +12,21 @@ a test set that misses a generator accepts it.
 import numpy as np
 import pytest
 
+from adjrings import morphisms
 from adjrings.groups import (
     abelian_normal_subgroups,
     builtin_group,
     center,
-    cyclic_group,
     enumerate_subgroups,
-    generating_set,
 )
 from adjrings.morphisms import (
     _der_matrix,
     _endo_matrix,
-    _fill_der_rows,
-    _fill_endo_rows,
+    _image_rows,
+    _law_rows,
     _pair_kernel,
     _test_columns,
-    _verify_cocycle_rows,
-    _verify_hom_rows,
+    _trivial_action,
 )
 
 # builtin groups have identity 0, so element 0 is never a perturbation
@@ -47,14 +46,23 @@ def cocycle_rows_oracle(G, U: np.ndarray) -> np.ndarray:
     return (U[:, G.table] == rhs).all(axis=(1, 2))
 
 
-def fill_candidates(G, values, rng, cap=3000):
-    """Generator-value tuples drawn from `values`: all of them, or `cap` at random."""
-    S = generating_set(G)
-    values = np.asarray(values, dtype=np.int32)
-    if len(values) ** len(S) <= cap:
-        grids = np.meshgrid(*([values] * len(S)), indexing="ij")
-        return S, np.stack([g.ravel() for g in grids], axis=1).astype(np.int32)
-    return S, rng.choice(values, size=(cap, len(S))).astype(np.int32)
+def conjugation(G) -> np.ndarray:
+    """The derivation action: row k maps v to s^{-1} v s, s the k-th test column."""
+    return G.conj_table[G.inverses[_test_columns(G)]]
+
+
+def filled_rows(G, values, act, monkeypatch) -> np.ndarray:
+    """Every row the search fills from test-column values in `values` under
+    `act`, with its law filter switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(morphisms, "_law_rows", lambda G, act, U: np.ones(len(U), dtype=bool))
+        return _image_rows(G, [values] * _test_columns(G).size, act, "test batch")
+
+
+def assert_law_filter_matches_oracles(G, U):
+    np.testing.assert_array_equal(_law_rows(G, _trivial_action(G), U),
+                                  hom_rows_oracle(G.table, G.table, U))
+    np.testing.assert_array_equal(_law_rows(G, conjugation(G), U), cocycle_rows_oracle(G, U))
 
 
 def left_cosets(G):
@@ -66,9 +74,8 @@ def left_cosets(G):
             yield np.array(H.elems), G.table[r, list(H.elems)]
 
 
-def hom_batch(G, rng):
-    S, C = fill_candidates(G, range(G.n), rng)
-    U = _fill_endo_rows(G, S, C)
+def hom_batch(G, rng, monkeypatch):
+    U = filled_rows(G, range(G.n), _trivial_action(G), monkeypatch)
     homs = U[hom_rows_oracle(G.table, G.table, U)][:12]
     shifted = []
     for _, coset in left_cosets(G):
@@ -78,9 +85,8 @@ def hom_batch(G, rng):
     return U, np.concatenate(shifted)
 
 
-def cocycle_batch(G, N, rng):
-    S, C = fill_candidates(G, N.elems, rng)
-    U = _fill_der_rows(G, S, C)
+def cocycle_batch(G, N, rng, monkeypatch):
+    U = filled_rows(G, N.elems, conjugation(G), monkeypatch)
     ders = U[cocycle_rows_oracle(G, U)][:12]
     cti = G.conj_table[G.inverses]
     shifted = []
@@ -102,35 +108,39 @@ def modules(G):
 
 
 @pytest.mark.parametrize("name", GROUPS)
-def test_hom_verifier_matches_full_pair_oracle(name):
+def test_hom_verifier_matches_full_pair_oracle(name, monkeypatch):
     G = builtin_group(name)
     rng = np.random.default_rng(7)
-    filled, shifted = hom_batch(G, rng)
+    filled, shifted = hom_batch(G, rng, monkeypatch)
     noise = rng.integers(0, G.n, size=(50, G.n)).astype(np.int32)
     for U in (filled, shifted, noise):
-        np.testing.assert_array_equal(_verify_hom_rows(G, G.table, U),
-                                      hom_rows_oracle(G.table, G.table, U))
+        assert_law_filter_matches_oracles(G, U)
     assert hom_rows_oracle(G.table, G.table, filled).any()
     assert not hom_rows_oracle(G.table, G.table, shifted).all()
 
 
 def test_hom_verifier_on_trivial_source():
-    G, H = cyclic_group(1), cyclic_group(4)
-    U = np.arange(4, dtype=np.int32)[:, None]
-    np.testing.assert_array_equal(_verify_hom_rows(G, H.table, U),
-                                  hom_rows_oracle(G.table, H.table, U))
-    assert _verify_hom_rows(G, H.table, U).tolist() == [True, False, False, False]
+    """The trivial group is tested on the column [1], which forces u(1) = 1;
+    its one map passes under either action and is the one row searched."""
+    G = builtin_group("c1")
+    assert _test_columns(G).tolist() == [G.identity]
+    one = np.array([[G.identity]], dtype=np.int32)
+    for act in (_trivial_action(G), conjugation(G)):
+        assert act.shape == (1, 1)
+        assert _law_rows(G, act, one).tolist() == [True]
+        assert_law_filter_matches_oracles(G, one)
+        np.testing.assert_array_equal(_image_rows(G, [[G.identity]], act, "test"), one)
 
 
 @pytest.mark.parametrize("name", GROUPS)
-def test_cocycle_verifier_matches_full_pair_oracle(name):
+def test_cocycle_verifier_matches_full_pair_oracle(name, monkeypatch):
     G = builtin_group(name)
     rng = np.random.default_rng(11)
     for N in modules(G):
-        filled, shifted = cocycle_batch(G, N, rng)
+        filled, shifted = cocycle_batch(G, N, rng, monkeypatch)
         noise = rng.choice(np.array(N.elems), size=(50, G.n)).astype(np.int32)
         for U in (filled, shifted, noise):
-            np.testing.assert_array_equal(_verify_cocycle_rows(G, U), cocycle_rows_oracle(G, U))
+            assert_law_filter_matches_oracles(G, U)
         assert cocycle_rows_oracle(G, filled).any()
         assert not cocycle_rows_oracle(G, shifted).all()
 

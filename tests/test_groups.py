@@ -215,6 +215,16 @@ class TestPGroupToolbox:
         assert omega_subgroup(m27, 1).order == 9
         assert not is_p_central(m27)
 
+    def test_torsion_index_must_be_nonnegative(self):
+        c8 = cyclic_group(8)
+        for G in (c8, cyclic_group(1)):
+            for layer in (omega_set, omega_subgroup, agemo):
+                with pytest.raises(InvalidArgumentError, match="omega index must be >= 0"):
+                    layer(G, -1)
+        assert omega_set(c8, 0) == (c8.identity,)
+        assert omega_subgroup(c8, 0).elems == (c8.identity,)
+        assert agemo(c8, 0).order == 8
+
     def test_p_central_examples(self):
         assert is_p_central(cyclic_group(8))
         assert is_p_central(builtin_group("c4xc4"))

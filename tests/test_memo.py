@@ -50,14 +50,28 @@ def run_kind(kind: str, make, names=None) -> list[dict]:
     return out
 
 
+def count_searches(monkeypatch) -> list:
+    """The `what` of every generator-image search, the one step each build of
+    Aut(G), End_N(G) or Der(G, N) runs exactly once."""
+    calls = []
+    real = morphisms._image_rows
+
+    def counted(G, choices, act, what):
+        calls.append(what)
+        return real(G, choices, act, what)
+
+    monkeypatch.setattr(morphisms, "_image_rows", counted)
+    return calls
+
+
 def test_group_checks_build_aut_group_and_profile_once(monkeypatch):
     fresh = run_kind("group", lambda: builtin_group("c3xc3"))
-    auts = count_inits(monkeypatch, morphisms.AutomorphismGroup)
+    searches = count_searches(monkeypatch)
     profiles = count_inits(monkeypatch, verify.GroupProfile)
     G = builtin_group("c3xc3")
     shared = run_kind("group", lambda: G)
     assert AUT_CHECKS <= {rec["check"] for rec in shared if rec["hypothesis_met"]}
-    assert len(auts) == 1
+    assert searches.count("automorphism candidate space") == 1
     assert len(profiles) == 1
     assert shared == fresh
 
@@ -76,23 +90,19 @@ def test_ring_checks_build_adjoint_group_once(monkeypatch):
 def test_laue_and_der_subring_build_derivations_once_per_module(monkeypatch):
     checks = {"laue", "der-subring-p-nil"}
     fresh = run_kind("group", lambda: builtin_group("c4xc2"), checks)
-    modules, builds = [], []
-    real_der, real_cocycle = morphisms._der_matrix, morphisms._verify_cocycle_rows
+    modules = []
+    real_der = morphisms._der_matrix
 
     def der_matrix(G, N):
         modules.append(N.elems)
         return real_der(G, N)
 
-    def cocycle_rows(G, U):  # called once per derivation build
-        builds.append(None)
-        return real_cocycle(G, U)
-
     monkeypatch.setattr(morphisms, "_der_matrix", der_matrix)
-    monkeypatch.setattr(morphisms, "_verify_cocycle_rows", cocycle_rows)
+    searches = count_searches(monkeypatch)
     G = builtin_group("c4xc2")
     shared = run_kind("group", lambda: G, checks)
     assert {rec["check"] for rec in shared if rec["hypothesis_met"]} == checks
-    assert len(modules) > len(set(modules)) == len(builds)
+    assert len(modules) > len(set(modules)) == searches.count("derivation search space")
     assert not morphisms._der_matrix(G, abelian_normal_subgroups(G)[-1]).flags.writeable
     assert shared == fresh
 

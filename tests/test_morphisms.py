@@ -33,12 +33,12 @@ from adjrings.morphisms import (
     _compose_table,
     _der_matrix,
     _endo_matrix,
+    _law_rows,
     _pair_kernel,
     _RowIndex,
     _rows_to_ring_tables,
     _test_columns,
-    _verify_cocycle_rows,
-    _verify_hom_rows,
+    _trivial_action,
     aut_group,
     aut_n,
     check_laue,
@@ -84,7 +84,7 @@ def test_hom_count_v4_self():
     rows = homs(v4)
     assert rows.shape[0] == 16
     assert np.unique(rows, axis=0).shape[0] == 16
-    assert _verify_hom_rows(v4, v4.table, rows).all()
+    assert _law_rows(v4, _trivial_action(v4), rows).all()
 
 
 def test_homs_into_subgroup():
@@ -100,7 +100,7 @@ def test_homs_into_subgroup():
 
 def test_hom_composition_and_validation():
     c4 = cyclic_group(4)
-    assert not _verify_hom_rows(c4, c4.table, np.array([[0, 1, 2, 0]]))[0]
+    assert not _law_rows(c4, _trivial_action(c4), np.array([[0, 1, 2, 0]]))[0]
 
 
 def test_hom_target_must_be_abelian():
@@ -181,7 +181,9 @@ def test_derivation_validation_twisted_rule():
     # values stay in the module but d(r^3) contradicts d(r)
     row = np.array([[0, 0, 4, 0, 0, 0, 0, 0]])
     assert np.isin(row, rot.elems).all()
-    assert not _verify_cocycle_rows(d8, row)[0]
+    conjugation = d8.conj_table[d8.inverses[_test_columns(d8)]]
+    assert not _law_rows(d8, conjugation, row)[0]
+    assert _law_rows(d8, conjugation, _der_matrix(d8, rot)).all()
 
 
 # -- the correspondence -------------------------------------------------------
@@ -469,9 +471,10 @@ def test_aut_n_c9_agemo_is_c3():
 
 def test_aut_n_full_module_matches_aut_group():
     d8 = dihedral_group(8)
-    _, members = aut_n(d8, full_subgroup(d8))
+    grp, members = aut_n(d8, full_subgroup(d8))
     auts = aut_group(d8)
-    assert np.array_equal(np.unique(members, axis=0), auts.matrix)
+    assert np.array_equal(members, auts.matrix)  # both in lexicographic order
+    assert np.array_equal(grp.table, auts.as_group()[0].table)
 
 
 @pytest.mark.parametrize("name, expected", [
