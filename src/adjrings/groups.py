@@ -1,8 +1,9 @@
 """Finite groups as Cayley tables, with the p-group toolbox.
 
-Everything operates on element indices into an order <= 256 multiplication
-table.  Construction validates the table (identity, Latin square, full
-associativity), so downstream code can trust indexing blindly.
+Everything operates on element indices into an order <= 729 multiplication
+table.  Construction validates the table (identity, Latin square, and
+associativity by Light's test on a set reaching every element), so downstream
+code can trust indexing blindly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     InvalidStructureError,
 )
 
-MAX_ORDER = 256
+MAX_ORDER = 729
 SUBGROUP_BOUND = 128
 
 
@@ -33,8 +34,48 @@ def _check_order(n: int) -> None:
         raise BoundError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
 
 
+def _light_columns(tab: np.ndarray, identity: int) -> np.ndarray:
+    """A set S such that right products x s (s in S) reach every element from
+    the identity, grown greedily from the least element not yet reached.
+
+    Nothing here presumes associativity: only the columns of S are read.  In
+    a group what is reached is the subgroup S generates, and each new s at
+    least doubles it (a proper subgroup has at most half the elements), so a
+    table where it does not is refused as not associative; this keeps
+    |S| <= log2(n).
+    """
+    n = tab.shape[0]
+    seen = [False] * n
+    seen[identity] = True
+    reached = [identity]
+    S: list[int] = []
+    cols: list[list[int]] = []  # cols[k][x] = x * S[k]
+    least = 0
+    while len(reached) < n:
+        while seen[least]:
+            least += 1
+        S.append(least)
+        cols.append(tab[:, least].tolist())
+        old = len(reached)
+        # the old elements take the new column; those reached now take them all
+        for k, x in enumerate(reached):  # grows while it is read
+            for col in cols[-1:] if k < old else cols:
+                if not seen[col[x]]:
+                    seen[col[x]] = True
+                    reached.append(col[x])
+        if len(reached) < 2 * old:
+            raise InvalidStructureError("multiplication is not associative")
+    return np.array(S, dtype=np.intp)
+
+
 class FiniteGroup:
-    """A finite group of order <= 256 given by its multiplication table.
+    """A finite group of order <= 729 given by its multiplication table.
+
+    Associativity is Light's test (Clifford and Preston, The Algebraic Theory
+    of Semigroups I, 1961, sec. 1.2): the elements a with (xa)y = x(ay) for
+    all x, y are closed under products, so checking every x, y against each
+    a in a set S that generates the table as a magma proves the whole table
+    associative, in |S| n^2 lookups.
 
     Memo rule: attributes are `cached_property`s; objects built by module
     functions are kept in `_cache[key]`, after that function's bound gates.
@@ -55,7 +96,8 @@ class FiniteGroup:
         srt = np.sort(tab, axis=1)
         if not (srt == np.arange(n)).all() or not (np.sort(tab, axis=0).T == np.arange(n)).all():
             raise InvalidStructureError("table is not a Latin square")
-        if not (tab[tab, :] == tab[:, tab]).all():
+        S = _light_columns(tab, identity)
+        if not (tab[tab[:, S]] == tab[:, tab[S]]).all():
             raise InvalidStructureError("multiplication is not associative")
         tab.flags.writeable = False
         self.table = tab

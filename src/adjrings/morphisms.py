@@ -153,8 +153,12 @@ def _law_rows(G: FiniteGroup, act: np.ndarray, U: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _bfs_plan(G: FiniteGroup, gens: np.ndarray) -> list[tuple[int, int, int]]:
-    """Fill order (element, parent, gen slot) covering G from the generators."""
+def _bfs_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
+    """Fill order (element, parent, test-column slot) covering G from the
+    test columns, kept in `G._cache["bfs_plan"]`."""
+    if "bfs_plan" in G._cache:
+        return G._cache["bfs_plan"]
+    gens = _test_columns(G)
     seen = {G.identity}
     plan = []
     queue = [G.identity]
@@ -171,7 +175,8 @@ def _bfs_plan(G: FiniteGroup, gens: np.ndarray) -> list[tuple[int, int, int]]:
         queue = nxt
     if len(seen) != G.n:
         raise InvalidStructureError("generators do not generate the group")
-    return plan
+    G._cache["bfs_plan"] = tuple(plan)
+    return G._cache["bfs_plan"]
 
 
 def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarray:
@@ -183,11 +188,10 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
     the trivial action the rows are homomorphisms; under conjugation,
     act_s(v) = s^{-1} v s, they are derivations.
     """
-    S = _test_columns(G)
     C = _candidate_grid(choices, what)
     U = np.zeros((C.shape[0], G.n), dtype=np.int32)
     U[:, G.identity] = G.identity
-    for elem, parent, k in _bfs_plan(G, S):
+    for elem, parent, k in _bfs_plan(G):
         U[:, elem] = G.table[act[k][U[:, parent]], C[:, k]]
     return U[_law_rows(G, act, U)]
 
@@ -232,18 +236,24 @@ def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
 
 
 def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
-    """All endomorphisms u with x^{-1}u(x) in N, enumerated from coset images.
+    """All endomorphisms u with x^{-1}u(x) in N as read-only image rows,
+    enumerated from coset images and kept in `G._cache[("endo", N.elems)]`
+    once they pass the fixed batch budget.
 
     The search is shared with the derivations but its inputs are not:
     candidates are generator images inside their N-cosets, searched under the
-    trivial action.
+    trivial action.  Callers validate N before reading the memo.
     """
+    if ("endo", N.elems) in G._cache:
+        return G._cache["endo", N.elems]
     narr = np.array(sorted(N.elems))
     cosets = [sorted(int(v) for v in G.table[g, narr]) for g in _test_columns(G)]
     U = _image_rows(G, cosets, _trivial_action(G), "endomorphism search space")
     # coset condition propagates from generators to all elements; assert anyway
     if not N.mask[coset_offsets(G, U)].all():
         raise InvalidStructureError("endomorphism escaped its cosets")
+    U.setflags(write=False)
+    G._cache["endo", N.elems] = U
     return U
 
 

@@ -7,7 +7,9 @@ coordinate tuples in lexicographic order, the order `tables.coords` must
 have; `mask` and `members` translate between sets of tuples and the bool
 masks the library takes and returns.  The Frattini
 subgroup here is the intersection of the maximal subgroups, read off the full
-subgroup lattice; `groups.frattini` computes G'G^p instead.
+subgroup lattice; `groups.frattini` computes G'G^p instead.  Associativity
+here compares (xy)z with x(yz) on all n^3 triples; `FiniteGroup` runs Light's
+test on a generating set instead.
 """
 
 from __future__ import annotations
@@ -92,3 +94,9 @@ def frattini_via_maximals(G) -> Subgroup:
     for h in maximal[1:]:
         common &= set(h.elems)
     return Subgroup(G, tuple(sorted(common)))
+
+
+def is_associative(table) -> bool:
+    """(xy)z == x(yz) for every triple, as two n^3 lookups."""
+    tab = np.asarray(table)
+    return bool((tab[tab, :] == tab[:, tab]).all())

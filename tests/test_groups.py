@@ -7,7 +7,9 @@ from the defining presentations.
 
 import itertools
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from adjrings.errors import (
 )
 from adjrings.groups import (
     FiniteGroup,
+    _light_columns,
     agemo,
     alternating4,
     builtin_group,
@@ -77,6 +80,37 @@ def subgroups_by_joins(G):
     return subs
 
 
+# smallest loop with two-sided identity that is not a group
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def intercalates(tab, identity) -> np.ndarray:
+    """Every 2x2 Latin subsquare off the identity row and column, as rows
+    (a, b, c, d) with a < b, c < d, ac = bd and ad = bc."""
+    tab = np.asarray(tab)
+    n = tab.shape[0]
+    column = np.argsort(tab, axis=1)  # column[a, v]: where row a holds v
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    d = column[a, tab[b, c]]
+    ok = (a < b) & (c < d) & (tab[b, d] == tab[a, c])
+    ok &= (a != identity) & (b != identity) & (c != identity) & (d != identity)
+    return np.stack([a, b, c, d], axis=1)[ok]
+
+
+def swap_intercalate(tab, a, b, c, d) -> np.ndarray:
+    """The table with entries (a, c) <-> (a, d) and (b, c) <-> (b, d) swapped;
+    on an intercalate it stays a Latin square with the same identity."""
+    out = np.array(tab)
+    out[[a, a, b, b], [c, d, c, d]] = out[[a, a, b, b], [d, c, d, c]]
+    return out
+
+
 def dihedral_subgroup_count(two_n):
     n = two_n // 2
     divisors = [d for d in range(1, n + 1) if n % d == 0]
@@ -130,35 +164,97 @@ class TestValidation:
             FiniteGroup([[0, 1], [1, 1]])
 
     def test_rejects_non_associative_loop(self):
-        # smallest loop with two-sided identity that is not a group
-        loop = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 3, 4, 0, 1],
-            [3, 4, 1, 2, 0],
-            [4, 2, 0, 1, 3],
-        ]
+        assert not oracle.is_associative(LOOP5)
         with pytest.raises(InvalidStructureError, match="associative"):
-            FiniteGroup(loop)
+            FiniteGroup(LOOP5)
 
     def test_rejects_bad_identity(self):
         tab = [[(a + b) % 3 for b in range(3)] for a in range(3)]
         with pytest.raises(InvalidStructureError, match="identity"):
             FiniteGroup(tab, identity=1)
 
+    def test_rejects_non_associative_loop_of_order_6(self):
+        # C6 with the intercalate on rows and columns 1, 4 swapped
+        loop = [
+            [0, 1, 2, 3, 4, 5],
+            [1, 5, 3, 4, 2, 0],
+            [2, 3, 4, 5, 0, 1],
+            [3, 4, 5, 0, 1, 2],
+            [4, 2, 0, 1, 5, 3],
+            [5, 0, 1, 2, 3, 4],
+        ]
+        assert not oracle.is_associative(loop)
+        with pytest.raises(InvalidStructureError, match="associative"):
+            FiniteGroup(loop)
+
+    def test_rejects_loop_whose_first_light_column_associates(self):
+        """C3 x the order-5 loop, element (l, c) at index 3l + c: element 1 is
+        (e, 1), which associates with everything, so only a later member of
+        Light's set finds the failure."""
+        loop = np.array(LOOP5)
+        cyclic = (np.arange(3)[:, None, None] + np.arange(3)) % 3
+        tab = (3 * loop[:, None, :, None] + cyclic).reshape(15, 15)
+        assert (tab[tab[:, [1]]] == tab[:, tab[[1]]]).all()
+        assert not oracle.is_associative(tab)
+        with pytest.raises(InvalidStructureError, match="associative"):
+            FiniteGroup(tab)
+
+    def test_light_set_refuses_a_loop_that_does_not_double(self):
+        """In a group each new member of Light's set at least doubles what is
+        reached; this loop goes from 1 to 4 to 6 elements, so it is refused
+        before any product is compared, and on every corpus group the set
+        has at most log2(n) members."""
+        loop = np.array([
+            [0, 1, 2, 3, 4, 5],
+            [1, 2, 3, 5, 0, 4],
+            [2, 5, 0, 4, 1, 3],
+            [3, 4, 5, 0, 2, 1],
+            [4, 3, 1, 2, 5, 0],
+            [5, 0, 4, 1, 3, 2],
+        ])
+        assert not oracle.is_associative(loop)
+        with pytest.raises(InvalidStructureError, match="associative"):
+            _light_columns(loop, 0)
+        for name in DEFAULT_GROUP_NAMES:
+            G = builtin_group(name)
+            assert 2 ** len(_light_columns(G.table, G.identity)) <= G.n
+
+    def test_rejects_order_64_table_after_one_intercalate_swap(self):
+        G = builtin_group("c4xc4xc4")
+        quads = intercalates(G.table, G.identity)
+        assert len(quads)
+        bent = swap_intercalate(G.table, *quads[0])
+        assert not oracle.is_associative(bent)
+        with pytest.raises(InvalidStructureError, match="associative"):
+            FiniteGroup(bent, identity=G.identity)
+
+    def test_order_729_validates_within_50_mb(self):
+        """C9^3 (element 81a + 9b + c) passes Light's test without the
+        n^3 arrays the full comparison needs (3.3 GB at this order)."""
+        a, b, c = np.indices((9, 9, 9)).reshape(3, -1)
+        tab = (81 * ((a[:, None] + a) % 9) + 9 * ((b[:, None] + b) % 9) + (c[:, None] + c) % 9)
+        tracemalloc.start()
+        try:
+            G = FiniteGroup(tab, name="c9xc9xc9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert G.n == 729 and G.is_abelian() and G.exponent() == 9
+
     def test_order_cap(self):
         with pytest.raises(BoundError):
-            cyclic_group(257)
+            cyclic_group(730)
 
     def test_order_cap_comes_before_the_table(self):
         calls = []
 
         def mult(a, b):
             calls.append((a, b))
-            return (a + b) % 257
+            return (a + b) % 730
 
-        with pytest.raises(BoundError, match="group order 257"):
-            group_from_mult(list(range(257)), mult, "c257")
+        with pytest.raises(BoundError, match="group order 730"):
+            group_from_mult(list(range(730)), mult, "c730")
         assert calls == []
 
 
@@ -482,6 +578,30 @@ class TestProperties:
         g = builtin_group(name)
         for s in enumerate_subgroups(g):
             assert g.n % s.order == 0
+
+    @given(st.sampled_from(["c2xc2", "c4", "c6", "d8", "q8", "c4xc2", "c2xc2xc2", "d12",
+                            "q16", "m16", "c4xc4", "d8xc2"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_light_test_matches_cubic_oracle(self, name, data):
+        """Relabel a builtin table at random, swap up to three intercalates
+        off the identity: the table is accepted exactly when every triple
+        associates."""
+        g = builtin_group(name)
+        perm = np.array(data.draw(st.permutations(range(g.n))))
+        tab = np.empty_like(g.table)
+        tab[np.ix_(perm, perm)] = perm[g.table]
+        identity = int(perm[g.identity])
+        for _ in range(data.draw(st.integers(0, 3))):
+            quads = intercalates(tab, identity)
+            if len(quads):
+                tab = swap_intercalate(tab, *quads[data.draw(st.integers(0, len(quads) - 1))])
+        try:
+            FiniteGroup(tab, identity=identity)
+            accepted = True
+        except InvalidStructureError as exc:
+            assert "associative" in str(exc)
+            accepted = False
+        assert accepted == oracle.is_associative(tab)
 
     @given(NAMES, st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)

@@ -107,6 +107,42 @@ def test_laue_and_der_subring_build_derivations_once_per_module(monkeypatch):
     assert shared == fresh
 
 
+def test_endomorphisms_are_searched_once_per_module(monkeypatch):
+    """aut-center-exponent and aut-exponent both read Aut_N(G) for the same
+    N, and laue reads End_N(G) again on its modules: one search per module."""
+    checks = {"laue", "aut-center-exponent", "aut-exponent"}
+    fresh = run_kind("group", lambda: builtin_group("d8"), checks)
+    modules = []
+    real_endo = morphisms._endo_matrix
+
+    def endo_matrix(G, N):
+        modules.append(N.elems)
+        return real_endo(G, N)
+
+    monkeypatch.setattr(morphisms, "_endo_matrix", endo_matrix)
+    searches = count_searches(monkeypatch)
+    G = builtin_group("d8")
+    shared = run_kind("group", lambda: G, checks)
+    assert len(modules) > len(set(modules)) == searches.count("endomorphism search space")
+    assert not any(G._cache["endo", N].flags.writeable for N in set(modules))
+    assert shared == fresh
+
+
+def test_spanning_tree_plan_is_built_once_per_group():
+    """Every search on G fills along one kept plan: each element once, from a
+    parent filled before it, by a test column."""
+    G = builtin_group("d8xc2")
+    plan = morphisms._bfs_plan(G)
+    run_kind("group", lambda: G, {"laue", "aut-exponent"})
+    assert morphisms._bfs_plan(G) is plan is G._cache["bfs_plan"]
+    S = morphisms._test_columns(G)
+    filled = [G.identity]
+    for elem, parent, k in plan:
+        assert parent in filled and G.table[parent, S[k]] == elem
+        filled.append(elem)
+    assert sorted(filled) == list(range(G.n))
+
+
 def test_der_subring_task_tests_its_module_at_most_twice(monkeypatch):
     G = builtin_group("d8xc2")
     calls = []

@@ -1,8 +1,10 @@
 """Checks against hand-verified small instances."""
 
+import json
+
 import pytest
 
-from adjrings.cli import DEFAULT_GROUP_NAMES
+from adjrings.cli import CHECKS, DEFAULT_GROUP_NAMES, CorpusEntry, run_check
 from adjrings.errors import InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     Subgroup,
@@ -17,7 +19,7 @@ from adjrings.groups import (
     trivial_subgroup,
     upper_central_series,
 )
-from adjrings.rings import multiples_ring, unital_ring, zero_ring
+from adjrings.rings import FiniteRing, multiples_ring, unital_ring, zero_ring
 from adjrings.verify import (
     GroupProfile,
     RingProfile,
@@ -111,6 +113,27 @@ def test_section_exponents_match_the_quotient_oracle():
                 assert _section_exponent_log(upper, lower, p) == expected, (name, upper.order)
                 sections += 1
     assert sections > 200
+
+
+@pytest.mark.parametrize("ring", [
+    zero_ring(7, [2, 1]),
+    FiniteRing(7, [2, 1], [[[7, 0], [0, 0]], [[0, 0], [0, 0]]], name="e0e0_7e0"),
+], ids=lambda ring: ring.name)
+def test_order_343_rings_run_every_ring_check(ring):
+    """Adjoint groups of order 7^3 fit under the group-order cap: every ring
+    check runs on these two-sided 7-nil rings through run_check, and the one
+    skip is the p = 2 probe's hypothesis."""
+    prof = ring_profile(ring)
+    assert prof.order == 343 and prof.left_p_nil and prof.right_p_nil
+    flags = {"aut_bound": 81, "subgroup_bound": 343, "annihilator_omega": 1}
+    entry = CorpusEntry(ring.name, "ring", ring)
+    ring_checks = [name for name, check in CHECKS.items() if check.kind == "ring"]
+    lines = [json.loads(run_check(entry, name, param, flags))
+             for name in ring_checks for param in CHECKS[name].params(ring)]
+    assert [rec["check"] for rec in lines if not rec["hypothesis_met"]] == ["nilpotency-probe"]
+    assert {rec["check"] for rec in lines} == set(ring_checks)
+    assert not any("exceeds" in rec["bound"] for rec in lines)
+    assert all(rec["verdict"] == "pass" for rec in lines if rec["hypothesis_met"])
 
 
 def test_omega_correspondence_3z27():
