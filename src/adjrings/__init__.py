@@ -21,6 +21,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    agemo,
     builtin_group,
     center,
     cyclic_group,
@@ -71,6 +72,7 @@ __all__ = [
     "RingProfile",
     "Subgroup",
     "adjoint_group",
+    "agemo",
     "aut_group",
     "aut_n",
     "builtin_group",

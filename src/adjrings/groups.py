@@ -248,9 +248,19 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(int(i) for i in np.flatnonzero(mask)))
 
 
+def power_commutator(G: FiniteGroup, A: Subgroup, B: Subgroup, k: int = 0) -> Subgroup:
+    """<a^k, [a, b] : a in A, b in B>; k = 0 gives [A, B].
+
+    The one kernel behind [A, B], Phi(G) = G'G^p, each lower p-central step
+    P_{i+1} = P_i^p [P_i, G], Phi(H) inside a parent and gamma_2(G) G^(p^kappa).
+    """
+    arr = np.array(A.elems)
+    comms = G.comm_table[np.ix_(arr, np.array(B.elems))]
+    return closure(G, np.union1d(power_map(G, k)[arr], comms))
+
+
 def commutator(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    gens = np.unique(G.comm_table[np.ix_(np.array(A.elems), np.array(B.elems))])
-    return closure(G, gens)
+    return power_commutator(G, A, B)
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
@@ -347,10 +357,7 @@ def lower_p_central_series(G: FiniteGroup) -> list[Subgroup]:
     series = [full_subgroup(G)]
     while series[-1].order > 1:
         cur = series[-1]
-        arr = np.array(cur.elems)
-        pows = power_map(G, p)[arr]
-        comms = G.comm_table[np.ix_(arr, np.arange(G.n))]
-        nxt = closure(G, set(int(x) for x in pows) | set(int(x) for x in np.unique(comms)))
+        nxt = power_commutator(G, cur, full_subgroup(G), p)
         if nxt.elems == cur.elems:
             raise InvalidStructureError("p-central series stalled; group not a p-group?")
         series.append(nxt)
@@ -361,19 +368,12 @@ def lower_p_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 def frattini(G: FiniteGroup) -> Subgroup:
     """Frattini subgroup of a p-group: G'G^p (Burnside's basis theorem)."""
-    if "frattini" in G._cache:
-        return G._cache["frattini"]
-    p = prime_of(G)
-    if p is None and G.n > 1:
-        raise InvalidArgumentError("frattini needs a p-group")
-    if G.n == 1:
-        out = trivial_subgroup(G)
-    else:
-        gens = set(int(x) for x in np.unique(power_map(G, p)))
-        gens |= set(commutator_subgroup(G).elems)
-        out = closure(G, gens)
-    G._cache["frattini"] = out
-    return out
+    if "frattini" not in G._cache:
+        p = prime_of(G)
+        if p is None and G.n > 1:
+            raise InvalidArgumentError("frattini needs a p-group")
+        G._cache["frattini"] = power_commutator(G, full_subgroup(G), full_subgroup(G), p or 1)
+    return G._cache["frattini"]
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
@@ -410,16 +410,9 @@ def _search_generating_set(G: FiniteGroup) -> list[int]:
 
 def min_generators(G: FiniteGroup) -> int:
     """d(G); for p-groups via the Frattini quotient index."""
-    if G.n == 1:
-        return 0
-    p = prime_of(G)
-    if p is not None:
-        idx = G.n // frattini(G).order
-        pk = prime_power(idx)
-        if pk is None or pk[0] != p:
-            raise InvalidStructureError("Frattini index is not a p-power")
-        return pk[1]
-    return len(generating_set(G))
+    if prime_of(G) is None:
+        return len(generating_set(G))
+    return subgroup_min_generators(G, full_subgroup(G))
 
 
 def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Subgroup]:
@@ -435,7 +428,7 @@ def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Sub
         return G._cache["subgroups"]
     t = G.table
     conj = G.conj_table
-    primes = sorted(_prime_divisors(G.n))
+    primes = [q for q in range(2, G.n + 1) if G.n % q == 0 and prime_power(q) == (q, 1)]
     pow_maps = {q: power_map(G, q) for q in primes}
     trivial = (G.identity,)
     gens_of: dict[tuple, list[int]] = {trivial: []}
@@ -471,21 +464,6 @@ def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Sub
     return subs
 
 
-def _prime_divisors(n: int) -> set[int]:
-    out = set()
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.add(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.add(m)
-    return out
-
-
 def rank(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> int:
     """Max of d(H) over all subgroups (0 for the trivial group)."""
     return widest_subgroup(G, bound)[0]
@@ -508,11 +486,7 @@ def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:
     pk = prime_power(H.order)
     if pk is None:
         return min_generators(H.as_group())
-    p = pk[0]
-    arr = np.array(H.elems)
-    gens = set(int(x) for x in power_map(G, p)[arr])
-    gens |= set(int(x) for x in np.unique(G.comm_table[np.ix_(arr, arr)]))
-    phi = closure(G, gens)
+    phi = power_commutator(G, H, H, pk[0])
     return prime_power(H.order // phi.order)[1]
 
 
@@ -586,9 +560,7 @@ def power_commutator_subgroup(G: FiniteGroup) -> Subgroup:
         return trivial_subgroup(G)
     if p is None:
         raise InvalidArgumentError("needs a p-group")
-    k = 2 if p == 2 else 1
-    gens = set(commutator_subgroup(G).elems) | set(agemo(G, k).elems)
-    return closure(G, gens)
+    return power_commutator(G, full_subgroup(G), full_subgroup(G), p ** (2 if p == 2 else 1))
 
 
 def central_target(G: FiniteGroup) -> Subgroup:
@@ -627,6 +599,7 @@ def group_from_mult(elements, mult, name: str) -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    _check_order(n)
     return group_from_mult(list(range(n)), lambda a, b: (a + b) % n, f"c{n}")
 
 
@@ -642,20 +615,14 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> F
 def dihedral_group(order: int) -> FiniteGroup:
     if order < 4 or order % 2:
         raise InvalidArgumentError("dihedral groups here have even order >= 4")
-    k = order // 2
-
-    def mult(a, b):
-        i, e = a
-        l, f = b
-        return ((i + (l if e == 0 else -l)) % k, (e + f) % 2)
-
-    return group_from_mult(list(itertools.product(range(k), range(2))), mult, f"d{order}")
+    return semidirect_cyclic(order // 2, 2, order // 2 - 1, name=f"d{order}")
 
 
 def dicyclic_group(order: int) -> FiniteGroup:
     """Dicyclic group of order 4k (quaternion when k is a 2-power)."""
     if order % 4:
         raise InvalidArgumentError("dicyclic groups have order 4k")
+    _check_order(order)
     k = order // 4
     m = 2 * k
 
@@ -672,6 +639,7 @@ def dicyclic_group(order: int) -> FiniteGroup:
 
 def semidirect_cyclic(n: int, m: int, r: int, name: str | None = None) -> FiniteGroup:
     """Z_n x| Z_m where the Z_m generator acts as x -> x^r."""
+    _check_order(n * m)
     if pow(r, m, n) != 1 % n or math.gcd(r, n) != 1:
         raise InvalidArgumentError("action must have order dividing m")
 
@@ -687,8 +655,7 @@ def semidirect_cyclic(n: int, m: int, r: int, name: str | None = None) -> Finite
 def semidihedral_group(order: int) -> FiniteGroup:
     if order < 16 or order & (order - 1):
         raise InvalidArgumentError("semidihedral groups here have 2-power order >= 16")
-    g = semidirect_cyclic(order // 2, 2, order // 4 - 1, name=f"sd{order}")
-    return g
+    return semidirect_cyclic(order // 2, 2, order // 4 - 1, name=f"sd{order}")
 
 
 def modular_group(order: int) -> FiniteGroup:
@@ -704,6 +671,7 @@ def modular_group(order: int) -> FiniteGroup:
 
 def heisenberg_group(p: int) -> FiniteGroup:
     """Extraspecial group of order p^3 and exponent p (p odd)."""
+    _check_order(p**3)
     if prime_power(p) != (p, 1) or p == 2:
         raise InvalidArgumentError("needs an odd prime")
 
@@ -820,6 +788,7 @@ _SPECIAL_BUILDERS = {
     "pauli16": pauli_group,
     "c22sc4": c22_semidirect_c4,
     "es27": lambda: heisenberg_group(3),
+    "c4sc4": lambda: semidirect_cyclic(4, 4, 3, name="c4sc4"),
 }
 
 
@@ -834,9 +803,6 @@ def builtin_group(name: str) -> FiniteGroup:
         return g
     if name in _SPECIAL_BUILDERS:
         return _SPECIAL_BUILDERS[name]()
-    if name == "c4sc4":
-        g = semidirect_cyclic(4, 4, 3, name="c4sc4")
-        return g
     try:
         if name.startswith("es_p3_"):
             return heisenberg_group(int(name[6:]))

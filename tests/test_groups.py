@@ -50,8 +50,9 @@ from adjrings.groups import (
     omega_set,
     omega_subgroup,
     pauli_group,
-    power_map,
+    power_commutator,
     power_commutator_subgroup,
+    power_map,
     prime_of,
     central_target,
     quotient_group,
@@ -59,6 +60,7 @@ from adjrings.groups import (
     semidihedral_group,
     subgroup_exponent,
     sylow_subgroup,
+    trivial_subgroup,
     upper_central_series,
 )
 from adjrings.morphisms import _der_matrix
@@ -246,6 +248,20 @@ class TestValidation:
         with pytest.raises(BoundError):
             cyclic_group(730)
 
+    @pytest.mark.parametrize("name", ["c1000000", "d1000000", "q1000000", "sd1048576",
+                                      "m15625", "es_p3_101"])
+    def test_oversized_builtin_is_refused_before_its_elements(self, name):
+        # each builder checks the order before it lists the elements: at 10^6
+        # elements the list and its index dict alone take over 100 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundError, match="exceeds the supported maximum"):
+                builtin_group(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_order_cap_comes_before_the_table(self):
         calls = []
 
@@ -380,6 +396,19 @@ class TestPGroupToolbox:
         assert sylow_subgroup(a4, 2).order == 4
         assert sylow_subgroup(a4, 3).order == 3
         assert sylow_subgroup(dihedral_group(16), 2).order == 16
+
+    def test_power_commutator_kernel(self):
+        # <a^k, [a, b] : a in A, b in B> on C8 and D8 (rotations r, reflection s)
+        c8, d8 = cyclic_group(8), dihedral_group(8)
+        whole, one = full_subgroup(c8), trivial_subgroup(c8)
+        assert [power_commutator(c8, whole, one, k).order for k in (0, 1, 2, 4, 8)] == [1, 8, 4, 2, 1]
+        rot = closure(d8, [2])  # element 2 is the rotation (1, 0)
+        assert rot.order == 4
+        # [r, s] = r^2 generates [<r>, D8] = D8' = Z(D8); the squares of <r> add nothing
+        assert power_commutator(d8, rot, full_subgroup(d8)).elems == commutator_subgroup(d8).elems
+        assert power_commutator(d8, rot, full_subgroup(d8), 2).elems == center(d8).elems
+        assert power_commutator(d8, rot, rot, 2).order == 2
+        assert power_commutator(d8, full_subgroup(d8), full_subgroup(d8), 2).elems == frattini(d8).elems
 
     def test_power_commutator_subgroup(self):
         d8 = dihedral_group(8)

@@ -219,6 +219,25 @@ def test_check_laue_generator_mode_agrees_with_all_pairs(monkeypatch):
     assert generators.computed["aut_count"] == exhaustive.computed["aut_count"]
 
 
+def non_central_module_m27xc3():
+    """An order-27 abelian normal subgroup of m27 x C3 off the centre, with
+    2187 derivations: past PAIRS_CAP, so compared in generator mode."""
+    G = builtin_group("m27xc3")
+    N = next(N for N in abelian_normal_subgroups(G)
+             if N.order == 27 and not (N.mask <= center(G).mask).all())
+    return G, N
+
+
+def test_check_laue_generator_mode_on_a_non_central_module():
+    G, N = non_central_module_m27xc3()
+    rep = check_laue(G, N)
+    assert rep.verdict == "pass"
+    assert rep.computed["central"] is False
+    assert rep.computed["pairs_mode"] == "generators"
+    assert rep.computed["der_count"] == 2187 > PAIRS_CAP
+    assert rep.computed["restriction"] == "constructive"
+
+
 def test_check_laue_trivial_module():
     q8 = builtin_group("q8")
     rep = check_laue(q8, trivial_subgroup(q8))
@@ -265,8 +284,7 @@ def laue_witness_with(G, N, ends, DU, monkeypatch):
     pair comparison reading DU in place of the true derivation rows."""
     kernel = morphisms._pair_kernel
     monkeypatch.setattr(morphisms, "_pair_kernel", lambda G, e, _, cols: kernel(G, e, DU, cols))
-    computed = {"central": True}
-    return morphisms._laue_witness(G, N, _der_matrix(G, N), ends, computed)
+    return morphisms._laue_witness(G, N, _der_matrix(G, N), ends, {})
 
 
 @pytest.mark.parametrize("name", ["c4xc2xc2", "c4xc8", "c2xc2xc2"])
@@ -328,6 +346,20 @@ def test_laue_generator_mode_witness_is_a_failing_pair(monkeypatch):
     witness = laue_witness_with(G, N, ends, rolled, monkeypatch)
     i, j = map(int, witness.removeprefix("pair (").split(")")[0].split(","))
     assert per_row_laue_oracle(G, ends, rolled, S)[0][i, j]
+
+
+def test_laue_generator_mode_witness_on_a_non_central_module(monkeypatch):
+    """Under a rolled DU the generator-mode witness on a non-central module
+    names a pair (i, j) whose two sides differ, recomputed here row by row."""
+    G, N = non_central_module_m27xc3()
+    S = _test_columns(G)
+    ends = _endo_matrix(G, N)
+    rolled = np.roll(coset_offsets(G, ends), 1, axis=0)
+    witness = laue_witness_with(G, N, ends, rolled, monkeypatch)
+    i, j = map(int, witness.removeprefix("pair (").split(")")[0].split(","))
+    t, a = G.table, rolled[i, S]
+    left = t[G.inverses[S], ends[j, ends[i, S]]]
+    assert (left != t[t[a, rolled[j, S]], rolled[j, a]]).any()
 
 
 # -- rings of morphisms --------------------------------------------------------

@@ -5,11 +5,14 @@ permutation x -> xg is the table column G.table[:, g], taken for g in a
 generating set of G.  sympy composes permutations left to right, so
 g -> (x -> xg) is an isomorphism onto the PermutationGroup, and sympy computes
 every invariant there with its own algorithms, sharing no code with the
-Cayley-table kernels.  The groups are the builtin corpus groups, the
-adjoint groups of the left or right p-nil rings of the default corpus, and
-C3 wr C3.  The abelian invariants sympy computes also fix the number of maps
-the generator-image searches of morphisms.py must find: |Hom(A, B)| for
-abelian A and B, and |Aut(A)| for an abelian p-group A.
+Cayley-table kernels.  The Frattini and power-commutator subgroups are
+checked against sympy's derived subgroup with the p-th (p^kappa-th) powers
+added, and d(H) of every subgroup of the small corpus p-groups against the
+intersection of the maximal subgroups of H.  The groups are the builtin
+corpus groups, the adjoint groups of the left or right p-nil rings of the
+default corpus, and C3 wr C3.  The abelian invariants sympy computes also fix
+the number of maps the generator-image searches of morphisms.py must find:
+|Hom(A, B)| for abelian A and B, and |Aut(A)| for an abelian p-group A.
 """
 
 import math
@@ -25,17 +28,23 @@ from adjrings.groups import (
     center,
     commutator,
     commutator_subgroup,
+    enumerate_subgroups,
+    frattini,
     from_permutations,
     full_subgroup,
     generating_set,
     lower_central_series,
     lower_p_central_series,
     nilpotency_class,
+    power_commutator_subgroup,
     prime_of,
     quotient_group,
+    subgroup_min_generators,
     sylow_subgroup,
 )
 from adjrings.morphisms import _der_matrix, aut_group
+
+import oracle
 
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
@@ -91,6 +100,10 @@ def assert_matches_sympy(G):
     p = prime_of(G)
     if p is not None:
         assert [H.order for H in lower_p_central_series(G)] == p_central_orders(P, p)
+        derived = P.derived_subgroup().generators
+        for H, q in ((frattini(G), p), (power_commutator_subgroup(G), p ** (2 if p == 2 else 1))):
+            powers = {x ** q for x in P.generate()}
+            assert H.order == PermutationGroup(derived + list(powers)).order(), q
 
 
 @pytest.mark.parametrize("name", DEFAULT_GROUP_NAMES)
@@ -119,6 +132,16 @@ def test_p_central_oracle_by_hand():
 
 
 SMALL_GROUP_NAMES = [name for name in DEFAULT_GROUP_NAMES if builtin_group(name).n <= 32]
+
+
+@pytest.mark.parametrize("name", [n for n in SMALL_GROUP_NAMES if prime_of(builtin_group(n))])
+def test_subgroup_min_generators_match_maximal_subgroups(name):
+    # Burnside's basis theorem: d(H) = log_p [H : Phi(H)], with Phi(H) here the
+    # intersection of the maximal subgroups of H as a group of its own
+    G = builtin_group(name)
+    for H in enumerate_subgroups(G):
+        phi = oracle.frattini_via_maximals(H.as_group())
+        assert H.order // phi.order == prime_of(G) ** subgroup_min_generators(G, H), H.elems
 ABELIAN_P_GROUP_NAMES = [name for name in DEFAULT_GROUP_NAMES
                          if builtin_group(name).is_abelian() and prime_of(builtin_group(name))]
 
