@@ -3,7 +3,9 @@
 Everything operates on element indices into an order <= 729 multiplication
 table.  Construction validates the table (identity, Latin square, and
 associativity by Light's test on a set reaching every element), so downstream
-code can trust indexing blindly.
+code can trust indexing blindly.  Builders compute whole tables by array
+formulas on coordinate grids, index arithmetic on factor tables, or the one
+composition-table kernel `_compose_table`, which also composes image rows.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from .errors import (
 
 MAX_ORDER = 729
 SUBGROUP_BOUND = 128
+CHUNK_ENTRIES = 4_000_000  # entries per vectorized block
 
 
 def _check_order(n: int) -> None:
+    if n < 1:
+        raise InvalidArgumentError(f"group order {n} is below 1")
     if n > MAX_ORDER:
         raise BoundError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
 
@@ -84,8 +89,8 @@ class FiniteGroup:
     def __init__(self, table, identity: int = 0, name: str = "G"):
         tab = np.asarray(table, dtype=np.int32)
         n = tab.shape[0]
-        if tab.ndim != 2 or tab.shape[1] != n:
-            raise InvalidStructureError("multiplication table must be square")
+        if tab.ndim != 2 or tab.shape[1] != n or not n:
+            raise InvalidStructureError("multiplication table must be square and non-empty")
         _check_order(n)
         if tab.min() < 0 or tab.max() >= n:
             raise InvalidStructureError("table entries must be element indices")
@@ -108,15 +113,9 @@ class FiniteGroup:
 
     # -- basics ----------------------------------------------------------------
 
-    def mult(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     @cached_property
     def inverses(self) -> np.ndarray:
         return np.argmax(self.table == self.identity, axis=1).astype(np.int32)
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -576,40 +575,75 @@ def subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
 # -- builders ---------------------------------------------------------------------
 
 
-def group_from_mult(elements, mult, name: str) -> FiniteGroup:
-    """Cayley table from explicit elements and a multiplication callable."""
-    pos = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    _check_order(n)  # before the n x n table and its n^2 products
-    tab = np.zeros((n, n), dtype=np.int32)
-    identity = None
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            c = mult(a, b)
-            if c not in pos:
-                raise InvalidStructureError(f"product {a}*{b} left the element set")
-            tab[i, j] = pos[c]
-    for i in range(n):
-        if (tab[i] == np.arange(n)).all() and (tab[:, i] == np.arange(n)).all():
-            identity = i
-            break
-    if identity is None:
-        raise InvalidStructureError("no identity element")
-    return FiniteGroup(tab, identity=identity, name=name)
+class _RowIndex:
+    """Vectorized exact-row lookup into a fixed matrix of distinct image rows."""
+
+    def __init__(self, M: np.ndarray):
+        Mc = np.ascontiguousarray(M)
+        self._dtype = Mc.dtype
+        self.width = Mc.shape[1]
+        void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
+        self.order = np.argsort(void)
+        self._sorted = void[self.order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise InvalidStructureError("duplicate image rows")
+
+    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of each row plus a found mask; index is junk where not found."""
+        rc = np.ascontiguousarray(rows.astype(self._dtype, copy=False))
+        rv = rc.view((np.void, rc.dtype.itemsize * rc.shape[1])).ravel()
+        pos = np.minimum(np.searchsorted(self._sorted, rv), len(self._sorted) - 1)
+        return self.order[pos], self._sorted[pos] == rv
+
+    def require(self, rows: np.ndarray, what: str) -> np.ndarray:
+        idx, ok = self.find(rows)
+        if not ok.all():
+            raise InvalidStructureError(f"{what}: row not in the enumerated set")
+        return idx
+
+
+def _row_table(m: int, index: _RowIndex, block, what: str) -> np.ndarray:
+    """m x m table whose row i holds the index positions of block(rows)[i],
+    looked up in row chunks of at most CHUNK_ENTRIES image entries."""
+    width = index.width
+    chunk = max(1, CHUNK_ENTRIES // (m * width))
+    tab = np.empty((m, m), dtype=np.int32)
+    for s in range(0, m, chunk):
+        rows = block(np.arange(s, min(s + chunk, m)))
+        tab[s:s + chunk] = index.require(rows.reshape(-1, width), what).reshape(-1, m)
+    return tab
+
+
+def _compose_table(M: np.ndarray, index: _RowIndex, what: str) -> np.ndarray:
+    """Composition table of the rows of M: tab[i, j] is the position of
+    M[j][M[i]] (member i, then member j).  Raises when a composite is not a row."""
+    return _row_table(M.shape[0], index, lambda rows: M[:, M[rows]].swapaxes(0, 1), what)
+
+
+def _coordinate_group(radices, product, name: str) -> FiniteGroup:
+    """The group on the mixed-radix grid of coordinate tuples, in lexicographic
+    order, with the all-zero tuple as its identity (index 0).  `product(a, b)`
+    maps the coordinate arrays of every pair at once (a[k] an n x 1 column,
+    b[k] a 1 x n row) to the product's coordinates, reduced mod the radices
+    here."""
+    n = math.prod(radices)
+    _check_order(n)
+    coords = np.indices(radices).reshape(len(radices), n)
+    pairs = product(coords[:, :, None], coords[:, None, :])
+    return FiniteGroup(np.ravel_multi_index(tuple(pairs), radices, mode="wrap"), name=name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    _check_order(n)
-    return group_from_mult(list(range(n)), lambda a, b: (a + b) % n, f"c{n}")
+    return _coordinate_group((n,), lambda a, b: (a[0] + b[0],), f"c{n}")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> FiniteGroup:
-    elems = list(itertools.product(range(G.n), range(H.n)))
-    return group_from_mult(
-        elems,
-        lambda a, b: (G.mult(a[0], b[0]), H.mult(a[1], b[1])),
-        name or f"{G.name}x{H.name}",
-    )
+    """G x H with (g, h) at index g |H| + h."""
+    n = G.n * H.n
+    _check_order(n)
+    tab = G.table[:, None, :, None] * H.n + H.table[None, :, None, :]
+    return FiniteGroup(tab.reshape(n, n), identity=G.identity * H.n + H.identity,
+                       name=name or f"{G.name}x{H.name}")
 
 
 def dihedral_group(order: int) -> FiniteGroup:
@@ -619,37 +653,25 @@ def dihedral_group(order: int) -> FiniteGroup:
 
 
 def dicyclic_group(order: int) -> FiniteGroup:
-    """Dicyclic group of order 4k (quaternion when k is a 2-power)."""
+    """Dicyclic group of order 4k (quaternion when k is a 2-power): (i, e) is
+    x^i y^e with x of order 2k, y^2 = x^k and y x y^-1 = x^-1."""
     if order % 4:
         raise InvalidArgumentError("dicyclic groups have order 4k")
-    _check_order(order)
     k = order // 4
-    m = 2 * k
-
-    def mult(a, b):
-        i, e = a
-        l, f = b
-        base = (i + (l if e == 0 else -l)) % m
-        if e and f:
-            base = (base + k) % m
-        return (base, (e + f) % 2)
-
-    return group_from_mult(list(itertools.product(range(m), range(2))), mult, f"q{order}")
+    return _coordinate_group(
+        (2 * k, 2), lambda a, b: (a[0] + b[0] * (1 - 2 * a[1]) + k * (a[1] & b[1]), a[1] + b[1]),
+        f"q{order}")
 
 
 def semidirect_cyclic(n: int, m: int, r: int, name: str | None = None) -> FiniteGroup:
     """Z_n x| Z_m where the Z_m generator acts as x -> x^r."""
-    _check_order(n * m)
+    for order in (n * m, n, m):  # two negative factors have a positive product
+        _check_order(order)
     if pow(r, m, n) != 1 % n or math.gcd(r, n) != 1:
         raise InvalidArgumentError("action must have order dividing m")
-
-    def mult(a, b):
-        i, j = a
-        l, f = b
-        return ((i + l * pow(r, j, n)) % n, (j + f) % m)
-
-    return group_from_mult(list(itertools.product(range(n), range(m))), mult,
-                           name or f"c{n}sc{m}r{r}")
+    twist = np.array([pow(r, j, n) for j in range(m)])
+    return _coordinate_group((n, m), lambda a, b: (a[0] + b[0] * twist[a[1]], a[1] + b[1]),
+                             name or f"c{n}sc{m}r{r}")
 
 
 def semidihedral_group(order: int) -> FiniteGroup:
@@ -674,41 +696,29 @@ def heisenberg_group(p: int) -> FiniteGroup:
     _check_order(p**3)
     if prime_power(p) != (p, 1) or p == 2:
         raise InvalidArgumentError("needs an odd prime")
-
-    def mult(a, b):
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
-
-    return group_from_mult(list(itertools.product(range(p), repeat=3)), mult, f"es_p3_{p}")
+    return _coordinate_group(
+        (p, p, p), lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1]),
+        f"es_p3_{p}")
 
 
 def pauli_group() -> FiniteGroup:
     """Central product of Z_4 and D_8 (the order-16 Pauli group)."""
-
-    def mult(a, b):
-        k, x, z = a
-        l, c, d = b
-        return ((k + l + 2 * z * c) % 4, (x + c) % 2, (z + d) % 2)
-
-    elems = list(itertools.product(range(4), range(2), range(2)))
-    return group_from_mult(elems, mult, "pauli16")
+    return _coordinate_group(
+        (4, 2, 2), lambda a, b: (a[0] + b[0] + 2 * a[2] * b[1], a[1] + b[1], a[2] + b[2]),
+        "pauli16")
 
 
 def c22_semidirect_c4() -> FiniteGroup:
     """(Z_2 x Z_2) x| Z_4 with the generator swapping the factors."""
-
-    def mult(a, b):
-        (x, y), j = a
-        (z, w), l = b
-        if j % 2:
-            z, w = w, z
-        return (((x + z) % 2, (y + w) % 2), (j + l) % 4)
-
-    elems = [((x, y), j) for x in range(2) for y in range(2) for j in range(4)]
-    return group_from_mult(elems, mult, "c22sc4")
+    return _coordinate_group(
+        (2, 2, 4), lambda a, b: (a[0] + np.where(a[2] % 2, b[1], b[0]),
+                                 a[1] + np.where(a[2] % 2, b[0], b[1]), a[2] + b[2]),
+        "c22sc4")
 
 
 def from_permutations(perms, name: str = "permgroup") -> FiniteGroup:
-    """Group generated by permutations (tuples of images); product acts left-then-right."""
+    """Group generated by permutations (tuples of images); product acts
+    left-then-right, and the elements are in lexicographic order."""
     degree = len(perms[0])
     ident = tuple(range(degree))
     for p in perms:
@@ -727,8 +737,9 @@ def from_permutations(perms, name: str = "permgroup") -> FiniteGroup:
                     elems.add(b)
                     nxt.append(b)
         frontier = nxt
-    ordered = sorted(elems)
-    return group_from_mult(ordered, lambda a, b: tuple(b[a[i]] for i in range(degree)), name)
+    # one extra fixed point keeps the rows non-empty when the degree is 0
+    M = np.array([p + (degree,) for p in sorted(elems)], dtype=np.int32)
+    return FiniteGroup(_compose_table(M, _RowIndex(M), "permutation composition"), name=name)
 
 
 def alternating4() -> FiniteGroup:

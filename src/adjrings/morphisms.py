@@ -30,6 +30,7 @@ from .errors import (
     InvalidStructureError,
 )
 from .groups import (
+    CHUNK_ENTRIES,
     MAX_ORDER,
     FiniteGroup,
     Subgroup,
@@ -39,6 +40,9 @@ from .groups import (
     is_normal,
     omega_subgroup,
     reach,
+    _compose_table,
+    _row_table,
+    _RowIndex,
 )
 from .report import CheckReport, verdict
 from .rings import FiniteRing, to_finite_ring
@@ -48,7 +52,6 @@ PAIRS_CAP = 1024
 TABLE_RING_CAP = 256
 AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
-CHUNK_ENTRIES = 4_000_000  # entries per vectorized block
 _PAIR_BLOCK = 1 << 16  # pairs x columns per Laue comparison block
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
@@ -63,33 +66,6 @@ def _candidate_grid(choices, what: str) -> np.ndarray:
     return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(count, len(choices))
 
 
-class _RowIndex:
-    """Vectorized exact-row lookup into a fixed matrix of distinct image rows."""
-
-    def __init__(self, M: np.ndarray):
-        Mc = np.ascontiguousarray(M)
-        self._dtype = Mc.dtype
-        self.width = Mc.shape[1]
-        void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
-        self.order = np.argsort(void)
-        self._sorted = void[self.order]
-        if (self._sorted[1:] == self._sorted[:-1]).any():
-            raise InvalidStructureError("duplicate image rows")
-
-    def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of each row plus a found mask; index is junk where not found."""
-        rc = np.ascontiguousarray(rows.astype(self._dtype, copy=False))
-        rv = rc.view((np.void, rc.dtype.itemsize * rc.shape[1])).ravel()
-        pos = np.minimum(np.searchsorted(self._sorted, rv), len(self._sorted) - 1)
-        return self.order[pos], self._sorted[pos] == rv
-
-    def require(self, rows: np.ndarray, what: str) -> np.ndarray:
-        idx, ok = self.find(rows)
-        if not ok.all():
-            raise InvalidStructureError(f"{what}: row not in the enumerated set")
-        return idx
-
-
 def _bijective_rows(M: np.ndarray, n: int) -> np.ndarray:
     """Mask of the rows of M that permute range(n)."""
     return (np.sort(M, axis=1) == np.arange(n)).all(axis=1)
@@ -98,24 +74,6 @@ def _bijective_rows(M: np.ndarray, n: int) -> np.ndarray:
 def coset_offsets(G: FiniteGroup, rows) -> np.ndarray:
     """Row u -> the map x^{-1} u(x), one row per image row u of G."""
     return G.table[G.inverses[None, :], np.asarray(rows, dtype=np.int32)]
-
-
-def _row_table(m: int, index: _RowIndex, block, what: str) -> np.ndarray:
-    """m x m table whose row i holds the index positions of block(rows)[i],
-    looked up in row chunks of at most CHUNK_ENTRIES image entries."""
-    width = index.width
-    chunk = max(1, CHUNK_ENTRIES // (m * width))
-    tab = np.empty((m, m), dtype=np.int32)
-    for s in range(0, m, chunk):
-        rows = block(np.arange(s, min(s + chunk, m)))
-        tab[s:s + chunk] = index.require(rows.reshape(-1, width), what).reshape(-1, m)
-    return tab
-
-
-def _compose_table(M: np.ndarray, index: _RowIndex, what: str) -> np.ndarray:
-    """Composition table of the rows of M: tab[i, j] is the position of
-    M[j][M[i]] (member i, then member j).  Raises when a composite is not a row."""
-    return _row_table(M.shape[0], index, lambda rows: M[:, M[rows]].swapaxes(0, 1), what)
 
 
 def _then_rows(M: np.ndarray, index: _RowIndex, gens: list[int], what: str):

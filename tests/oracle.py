@@ -9,7 +9,9 @@ masks the library takes and returns.  The Frattini
 subgroup here is the intersection of the maximal subgroups, read off the full
 subgroup lattice; `groups.frattini` computes G'G^p instead.  Associativity
 here compares (xy)z with x(yz) on all n^3 triples; `FiniteGroup` runs Light's
-test on a generating set instead.
+test on a generating set instead.  The group builders here fill a Cayley
+table with one Python product per pair of listed elements (`group_from_mult`);
+the library's builders compute each table as one array formula instead.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from adjrings.groups import Subgroup, enumerate_subgroups, full_subgroup
+from adjrings.groups import FiniteGroup, Subgroup, enumerate_subgroups, full_subgroup
 
 
 def zero(ring):
@@ -100,3 +102,122 @@ def is_associative(table) -> bool:
     """(xy)z == x(yz) for every triple, as two n^3 lookups."""
     tab = np.asarray(table)
     return bool((tab[tab, :] == tab[:, tab]).all())
+
+
+# -- groups from one Python product per pair ---------------------------------------
+
+
+def group_from_mult(elements, mult, name: str) -> FiniteGroup:
+    """Cayley table from explicit elements and a multiplication callable; the
+    identity is the first element whose row and column are the identity map."""
+    pos = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    tab = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            tab[i, j] = pos[mult(a, b)]
+    identity = next(i for i in range(n)
+                    if (tab[i] == np.arange(n)).all() and (tab[:, i] == np.arange(n)).all())
+    return FiniteGroup(tab, identity=identity, name=name)
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    return group_from_mult(list(range(n)), lambda a, b: (a + b) % n, f"c{n}")
+
+
+def direct_product(G: FiniteGroup, H: FiniteGroup, name: str) -> FiniteGroup:
+    elems = list(itertools.product(range(G.n), range(H.n)))
+    return group_from_mult(
+        elems, lambda a, b: (int(G.table[a[0], b[0]]), int(H.table[a[1], b[1]])), name)
+
+
+def dicyclic_group(order: int) -> FiniteGroup:
+    k = order // 4
+    m = 2 * k
+
+    def mult(a, b):
+        i, e = a
+        l, f = b
+        base = (i + (l if e == 0 else -l)) % m
+        if e and f:
+            base = (base + k) % m
+        return (base, (e + f) % 2)
+
+    return group_from_mult(list(itertools.product(range(m), range(2))), mult, f"q{order}")
+
+
+def semidirect_cyclic(n: int, m: int, r: int, name: str) -> FiniteGroup:
+    def mult(a, b):
+        i, j = a
+        l, f = b
+        return ((i + l * pow(r, j, n)) % n, (j + f) % m)
+
+    return group_from_mult(list(itertools.product(range(n), range(m))), mult, name)
+
+
+def heisenberg_group(p: int) -> FiniteGroup:
+    def mult(a, b):
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
+
+    return group_from_mult(list(itertools.product(range(p), repeat=3)), mult, f"es_p3_{p}")
+
+
+def pauli_group() -> FiniteGroup:
+    def mult(a, b):
+        k, x, z = a
+        l, c, d = b
+        return ((k + l + 2 * z * c) % 4, (x + c) % 2, (z + d) % 2)
+
+    return group_from_mult(list(itertools.product(range(4), range(2), range(2))), mult, "pauli16")
+
+
+def c22_semidirect_c4() -> FiniteGroup:
+    def mult(a, b):
+        (x, y), j = a
+        (z, w), l = b
+        if j % 2:
+            z, w = w, z
+        return (((x + z) % 2, (y + w) % 2), (j + l) % 4)
+
+    elems = [((x, y), j) for x in range(2) for y in range(2) for j in range(4)]
+    return group_from_mult(elems, mult, "c22sc4")
+
+
+def from_permutations(perms, name: str) -> FiniteGroup:
+    """Every product of the generators, sorted; a then b is i -> b[a[i]]."""
+    elems = {tuple(range(len(perms[0])))}
+    frontier = list(elems)
+    while frontier:
+        frontier = [tuple(g[i] for i in a) for a in frontier for g in perms]
+        frontier = [b for b in set(frontier) if b not in elems]
+        elems.update(frontier)
+    return group_from_mult(sorted(elems), lambda a, b: tuple(b[i] for i in a), name)
+
+
+def builtin_group(name: str) -> FiniteGroup:
+    """The builtin names of `groups.builtin_group`, each from its per-pair product."""
+    if "x" in name:
+        g = builtin_group(name.split("x")[0])
+        for part in name.split("x")[1:]:
+            g = direct_product(g, builtin_group(part), name)
+        return g
+    special = {
+        "a4": lambda: from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)], "a4"),
+        "pauli16": pauli_group,
+        "c22sc4": c22_semidirect_c4,
+        "es27": lambda: heisenberg_group(3),
+        "c4sc4": lambda: semidirect_cyclic(4, 4, 3, "c4sc4"),
+    }
+    if name in special:
+        return special[name]()
+    if name.startswith("es_p3_"):
+        return heisenberg_group(int(name[6:]))
+    prefix, order = name.rstrip("0123456789"), int(name.lstrip("abcdefghijklmnopqrstuvwxyz"))
+    p = next((q for q in range(2, order + 1) if order % q == 0), 1)
+    return {
+        "c": lambda: cyclic_group(order),
+        "d": lambda: semidirect_cyclic(order // 2, 2, order // 2 - 1, name),
+        "q": lambda: dicyclic_group(order),
+        "sd": lambda: semidirect_cyclic(order // 2, 2, order // 4 - 1, name),
+        "m": lambda: semidirect_cyclic(order // p, p, 1 + order // (p * p), name),
+    }[prefix]()

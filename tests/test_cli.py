@@ -115,6 +115,13 @@ def test_group_info_unknown_builtin_exits_2(capsys, name):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["c0", "q0", "c-3"])
+def test_group_info_order_below_one_exits_2(capsys, name):
+    assert main(["group-info", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is below 1" in err and "Traceback" not in err
+
+
 def test_group_info_non_p_group(capsys):
     assert main(["group-info", "d12"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from the defining presentations.
 
 import itertools
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,12 +34,13 @@ from adjrings.groups import (
     cyclic_group,
     dicyclic_group,
     dihedral_group,
+    direct_product,
     enumerate_subgroups,
     frattini,
+    from_permutations,
     full_subgroup,
     generating_set,
     group_from_json,
-    group_from_mult,
     is_normal,
     is_p_central,
     load_group,
@@ -58,6 +60,7 @@ from adjrings.groups import (
     quotient_group,
     rank,
     semidihedral_group,
+    semidirect_cyclic,
     subgroup_exponent,
     sylow_subgroup,
     trivial_subgroup,
@@ -124,7 +127,7 @@ class TestBasics:
         g = cyclic_group(12)
         assert g.n == 12 and g.exponent() == 12 and g.is_abelian()
         assert g.order_of(5) == 12 and g.order_of(8) == 3
-        assert g.inv(5) == 7 and power_map(g, 5)[7] == 35 % 12
+        assert g.inverses[5] == 7 and power_map(g, 5)[7] == 35 % 12
 
     def test_dihedral_center_and_class(self):
         d8 = dihedral_group(8)
@@ -262,16 +265,54 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_order_cap_comes_before_the_table(self):
-        calls = []
+    @pytest.mark.parametrize("name", ["c729xc729", "c27xc27xc27"])
+    def test_product_name_is_refused_before_the_product_table(self, name):
+        # the factors are built, but no product table: the c729 factor's own
+        # table and coordinate grid are the peak
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BoundError, match="exceeds the supported maximum"):
+                builtin_group(name)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 32 * 2**20
 
-        def mult(a, b):
-            calls.append((a, b))
-            return (a + b) % 730
+    def test_direct_product_checks_the_order_before_the_table(self):
+        G, H = cyclic_group(729), cyclic_group(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundError, match="group order 1458"):
+                direct_product(G, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-        with pytest.raises(BoundError, match="group order 730"):
-            group_from_mult(list(range(730)), mult, "c730")
-        assert calls == []
+    @pytest.mark.parametrize("build, error, message", [
+        pytest.param(lambda: cyclic_group(0), InvalidArgumentError, "order 0 ", id="cyclic_group(0)"),
+        pytest.param(lambda: dicyclic_group(0), InvalidArgumentError, "order 0 ", id="dicyclic_group(0)"),
+        pytest.param(lambda: semidirect_cyclic(0, 2, 1), InvalidArgumentError, "order 0 ",
+                     id="semidirect_cyclic(0,2,1)"),
+        pytest.param(lambda: semidirect_cyclic(5, 0, 1), InvalidArgumentError, "order 0 ",
+                     id="semidirect_cyclic(5,0,1)"),
+        pytest.param(lambda: semidirect_cyclic(-2, -3, 1), InvalidArgumentError, "order -2 ",
+                     id="semidirect_cyclic(-2,-3,1)"),
+        pytest.param(lambda: builtin_group("c0"), InvalidArgumentError, "order 0 ", id="c0"),
+        pytest.param(lambda: builtin_group("q0"), InvalidArgumentError, "order 0 ", id="q0"),
+        pytest.param(lambda: builtin_group("c-3"), InvalidArgumentError, "order -3 ", id="c-3"),
+        pytest.param(lambda: FiniteGroup(np.zeros((0, 0), int)), InvalidStructureError, "non-empty",
+                     id="empty-table"),
+    ])
+    def test_order_below_one_is_refused(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_degree_zero_permutation_gives_the_trivial_group(self):
+        g = from_permutations([()])
+        assert g.n == 1 and g.identity == 0 and g.table.tolist() == [[0]]
 
 
 class TestSubgroups:
@@ -429,7 +470,7 @@ class TestQuotients:
         assert q.n == 4 and q.exponent() == 2
         for a in range(8):
             for b in range(8):
-                assert proj[d8.mult(a, b)] == q.mult(proj[a], proj[b])
+                assert proj[d8.table[a, b]] == q.table[proj[a], proj[b]]
 
     def test_q8_mod_center(self):
         q8 = builtin_group("q8")
@@ -457,6 +498,30 @@ class TestQuotients:
                     if s.order == 2 and s.elems != center(d8).elems)
         with pytest.raises(InvalidArgumentError):
             quotient_group(d8, refl)
+
+
+# every builder family against the per-pair product it replaced
+PER_PAIR_NAMES = sorted(
+    set(DEFAULT_GROUP_NAMES) | {f"d{o}" for o in range(4, 65, 2)} | {f"q{o}" for o in range(4, 65, 4)}
+    | {"sd16", "sd32", "sd64", "m16", "m27", "m32", "m64", "m81", "es_p3_5", "es_p3_7"})
+PER_PAIR_CASES = [
+    pytest.param(lambda name=name: builtin_group(name),
+                 lambda name=name: oracle.builtin_group(name), id=name)
+    for name in PER_PAIR_NAMES
+] + [
+    pytest.param(lambda args=args: semidirect_cyclic(*args, name="sdc"),
+                 lambda args=args: oracle.semidirect_cyclic(*args, name="sdc"),
+                 id=f"semidirect_cyclic{args}")
+    for args in [(7, 3, 2), (9, 3, 4), (9, 6, 2), (13, 4, 5), (5, 4, 2), (8, 2, 5), (1, 3, 0)]
+] + [
+    pytest.param(lambda gens=gens, name=name: from_permutations(gens, name),
+                 lambda gens=gens, name=name: oracle.from_permutations(gens, name), id=name)
+    for name, gens in [
+        ("a4_perms", [(1, 2, 0, 3), (1, 0, 3, 2)]),
+        ("c3wrc3_perms", [(1, 2, 0, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2)]),
+        ("s5_perms", [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    ]
+]
 
 
 class TestBuilders:
@@ -543,6 +608,12 @@ class TestBuilders:
         assert subgroup_exponent(d8, full_subgroup(d8)) == 4
         assert subgroup_exponent(d8, center(d8)) == 2
 
+    @pytest.mark.parametrize("build, reference", PER_PAIR_CASES)
+    def test_table_matches_per_pair_oracle(self, build, reference):
+        g, want = build(), reference()
+        assert (g.name, g.identity) == (want.name, want.identity)
+        assert g.table.dtype == want.table.dtype and (g.table == want.table).all()
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -599,7 +670,7 @@ class TestProperties:
         g = builtin_group(name)
         x, y, z = a % g.n, b % g.n, c % g.n
         conj = g.conj_table
-        assert conj[x, g.mult(y, z)] == g.mult(int(conj[x, y]), int(conj[x, z]))
+        assert conj[x, g.table[y, z]] == g.table[conj[x, y], conj[x, z]]
 
     @given(NAMES)
     @settings(max_examples=20, deadline=None)
@@ -637,5 +708,5 @@ class TestProperties:
     def test_inverse_involution(self, name, a):
         g = builtin_group(name)
         x = a % g.n
-        assert g.inv(g.inv(x)) == x
-        assert g.mult(x, g.inv(x)) == g.identity
+        assert g.inverses[g.inverses[x]] == x
+        assert g.table[x, g.inverses[x]] == g.identity

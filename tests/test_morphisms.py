@@ -13,6 +13,8 @@ from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import BoundError, BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     Subgroup,
+    _compose_table,
+    _RowIndex,
     abelian_normal_subgroups,
     agemo,
     builtin_group,
@@ -30,12 +32,10 @@ from adjrings.morphisms import (
     PAIRS_CAP,
     AutomorphismGroup,
     _all_pairs,
-    _compose_table,
     _der_matrix,
     _endo_matrix,
     _law_rows,
     _pair_kernel,
-    _RowIndex,
     _rows_to_ring_tables,
     _test_columns,
     _trivial_action,
