@@ -134,7 +134,7 @@ class FiniteGroup:
         return int(self.element_orders[a])
 
     def exponent(self) -> int:
-        return int(math.lcm(*(int(o) for o in self.element_orders)))
+        return int(np.lcm.reduce(self.element_orders))
 
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
@@ -298,16 +298,20 @@ def nilpotency_class(G: FiniteGroup) -> int | None:
     return len(series) - 1
 
 
+def _powers(one, base, k: int, mul):
+    """one * base^k by square and multiply, `mul` being the elementwise product."""
+    while k:
+        if k & 1:
+            one = mul(one, base)
+        base = mul(base, base)
+        k >>= 1
+    return one
+
+
 def power_map(G: FiniteGroup, k: int) -> np.ndarray:
-    acc = np.full(G.n, G.identity, dtype=np.int32)
-    base = np.arange(G.n, dtype=np.int32)
-    kk = k
-    while kk:
-        if kk & 1:
-            acc = G.table[acc, base]
-        base = G.table[base, base]
-        kk >>= 1
-    return acc
+    """x -> x^k for every element, by `_powers` on the table."""
+    return _powers(np.full(G.n, G.identity, dtype=np.int32), np.arange(G.n, dtype=np.int32),
+                   k, lambda a, b: G.table[a, b])
 
 
 def prime_of(G: FiniteGroup) -> int | None:
@@ -489,25 +493,44 @@ def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:
     return prime_power(H.order // phi.order)[1]
 
 
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup by deterministic first-found normalizer ascent."""
+def sylow_ascent(m: int, identity: int, p: int, p_power, conj, step) -> np.ndarray:
+    """Bool mask of a Sylow p-subgroup of a group of m members, by
+    first-found normalizer ascent from the identity.
+
+    `p_power(k)` marks the members x with x^k = 1, `conj(g)` gives the
+    position of x^-1 g x for each member x, and `step(gens)` is reach()'s
+    right-multiplication step (reading `gens` when called).  Each step joins
+    the least p-element outside H = <gens> that conjugates every generator
+    into H, which in a finite group is to normalize H; a generator's
+    conjugates are computed when a later step first reads them.
+    """
     if prime_power(p) != (p, 1):
         raise InvalidArgumentError(f"{p} is not prime")
     target = 1
-    n = G.n
-    while n % p == 0:
+    while m % (target * p) == 0:
         target *= p
-        n //= p
-    cur = trivial_subgroup(G)
-    p_power = target % G.element_orders == 0  # an order divides |G|: p-power iff it divides target
-    while cur.order < target:
-        norm = cur.mask[G.conj_table[:, list(cur.elems)]].all(axis=1)
-        cand = np.flatnonzero(norm & ~cur.mask & p_power)
-        if len(cand) == 0:
+    p_elements = p_power(target)
+    current = np.zeros(m, dtype=bool)
+    current[identity] = True
+    gens: list[int] = []
+    conjugates = []  # conjugates[k] = conj(gens[k])
+    while current.sum() < target:
+        if gens:
+            conjugates.append(conj(gens[-1]))
+        cand = p_elements & ~current & np.all([current[c] for c in conjugates], axis=0)
+        if not cand.any():
             raise InvalidStructureError("sylow ascent stalled")
-        g = int(cand[0])
-        cur = closure(G, list(cur.elems) + [g])
-    return cur
+        gens.append(int(cand.argmax()))
+        reach(current, step(gens))
+    return current
+
+
+def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup by `sylow_ascent` on the Cayley table."""
+    mask = sylow_ascent(G.n, G.identity, p, lambda k: power_map(G, k) == G.identity,
+                        lambda g: G.conj_table[G.inverses, g],
+                        lambda gens: lambda frontier: G.table[np.ix_(frontier, gens)])
+    return Subgroup(G, tuple(np.flatnonzero(mask).tolist()))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -569,7 +592,7 @@ def central_target(G: FiniteGroup) -> Subgroup:
 
 
 def subgroup_exponent(G: FiniteGroup, H: Subgroup) -> int:
-    return int(math.lcm(*(int(G.element_orders[x]) for x in H.elems)))
+    return int(np.lcm.reduce(G.element_orders[list(H.elems)]))
 
 
 # -- builders ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -40,14 +40,16 @@ from .groups import (
     is_normal,
     omega_subgroup,
     reach,
+    sylow_ascent,
     _compose_table,
+    _powers,
     _row_table,
     _RowIndex,
 )
 from .report import CheckReport, verdict
 from .rings import FiniteRing, to_finite_ring
 
-BATCH_BUDGET = 2_000_000
+BATCH_BUDGET = 1 << 26  # image entries one generator-image search may fill
 PAIRS_CAP = 1024
 TABLE_RING_CAP = 256
 AUT_ORDER_BOUND = 64
@@ -56,12 +58,12 @@ _PAIR_BLOCK = 1 << 16  # pairs x columns per Laue comparison block
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 
-def _candidate_grid(choices, what: str) -> np.ndarray:
+def _candidate_grid(choices, n: int, what: str) -> np.ndarray:
     """Every choice of one value per list, as int32 rows in lexicographic
-    order, once their number passes the batch budget (one empty row when
-    there are no lists, as for the trivial group)."""
+    order, once the n image entries each row will fill pass the batch budget
+    (one empty row when there are no lists, as for the trivial group)."""
     count = math.prod(map(len, choices))
-    if count > BATCH_BUDGET:
+    if count * n > BATCH_BUDGET:
         raise BudgetError(f"{what} exceeds the batch budget")
     return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(count, len(choices))
 
@@ -146,7 +148,7 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
     the trivial action the rows are homomorphisms; under conjugation,
     act_s(v) = s^{-1} v s, they are derivations.
     """
-    C = _candidate_grid(choices, what)
+    C = _candidate_grid(choices, G.n, what)
     U = np.zeros((C.shape[0], G.n), dtype=np.int32)
     U[:, G.identity] = G.identity
     for elem, parent, k in _bfs_plan(G):
@@ -290,7 +292,7 @@ class AutomorphismGroup:
 
     The full Cayley table is never materialized unless as_group() is called,
     so groups with tens of thousands of automorphisms stay workable.  Sylow
-    subgroups are kept in `_cache[("sylow", p)]`.
+    subgroups, by `sylow_ascent` on the rows, are kept in `_cache[("sylow", p)]`.
     """
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
@@ -307,19 +309,6 @@ class AutomorphismGroup:
     def order(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def member_orders(self) -> np.ndarray:
-        """Order of each member as a permutation of the group elements."""
-        M = self.matrix
-        orders = np.zeros(self.order, dtype=np.int64)
-        acc = M
-        k = 1
-        while (orders == 0).any():
-            orders[(acc == np.arange(M.shape[1])).all(axis=1) & (orders == 0)] = k
-            acc = np.take_along_axis(M, acc, axis=1)
-            k += 1
-        return orders
-
     def as_group(self) -> tuple[FiniteGroup, np.ndarray]:
         """The members as a Cayley table, and the read-only member matrix."""
         m = self.order
@@ -330,42 +319,20 @@ class AutomorphismGroup:
         return grp, self.matrix
 
     def sylow(self, p: int) -> tuple[FiniteGroup, list[int]]:
-        """A Sylow p-subgroup by first-found normalizer ascent over members.
-
-        Returns the subgroup as its own Cayley table plus the member indices,
-        sorted ascending.
-        """
-        if prime_power(p) != (p, 1):
-            raise InvalidArgumentError(f"{p} is not prime")
+        """A Sylow p-subgroup by `sylow_ascent` over the members, as its own
+        Cayley table plus the member indices, sorted ascending."""
         if ("sylow", p) in self._cache:
             return self._cache["sylow", p]
-        target = 1
-        m = self.order
-        while m % p == 0:
-            target *= p
-            m //= p
         M, index = self.matrix, self._index
-        orders = self.member_orders
-        p_elements = (orders > 1) & (target % orders == 0)
-        current = np.zeros(self.order, dtype=bool)
-        current[self.identity_index] = True
-        gens: list[int] = []
-        conjugates = []  # conjugates[k][g] = position of g^-1 gens[k] g
-        while current.sum() < target:
-            if gens:  # only a further step reads the last generator's conjugates
-                if not conjugates:
-                    inverses = index.require(np.argsort(M, axis=1), "automorphism inverse")
-                rows = np.take_along_axis(M, M[gens[-1]][M[inverses]], axis=1)
-                conjugates.append(index.require(rows, "automorphism conjugation"))
-            normalizer = np.ones(self.order, dtype=bool)
-            for conj in conjugates:
-                normalizer &= current[conj]
-            cand = np.flatnonzero(normalizer & ~current & p_elements)
-            if cand.size == 0:
-                raise InvalidStructureError("sylow ascent stalled")
-            gens.append(int(cand[0]))
-            reach(current, _then_rows(M, index, gens, "automorphism closure"))
-        ids = np.flatnonzero(current).tolist()
+        one = np.broadcast_to(np.arange(M.shape[1], dtype=M.dtype), M.shape)
+        inverse = cache(lambda: np.argsort(M, axis=1))  # row inverses, built on first use
+        ids = np.flatnonzero(sylow_ascent(
+            self.order, self.identity_index, p,
+            lambda k: (_powers(one, M, k, lambda u, v: np.take_along_axis(v, u, axis=1))
+                       == one).all(axis=1),
+            lambda g: index.require(np.take_along_axis(M, M[g][inverse()], axis=1),
+                                    "automorphism conjugation"),
+            lambda gens: _then_rows(M, index, gens, "automorphism closure"))).tolist()
         sub = M[ids]
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
         grp = FiniteGroup(tab, identity=ids.index(self.identity_index),

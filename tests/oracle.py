@@ -11,7 +11,11 @@ subgroup lattice; `groups.frattini` computes G'G^p instead.  Associativity
 here compares (xy)z with x(yz) on all n^3 triples; `FiniteGroup` runs Light's
 test on a generating set instead.  The group builders here fill a Cayley
 table with one Python product per pair of listed elements (`group_from_mult`);
-the library's builders compute each table as one array formula instead.
+the library's builders compute each table as one array formula instead.  The
+Sylow subgroup here (`sylow_by_closure`) tests every element against every
+member of the current subgroup and rebuilds the subgroup by `closure` at each
+step, with p-elements read from the element orders; `groups.sylow_ascent`
+reads only the generators' conjugates and grows one mask by `reach`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,16 @@ import itertools
 
 import numpy as np
 
-from adjrings.groups import FiniteGroup, Subgroup, enumerate_subgroups, full_subgroup
+from adjrings.abelian import prime_power
+from adjrings.errors import InvalidArgumentError, InvalidStructureError
+from adjrings.groups import (
+    FiniteGroup,
+    Subgroup,
+    closure,
+    enumerate_subgroups,
+    full_subgroup,
+    trivial_subgroup,
+)
 
 
 def zero(ring):
@@ -102,6 +115,27 @@ def is_associative(table) -> bool:
     """(xy)z == x(yz) for every triple, as two n^3 lookups."""
     tab = np.asarray(table)
     return bool((tab[tab, :] == tab[:, tab]).all())
+
+
+def sylow_by_closure(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup by deterministic first-found normalizer ascent."""
+    if prime_power(p) != (p, 1):
+        raise InvalidArgumentError(f"{p} is not prime")
+    target = 1
+    n = G.n
+    while n % p == 0:
+        target *= p
+        n //= p
+    cur = trivial_subgroup(G)
+    p_power = target % G.element_orders == 0  # an order divides |G|: p-power iff it divides target
+    while cur.order < target:
+        norm = cur.mask[G.conj_table[:, list(cur.elems)]].all(axis=1)
+        cand = np.flatnonzero(norm & ~cur.mask & p_power)
+        if len(cand) == 0:
+            raise InvalidStructureError("sylow ascent stalled")
+        g = int(cand[0])
+        cur = closure(G, list(cur.elems) + [g])
+    return cur
 
 
 # -- groups from one Python product per pair ---------------------------------------

@@ -5,6 +5,7 @@ order-2n dihedral group; omega/center/exponent anchors were computed by hand
 from the defining presentations.
 """
 
+import functools
 import itertools
 import json
 import time
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjrings.abelian import table_decomposition
-from adjrings.cli import DEFAULT_GROUP_NAMES
+from adjrings.adjoint import adjoint_group
+from adjrings.cli import DEFAULT_GROUP_NAMES, default_corpus
 from adjrings.errors import (
     BoundError,
     InvalidArgumentError,
@@ -346,6 +348,19 @@ class TestSubgroups:
         assert not is_normal(d8, refl)
 
 
+@functools.cache
+def _sylow_table_cases():
+    """(Cayley table, prime) pairs from the default corpus, by entry kind."""
+    cases = {"group": [], "ring": []}
+    for e in default_corpus():
+        if e.kind == "group":
+            cases["group"] += [(e.obj, q) for q in range(2, e.obj.n + 1)
+                               if e.obj.n % q == 0 and all(q % r for r in range(2, q))]
+        else:
+            cases["ring"].append((adjoint_group(e.obj).group, e.obj.p))
+    return cases
+
+
 class TestPGroupToolbox:
     def test_agemo_cyclic16(self):
         z16 = cyclic_group(16)
@@ -437,6 +452,15 @@ class TestPGroupToolbox:
         assert sylow_subgroup(a4, 2).order == 4
         assert sylow_subgroup(a4, 3).order == 3
         assert sylow_subgroup(dihedral_group(16), 2).order == 16
+
+    @pytest.mark.parametrize("kind, count", [("group", 68), ("ring", 1045)], ids=["groups", "rings"])
+    def test_sylow_matches_closure_oracle(self, kind, count):
+        # every default-corpus group at every prime dividing its order, and
+        # every corpus ring's adjoint group at the ring's prime
+        cases = _sylow_table_cases()[kind]
+        assert len(cases) == count
+        for G, q in cases:
+            assert sylow_subgroup(G, q).elems == oracle.sylow_by_closure(G, q).elems, (G.name, q)
 
     def test_power_commutator_kernel(self):
         # <a^k, [a, b] : a in A, b in B> on C8 and D8 (rotations r, reflection s)

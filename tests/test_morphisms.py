@@ -4,7 +4,7 @@ Counts marked with a source are classical values or were derived by hand from
 the defining relations; nothing here is copied from the code under test.
 """
 
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from adjrings.groups import (
     dihedral_group,
     full_subgroup,
     prime_of,
-    sylow_subgroup,
+    sylow_ascent,
     trivial_subgroup,
 )
 from adjrings import morphisms
@@ -49,6 +49,8 @@ from adjrings.morphisms import (
     to_finite_ring,
 )
 from adjrings.rings import nilpotency_class_ring
+
+import oracle
 
 
 # -- homomorphisms into a central module --------------------------------------
@@ -154,18 +156,34 @@ def _d8_rotations():
 
 
 # each search has 16 (d8 into <r>) or 36 (q8: six candidates per generator)
-# candidates; a budget one below refuses it, the exact count admits it
+# candidates of 8 image entries each; a budget one entry below refuses it,
+# the exact count of entries admits it
 @pytest.mark.parametrize("search, build, count, rows", [
     ("derivation", lambda: _der_matrix(*_d8_rotations()), 16, 16),
     ("endomorphism", lambda: _endo_matrix(*_d8_rotations()), 16, 16),
     ("automorphism", lambda: aut_group(builtin_group("q8")).matrix, 36, 24),
 ], ids=["derivation", "endomorphism", "automorphism"])
 def test_candidate_search_budget(monkeypatch, search, build, count, rows):
-    monkeypatch.setattr(morphisms, "BATCH_BUDGET", count - 1)
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", count * 8 - 1)
     with pytest.raises(BudgetError, match=f"{search} .* exceeds the batch budget"):
         build()
-    monkeypatch.setattr(morphisms, "BATCH_BUDGET", count)
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", count * 8)
     assert len(build()) == rows
+
+
+def test_candidate_search_is_refused_before_its_grid():
+    # C5^3 into its centre: 125^3 candidates of 125 image entries each, far
+    # past the budget; the filled rows alone would take 0.98 GB
+    G = builtin_group("c5xc5xc5")
+    Z = center(G)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="derivation search space exceeds the batch budget"):
+            _der_matrix(G, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_derivation_rejects_non_normal_module():
@@ -526,32 +544,54 @@ def test_aut_group_gl42_order():
     assert auts.order == 20160  # (16-1)(16-2)(16-4)(16-8)
 
 
-def test_aut_group_exponent_and_member_orders():
+def _primes(m):
+    return [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
+
+
+def _member_p_powers(monkeypatch):
+    """The p_power callables AutomorphismGroup.sylow hands to sylow_ascent,
+    by prime, recorded as each ascent starts."""
+    seen = {}
+
+    def spy(m, identity, p, p_power, conj, step):
+        seen[p] = p_power
+        return sylow_ascent(m, identity, p, p_power, conj, step)
+    monkeypatch.setattr(morphisms, "sylow_ascent", spy)
+    return seen
+
+
+def test_aut_group_exponent_and_p_elements(monkeypatch):
+    p_powers = _member_p_powers(monkeypatch)
     auts = aut_group(builtin_group("q8"))
-    assert math.lcm(*auts.member_orders.tolist()) == 12  # S4
-    assert sorted(set(auts.member_orders)) == [1, 2, 3, 4]
+    assert auts.as_group()[0].exponent() == 12  # S4
+    for q in (2, 3):
+        auts.sylow(q)
+    # S4 has 9 involutions and 6 four-cycles, and 8 three-cycles
+    assert [int(p_powers[2](k).sum()) for k in (1, 2, 4, 8)] == [1, 10, 16, 16]
+    assert [int(p_powers[3](k).sum()) for k in (1, 3, 9)] == [1, 9, 9]
 
 
-def _p_groups_with_small_aut():
+def _p_groups_with_aut_table():
     """Names of the default-corpus p-groups whose Aut(G) fits a Cayley table;
-    the five named here have more than 256 automorphisms."""
-    large = {"c2xc2xc2xc2", "c3xc3xc3", "c9xc9", "c27xc3", "es27"}
+    the three named here have more than 729 automorphisms."""
+    large = {"c2xc2xc2xc2", "c3xc3xc3", "c9xc9"}
     return [name for name in DEFAULT_GROUP_NAMES
             if name not in large and prime_of(builtin_group(name)) is not None]
 
 
-@pytest.mark.parametrize("name", _p_groups_with_small_aut())
-def test_aut_sylow_and_orders_match_cayley_table_oracle(name):
-    # the oracle runs groups.sylow_subgroup and element_orders on the full
+@pytest.mark.parametrize("name", _p_groups_with_aut_table())
+def test_aut_sylow_and_orders_match_cayley_table_oracle(monkeypatch, name):
+    # the oracle runs the closure ascent and element_orders on the full
     # Cayley table, which shares no lookup code with the member-wise view
+    p_powers = _member_p_powers(monkeypatch)
     auts = aut_group(builtin_group(name), bound=81)
-    assert auts.order <= 256
     table, _ = auts.as_group()
-    assert (auts.member_orders == table.element_orders).all()
-    m = auts.order
-    for q in [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]:
+    orders = table.element_orders
+    for q in _primes(auts.order):
         _, ids = auts.sylow(q)
-        assert tuple(ids) == sylow_subgroup(table, q).elems, q
+        assert tuple(ids) == oracle.sylow_by_closure(table, q).elems, q
+        for k in (q, len(ids), auts.order):  # p-elements read at p^a = len(ids)
+            assert (p_powers[q](k) == (k % orders == 0)).all(), (q, k)
 
 
 def test_aut_sylow_orders_of_gl42():
