@@ -29,7 +29,11 @@ from .errors import (
 
 MAX_ORDER = 729
 SUBGROUP_BOUND = 128
-CHUNK_ENTRIES = 4_000_000  # entries per vectorized block
+# The one block budget of every vectorized kernel in the package: ring
+# enumeration, the generator-image search and its law check, row tables and
+# the Laue pair blocks each size their blocks so that one intermediate array
+# holds at most this many entries (or one row, where a row is wider).
+CHUNK_ENTRIES = 1 << 16
 
 
 def _check_order(n: int) -> None:

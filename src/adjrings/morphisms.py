@@ -16,7 +16,6 @@ Composition is written left-to-right throughout: (u * v)(x) = v(u(x)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cache
 
@@ -54,18 +53,7 @@ PAIRS_CAP = 1024
 TABLE_RING_CAP = 256
 AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
-_PAIR_BLOCK = 1 << 16  # pairs x columns per Laue comparison block
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
-
-
-def _candidate_grid(choices, n: int, what: str) -> np.ndarray:
-    """Every choice of one value per list, as int32 rows in lexicographic
-    order, once the n image entries each row will fill pass the batch budget
-    (one empty row when there are no lists, as for the trivial group)."""
-    count = math.prod(map(len, choices))
-    if count * n > BATCH_BUDGET:
-        raise BudgetError(f"{what} exceeds the batch budget")
-    return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(count, len(choices))
 
 
 def _bijective_rows(M: np.ndarray, n: int) -> np.ndarray:
@@ -147,13 +135,29 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
     tree by that rule, then kept if the rule holds on every x and s.  Under
     the trivial action the rows are homomorphisms; under conjugation,
     act_s(v) = s^{-1} v s, they are derivations.
+
+    The candidates x |G| image entries they would fill must pass BATCH_BUDGET
+    before any is built.  Candidates are then decoded from their lexicographic
+    positions by mixed radix over the choice lengths, CHUNK_ENTRIES // |G| at
+    a time; each block is filled and filtered, and only its survivors are
+    kept, so the rows come out in lexicographic order of their choices.
     """
-    C = _candidate_grid(choices, G.n, what)
-    U = np.zeros((C.shape[0], G.n), dtype=np.int32)
-    U[:, G.identity] = G.identity
-    for elem, parent, k in _bfs_plan(G):
-        U[:, elem] = G.table[act[k][U[:, parent]], C[:, k]]
-    return U[_law_rows(G, act, U)]
+    lengths = [len(c) for c in choices]
+    count = math.prod(lengths)
+    if count * G.n > BATCH_BUDGET:
+        raise BudgetError(f"{what} exceeds the batch budget")
+    values = [np.asarray(c, dtype=np.int32) for c in choices]
+    plan = _bfs_plan(G)
+    step = max(1, CHUNK_ENTRIES // G.n)
+    kept = [np.empty((0, G.n), dtype=np.int32)]
+    for lo in range(0, count, step):
+        digits = np.unravel_index(np.arange(lo, min(lo + step, count)), lengths)
+        U = np.empty((digits[0].size, G.n), dtype=np.int32)
+        U[:, G.identity] = G.identity
+        for elem, parent, k in plan:
+            U[:, elem] = G.table[act[k][U[:, parent]], values[k][digits[k]]]
+        kept.append(U[_law_rows(G, act, U)])
+    return np.concatenate(kept)
 
 
 def _validate_coset_target(G: FiniteGroup, N: Subgroup) -> None:
@@ -408,9 +412,10 @@ def _pair_kernel(G: FiniteGroup, ends: np.ndarray, DU: np.ndarray, cols):
 
 
 def _all_pairs(G: FiniteGroup, sides, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mismatch and left-zero masks of all m x m pairs, in row blocks of <= _PAIR_BLOCK."""
+    """Mismatch and left-zero masks of all m x m pairs, in row blocks of at
+    most CHUNK_ENTRIES pair entries."""
     bad, zero, every = np.zeros((m, m), bool), np.zeros((m, m), bool), np.arange(m)
-    rows = max(1, _PAIR_BLOCK // (m * width))
+    rows = max(1, CHUNK_ENTRIES // (m * width))
     for lo in range(0, m, rows):
         left, circ = sides(every[lo:lo + rows, None], every)
         bad[lo:lo + rows] = (left != circ).any(axis=-1)

@@ -30,10 +30,9 @@ from .errors import (
     InvalidArgumentError,
     InvalidStructureError,
 )
-from .groups import _json_int, _json_list, reach
+from .groups import CHUNK_ENTRIES, _json_int, _json_list, reach
 
 ENUM_BUDGET = 100_000_000
-_ENUM_CHUNK = 1 << 16
 TABLE_CAP = 512  # largest ring order given dense index tables
 
 
@@ -170,11 +169,15 @@ class FiniteRing:
         """Index tables of +, * and negation, built on first use."""
         moduli, weights, tensor = self._arrays
         coords = np.indices(self.moduli, dtype=np.int64).reshape(self.dim, self.order).T
-        add = (coords[:, None] + coords) % moduli @ weights
-        # x y = sum_b y_b (x e_b): contract x with the tensor, then with y
-        mul = (coords @ np.tensordot(coords, tensor, axes=(1, 0))) % moduli @ weights
-        neg = -coords % moduli @ weights
-        out = RingTables(coords, *(t.astype(np.int32) for t in (add, mul, neg)))
+        add = np.zeros((self.order, self.order), dtype=np.int32)
+        mul = np.zeros_like(add)
+        for k in range(self.dim):  # one (|R|, |R|) term per coordinate
+            c, m, w = coords[:, k], moduli[k], weights[k]
+            add += (c[:, None] + c) % m * w
+            # coordinate k of x y = sum_{a,b} x_a y_b T[a, b] is x T[:, :, k] y^T
+            mul += coords @ tensor[:, :, k] @ coords.T % m * w
+        neg = (-coords % moduli @ weights).astype(np.int32)
+        out = RingTables(coords, add, mul, neg)
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -418,11 +421,14 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
     Rings come in lexicographic tensor order, named by their mixed-radix index
     among the well-defined candidates, whose raw count |R|^(d^2) must stay
     within `budget`.  The planes T[i][j] are assigned in lexicographic order,
-    depth first, in blocks of at most _ENUM_CHUNK partial tensors (later planes
-    zero).  Triple (i, j, k) reads the planes (i, j), (j, k), (l, k) and (i, l)
-    for every l, so plane (i, d-1) or (d-1, k), whichever is later, decides it.
-    Each block drops the tensors failing the triples its plane decides, so only
-    survivors are extended (backtrack pruning: Holt, Eick and O'Brien 2005, 4.6).
+    depth first, in blocks of at most CHUNK_ENTRIES // d^4 partial tensors
+    (later planes zero): `_associative_mask` holds d^4 entries per tensor in
+    each of its intermediates.  Triple (i, j, k) reads the planes (i, j),
+    (j, k), (l, k) and (i, l) for every l, so plane (i, d-1) or (d-1, k),
+    whichever is later, decides it.  Each block drops the tensors failing the
+    triples its plane decides, so only survivors are extended, and a block
+    with no survivor ends there (backtrack pruning: Holt, Eick and O'Brien
+    2005, 4.6).
     """
     p, exps = _additive_type(p, exps)
     d = len(exps)
@@ -440,12 +446,13 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
     radices = mod_arr // steps
     i, _, k = np.indices((d, d, d))
     last = np.maximum(i * d + d - 1, (d - 1) * d + k)  # the plane deciding each triple
+    chunk = max(1, CHUNK_ENTRIES // d**4)
 
     def extend(level, frontier):
         # plane (a, b): frontier rows times plane values, both in order, stay lexicographic
         a, b = divmod(level, d)
         size = int(radices[a, b].prod())
-        rows, span = max(1, _ENUM_CHUNK // size), min(size, _ENUM_CHUNK)
+        rows, span = max(1, chunk // size), min(size, chunk)
         decided = last == level
         for r in range(0, len(frontier), rows):
             head = frontier[r:r + rows]
@@ -455,6 +462,8 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
                 block[:, a, b] = np.tile(np.stack(digits, axis=1) * steps[a, b], (len(head), 1))
                 if decided.any():
                     block = block[_associative_mask(block, mod_arr, decided)]
+                if not len(block):
+                    continue
                 if level + 1 < d * d:
                     yield from extend(level + 1, block)
                 else:

@@ -15,17 +15,22 @@ the library's builders compute each table as one array formula instead.  The
 Sylow subgroup here (`sylow_by_closure`) tests every element against every
 member of the current subgroup and rebuilds the subgroup by `closure` at each
 step, with p-elements read from the element orders; `groups.sylow_ascent`
-reads only the generators' conjugates and grows one mask by `reach`.
+reads only the generators' conjugates and grows one mask by `reach`.  The
+generator-image search here (`image_rows_by_grid`) builds every candidate
+with `itertools.product` and fills them all at once; `morphisms._image_rows`
+decodes and fills them in bounded blocks, keeping only survivors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from adjrings import morphisms
 from adjrings.abelian import prime_power
-from adjrings.errors import InvalidArgumentError, InvalidStructureError
+from adjrings.errors import BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     FiniteGroup,
     Subgroup,
@@ -136,6 +141,30 @@ def sylow_by_closure(G: FiniteGroup, p: int) -> Subgroup:
         g = int(cand[0])
         cur = closure(G, list(cur.elems) + [g])
     return cur
+
+
+# -- the generator-image search in one shot ----------------------------------------
+
+
+def candidate_grid(choices, n: int, what: str) -> np.ndarray:
+    """Every choice of one value per list, as int32 rows in lexicographic
+    order, once the n image entries each row will fill pass the batch budget
+    (one empty row when there are no lists, as for the trivial group)."""
+    count = math.prod(map(len, choices))
+    if count * n > morphisms.BATCH_BUDGET:
+        raise BudgetError(f"{what} exceeds the batch budget")
+    return np.array(list(itertools.product(*choices)), dtype=np.int32).reshape(count, len(choices))
+
+
+def image_rows_by_grid(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarray:
+    """The generator-image search with every candidate built and filled at
+    once from `candidate_grid`, then filtered by `morphisms._law_rows`."""
+    C = candidate_grid(choices, G.n, what)
+    U = np.zeros((C.shape[0], G.n), dtype=np.int32)
+    U[:, G.identity] = G.identity
+    for elem, parent, k in morphisms._bfs_plan(G):
+        U[:, elem] = G.table[act[k][U[:, parent]], C[:, k]]
+    return U[morphisms._law_rows(G, act, U)]
 
 
 # -- groups from one Python product per pair ---------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from adjrings.cli import DEFAULT_GROUP_NAMES
 from adjrings.errors import BoundError, BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
+    CHUNK_ENTRIES,
     Subgroup,
     _compose_table,
     _RowIndex,
@@ -28,7 +29,6 @@ from adjrings.groups import (
 )
 from adjrings import morphisms
 from adjrings.morphisms import (
-    _PAIR_BLOCK,
     PAIRS_CAP,
     AutomorphismGroup,
     _all_pairs,
@@ -186,6 +186,49 @@ def test_candidate_search_is_refused_before_its_grid():
     assert peak < 50 * 2**20
 
 
+def _searches(G):
+    """Der and End_N rows on every abelian normal module of G, then Aut(G)'s rows."""
+    out = []
+    for N in abelian_normal_subgroups(G):
+        out += [_der_matrix(G, N), _endo_matrix(G, N)]
+    return out + [aut_group(G).matrix]
+
+
+@pytest.mark.parametrize("name", [n for n in DEFAULT_GROUP_NAMES if builtin_group(n).n <= 32])
+def test_blocked_search_matches_one_shot_grid(name, monkeypatch):
+    """Der, End_N and Aut rows from the blocked search equal, row for row, the
+    one-shot fill of the whole itertools.product grid, on every abelian normal
+    module.  Blocks hold 2|G| - 1 candidates, prime to p for every p-group
+    here, so block edges fall inside digit carries, and every search past a
+    few dozen candidates spans several blocks (C2^4's largest, 2115)."""
+    G = builtin_group(name)
+    monkeypatch.setattr(morphisms, "CHUNK_ENTRIES", (2 * G.n - 1) * G.n)
+    blocked = _searches(G)
+    with monkeypatch.context() as mp:
+        mp.setattr(morphisms, "_image_rows", oracle.image_rows_by_grid)
+        expected = _searches(builtin_group(name))
+    assert len(blocked) == len(expected)
+    for got, want in zip(blocked, expected):
+        assert got.dtype == want.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+    if G.n == 1:  # one candidate, the identity map, in each search
+        assert [M.tolist() for M in blocked] == [[[0]]] * 3
+
+
+def test_derivation_search_memory_stays_bounded():
+    # Der(C2^4, C2^4) = Hom = M_4(F_2): 2^16 rows of 16 entries (4 MiB) kept
+    # out of 2^16 candidates; filled at once, the search peaked at 40 MiB
+    G = builtin_group("c2xc2xc2xc2")
+    tracemalloc.start()
+    try:
+        rows = _der_matrix(G, full_subgroup(G))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (2**16, 16)
+    assert peak < 16 * 2**20
+
+
 def test_derivation_rejects_non_normal_module():
     d8 = dihedral_group(8)
     refl = Subgroup(d8, (0, 1))
@@ -318,7 +361,7 @@ def test_laue_row_blocks_match_per_row_oracle(name, monkeypatch):
         m = ends.shape[0]
         if m > PAIRS_CAP:
             continue
-        blocks.append(-(-m // max(1, _PAIR_BLOCK // (m * S.size))))
+        blocks.append(-(-m // max(1, CHUNK_ENTRIES // (m * S.size))))
         DU = coset_offsets(G, ends)
         for bent in (DU, np.roll(DU, 1, axis=0), late_failure(G, DU, S)[0]):
             bad, zero = _all_pairs(G, _pair_kernel(G, ends, bent, S), m, S.size)
@@ -343,7 +386,7 @@ def test_laue_witness_row_past_the_first_block(monkeypatch):
     N = abelian_normal_subgroups(G)[-1]
     ends = _endo_matrix(G, N)
     m = ends.shape[0]
-    rows = max(1, _PAIR_BLOCK // (m * S.size))
+    rows = max(1, CHUNK_ENTRIES // (m * S.size))
     bent, row = late_failure(G, coset_offsets(G, ends), S)
     assert m == 512 and row >= rows
     assert laue_witness_with(G, N, ends, bent, monkeypatch) == \

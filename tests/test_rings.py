@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from adjrings import rings
 from adjrings.adjoint import adjoint_group, omega_circle_set
 from adjrings.cli import default_corpus
 from adjrings.errors import (
@@ -24,7 +25,6 @@ from adjrings.errors import (
     InvalidStructureError,
 )
 from adjrings.rings import (
-    _ENUM_CHUNK,
     FiniteRing,
     _associative_mask,
     additive_closure,
@@ -462,6 +462,9 @@ def test_enumerate_refuses_bad_type_before_the_budget(p, exps, match):
         next(enumerate_rings(p, exps, budget=0))
 
 
+_SCAN_CHUNK = 1 << 16  # candidates per chunk of the oracle scan
+
+
 def _flat_scan(p, exps):
     """The former enumerator, kept as the oracle: every well-defined candidate
     decoded in lexicographic chunks, and all basis triples tested at once."""
@@ -475,8 +478,8 @@ def _flat_scan(p, exps):
     count = math.prod(radices)
     every = np.ones((d, d, d), dtype=bool)
     out = []
-    for start in range(0, count, _ENUM_CHUNK):
-        digits = np.unravel_index(np.arange(start, min(start + _ENUM_CHUNK, count)), radices)
+    for start in range(0, count, _SCAN_CHUNK):
+        digits = np.unravel_index(np.arange(start, min(start + _SCAN_CHUNK, count)), radices)
         arr = (np.stack(digits, axis=1) * steps).reshape(-1, d, d, d)
         mask = _associative_mask(arr, np.array(moduli, dtype=np.int64), every)
         for offset in np.flatnonzero(mask).tolist():
@@ -494,6 +497,27 @@ def test_staged_enumeration_matches_flat_scan(p, exps):
     expected = _flat_scan(p, exps)
     got = [(r.name, r.tensor.tolist()) for r in enumerate_rings(p, exps)]
     assert len(expected) > 1 and got == expected
+
+
+# at 64 tensors per block these four types had a block with no survivor
+@pytest.mark.parametrize("p, exps", [(3, (1, 1)), (5, (1, 1)), (2, (2, 2)), (3, (2, 1))])
+def test_small_block_enumeration_matches_flat_scan(p, exps, monkeypatch):
+    monkeypatch.setattr(rings, "CHUNK_ENTRIES", 64 * len(exps) ** 4)
+    got = [(r.name, r.tensor.tolist()) for r in enumerate_rings(p, exps)]
+    assert got == _flat_scan(p, exps)
+
+
+def test_enumeration_memory_stays_bounded():
+    # 7^4 candidates of 16 slots in blocks of CHUNK_ENTRIES // 16 tensors; in
+    # blocks of 65536 tensors the peak was 35 MiB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_rings(7, (1, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2833
+    assert peak < 8 * 2**20
 
 
 def test_enumerate_filter():
