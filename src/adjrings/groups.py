@@ -30,8 +30,8 @@ from .errors import (
 MAX_ORDER = 729
 SUBGROUP_BOUND = 128
 # The one block budget of every vectorized kernel in the package: ring
-# enumeration, the generator-image search and its law check, row tables and
-# the Laue pair blocks each size their blocks so that one intermediate array
+# enumeration, the generator-image search and its law check, row tables, mask
+# closure and the Laue pair blocks each size their blocks so that one array
 # holds at most this many entries (or one row, where a row is wider).
 CHUNK_ENTRIES = 1 << 16
 
@@ -203,25 +203,28 @@ class Subgroup:
         return self.parent._cache[key]
 
 
+def closed_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Grow a bool mask in place by every product of two members, read in row
+    blocks of at most CHUNK_ENTRIES entries, until a pass adds nothing.  A
+    finite set holding 1 and closed under products is a subgroup."""
+    while True:
+        members = np.flatnonzero(mask)
+        chunk = max(1, CHUNK_ENTRIES // members.size)
+        for s in range(0, members.size, chunk):
+            mask[table[members[s:s + chunk, None], members]] = True
+        if np.count_nonzero(mask) == members.size:
+            return mask
+
+
 def closure(G: FiniteGroup, seed) -> Subgroup:
-    """Subgroup generated by `seed` (right-multiplication reachability)."""
-    gens = sorted(set(int(s) for s in seed))
-    for s in gens:
-        if not 0 <= s < G.n:
-            raise InvalidElementError(f"element {s} out of range")
-    elems = {G.identity}
-    frontier = [G.identity]
-    t = G.table
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = int(t[x, g])
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(G, tuple(sorted(elems)))
+    """Subgroup generated by the elements of `seed`: `closed_mask` on G's table."""
+    seed = np.fromiter(seed, dtype=np.int64)
+    bad = seed[(seed < 0) | (seed >= G.n)]  # numpy would wrap a negative index
+    if bad.size:
+        raise InvalidElementError(f"element {bad.min()} out of range")
+    mask = np.arange(G.n) == G.identity
+    mask[seed] = True
+    return Subgroup(G, tuple(np.flatnonzero(closed_mask(G.table, mask)).tolist()))
 
 
 def reach(seen: np.ndarray, step) -> np.ndarray:
@@ -256,10 +259,13 @@ def power_commutator(G: FiniteGroup, A: Subgroup, B: Subgroup, k: int = 0) -> Su
 
     The one kernel behind [A, B], Phi(G) = G'G^p, each lower p-central step
     P_{i+1} = P_i^p [P_i, G], Phi(H) inside a parent and gamma_2(G) G^(p^kappa).
+    The seed mask, read off the power map and commutator table, holds 1 = 1^k.
     """
     arr = np.array(A.elems)
-    comms = G.comm_table[np.ix_(arr, np.array(B.elems))]
-    return closure(G, np.union1d(power_map(G, k)[arr], comms))
+    mask = np.zeros(G.n, dtype=bool)
+    mask[power_map(G, k)[arr]] = True
+    mask[G.comm_table[np.ix_(arr, np.array(B.elems))]] = True
+    return Subgroup(G, tuple(np.flatnonzero(closed_mask(G.table, mask)).tolist()))
 
 
 def commutator(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:

@@ -50,7 +50,6 @@ from .rings import FiniteRing, to_finite_ring
 
 BATCH_BUDGET = 1 << 26  # image entries one generator-image search may fill
 PAIRS_CAP = 1024
-TABLE_RING_CAP = 256
 AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
@@ -229,8 +228,8 @@ def _rows_to_ring_tables(G: FiniteGroup, M: np.ndarray,
     """Ring of image rows under pointwise addition and composition, with the
     rows reordered to the ring's element order."""
     m = M.shape[0]
-    if m > TABLE_RING_CAP:
-        raise BoundError(f"{name} has {m} members; table rings cap at {TABLE_RING_CAP}")
+    if m > MAX_ORDER:
+        raise BoundError(f"{name} has {m} members; table rings cap at {MAX_ORDER}")
     index = _RowIndex(M)
     add = _row_table(m, index, lambda rows: G.table[M[rows, None], M], name)
     mul = _compose_table(M, index, name)

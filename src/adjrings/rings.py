@@ -30,10 +30,9 @@ from .errors import (
     InvalidArgumentError,
     InvalidStructureError,
 )
-from .groups import CHUNK_ENTRIES, _json_int, _json_list, reach
+from .groups import CHUNK_ENTRIES, MAX_ORDER, _json_int, _json_list, closed_mask
 
 ENUM_BUDGET = 100_000_000
-TABLE_CAP = 512  # largest ring order given dense index tables
 
 
 class RingTables(NamedTuple):
@@ -116,7 +115,7 @@ class FiniteRing:
     Construction verifies well-definedness (`_slot_steps`) and associativity
     on every basis triple (`_associative_mask`), which trilinearity extends to
     the whole ring.  Element arithmetic is read off the index tables `tables`,
-    built on first use for rings of at most TABLE_CAP elements.
+    built on first use for rings of at most MAX_ORDER elements (groups.py).
 
     Memo rule: attributes are `cached_property`s; objects built by module
     functions are kept in `_cache[key]`, after that function's bound gates.
@@ -158,8 +157,8 @@ class FiniteRing:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(moduli, basis element indices, structure tensor) as int64 arrays;
         an element's index is its coordinates dotted with the basis indices."""
-        if self.order > TABLE_CAP:
-            raise BoundError(f"ring tables capped at {TABLE_CAP} elements")
+        if self.order > MAX_ORDER:
+            raise BoundError(f"ring tables capped at {MAX_ORDER} elements")
         weights = [math.prod(self.moduli[k + 1:]) for k in range(self.dim)]
         return (np.array(self.moduli, dtype=np.int64), np.array(weights, dtype=np.int64),
                 self.tensor.astype(np.int64))
@@ -224,12 +223,8 @@ def _is_ideal(ring: FiniteRing, mask: np.ndarray) -> bool:
 
 
 def additive_closure(ring: FiniteRing, gens) -> np.ndarray:
-    """Mask of the subgroup of (R,+) generated by the elements of a mask."""
-    add = ring.tables.add
-    gens = np.flatnonzero(_subset(ring, gens))
-    seen = np.zeros(ring.order, dtype=bool)
-    seen[0] = True
-    return reach(seen, lambda frontier: add[np.ix_(frontier, gens)])
+    """Mask of the subgroup of (R,+) a mask generates: `closed_mask` on `add`."""
+    return closed_mask(ring.tables.add, _subset(ring, gens) | (np.arange(ring.order) == 0))
 
 
 def omega_additive(ring: FiniteRing, n: int) -> np.ndarray:

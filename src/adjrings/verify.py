@@ -522,9 +522,8 @@ def check_aut_gen_bound_abelian(G: FiniteGroup,
     p = prime_of(G)
     if p is None:
         return skipped("not a p-group")
-    d = rank(G)
-    pgrp = power_commutator_subgroup(G).as_group()
-    d_prime = rank(pgrp)
+    d = rank(G, subgroup_bound)
+    d_prime = rank(power_commutator_subgroup(G).as_group(), subgroup_bound)
     if p > 2:
         bound_val = d * d_prime + (d * d) // 4
     else:
@@ -543,7 +542,7 @@ def check_aut_gen_bound(G: FiniteGroup,
     p = prime_of(G)
     if p is None:
         return skipped("not a nontrivial p-group")
-    k = rank(G)
+    k = rank(G, subgroup_bound)
     if p > 2:
         bound_val = (9 * k * k) // 4
     else:

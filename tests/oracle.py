@@ -16,9 +16,13 @@ Sylow subgroup here (`sylow_by_closure`) tests every element against every
 member of the current subgroup and rebuilds the subgroup by `closure` at each
 step, with p-elements read from the element orders; `groups.sylow_ascent`
 reads only the generators' conjugates and grows one mask by `reach`.  The
-generator-image search here (`image_rows_by_grid`) builds every candidate
-with `itertools.product` and fills them all at once; `morphisms._image_rows`
-decodes and fills them in bounded blocks, keeping only survivors.
+subgroup closure here (`closure_by_bfs`) multiplies each reached element by
+each generator in Python; `groups.closed_mask`, behind `closure`,
+`power_commutator` and `rings.additive_closure`, adds every product of two
+members of a mask per pass instead.  The generator-image search here
+(`image_rows_by_grid`) builds every candidate with `itertools.product` and
+fills them all at once; `morphisms._image_rows` decodes and fills them in
+bounded blocks, keeping only survivors.
 """
 
 from __future__ import annotations
@@ -30,7 +34,12 @@ import numpy as np
 
 from adjrings import morphisms
 from adjrings.abelian import prime_power
-from adjrings.errors import BudgetError, InvalidArgumentError, InvalidStructureError
+from adjrings.errors import (
+    BudgetError,
+    InvalidArgumentError,
+    InvalidElementError,
+    InvalidStructureError,
+)
 from adjrings.groups import (
     FiniteGroup,
     Subgroup,
@@ -120,6 +129,27 @@ def is_associative(table) -> bool:
     """(xy)z == x(yz) for every triple, as two n^3 lookups."""
     tab = np.asarray(table)
     return bool((tab[tab, :] == tab[:, tab]).all())
+
+
+def closure_by_bfs(G: FiniteGroup, seed) -> Subgroup:
+    """Subgroup generated by `seed` (right-multiplication reachability)."""
+    gens = sorted(set(int(s) for s in seed))
+    for s in gens:
+        if not 0 <= s < G.n:
+            raise InvalidElementError(f"element {s} out of range")
+    elems = {G.identity}
+    frontier = [G.identity]
+    t = G.table
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = int(t[x, g])
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return Subgroup(G, tuple(sorted(elems)))
 
 
 def sylow_by_closure(G: FiniteGroup, p: int) -> Subgroup:

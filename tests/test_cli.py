@@ -313,7 +313,7 @@ def test_verify_capped_ring_becomes_skips(tmp_path):
     big = [r for r in recs if r["instance"] == "ring:big"]
     assert len(big) == 17  # 7 single-line checks and 10 torsion levels
     assert {(r["verdict"], r["bound"]) for r in big} == {
-        ("skipped", "ring tables capped at 512 elements")}
+        ("skipped", "ring tables capped at 729 elements")}
 
 
 def test_budget_error_becomes_a_skip(monkeypatch):

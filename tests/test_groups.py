@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjrings import groups, rings
 from adjrings.abelian import table_decomposition
 from adjrings.adjoint import adjoint_group
-from adjrings.cli import DEFAULT_GROUP_NAMES, default_corpus
+from adjrings.cli import ALL_CHECKS, DEFAULT_GROUP_NAMES, default_corpus, run_verification
 from adjrings.errors import (
     BoundError,
     InvalidArgumentError,
+    InvalidElementError,
     InvalidStructureError,
 )
 from adjrings.groups import (
@@ -31,6 +33,7 @@ from adjrings.groups import (
     alternating4,
     builtin_group,
     center,
+    closed_mask,
     closure,
     commutator_subgroup,
     cyclic_group,
@@ -677,6 +680,74 @@ class TestSerialization:
 
 
 NAMES = st.sampled_from(["c12", "d8", "q8", "m16", "sd16", "a4", "es27", "c9xc3", "pauli16"])
+
+
+class TestClosureKernel:
+    def test_every_corpus_closure_matches_the_bfs_oracle(self, monkeypatch):
+        # every mask the kernel closes in a serial default-corpus run: the
+        # seeds of closure and power_commutator (called in groups) and the
+        # masks of additive_closure (called in rings)
+        calls = {groups: {}, rings: {}}
+        kernel = groups.closed_mask
+
+        def spy(seen):
+            def closed(table, mask):
+                seed = np.flatnonzero(mask)
+                out = kernel(table, mask)
+                seen.setdefault((id(table), seed.tobytes()),
+                                (table, seed, tuple(np.flatnonzero(out).tolist())))
+                return out
+            return closed
+
+        for module, seen in calls.items():
+            monkeypatch.setattr(module, "closed_mask", spy(seen))
+        run_verification(default_corpus(), list(ALL_CHECKS), jobs=1, flags={})
+        assert len(calls[groups]) > 1000 and len(calls[rings]) > 100
+        as_group = {}  # the tables stay referenced by `calls`, so their ids stay theirs
+        for table, seed, elems in [*calls[groups].values(), *calls[rings].values()]:
+            if id(table) not in as_group:
+                identity = np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0]
+                as_group[id(table)] = FiniteGroup(table, identity=int(identity))
+            assert oracle.closure_by_bfs(as_group[id(table)], seed).elems == elems, seed
+
+    def test_kernel_adds_every_product_of_two_members(self, monkeypatch):
+        # x y = min(x, y) off the diagonal and x x = x + 1, so a pass adds only
+        # the square of the largest member: a kernel that stopped after one
+        # pass, or skipped a row block (the last partial one at 50-entry
+        # blocks, from 8 members on), would end short of all 40 elements
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 50)
+        n = np.arange(40)
+        table = np.minimum.outer(n, n)
+        table[n, n] = np.minimum(n + 1, n[-1])
+        mask = n == 0
+        assert closed_mask(table, mask) is mask and mask.all()
+
+    @pytest.mark.parametrize("seed", [[8], [-1]], ids=["past-the-end", "negative"])
+    def test_out_of_range_seed_is_refused(self, seed):
+        # numpy would wrap -1 to the last element
+        G = builtin_group("c2xc4")
+        with pytest.raises(InvalidElementError):
+            closure(G, seed)
+        with pytest.raises(InvalidElementError):
+            oracle.closure_by_bfs(G, seed)
+
+    @pytest.mark.parametrize("name", ["c16", "d16", "m27", "es27", "c9xc3", "c2xc2xc2xc2"])
+    def test_small_blocks_match_the_bfs_oracle(self, name, monkeypatch):
+        # 50-entry blocks leave a partial last block at most member counts
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 50)
+        G = builtin_group(name)
+        for seed in [[x] for x in range(G.n)] + [[x, G.n - 1 - x] for x in range(G.n)]:
+            assert closure(G, seed).elems == oracle.closure_by_bfs(G, seed).elems, seed
+
+    def test_small_blocks_match_the_bfs_oracle_on_ring_addition(self, monkeypatch):
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 50)
+        ring = rings.zero_ring(3, (2, 1, 1))
+        plus = FiniteGroup(ring.tables.add, identity=0)
+        for x in range(ring.order):
+            seed = np.zeros(ring.order, dtype=bool)
+            seed[[x, ring.order - 1 - x]] = True
+            assert (np.flatnonzero(rings.additive_closure(ring, seed)).tolist()
+                    == list(oracle.closure_by_bfs(plus, [x, ring.order - 1 - x]).elems)), x
 
 
 class TestProperties:

@@ -191,9 +191,11 @@ def test_aut_bound_gate_runs_before_the_memo():
 
 
 def test_subgroup_bound_gate_runs_before_the_sweep_memo():
-    G = builtin_group("c3xc3")
-    syl, _ = aut_group(G).sylow(3)
-    assert aut_group(G).sylow(3)[0] is syl
+    # the Sylow 2-subgroup of Aut(C4 x C4) has order 32 > |G| = 16, so a bound
+    # of 31 passes rank(G) and must still stop the sweep
+    G = builtin_group("c4xc4")
+    syl, _ = aut_group(G).sylow(2)
+    assert aut_group(G).sylow(2)[0] is syl and syl.n == 32
     warm = verify.check_aut_gen_bound(G, aut_bound=G.n, subgroup_bound=syl.n)
     assert warm.hypothesis_met and warm.verdict == "pass"
     assert widest_subgroup(syl, bound=syl.n)[0] == warm.computed["max_d"]

@@ -136,6 +136,33 @@ def test_order_343_rings_run_every_ring_check(ring):
     assert all(rec["verdict"] == "pass" for rec in lines if rec["hypothesis_met"])
 
 
+def test_order_625_ring_runs_every_ring_check():
+    """Ring tables share the 729 group-order cap: a nonzero left and right
+    p-nil ring of order 625 writes 10 lines through run_check, nine passes
+    and the p = 2 probe's skip."""
+    ring = FiniteRing(5, (3, 1), [[[5, 0], [0, 0]], [[0, 0], [0, 0]]])
+    assert ring.order == 625 and ring.tensor.any()
+    assert ring.is_left_p_nil() and ring.is_right_p_nil()
+    entry = CorpusEntry("ring:r625", "ring", ring)
+    lines = [json.loads(run_check(entry, name, param, {"subgroup_bound": 729}))
+             for name, check in CHECKS.items() if check.kind == "ring"
+             for param in check.params(ring)]
+    assert len(lines) == 10
+    assert [rec["verdict"] for rec in lines].count("pass") == 9
+    assert [(rec["check"], rec["bound"]) for rec in lines if rec["verdict"] != "pass"] == [
+        ("nilpotency-probe", "probe applies to p-nil 2-rings")]
+
+
+@pytest.mark.parametrize("check", ["aut-gen-bound", "aut-gen-bound-abelian"])
+def test_subgroup_bound_reaches_the_rank_calls(check):
+    # |C243| = 243 > 128: with the flag at 256 the rank of G (and of its
+    # power subgroup) is computed, so the next gate is the automorphism cap
+    entry = CorpusEntry("group:c243", "group", builtin_group("c243"))
+    rec = json.loads(run_check(entry, check, None, {"subgroup_bound": 256}))
+    assert (rec["verdict"], rec["bound"]) == (
+        "skipped", "automorphism search capped at group order 64")
+
+
 def test_omega_correspondence_3z27():
     rep = check_omega_correspondence(R27)
     assert rep.verdict == "pass"
