@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .adjoint import adjoint_group
@@ -175,9 +176,10 @@ def load_manifest(path: str) -> list[CorpusEntry]:
 
 # -- verification runner -----------------------------------------------------------
 
-# set by cmd_verify before any worker forks; workers inherit them read-only
+# set by run_verification before any worker forks; workers inherit them read-only
 _CORPUS: dict[str, CorpusEntry] = {}
 _FLAGS: dict[str, int] = {}
+_held: str | None = None  # id of the last entry this process ran a task for
 
 
 def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
@@ -203,16 +205,33 @@ def run_check(entry: CorpusEntry, check: str, param, flags: dict) -> str:
     return replace(rep, check=check, instance=entry.id + c.suffix(param)).to_json_line()
 
 
+def release_memo(obj) -> None:
+    """Drop everything `obj` has memoized: its `_cache` and the values of its
+    class's `cached_property`s.  Each is rebuilt on next use."""
+    obj._cache.clear()
+    for name, attr in vars(type(obj)).items():
+        if isinstance(attr, cached_property):
+            obj.__dict__.pop(name, None)
+
+
 def _run_task(task: tuple) -> str:
+    """One task's report line.  Tasks arrive entry by entry, serially and in
+    each worker's contiguous chunks alike, so when a task of another entry
+    arrives the previous entry's memo is released: no later task reads it."""
+    global _held
     eid, check, param = task
+    if _held not in (None, eid):
+        release_memo(_CORPUS[_held].obj)
+    _held = eid
     return run_check(_CORPUS[eid], check, param, _FLAGS)
 
 
 def run_verification(entries: list[CorpusEntry], checks: list[str], jobs: int,
                      flags: dict) -> list[str]:
-    global _CORPUS, _FLAGS
+    global _CORPUS, _FLAGS, _held
     _CORPUS = {e.id: e for e in entries}
     _FLAGS = dict(flags)
+    _held = None
     tasks = build_tasks(entries, checks)
     if jobs <= 1:
         return [_run_task(t) for t in tasks]

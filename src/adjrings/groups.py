@@ -88,6 +88,8 @@ class FiniteGroup:
 
     Memo rule: attributes are `cached_property`s; objects built by module
     functions are kept in `_cache[key]`, after that function's bound gates.
+    Both live until `cli.release_memo` drops them, which the verify runner
+    does once the batch moves on to another corpus entry.
     """
 
     def __init__(self, table, identity: int = 0, name: str = "G"):
@@ -106,8 +108,10 @@ class FiniteGroup:
         if not (srt == np.arange(n)).all() or not (np.sort(tab, axis=0).T == np.arange(n)).all():
             raise InvalidStructureError("table is not a Latin square")
         S = _light_columns(tab, identity)
-        if not (tab[tab[:, S]] == tab[:, tab[S]]).all():
-            raise InvalidStructureError("multiplication is not associative")
+        chunk = max(1, CHUNK_ENTRIES // (n * len(S) or 1))
+        for x in (tab[lo:lo + chunk] for lo in range(0, n, chunk)):  # rows x: (xs)y = x(sy)
+            if not (tab[x[:, S]] == x[:, tab[S]]).all():
+                raise InvalidStructureError("multiplication is not associative")
         tab.flags.writeable = False
         self.table = tab
         self.n = n

@@ -138,8 +138,9 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
     The candidates x |G| image entries they would fill must pass BATCH_BUDGET
     before any is built.  Candidates are then decoded from their lexicographic
     positions by mixed radix over the choice lengths, CHUNK_ENTRIES // |G| at
-    a time; each block is filled and filtered, and only its survivors are
-    kept, so the rows come out in lexicographic order of their choices.
+    a time; each block is filled and filtered, and its survivors are appended
+    to one result array grown in place, so the rows come out in lexicographic
+    order of their choices and no second copy of them is made.
     """
     lengths = [len(c) for c in choices]
     count = math.prod(lengths)
@@ -148,15 +149,18 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
     values = [np.asarray(c, dtype=np.int32) for c in choices]
     plan = _bfs_plan(G)
     step = max(1, CHUNK_ENTRIES // G.n)
-    kept = [np.empty((0, G.n), dtype=np.int32)]
+    out = np.empty((0, G.n), dtype=np.int32)
     for lo in range(0, count, step):
         digits = np.unravel_index(np.arange(lo, min(lo + step, count)), lengths)
         U = np.empty((digits[0].size, G.n), dtype=np.int32)
         U[:, G.identity] = G.identity
         for elem, parent, k in plan:
             U[:, elem] = G.table[act[k][U[:, parent]], values[k][digits[k]]]
-        kept.append(U[_law_rows(G, act, U)])
-    return np.concatenate(kept)
+        U = U[_law_rows(G, act, U)]
+        end = out.shape[0]
+        out.resize((end + U.shape[0], G.n), refcheck=False)  # no view of `out` is alive
+        out[end:] = U
+    return out
 
 
 def _validate_coset_target(G: FiniteGroup, N: Subgroup) -> None:
@@ -192,7 +196,9 @@ def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     S = _test_columns(G)
     U = _image_rows(G, [sorted(N.elems)] * S.size, G.conj_table[G.inverses[S]],
                     "derivation search space")
-    U = U[N.mask[U].all(axis=1)]
+    # values on generators in a normal N keep every value in N; assert anyway
+    if not N.mask[U].all():
+        raise InvalidStructureError("derivation escaped its module")
     U.setflags(write=False)
     G._cache["der", N.elems] = U
     return U
@@ -295,7 +301,10 @@ class AutomorphismGroup:
 
     The full Cayley table is never materialized unless as_group() is called,
     so groups with tens of thousands of automorphisms stay workable.  Sylow
-    subgroups, by `sylow_ascent` on the rows, are kept in `_cache[("sylow", p)]`.
+    subgroups, by `sylow_ascent` on the rows read in blocks of CHUNK_ENTRIES,
+    are kept in `_cache[("sylow", p)]`.  Memo rule: the automorphism group
+    itself lives in its group's `_cache["aut"]`, so it and its Sylow memo go
+    when `cli.release_memo` clears that group's memo.
     """
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
@@ -327,14 +336,27 @@ class AutomorphismGroup:
         if ("sylow", p) in self._cache:
             return self._cache["sylow", p]
         M, index = self.matrix, self._index
-        one = np.broadcast_to(np.arange(M.shape[1], dtype=M.dtype), M.shape)
-        inverse = cache(lambda: np.argsort(M, axis=1))  # row inverses, built on first use
+        one = np.arange(M.shape[1], dtype=M.dtype)
+        chunk = max(1, CHUNK_ENTRIES // M.shape[1])
+        blocks = [slice(lo, lo + chunk) for lo in range(0, self.order, chunk)]
+        take = lambda u, v: np.take_along_axis(v, u, axis=1)
+
+        @cache
+        def inverse() -> np.ndarray:
+            """Row inverses in M's dtype, built on first use."""
+            inv = np.empty_like(M)
+            for b in blocks:
+                np.put_along_axis(inv[b], M[b], np.broadcast_to(one, M[b].shape), axis=1)
+            return inv
+
         ids = np.flatnonzero(sylow_ascent(
             self.order, self.identity_index, p,
-            lambda k: (_powers(one, M, k, lambda u, v: np.take_along_axis(v, u, axis=1))
-                       == one).all(axis=1),
-            lambda g: index.require(np.take_along_axis(M, M[g][inverse()], axis=1),
-                                    "automorphism conjugation"),
+            lambda k: np.concatenate([
+                (_powers(np.broadcast_to(one, M[b].shape), M[b], k, take) == one).all(axis=1)
+                for b in blocks]),
+            lambda g: np.concatenate([
+                index.require(take(M[g][inverse()[b]], M[b]), "automorphism conjugation")
+                for b in blocks]),
             lambda gens: _then_rows(M, index, gens, "automorphism closure"))).tolist()
         sub = M[ids]
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")

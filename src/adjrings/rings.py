@@ -119,6 +119,8 @@ class FiniteRing:
 
     Memo rule: attributes are `cached_property`s; objects built by module
     functions are kept in `_cache[key]`, after that function's bound gates.
+    Both live until `cli.release_memo` drops them, which the verify runner
+    does once the batch moves on to another corpus entry.
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):

@@ -4,11 +4,13 @@ import ast
 import hashlib
 import json
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from adjrings import cli, morphisms, verify
+from adjrings.adjoint import AdjointGroup
 from adjrings.cli import (
     ALL_CHECKS,
     CorpusEntry,
@@ -18,6 +20,7 @@ from adjrings.cli import (
     load_manifest,
     main,
     run_check,
+    run_verification,
 )
 from adjrings.errors import AlgebraError
 from adjrings.groups import builtin_group
@@ -355,6 +358,54 @@ def test_verify_jobs_reproducible(tmp_path):
     assert main(["verify", "--corpus", man, "--report", str(rep2),
                  "--jobs", "3"]) == 0
     assert rep1.read_bytes() == rep2.read_bytes()
+
+
+def _mixed_entries(prefix=""):
+    """Fresh objects for two rings and two groups, ids prefixed."""
+    return [CorpusEntry(f"{prefix}ring:{spec}", "ring", builtin_ring(spec))
+            for spec in ("3z27", "z4")] + \
+        [CorpusEntry(f"{prefix}group:{name}", "group", builtin_group(name))
+         for name in ("d8", "c9")]
+
+
+def _memo_of(obj):
+    """The `_cache` keys and the `cached_property` values an object holds."""
+    held = [name for name, attr in vars(type(obj)).items()
+            if isinstance(attr, cached_property) and name in obj.__dict__]
+    return list(obj._cache), held
+
+
+def test_runner_releases_each_entry_memo_when_the_batch_moves_on(monkeypatch):
+    builds = Counter()
+    init = AdjointGroup.__init__
+
+    def counting_init(self, ring):
+        builds[ring.name] += 1
+        init(self, ring)
+    monkeypatch.setattr(AdjointGroup, "__init__", counting_init)
+    entries = _mixed_entries()
+    run_verification(entries, list(ALL_CHECKS), 1, {})
+    for e in entries[:-1]:
+        assert _memo_of(e.obj) == ([], []), e.id
+    assert _memo_of(entries[-1].obj) != ([], [])  # its tasks were the last ones
+    # the memo lives until its entry's tasks are done: one circle group per ring
+    assert dict(builds) == {e.obj.name: 1 for e in entries if e.kind == "ring"}
+
+
+def test_back_to_back_runs_match_fresh_runs():
+    # the second call starts with no held entry, so the first call's last id,
+    # absent from the second corpus, is never looked up; the reference runs
+    # each task on fresh objects with no runner state
+    for prefix in ("a/", "b/"):
+        got = run_verification(_mixed_entries(prefix), list(ALL_CHECKS), 1, {})
+        fresh = {e.id: e for e in _mixed_entries(prefix)}
+        assert got == [run_check(fresh[eid], check, param, {})
+                       for eid, check, param in build_tasks(list(fresh.values()), ALL_CHECKS)]
+
+
+def test_pool_workers_release_memos_with_the_same_report():
+    serial = run_verification(_mixed_entries(), list(ALL_CHECKS), 1, {})
+    assert run_verification(_mixed_entries(), list(ALL_CHECKS), 2, {}) == serial
 
 
 def test_verify_annihilator_omega_flag(tmp_path):
