@@ -61,8 +61,9 @@ def adjoint_group(ring: FiniteRing) -> AdjointGroup:
 def omega_circle_set(ring: FiniteRing, n: int) -> np.ndarray:
     """Mask of the ring elements whose circle order divides p^n.
 
-    Computed directly from iterated circle powers, independently of the
-    adjoint group construction, so the two can be cross-checked.
+    Computed directly from circle powers on the ring tables (square and
+    multiply, which the verified ring's associativity allows), independently
+    of the adjoint group construction, so the two can be cross-checked.
     """
     powers = ring.tables.circle_power(np.arange(ring.order), ring.p ** n)
     return powers == 0

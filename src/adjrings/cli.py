@@ -7,7 +7,9 @@ the additive groups of order p^2 for p in {2, 3, 5}, the p-multiple subrings
 of Z/p^3Z and Z/p^4Z, a few unital rings as hypothesis-violating instances,
 and hom/der rings harvested from the small groups.  Reports are emitted in
 task order, so a fixed corpus and flag set is byte-reproducible regardless of
-the worker count.
+the worker count.  No flag bounds a search: subgroup lattices and automorphism
+searches are bounded by the entries they would hold, and a search past its
+budget, even one met while listing an entry's tasks, becomes a skip line.
 """
 
 from __future__ import annotations
@@ -182,27 +184,41 @@ _FLAGS: dict[str, int] = {}
 _held: str | None = None  # id of the last entry this process ran a task for
 
 
+def _task_params(c, obj) -> list:
+    """A check's task parameters; one `None` task if listing them hits a
+    bound or budget, so that refusal costs one skip line, not the batch."""
+    try:
+        return c.params(obj)
+    except (BoundError, BudgetError):
+        return [None]
+
+
 def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
     """Instance x check task list in deterministic order."""
     wanted = set(checks)
     return [(e.id, name, param)
             for e in entries
             for name, c in CHECKS.items() if c.kind == e.kind and name in wanted
-            for param in c.params(e.obj)]
+            for param in _task_params(c, e.obj)]
 
 
 def run_check(entry: CorpusEntry, check: str, param, flags: dict) -> str:
     """The report line of one task; `param` selects the torsion level or
     module.  A search that hits its bound or budget yields a skip whose bound
-    is the reason."""
+    is the reason.  A `None` task lists the check's parameters again first,
+    so a listing refused by a bound or budget repeats its refusal here, on
+    the entry's own id."""
     if check not in CHECKS:
         raise AlgebraError(f"unknown check {check!r}")
     c = CHECKS[check]
     try:
+        if param is None:
+            c.params(entry.obj)
         rep = c.run(entry.obj, param, {**DEFAULT_FLAGS, **flags})
     except (BoundError, BudgetError) as exc:
         rep = skipped(str(exc))
-    return replace(rep, check=check, instance=entry.id + c.suffix(param)).to_json_line()
+    suffix = "" if param is None else c.suffix(param)
+    return replace(rep, check=check, instance=entry.id + suffix).to_json_line()
 
 
 def release_memo(obj) -> None:
@@ -319,11 +335,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise AlgebraError(f"unknown checks: {', '.join(unknown)}")
     entries = load_manifest(args.corpus) if args.corpus else default_corpus()
-    flags = {
-        "annihilator_omega": args.annihilator_omega,
-        "aut_bound": args.aut_bound,
-        "subgroup_bound": args.subgroup_bound,
-    }
+    flags = {"annihilator_omega": args.annihilator_omega}
     started = time.perf_counter()
     lines = run_verification(entries, list(checks), args.jobs, flags)
     elapsed = time.perf_counter() - started
@@ -378,10 +390,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--annihilator-omega", type=int, choices=(1, 2),
                           default=DEFAULT_FLAGS["annihilator_omega"],
                           help="torsion layer feeding the annihilator ideal at p=2")
-    p_verify.add_argument("--aut-bound", type=int, default=DEFAULT_FLAGS["aut_bound"],
-                          help="max group order for automorphism searches")
-    p_verify.add_argument("--subgroup-bound", type=int, default=DEFAULT_FLAGS["subgroup_bound"],
-                          help="max group order for subgroup enumeration")
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

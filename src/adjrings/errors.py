@@ -24,7 +24,7 @@ class HypothesisError(AlgebraError):
 
 
 class BudgetError(AlgebraError):
-    """An enumeration would exceed its configured candidate budget."""
+    """An enumeration or search would exceed its budget."""
 
 
 class BoundError(AlgebraError):

@@ -22,13 +22,13 @@ import numpy as np
 from .abelian import prime_power
 from .errors import (
     BoundError,
+    BudgetError,
     InvalidArgumentError,
     InvalidElementError,
     InvalidStructureError,
 )
 
 MAX_ORDER = 729
-SUBGROUP_BOUND = 128
 # The one block budget of every vectorized kernel in the package: ring
 # enumeration, the generator-image search and its law check, row tables, mask
 # closure and the Laue pair blocks each size their blocks so that one array
@@ -87,7 +87,7 @@ class FiniteGroup:
     associative, in |S| n^2 lookups.
 
     Memo rule: attributes are `cached_property`s; objects built by module
-    functions are kept in `_cache[key]`, after that function's bound gates.
+    functions are kept in `_cache[key]`, after that function's caps and budgets.
     Both live until `cli.release_memo` drops them, which the verify runner
     does once the batch moves on to another corpus entry.
     """
@@ -432,15 +432,15 @@ def min_generators(G: FiniteGroup) -> int:
     return subgroup_min_generators(G, full_subgroup(G))
 
 
-def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Subgroup]:
+def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, ascending through prime-index extensions.
 
     Each subgroup H is grown to <H, g> for g normalizing H with g^q in H (q
     prime), which reaches all subgroups of a solvable group; the run fails
-    loudly if the lattice does not reach G itself.
+    loudly if the lattice does not reach G itself.  The lattice may hold as
+    many elements, summed over its subgroups, as one table at the order cap:
+    the search stops with BudgetError once the subgroups found pass that.
     """
-    if G.n > bound:
-        raise BoundError(f"subgroup enumeration capped at order {bound}")
     if "subgroups" in G._cache:
         return G._cache["subgroups"]
     t = G.table
@@ -451,6 +451,7 @@ def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Sub
     gens_of: dict[tuple, list[int]] = {trivial: []}
     frontier = [trivial]
     found = {trivial}
+    entries = 1
     while frontier:
         nxt = []
         for helems in frontier:
@@ -470,6 +471,9 @@ def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Sub
                 grown = t[arr[:, None, None], np.stack(powers)].reshape(len(arr) * q, -1)
                 for g, key in zip(cands.tolist(), map(tuple, np.sort(grown, axis=0).T.tolist())):
                     if key not in found:
+                        entries += len(key)
+                        if entries > MAX_ORDER ** 2:
+                            raise BudgetError(f"subgroup lattice exceeds {MAX_ORDER ** 2} entries")
                         found.add(key)
                         gens_of[key] = gens + [g]
                         nxt.append(key)
@@ -481,14 +485,14 @@ def enumerate_subgroups(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> list[Sub
     return subs
 
 
-def rank(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> int:
+def rank(G: FiniteGroup) -> int:
     """Max of d(H) over all subgroups (0 for the trivial group)."""
-    return widest_subgroup(G, bound)[0]
+    return widest_subgroup(G)[0]
 
 
-def widest_subgroup(G: FiniteGroup, bound: int = SUBGROUP_BOUND) -> tuple[int, Subgroup]:
+def widest_subgroup(G: FiniteGroup) -> tuple[int, Subgroup]:
     """The largest d(H) over the subgroups H of G, and the first H reaching it."""
-    subs = enumerate_subgroups(G, bound=bound)
+    subs = enumerate_subgroups(G)
     if "widest" not in G._cache:
         ds = [subgroup_min_generators(G, h) for h in subs]
         first = ds.index(max(ds))

@@ -50,7 +50,6 @@ from .rings import FiniteRing, to_finite_ring
 
 BATCH_BUDGET = 1 << 26  # image entries one generator-image search may fill
 PAIRS_CAP = 1024
-AUT_ORDER_BOUND = 64
 AUT_MEMBER_CAP = 50_000
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
@@ -366,16 +365,15 @@ class AutomorphismGroup:
         return grp, ids
 
 
-def aut_group(G: FiniteGroup, bound: int = AUT_ORDER_BOUND) -> AutomorphismGroup:
+def aut_group(G: FiniteGroup) -> AutomorphismGroup:
     """Full automorphism group by generator-image backtracking, built once per
-    group and kept in `G._cache["aut"]` behind the order gate.
+    group and kept in `G._cache["aut"]` once it passes the search's entries
+    budget and the member cap.
 
     Candidate images are pruned to elements sharing the generator's order and
     conjugacy class size; every surviving assignment is verified as a full
     homomorphism and kept only if bijective.
     """
-    if G.n > bound:
-        raise BoundError(f"automorphism search capped at group order {bound}")
     if "aut" in G._cache:
         return G._cache["aut"]
     class_size = np.zeros(G.n, dtype=np.int64)

@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidStructureError,
 )
-from .groups import CHUNK_ENTRIES, MAX_ORDER, _json_int, _json_list, closed_mask
+from .groups import CHUNK_ENTRIES, MAX_ORDER, _json_int, _json_list, _powers, closed_mask
 
 ENUM_BUDGET = 100_000_000
 
@@ -52,11 +52,8 @@ class RingTables(NamedTuple):
         return self.add[self.add[a, b], self.mul[a, b]]
 
     def circle_power(self, xs, k: int):
-        """k-fold circle powers (k >= 0) of the indices xs."""
-        acc = np.zeros_like(xs)
-        for _ in range(k):
-            acc = self.circle(acc, xs)
-        return acc
+        """k-fold circle powers (k >= 0) of the indices xs, by `_powers`."""
+        return _powers(np.zeros_like(xs), xs, k, self.circle)
 
     def quasi_inverses(self, xs, found):
         """Circle inverse of each index in xs, -1 where there is none.

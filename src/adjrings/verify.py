@@ -26,7 +26,6 @@ import numpy as np
 from .adjoint import adjoint_group, omega_circle_set
 from .errors import AlgebraError, InvalidArgumentError, InvalidStructureError
 from .groups import (
-    SUBGROUP_BOUND,
     FiniteGroup,
     Subgroup,
     abelian_normal_subgroups,
@@ -54,7 +53,6 @@ from .groups import (
     widest_subgroup,
 )
 from .morphisms import (
-    AUT_ORDER_BOUND,
     aut_group,
     aut_n,
     check_laue,
@@ -300,7 +298,7 @@ def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1) -> CheckRepor
                    None if ok else f"omega={omega_for_two}: {selected}")
 
 
-def check_adjoint_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_adjoint_rank(R: FiniteRing) -> CheckReport:
     """Rank of the circle group equals the additive generator count, twice over."""
     prof = ring_profile(R)
     if not (prof.left_p_nil or prof.right_p_nil):
@@ -309,7 +307,7 @@ def check_adjoint_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> C
     computed: dict = {"d_plus": prof.d_plus, "adjoint_order": A.order}
     if A.group.n > 1 and prime_of(A.group) != R.p:
         return verdict(computed, "rank = d(R+)", "adjoint group is not a p-group")
-    rk = rank(A.group, bound=subgroup_bound)
+    rk = rank(A.group)
     d_om = subgroup_min_generators(A.group, omega_subgroup(A.group, 1))
     computed.update({"rank": rk, "d_omega1": d_om})
     return verdict(computed, "rank = d(R+) = d(omega_1)",
@@ -317,14 +315,14 @@ def check_adjoint_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> C
                    f"rank {rk}, d+ {prof.d_plus}, d(omega1) {d_om}")
 
 
-def check_sylow_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_sylow_rank(R: FiniteRing) -> CheckReport:
     """Sylow p-rank of the circle group against the additive generator count."""
     prof = ring_profile(R)
     A = adjoint_group(R)
     alpha = 3 if R.p == 2 else 2
     syl = sylow_subgroup(A.group, R.p)
     sgrp = syl.as_group()
-    rk = rank(sgrp, bound=subgroup_bound)
+    rk = rank(sgrp)
     bound_val = alpha * prof.d_plus
     computed = {"d_plus": prof.d_plus, "alpha": alpha,
                 "sylow_order": syl.order, "sylow_rank": rk,
@@ -336,7 +334,7 @@ def check_sylow_rank(R: FiniteRing, subgroup_bound: int = SUBGROUP_BOUND) -> Che
 # -- group-side checks -------------------------------------------------------------
 
 
-def check_central_aut(G: FiniteGroup, subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_central_aut(G: FiniteGroup) -> CheckReport:
     """Five facets of the automorphisms trivial on cosets of S = Z meet P:
     the hom ring is right p-nil, torsion layers line up three ways, and the
     exponent, class, and rank obey the t and d(G)d(S) bounds."""
@@ -385,7 +383,7 @@ def check_central_aut(G: FiniteGroup, subgroup_bound: int = SUBGROUP_BOUND) -> C
     if cls is None or cls > prof.t:
         return verdict(computed, bound, f"class: {cls} > {prof.t}")
 
-    rk = rank(grp, bound=subgroup_bound)
+    rk = rank(grp)
     expected = prof.d * subgroup_min_generators(G, S)
     computed["parts"]["rank"] = {"value": rk, "expected": expected}
     return verdict(computed, bound,
@@ -423,13 +421,13 @@ def check_aut_center_exponent(G: FiniteGroup) -> CheckReport:
                    None if expz <= p ** prof.t else f"exponent {expz} > {p ** prof.t}")
 
 
-def probe_sylow_center(G: FiniteGroup, aut_bound: int = AUT_ORDER_BOUND) -> CheckReport:
+def probe_sylow_center(G: FiniteGroup) -> CheckReport:
     """Observe, for odd p, whether the center of a Sylow p-subgroup of the
     full automorphism group moves elements only within Frattini cosets."""
     p = prime_of(G)
     if p is None or p == 2:
         return skipped("probe applies to odd p-groups")
-    auts = aut_group(G, bound=aut_bound)
+    auts = aut_group(G)
     syl, ids = auts.sylow(p)
     zc = center(syl)
     offsets = coset_offsets(G, auts.matrix[np.asarray(ids)[list(zc.elems)]])
@@ -469,14 +467,14 @@ def check_frattini_aut_class(G: FiniteGroup) -> CheckReport:
     return verdict(computed, bound, witness)
 
 
-def check_aut_exponent(G: FiniteGroup, aut_bound: int = AUT_ORDER_BOUND) -> CheckReport:
+def check_aut_exponent(G: FiniteGroup) -> CheckReport:
     """Exponent of the power-commutator-coset automorphism group, and of a
     Sylow p-subgroup of the full automorphism group."""
     p = prime_of(G)
     if p is None:
         return skipped("not a nontrivial p-group")
     prof = group_profile(G)
-    auts = aut_group(G, bound=aut_bound)
+    auts = aut_group(G)
     base = prof.t * prof.t * prof.c - prof.t
     extra = prof.d - 1 if p > 2 else 2 * prof.d - 1
     grp, _ = aut_n(G, power_commutator_subgroup(G))
@@ -495,24 +493,21 @@ def check_aut_exponent(G: FiniteGroup, aut_bound: int = AUT_ORDER_BOUND) -> Chec
     return verdict(computed, f"exp <= {p}^{base}; sylow exp <= {p}^{base + extra}", witness)
 
 
-def _sylow_generator_sweep(G: FiniteGroup, bound_val: int, computed: dict,
-                           aut_bound: int, subgroup_bound: int) -> CheckReport:
+def _sylow_generator_sweep(G: FiniteGroup, bound_val: int, computed: dict) -> CheckReport:
     """Shared tail of the generator-bound checks: materialize one Sylow
     p-subgroup of the full automorphism group and bound d(H) over its subgroups."""
-    auts = aut_group(G, bound=aut_bound)
+    auts = aut_group(G)
     syl, _ = auts.sylow(prime_of(G))
-    worst, worst_sub = widest_subgroup(syl, bound=subgroup_bound)
+    worst, worst_sub = widest_subgroup(syl)
     computed.update({"aut_order": auts.order, "sylow_order": syl.n,
-                     "subgroups": len(enumerate_subgroups(syl, bound=subgroup_bound)),
+                     "subgroups": len(enumerate_subgroups(syl)),
                      "max_d": worst, "bound": bound_val})
     return verdict(computed, f"d(H) <= {bound_val}",
                    None if worst <= bound_val else
                    f"subgroup of order {worst_sub.order} needs {worst} generators")
 
 
-def check_aut_gen_bound_abelian(G: FiniteGroup,
-                                aut_bound: int = AUT_ORDER_BOUND,
-                                subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_aut_gen_bound_abelian(G: FiniteGroup) -> CheckReport:
     """Generator bound for p-subgroups of the automorphism group of an
     abelian p-group, from its rank and its power subgroup's rank."""
     if not G.is_abelian():
@@ -522,19 +517,17 @@ def check_aut_gen_bound_abelian(G: FiniteGroup,
     p = prime_of(G)
     if p is None:
         return skipped("not a p-group")
-    d = rank(G, subgroup_bound)
-    d_prime = rank(power_commutator_subgroup(G).as_group(), subgroup_bound)
+    d = rank(G)
+    d_prime = rank(power_commutator_subgroup(G).as_group())
     if p > 2:
         bound_val = d * d_prime + (d * d) // 4
     else:
         bound_val = d * d_prime + (3 * d * d - d) // 2
     computed = {"d": d, "d_prime": d_prime, "p": p}
-    return _sylow_generator_sweep(G, bound_val, computed, aut_bound, subgroup_bound)
+    return _sylow_generator_sweep(G, bound_val, computed)
 
 
-def check_aut_gen_bound(G: FiniteGroup,
-                        aut_bound: int = AUT_ORDER_BOUND,
-                        subgroup_bound: int = SUBGROUP_BOUND) -> CheckReport:
+def check_aut_gen_bound(G: FiniteGroup) -> CheckReport:
     """Rank-only generator bound for p-subgroups of any p-group's
     automorphism group."""
     if G.n == 1:
@@ -542,13 +535,13 @@ def check_aut_gen_bound(G: FiniteGroup,
     p = prime_of(G)
     if p is None:
         return skipped("not a nontrivial p-group")
-    k = rank(G, subgroup_bound)
+    k = rank(G)
     if p > 2:
         bound_val = (9 * k * k) // 4
     else:
         bound_val = (7 * k * k - k) // 2
     computed = {"k": k, "p": p}
-    return _sylow_generator_sweep(G, bound_val, computed, aut_bound, subgroup_bound)
+    return _sylow_generator_sweep(G, bound_val, computed)
 
 
 def check_der_subring_p_nil(G: FiniteGroup, N: Subgroup) -> CheckReport:
@@ -643,27 +636,20 @@ CHECKS: dict[str, Check] = {
     "quotient-p-nil": Check("ring", _levels, lambda R, n, f: check_quotient_p_nil(R, n)),
     "annihilator-ideal": Check("ring", _once, lambda R, _, f: check_annihilator_ideal(
         R, omega_for_two=f["annihilator_omega"])),
-    "adjoint-rank": Check("ring", _once, lambda R, _, f: check_adjoint_rank(
-        R, subgroup_bound=f["subgroup_bound"])),
-    "sylow-rank": Check("ring", _once, lambda R, _, f: check_sylow_rank(
-        R, subgroup_bound=f["subgroup_bound"])),
+    "adjoint-rank": Check("ring", _once, lambda R, _, f: check_adjoint_rank(R)),
+    "sylow-rank": Check("ring", _once, lambda R, _, f: check_sylow_rank(R)),
     "profile-consistency": Check("group", _once, lambda G, _, f: check_profile_consistency(G)),
     "laue": Check("group", _module_indices,
                   lambda G, i, f: check_laue(G, abelian_normal_subgroups(G)[i]),
                   lambda i: f"/an{i:03d}"),
-    "central-aut": Check("group", _once, lambda G, _, f: check_central_aut(
-        G, subgroup_bound=f["subgroup_bound"])),
+    "central-aut": Check("group", _once, lambda G, _, f: check_central_aut(G)),
     "central-aut-class": Check("group", _once, lambda G, _, f: check_central_aut_class(G)),
     "aut-center-exponent": Check("group", _once, lambda G, _, f: check_aut_center_exponent(G)),
-    "sylow-center-probe": Check("group", _once, lambda G, _, f: probe_sylow_center(
-        G, aut_bound=f["aut_bound"])),
+    "sylow-center-probe": Check("group", _once, lambda G, _, f: probe_sylow_center(G)),
     "frattini-aut-class": Check("group", _once, lambda G, _, f: check_frattini_aut_class(G)),
-    "aut-exponent": Check("group", _once, lambda G, _, f: check_aut_exponent(
-        G, aut_bound=f["aut_bound"])),
-    "aut-gen-bound-abelian": Check("group", _once, lambda G, _, f: check_aut_gen_bound_abelian(
-        G, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
-    "aut-gen-bound": Check("group", _once, lambda G, _, f: check_aut_gen_bound(
-        G, aut_bound=f["aut_bound"], subgroup_bound=f["subgroup_bound"])),
+    "aut-exponent": Check("group", _once, lambda G, _, f: check_aut_exponent(G)),
+    "aut-gen-bound-abelian": Check("group", _once, lambda G, _, f: check_aut_gen_bound_abelian(G)),
+    "aut-gen-bound": Check("group", _once, lambda G, _, f: check_aut_gen_bound(G)),
     "der-subring-p-nil": Check("group", _module_labels,
                                lambda G, label, f: check_der_subring_p_nil(
                                    G, _module_by_label(G, label)),
@@ -672,5 +658,4 @@ CHECKS: dict[str, Check] = {
 RING_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "ring")
 GROUP_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "group")
 ALL_CHECKS = tuple(CHECKS)
-DEFAULT_FLAGS = {"annihilator_omega": 1, "aut_bound": AUT_ORDER_BOUND,
-                 "subgroup_bound": SUBGROUP_BOUND}
+DEFAULT_FLAGS = {"annihilator_omega": 1}

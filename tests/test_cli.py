@@ -328,6 +328,26 @@ def test_budget_error_becomes_a_skip(monkeypatch):
         "verdict": "skipped"}
 
 
+def test_listing_refused_by_a_budget_costs_one_skip(tmp_path):
+    """C2^8's subgroup lattice is past its entries budget, so its Laue modules
+    cannot be listed: that check writes one skip on the entry's own id, and
+    the batch still writes every other line."""
+    man = write_manifest(tmp_path / "m.json", [
+        {"id": "group:c9", "kind": "group", "builtin": "c9"},
+        {"id": "group:c2^8", "kind": "group", "builtin": "c2xc2xc2xc2xc2xc2xc2xc2"},
+    ])
+    report = tmp_path / "rep.jsonl"
+    assert main(["verify", "--corpus", man, "--report", str(report)]) == 0
+    recs = [json.loads(line) for line in report.read_text().splitlines()]
+    big = [r for r in recs if r["instance"].startswith("group:c2^8")]
+    assert [r for r in big if r["check"] == "laue"] == [{
+        "check": "laue", "instance": "group:c2^8", "hypothesis_met": False,
+        "computed": {}, "bound": "subgroup lattice exceeds 531441 entries",
+        "verdict": "skipped"}]
+    assert len(recs) == 37 and len(big) == 16
+    assert not any(r["verdict"] == "fail" for r in recs)
+
+
 def test_each_check_name_is_written_once_in_src():
     src = Path(cli.__file__).parent
     written = Counter(node.value for path in src.rglob("*.py")

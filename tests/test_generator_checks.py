@@ -68,7 +68,7 @@ def assert_law_filter_matches_oracles(G, U):
 def left_cosets(G):
     """(H.elems, rH) for every proper subgroup H and one coset rH other than H,
     with rH listed in the order of H.elems."""
-    for H in enumerate_subgroups(G, bound=G.n):
+    for H in enumerate_subgroups(G):
         if H.order < G.n:
             r = min(set(range(G.n)) - set(H.elems))
             yield np.array(H.elems), G.table[r, list(H.elems)]

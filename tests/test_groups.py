@@ -22,6 +22,7 @@ from adjrings.adjoint import adjoint_group
 from adjrings.cli import ALL_CHECKS, DEFAULT_GROUP_NAMES, default_corpus, run_verification
 from adjrings.errors import (
     BoundError,
+    BudgetError,
     InvalidArgumentError,
     InvalidElementError,
     InvalidStructureError,
@@ -338,9 +339,29 @@ class TestSubgroups:
             fast = {s.elems for s in enumerate_subgroups(g)}
             assert fast == subgroups_by_joins(g)
 
-    def test_bound(self):
-        with pytest.raises(BoundError):
-            enumerate_subgroups(cyclic_group(12), bound=4)
+    def test_lattice_budget(self):
+        # C2^8 has 417199 subgroups; those of order at most 8 alone hold
+        # 820931 entries, past one table at the order cap (729^2 = 531441), so
+        # the ascent stops within its third level and memoizes nothing
+        G = builtin_group("c2xc2xc2xc2xc2xc2xc2xc2")
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match="subgroup lattice exceeds 531441 entries"):
+            enumerate_subgroups(G)
+        assert time.perf_counter() - started < 5
+        assert "subgroups" not in G._cache
+
+    def test_c2_6_lattice_fits_the_budget(self):
+        # 2825 subgroups holding 26387 entries
+        assert len(enumerate_subgroups(builtin_group("c2xc2xc2xc2xc2xc2"))) == 2825
+
+    def test_lattice_budget_admits_its_exact_size(self, monkeypatch):
+        # with the order cap at 2 the budget is 4 entries: C3's lattice {1}, C3
+        # holds exactly 4 and is listed, C4's holds 1 + 2 + 4 = 7 and is refused
+        c3, c4 = cyclic_group(3), cyclic_group(4)
+        monkeypatch.setattr(groups, "MAX_ORDER", 2)
+        assert [s.order for s in enumerate_subgroups(c3)] == [1, 3]
+        with pytest.raises(BudgetError, match="subgroup lattice exceeds 4 entries"):
+            enumerate_subgroups(c4)
 
     def test_normality(self):
         d8 = dihedral_group(8)

@@ -1,5 +1,5 @@
 """Each instance's derived objects are built once and shared by its checks,
-and every bound gate still runs before a memo is read."""
+and a search its budget refuses memoizes nothing."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from adjrings import groups, morphisms, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import CHECKS, CorpusEntry, run_check
-from adjrings.errors import BoundError, InvalidArgumentError
+from adjrings.errors import BudgetError, InvalidArgumentError
 from adjrings.groups import (
     Subgroup,
     abelian_normal_subgroups,
@@ -22,7 +22,7 @@ from adjrings.groups import (
 from adjrings.morphisms import aut_group
 from adjrings.rings import multiples_ring
 
-ACCEPTANCE_FLAGS = {"aut_bound": 81, "subgroup_bound": 256, "annihilator_omega": 1}
+ACCEPTANCE_FLAGS = {"annihilator_omega": 1}
 AUT_CHECKS = {"sylow-center-probe", "aut-exponent", "aut-gen-bound-abelian", "aut-gen-bound"}
 
 
@@ -179,28 +179,37 @@ def test_der_rings_refuse_bad_modules_before_the_memo(build):
             build(G, N)
 
 
-def test_aut_bound_gate_runs_before_the_memo():
+def test_aut_entries_gate_runs_before_the_memo(monkeypatch):
+    # C3 x C3's two test columns have 8 candidate images each: 64 x 9 entries
     G = builtin_group("c3xc3")
-    auts = aut_group(G, bound=G.n)
-    assert aut_group(G, bound=G.n) is auts
-    with pytest.raises(BoundError):
-        aut_group(G, bound=G.n - 1)
-    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-exponent", None,
-                                  {"aut_bound": G.n - 1}))
-    assert capped["verdict"] == "skipped" and "capped" in capped["bound"]
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", 64 * 9 - 1)
+    with pytest.raises(BudgetError):
+        aut_group(G)
+    assert "aut" not in G._cache
+    refused = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-exponent", None, {}))
+    assert (refused["verdict"], refused["bound"]) == (
+        "skipped", "automorphism candidate space exceeds the batch budget")
+    monkeypatch.setattr(morphisms, "BATCH_BUDGET", 64 * 9)
+    auts = aut_group(G)
+    assert aut_group(G) is auts and auts.order == 48
 
 
-def test_subgroup_bound_gate_runs_before_the_sweep_memo():
-    # the Sylow 2-subgroup of Aut(C4 x C4) has order 32 > |G| = 16, so a bound
-    # of 31 passes rank(G) and must still stop the sweep
+def test_lattice_budget_runs_before_the_sweep_memo(monkeypatch):
+    # the Sylow 2-subgroup of Aut(C4 x C4) has order 32 and a lattice of 619
+    # entries, C4 x C4's own lattice 75; an order cap of 24 makes the budget
+    # 576 entries, which passes rank(G) and must still stop the sweep
     G = builtin_group("c4xc4")
     syl, _ = aut_group(G).sylow(2)
     assert aut_group(G).sylow(2)[0] is syl and syl.n == 32
-    warm = verify.check_aut_gen_bound(G, aut_bound=G.n, subgroup_bound=syl.n)
+    monkeypatch.setattr(groups, "MAX_ORDER", 24)
+    with pytest.raises(BudgetError, match="subgroup lattice exceeds 576 entries"):
+        widest_subgroup(syl)
+    assert "subgroups" not in syl._cache
+    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-gen-bound", None, {}))
+    assert (capped["verdict"], capped["bound"]) == (
+        "skipped", "subgroup lattice exceeds 576 entries")
+    assert "subgroups" in G._cache and "subgroups" not in syl._cache
+    monkeypatch.undo()
+    warm = verify.check_aut_gen_bound(G)
     assert warm.hypothesis_met and warm.verdict == "pass"
-    assert widest_subgroup(syl, bound=syl.n)[0] == warm.computed["max_d"]
-    with pytest.raises(BoundError):
-        widest_subgroup(syl, bound=syl.n - 1)
-    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-gen-bound", None,
-                                  {"aut_bound": G.n, "subgroup_bound": syl.n - 1}))
-    assert capped["verdict"] == "skipped" and "capped" in capped["bound"]
+    assert widest_subgroup(syl)[0] == warm.computed["max_d"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adjrings.cli import DEFAULT_GROUP_NAMES
-from adjrings.errors import BoundError, BudgetError, InvalidArgumentError, InvalidStructureError
+from adjrings.errors import BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     CHUNK_ENTRIES,
     Subgroup,
@@ -628,7 +628,7 @@ def test_aut_sylow_and_orders_match_cayley_table_oracle(monkeypatch, name):
     # the oracle runs the closure ascent and element_orders on the full
     # Cayley table, which shares no lookup code with the member-wise view
     p_powers = _member_p_powers(monkeypatch)
-    auts = aut_group(builtin_group(name), bound=81)
+    auts = aut_group(builtin_group(name))
     table, _ = auts.as_group()
     orders = table.element_orders
     for q in _primes(auts.order):
@@ -659,7 +659,7 @@ def test_aut_sylow_memory_stays_bounded():
     # Sylow 3-subgroup (order 729) of the 23328 automorphisms of es27 x C3,
     # 81 image entries each: powering every member at once and an int64
     # argsort of the rows peaked at 46.1 MiB traced
-    auts = aut_group(builtin_group("es27xc3"), bound=81)
+    auts = aut_group(builtin_group("es27xc3"))
     tracemalloc.start()
     try:
         syl, ids = auts.sylow(3)
@@ -706,9 +706,14 @@ def test_aut_inner_automorphism_count_divides():
         assert auts.order % inner == 0
 
 
-def test_aut_group_respects_bound():
-    with pytest.raises(BoundError):
-        aut_group(cyclic_group(4), bound=2)
+def test_aut_group_is_bounded_by_its_entries_not_its_order():
+    # C243's one generator has 162 candidate images: 162 x 243 entries fit
+    assert aut_group(cyclic_group(243)).order == 162
+    # C7^3's three generators have 342 each: 342^3 x 343 entries do not
+    G = builtin_group("c7xc7xc7")
+    with pytest.raises(BudgetError, match="automorphism candidate space exceeds the batch budget"):
+        aut_group(G)
+    assert "aut" not in G._cache
 
 
 def test_aut_group_deterministic_order():

@@ -191,4 +191,4 @@ def test_abelian_aut_order_matches_hillar_rhea(name):
     G = builtin_group(name)
     p = prime_of(G)
     exps = [sympy.multiplicity(p, q) for q in regular(G).abelian_invariants()]
-    assert aut_group(G, bound=81).order == hillar_rhea_order(p, exps)
+    assert aut_group(G).order == hillar_rhea_order(p, exps)

@@ -125,7 +125,7 @@ def test_order_343_rings_run_every_ring_check(ring):
     skip is the p = 2 probe's hypothesis."""
     prof = ring_profile(ring)
     assert prof.order == 343 and prof.left_p_nil and prof.right_p_nil
-    flags = {"aut_bound": 81, "subgroup_bound": 343, "annihilator_omega": 1}
+    flags = {"annihilator_omega": 1}
     entry = CorpusEntry(ring.name, "ring", ring)
     ring_checks = [name for name, check in CHECKS.items() if check.kind == "ring"]
     lines = [json.loads(run_check(entry, name, param, flags))
@@ -144,7 +144,7 @@ def test_order_625_ring_runs_every_ring_check():
     assert ring.order == 625 and ring.tensor.any()
     assert ring.is_left_p_nil() and ring.is_right_p_nil()
     entry = CorpusEntry("ring:r625", "ring", ring)
-    lines = [json.loads(run_check(entry, name, param, {"subgroup_bound": 729}))
+    lines = [json.loads(run_check(entry, name, param, {}))
              for name, check in CHECKS.items() if check.kind == "ring"
              for param in check.params(ring)]
     assert len(lines) == 10
@@ -154,13 +154,15 @@ def test_order_625_ring_runs_every_ring_check():
 
 
 @pytest.mark.parametrize("check", ["aut-gen-bound", "aut-gen-bound-abelian"])
-def test_subgroup_bound_reaches_the_rank_calls(check):
-    # |C243| = 243 > 128: with the flag at 256 the rank of G (and of its
-    # power subgroup) is computed, so the next gate is the automorphism cap
+def test_c243_generator_bounds_pass_without_flags(check):
+    # the lattices of C243 and of its power subgroup, the automorphism search
+    # (162 candidates of 243 entries) and the lattice of Aut(C243)'s order-81
+    # Sylow subgroup all fit their entries budgets, so both checks give verdicts
     entry = CorpusEntry("group:c243", "group", builtin_group("c243"))
-    rec = json.loads(run_check(entry, check, None, {"subgroup_bound": 256}))
-    assert (rec["verdict"], rec["bound"]) == (
-        "skipped", "automorphism search capped at group order 64")
+    rec = json.loads(run_check(entry, check, None, {}))
+    got = rec["computed"]
+    assert (rec["verdict"], got["aut_order"], got["sylow_order"], got["max_d"]) == (
+        "pass", 162, 81, 1)
 
 
 def test_omega_correspondence_3z27():
