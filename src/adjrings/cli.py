@@ -6,10 +6,10 @@ representatives at orders 27, 32, and 81, every associative multiplication on
 the additive groups of order p^2 for p in {2, 3, 5}, the p-multiple subrings
 of Z/p^3Z and Z/p^4Z, a few unital rings as hypothesis-violating instances,
 and hom/der rings harvested from the small groups.  Reports are emitted in
-task order, so a fixed corpus and flag set is byte-reproducible regardless of
-the worker count.  No flag bounds a search: subgroup lattices and automorphism
-searches are bounded by the entries they would hold, and a search past its
-budget, even one met while listing an entry's tasks, becomes a skip line.
+task order, so a fixed corpus and check list give the same bytes at any worker
+count.  No flag bounds a search: subgroup lattices and automorphism searches
+are bounded by the entries they would hold, and a search past its budget, even
+one met while listing an entry's tasks, becomes a skip line.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .groups import (
     upper_central_series,
 )
 from .morphisms import der_ring, hom_ring
-from .report import skipped
+from .report import CheckReport, skipped
 from .rings import (
     ENUM_BUDGET,
     FiniteRing,
@@ -56,7 +56,6 @@ from .rings import (
 from .verify import (
     ALL_CHECKS,
     CHECKS,
-    DEFAULT_FLAGS,
     MODULE_SWEEP_CAP,
     group_profile,
     ring_profile,
@@ -178,23 +177,23 @@ def load_manifest(path: str) -> list[CorpusEntry]:
 
 # -- verification runner -----------------------------------------------------------
 
-# set by run_verification before any worker forks; workers inherit them read-only
+# set by run_verification before any worker forks; workers inherit it read-only
 _CORPUS: dict[str, CorpusEntry] = {}
-_FLAGS: dict[str, int] = {}
 _held: str | None = None  # id of the last entry this process ran a task for
 
 
 def _task_params(c, obj) -> list:
-    """A check's task parameters; one `None` task if listing them hits a
-    bound or budget, so that refusal costs one skip line, not the batch."""
+    """A check's task parameters, or, if listing them hits a bound or budget,
+    one task holding that refusal's skip line: its message, not the exception,
+    whose traceback would keep the interrupted search alive."""
     try:
         return c.params(obj)
-    except (BoundError, BudgetError):
-        return [None]
+    except (BoundError, BudgetError) as exc:
+        return [skipped(str(exc))]
 
 
 def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
-    """Instance x check task list in deterministic order."""
+    """(entry id, check name, parameter) tasks in deterministic order."""
     wanted = set(checks)
     return [(e.id, name, param)
             for e in entries
@@ -202,22 +201,22 @@ def build_tasks(entries: list[CorpusEntry], checks: list[str]) -> list[tuple]:
             for param in _task_params(c, e.obj)]
 
 
-def run_check(entry: CorpusEntry, check: str, param, flags: dict) -> str:
+def run_check(entry: CorpusEntry, check: str, param) -> str:
     """The report line of one task; `param` selects the torsion level or
     module.  A search that hits its bound or budget yields a skip whose bound
-    is the reason.  A `None` task lists the check's parameters again first,
-    so a listing refused by a bound or budget repeats its refusal here, on
-    the entry's own id."""
+    is the reason.  A task whose parameter is a listing refusal's skip line
+    writes it on the entry's own id, without listing again."""
     if check not in CHECKS:
         raise AlgebraError(f"unknown check {check!r}")
     c = CHECKS[check]
-    try:
-        if param is None:
-            c.params(entry.obj)
-        rep = c.run(entry.obj, param, {**DEFAULT_FLAGS, **flags})
-    except (BoundError, BudgetError) as exc:
-        rep = skipped(str(exc))
-    suffix = "" if param is None else c.suffix(param)
+    if isinstance(param, CheckReport):
+        rep, suffix = param, ""
+    else:
+        try:
+            rep = c.run(entry.obj, param)
+        except (BoundError, BudgetError) as exc:
+            rep = skipped(str(exc))
+        suffix = c.suffix(param)
     return replace(rep, check=check, instance=entry.id + suffix).to_json_line()
 
 
@@ -239,14 +238,15 @@ def _run_task(task: tuple) -> str:
     if _held not in (None, eid):
         release_memo(_CORPUS[_held].obj)
     _held = eid
-    return run_check(_CORPUS[eid], check, param, _FLAGS)
+    return run_check(_CORPUS[eid], check, param)
 
 
 def run_verification(entries: list[CorpusEntry], checks: list[str], jobs: int,
-                     flags: dict) -> list[str]:
-    global _CORPUS, _FLAGS, _held
+                     flags: dict | None = None) -> list[str]:
+    """The report lines of every task, in task order.  `flags` is unread: it
+    stays only because perfbench's worker passes a dict in that position."""
+    global _CORPUS, _held
     _CORPUS = {e.id: e for e in entries}
-    _FLAGS = dict(flags)
     _held = None
     tasks = build_tasks(entries, checks)
     if jobs <= 1:
@@ -334,10 +334,13 @@ def cmd_verify(args) -> int:
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise AlgebraError(f"unknown checks: {', '.join(unknown)}")
+    if not checks:
+        raise AlgebraError("--checks names no check")
+    if args.jobs < 1:
+        raise AlgebraError(f"--jobs must be at least 1, got {args.jobs}")
     entries = load_manifest(args.corpus) if args.corpus else default_corpus()
-    flags = {"annihilator_omega": args.annihilator_omega}
     started = time.perf_counter()
-    lines = run_verification(entries, list(checks), args.jobs, flags)
+    lines = run_verification(entries, list(checks), args.jobs)
     elapsed = time.perf_counter() - started
     if args.report:
         Path(args.report).write_text("".join(line + "\n" for line in lines))
@@ -387,9 +390,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--checks", help="comma list (default: all)")
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--report", help="write JSON-lines report here")
-    p_verify.add_argument("--annihilator-omega", type=int, choices=(1, 2),
-                          default=DEFAULT_FLAGS["annihilator_omega"],
-                          help="torsion layer feeding the annihilator ideal at p=2")
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

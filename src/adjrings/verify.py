@@ -31,7 +31,6 @@ from .groups import (
     abelian_normal_subgroups,
     center,
     central_target,
-    closure,
     commutator_subgroup,
     enumerate_subgroups,
     frattini,
@@ -187,9 +186,10 @@ def check_omega_correspondence(R: FiniteRing) -> CheckReport:
         if outside.size:
             return verdict(computed, bound,
                            f"n={n}, element {coords[outside[0]].tolist()} not quasi-invertible")
-        # the closure holds the layer's distinct group indices, so equal sizes mean equal sets
-        size = int(circle.sum())
-        closed = closure(A.group, A.position[circle]).order == size
+        # a finite set holding 0 and closed under o is a subgroup
+        members = np.flatnonzero(circle)
+        size = len(members)
+        closed = bool(circle[R.tables.circle(members[:, None], members)].all())
         computed["layers"][str(n)] = {"size": size, "subgroup_closed": closed}
         if not closed:
             return verdict(computed, bound, f"n={n}, set is not a subgroup")
@@ -266,9 +266,10 @@ def check_quotient_p_nil(R: FiniteRing, n: int) -> CheckReport:
     return verdict(computed, "quotient keeps one-sided p-nil", witness)
 
 
-def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1) -> CheckReport:
+def check_annihilator_ideal(R: FiniteRing) -> CheckReport:
     """The annihilator meet the bottom torsion layer is a nontrivial ideal
-    with a left p-nil quotient; both omega readings are computed side by side."""
+    with a left p-nil quotient; at p = 2 both readings of that layer, omega_1
+    and omega_2, are computed side by side, and omega_1 decides."""
     prof = ring_profile(R)
     if not prof.left_p_nil or R.order == 1:
         return skipped("needs a nonzero left p-nil ring")
@@ -289,13 +290,12 @@ def check_annihilator_ideal(R: FiniteRing, omega_for_two: int = 1) -> CheckRepor
                                "quotient_left_p_nil": False}
     if R.p != 2:
         results["2"] = results["1"]
-    selected = results[str(omega_for_two)]
-    diverge = results["1"] != results["2"]
-    computed = {"settings": results, "selected_omega": omega_for_two,
-                "settings_diverge": diverge}
-    ok = selected.get("nontrivial") and selected.get("quotient_left_p_nil")
+    selected = results["1"]
+    computed = {"settings": results, "selected_omega": 1,
+                "settings_diverge": selected != results["2"]}
+    ok = selected["nontrivial"] and selected["quotient_left_p_nil"]
     return verdict(computed, "nontrivial ideal, left p-nil quotient",
-                   None if ok else f"omega={omega_for_two}: {selected}")
+                   None if ok else f"omega=1: {selected}")
 
 
 def check_adjoint_rank(R: FiniteRing) -> CheckReport:
@@ -581,7 +581,7 @@ _NAMED_MODULES = (
 )
 
 
-def _once(obj) -> list:
+def _once(_obj) -> list:
     return [None]
 
 
@@ -614,7 +614,7 @@ def _module_by_label(G: FiniteGroup, label: str) -> Subgroup:
     raise AlgebraError(f"unknown module label {label!r}")
 
 
-def _no_suffix(param) -> str:
+def _no_suffix(_param) -> str:
     return ""
 
 
@@ -622,40 +622,38 @@ def _no_suffix(param) -> str:
 class Check:
     kind: str  # "ring" | "group"
     params: Callable  # object -> task parameters, one report line each
-    run: Callable  # (object, parameter, flags) -> CheckReport
+    run: Callable  # (object, parameter) -> CheckReport
     suffix: Callable = _no_suffix  # parameter -> text appended to the corpus id
 
 
 # Each runner looks its check function up by name at call time, so a wrapper
 # installed on this module's namespace sees every call.
 CHECKS: dict[str, Check] = {
-    "omega-correspondence": Check("ring", _once, lambda R, _, f: check_omega_correspondence(R)),
-    "p-central-adjoint": Check("ring", _once, lambda R, _, f: check_p_central_adjoint(R)),
-    "nilpotency-bound": Check("ring", _once, lambda R, _, f: check_nilpotency_bound(R)),
-    "nilpotency-probe": Check("ring", _once, lambda R, _, f: probe_two_nil_improvement(R)),
-    "quotient-p-nil": Check("ring", _levels, lambda R, n, f: check_quotient_p_nil(R, n)),
-    "annihilator-ideal": Check("ring", _once, lambda R, _, f: check_annihilator_ideal(
-        R, omega_for_two=f["annihilator_omega"])),
-    "adjoint-rank": Check("ring", _once, lambda R, _, f: check_adjoint_rank(R)),
-    "sylow-rank": Check("ring", _once, lambda R, _, f: check_sylow_rank(R)),
-    "profile-consistency": Check("group", _once, lambda G, _, f: check_profile_consistency(G)),
+    "omega-correspondence": Check("ring", _once, lambda R, _: check_omega_correspondence(R)),
+    "p-central-adjoint": Check("ring", _once, lambda R, _: check_p_central_adjoint(R)),
+    "nilpotency-bound": Check("ring", _once, lambda R, _: check_nilpotency_bound(R)),
+    "nilpotency-probe": Check("ring", _once, lambda R, _: probe_two_nil_improvement(R)),
+    "quotient-p-nil": Check("ring", _levels, lambda R, n: check_quotient_p_nil(R, n)),
+    "annihilator-ideal": Check("ring", _once, lambda R, _: check_annihilator_ideal(R)),
+    "adjoint-rank": Check("ring", _once, lambda R, _: check_adjoint_rank(R)),
+    "sylow-rank": Check("ring", _once, lambda R, _: check_sylow_rank(R)),
+    "profile-consistency": Check("group", _once, lambda G, _: check_profile_consistency(G)),
     "laue": Check("group", _module_indices,
-                  lambda G, i, f: check_laue(G, abelian_normal_subgroups(G)[i]),
+                  lambda G, i: check_laue(G, abelian_normal_subgroups(G)[i]),
                   lambda i: f"/an{i:03d}"),
-    "central-aut": Check("group", _once, lambda G, _, f: check_central_aut(G)),
-    "central-aut-class": Check("group", _once, lambda G, _, f: check_central_aut_class(G)),
-    "aut-center-exponent": Check("group", _once, lambda G, _, f: check_aut_center_exponent(G)),
-    "sylow-center-probe": Check("group", _once, lambda G, _, f: probe_sylow_center(G)),
-    "frattini-aut-class": Check("group", _once, lambda G, _, f: check_frattini_aut_class(G)),
-    "aut-exponent": Check("group", _once, lambda G, _, f: check_aut_exponent(G)),
-    "aut-gen-bound-abelian": Check("group", _once, lambda G, _, f: check_aut_gen_bound_abelian(G)),
-    "aut-gen-bound": Check("group", _once, lambda G, _, f: check_aut_gen_bound(G)),
+    "central-aut": Check("group", _once, lambda G, _: check_central_aut(G)),
+    "central-aut-class": Check("group", _once, lambda G, _: check_central_aut_class(G)),
+    "aut-center-exponent": Check("group", _once, lambda G, _: check_aut_center_exponent(G)),
+    "sylow-center-probe": Check("group", _once, lambda G, _: probe_sylow_center(G)),
+    "frattini-aut-class": Check("group", _once, lambda G, _: check_frattini_aut_class(G)),
+    "aut-exponent": Check("group", _once, lambda G, _: check_aut_exponent(G)),
+    "aut-gen-bound-abelian": Check("group", _once, lambda G, _: check_aut_gen_bound_abelian(G)),
+    "aut-gen-bound": Check("group", _once, lambda G, _: check_aut_gen_bound(G)),
     "der-subring-p-nil": Check("group", _module_labels,
-                               lambda G, label, f: check_der_subring_p_nil(
+                               lambda G, label: check_der_subring_p_nil(
                                    G, _module_by_label(G, label)),
                                lambda label: f"/{label}"),
 }
 RING_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "ring")
 GROUP_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "group")
 ALL_CHECKS = tuple(CHECKS)
-DEFAULT_FLAGS = {"annihilator_omega": 1}

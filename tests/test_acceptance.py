@@ -16,8 +16,6 @@ from adjrings.groups import abelian_normal_subgroups, builtin_group, center, pri
 from adjrings.morphisms import aut_group, aut_n, check_laue
 from adjrings.rings import multiples_ring
 
-FLAGS = {"annihilator_omega": 1}
-
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -26,7 +24,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def report(corpus):
-    lines = run_verification(corpus, list(ALL_CHECKS), jobs=4, flags=FLAGS)
+    lines = run_verification(corpus, list(ALL_CHECKS), jobs=4)
     records = [json.loads(line) for line in lines]
     by_check = {}
     for rec in records:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adjrings import cli, morphisms, verify
+from adjrings import cli, groups, morphisms, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import (
     ALL_CHECKS,
@@ -24,7 +24,7 @@ from adjrings.cli import (
 )
 from adjrings.errors import AlgebraError
 from adjrings.groups import builtin_group
-from adjrings.report import verdict
+from adjrings.report import skipped, verdict
 from adjrings.verify import CHECKS, GROUP_CHECKS, RING_CHECKS
 
 
@@ -322,7 +322,7 @@ def test_verify_capped_ring_becomes_skips(tmp_path):
 def test_budget_error_becomes_a_skip(monkeypatch):
     monkeypatch.setattr(morphisms, "BATCH_BUDGET", 1)
     entry = CorpusEntry("group:c4", "group", builtin_group("c4"))
-    assert json.loads(run_check(entry, "laue", 2, {})) == {
+    assert json.loads(run_check(entry, "laue", 2)) == {
         "check": "laue", "instance": "group:c4/an002", "hypothesis_met": False,
         "computed": {}, "bound": "derivation search space exceeds the batch budget",
         "verdict": "skipped"}
@@ -346,6 +346,31 @@ def test_listing_refused_by_a_budget_costs_one_skip(tmp_path):
         "verdict": "skipped"}]
     assert len(recs) == 37 and len(big) == 16
     assert not any(r["verdict"] == "fail" for r in recs)
+
+
+def test_listing_refusal_is_carried_on_its_task_and_searched_once(monkeypatch):
+    """The task keeps the refusal's skip line, not the exception, whose
+    traceback would hold the interrupted search, and the run writes that line
+    without listing C2^8's Laue modules a second time."""
+    G = builtin_group("c2xc2xc2xc2xc2xc2xc2xc2")
+    searches, tasks = [], []
+    enumerate_subgroups, build = groups.enumerate_subgroups, cli.build_tasks
+
+    def spy(H):
+        searches.append(H.n)
+        return enumerate_subgroups(H)
+
+    def kept(*args):
+        tasks.extend(build(*args))
+        return tasks
+    monkeypatch.setattr(groups, "enumerate_subgroups", spy)
+    monkeypatch.setattr(cli, "build_tasks", kept)
+    lines = run_verification([CorpusEntry("group:c2^8", "group", G)], ["laue"], 1)
+    assert searches.count(256) == 1
+    assert tasks == [("group:c2^8", "laue", skipped("subgroup lattice exceeds 531441 entries"))]
+    (_, _, refusal), = tasks
+    assert not any(isinstance(v, BaseException) for v in [refusal, *vars(refusal).values()])
+    assert [json.loads(line)["bound"] for line in lines] == ["subgroup lattice exceeds 531441 entries"]
 
 
 def test_each_check_name_is_written_once_in_src():
@@ -404,7 +429,7 @@ def test_runner_releases_each_entry_memo_when_the_batch_moves_on(monkeypatch):
         init(self, ring)
     monkeypatch.setattr(AdjointGroup, "__init__", counting_init)
     entries = _mixed_entries()
-    run_verification(entries, list(ALL_CHECKS), 1, {})
+    run_verification(entries, list(ALL_CHECKS), 1)
     for e in entries[:-1]:
         assert _memo_of(e.obj) == ([], []), e.id
     assert _memo_of(entries[-1].obj) != ([], [])  # its tasks were the last ones
@@ -417,27 +442,52 @@ def test_back_to_back_runs_match_fresh_runs():
     # absent from the second corpus, is never looked up; the reference runs
     # each task on fresh objects with no runner state
     for prefix in ("a/", "b/"):
-        got = run_verification(_mixed_entries(prefix), list(ALL_CHECKS), 1, {})
+        got = run_verification(_mixed_entries(prefix), list(ALL_CHECKS), 1)
         fresh = {e.id: e for e in _mixed_entries(prefix)}
-        assert got == [run_check(fresh[eid], check, param, {})
+        assert got == [run_check(fresh[eid], check, param)
                        for eid, check, param in build_tasks(list(fresh.values()), ALL_CHECKS)]
 
 
 def test_pool_workers_release_memos_with_the_same_report():
-    serial = run_verification(_mixed_entries(), list(ALL_CHECKS), 1, {})
-    assert run_verification(_mixed_entries(), list(ALL_CHECKS), 2, {}) == serial
+    serial = run_verification(_mixed_entries(), list(ALL_CHECKS), 1)
+    assert run_verification(_mixed_entries(), list(ALL_CHECKS), 2) == serial
 
 
-def test_verify_annihilator_omega_flag(tmp_path):
+def test_annihilator_ideal_reports_both_readings_without_a_flag(tmp_path, capsys):
     man = write_manifest(tmp_path / "m.json", [
         {"id": "ring:4z16", "kind": "ring", "builtin": "4z16"},
     ])
     report = tmp_path / "rep.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--corpus", man, "--annihilator-omega", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --annihilator-omega" in capsys.readouterr().err
     assert main(["verify", "--corpus", man, "--checks", "annihilator-ideal",
-                 "--annihilator-omega", "2", "--report", str(report)]) == 0
+                 "--report", str(report)]) == 0
     rec = json.loads(report.read_text().splitlines()[0])
-    assert rec["computed"]["selected_omega"] == 2
+    assert set(rec["computed"]["settings"]) == {"1", "2"}
+    assert rec["computed"]["selected_omega"] == 1
     assert rec["computed"]["settings_diverge"] is True
+
+
+def test_run_verification_ignores_its_flags_argument():
+    assert run_verification(_mixed_entries(), list(ALL_CHECKS), 1, {"annihilator_omega": 2}) == \
+        run_verification(_mixed_entries(), list(ALL_CHECKS), 1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--checks", ""], "--checks names no check"),
+    (["--checks", ","], "--checks names no check"),
+    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--jobs", "-3"], "--jobs must be at least 1, got -3"),
+])
+def test_verify_refuses_no_checks_and_no_workers(tmp_path, capsys, args, message):
+    man = write_manifest(tmp_path / "m.json", [
+        {"id": "group:c4", "kind": "group", "builtin": "c4"},
+    ])
+    assert main(["verify", "--corpus", man, *args]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
 
 
 def test_verify_report_verdict_fail_exit(tmp_path, capsys, monkeypatch):
@@ -477,7 +527,7 @@ def test_check_registry_order_and_unknown_check(corpus):
     assert RING_CHECKS[0] == "omega-correspondence" and RING_CHECKS[-1] == "sylow-rank"
     assert GROUP_CHECKS[0] == "profile-consistency" and GROUP_CHECKS[-1] == "der-subring-p-nil"
     with pytest.raises(AlgebraError, match="unknown check"):
-        run_check(corpus[0], "no-such-check", None, {})
+        run_check(corpus[0], "no-such-check", None)
 
 
 def test_default_corpus_shape(corpus):

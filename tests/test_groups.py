@@ -722,7 +722,7 @@ class TestClosureKernel:
 
         for module, seen in calls.items():
             monkeypatch.setattr(module, "closed_mask", spy(seen))
-        run_verification(default_corpus(), list(ALL_CHECKS), jobs=1, flags={})
+        run_verification(default_corpus(), list(ALL_CHECKS), jobs=1)
         assert len(calls[groups]) > 1000 and len(calls[rings]) > 100
         as_group = {}  # the tables stay referenced by `calls`, so their ids stay theirs
         for table, seed, elems in [*calls[groups].values(), *calls[rings].values()]:

@@ -22,7 +22,6 @@ from adjrings.groups import (
 from adjrings.morphisms import aut_group
 from adjrings.rings import multiples_ring
 
-ACCEPTANCE_FLAGS = {"annihilator_omega": 1}
 AUT_CHECKS = {"sylow-center-probe", "aut-exponent", "aut-gen-bound-abelian", "aut-gen-bound"}
 
 
@@ -46,7 +45,7 @@ def run_kind(kind: str, make, names=None) -> list[dict]:
         if check.kind == kind and (names is None or name in names):
             for param in check.params(make()):
                 entry = CorpusEntry(f"{kind}:x", kind, make())
-                out.append(json.loads(run_check(entry, name, param, ACCEPTANCE_FLAGS)))
+                out.append(json.loads(run_check(entry, name, param)))
     return out
 
 
@@ -156,8 +155,7 @@ def test_der_subring_task_tests_its_module_at_most_twice(monkeypatch):
     per_task = []
     for label in CHECKS["der-subring-p-nil"].params(G):
         before = len(calls)
-        run_check(CorpusEntry("group:x", "group", G), "der-subring-p-nil", label,
-                  ACCEPTANCE_FLAGS)
+        run_check(CorpusEntry("group:x", "group", G), "der-subring-p-nil", label)
         per_task.append(len(calls) - before)
     assert len(per_task) == 20
     assert max(per_task) <= 2
@@ -186,7 +184,7 @@ def test_aut_entries_gate_runs_before_the_memo(monkeypatch):
     with pytest.raises(BudgetError):
         aut_group(G)
     assert "aut" not in G._cache
-    refused = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-exponent", None, {}))
+    refused = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-exponent", None))
     assert (refused["verdict"], refused["bound"]) == (
         "skipped", "automorphism candidate space exceeds the batch budget")
     monkeypatch.setattr(morphisms, "BATCH_BUDGET", 64 * 9)
@@ -205,7 +203,7 @@ def test_lattice_budget_runs_before_the_sweep_memo(monkeypatch):
     with pytest.raises(BudgetError, match="subgroup lattice exceeds 576 entries"):
         widest_subgroup(syl)
     assert "subgroups" not in syl._cache
-    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-gen-bound", None, {}))
+    capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-gen-bound", None))
     assert (capped["verdict"], capped["bound"]) == (
         "skipped", "subgroup lattice exceeds 576 entries")
     assert "subgroups" in G._cache and "subgroups" not in syl._cache

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from adjrings import verify
 from adjrings.cli import CHECKS, DEFAULT_GROUP_NAMES, CorpusEntry, run_check
 from adjrings.errors import InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
@@ -125,10 +127,9 @@ def test_order_343_rings_run_every_ring_check(ring):
     skip is the p = 2 probe's hypothesis."""
     prof = ring_profile(ring)
     assert prof.order == 343 and prof.left_p_nil and prof.right_p_nil
-    flags = {"annihilator_omega": 1}
     entry = CorpusEntry(ring.name, "ring", ring)
     ring_checks = [name for name, check in CHECKS.items() if check.kind == "ring"]
-    lines = [json.loads(run_check(entry, name, param, flags))
+    lines = [json.loads(run_check(entry, name, param))
              for name in ring_checks for param in CHECKS[name].params(ring)]
     assert [rec["check"] for rec in lines if not rec["hypothesis_met"]] == ["nilpotency-probe"]
     assert {rec["check"] for rec in lines} == set(ring_checks)
@@ -144,7 +145,7 @@ def test_order_625_ring_runs_every_ring_check():
     assert ring.order == 625 and ring.tensor.any()
     assert ring.is_left_p_nil() and ring.is_right_p_nil()
     entry = CorpusEntry("ring:r625", "ring", ring)
-    lines = [json.loads(run_check(entry, name, param, {}))
+    lines = [json.loads(run_check(entry, name, param))
              for name, check in CHECKS.items() if check.kind == "ring"
              for param in check.params(ring)]
     assert len(lines) == 10
@@ -159,7 +160,7 @@ def test_c243_generator_bounds_pass_without_flags(check):
     # (162 candidates of 243 entries) and the lattice of Aut(C243)'s order-81
     # Sylow subgroup all fit their entries budgets, so both checks give verdicts
     entry = CorpusEntry("group:c243", "group", builtin_group("c243"))
-    rec = json.loads(run_check(entry, check, None, {}))
+    rec = json.loads(run_check(entry, check, None))
     got = rec["computed"]
     assert (rec["verdict"], got["aut_order"], got["sylow_order"], got["max_d"]) == (
         "pass", 162, 81, 1)
@@ -171,6 +172,19 @@ def test_omega_correspondence_3z27():
     layers = rep.computed["layers"]
     assert layers["1"] == {"size": 3, "subgroup_closed": True}
     assert layers["2"]["size"] == 9
+
+
+def test_omega_correspondence_fails_a_layer_not_closed_under_circle(monkeypatch):
+    # {0, 3} holds 0, and both layer readings agree on it, but 3 o 3 = 15 lies
+    # outside it: only the subgroup test can fail this layer
+    ring = multiples_ring(3, 27)
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[[0, 1]] = True
+    monkeypatch.setattr(verify, "omega_circle_set", lambda R, n: mask)
+    monkeypatch.setattr(verify, "omega_additive", lambda R, n: mask)
+    rec = json.loads(run_check(CorpusEntry("ring:3z27", "ring", ring), "omega-correspondence", None))
+    assert (rec["verdict"], rec["witness"]) == ("fail", "n=1, set is not a subgroup")
+    assert rec["computed"]["layers"] == {"1": {"size": 2, "subgroup_closed": False}}
 
 
 def test_omega_correspondence_skips_unital():
