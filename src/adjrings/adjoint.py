@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidStructureError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, memo
 from .rings import FiniteRing, nilpotency_class_ring
 
 
@@ -52,10 +52,8 @@ class AdjointGroup:
 
 
 def adjoint_group(ring: FiniteRing) -> AdjointGroup:
-    """The circle group, built once per ring and kept in `ring._cache`."""
-    if "adjoint" not in ring._cache:
-        ring._cache["adjoint"] = AdjointGroup(ring)
-    return ring._cache["adjoint"]
+    """The circle group, built once per ring and kept in its memo."""
+    return memo(ring, "adjoint", lambda: AdjointGroup(ring))
 
 
 def omega_circle_set(ring: FiniteRing, n: int) -> np.ndarray:

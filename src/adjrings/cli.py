@@ -24,7 +24,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 from .adjoint import adjoint_group
@@ -39,6 +38,7 @@ from .groups import (
     min_generators,
     nilpotency_class,
     prime_of,
+    release_memo,
     upper_central_series,
 )
 from .morphisms import der_ring, hom_ring
@@ -218,15 +218,6 @@ def run_check(entry: CorpusEntry, check: str, param) -> str:
             rep = skipped(str(exc))
         suffix = c.suffix(param)
     return replace(rep, check=check, instance=entry.id + suffix).to_json_line()
-
-
-def release_memo(obj) -> None:
-    """Drop everything `obj` has memoized: its `_cache` and the values of its
-    class's `cached_property`s.  Each is rebuilt on next use."""
-    obj._cache.clear()
-    for name, attr in vars(type(obj)).items():
-        if isinstance(attr, cached_property):
-            obj.__dict__.pop(name, None)
 
 
 def _run_task(task: tuple) -> str:

@@ -43,6 +43,31 @@ def _check_order(n: int) -> None:
         raise BoundError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
 
 
+def memo(obj, key, build):
+    """`obj._cache[key]`, from `build()` on a miss: the one memo of every
+    derived object (an adjoint group, a subgroup lattice, Der and End rows,
+    Aut(G), a profile).
+
+    A result is stored only once `build()` returns, that is after the caps
+    and budgets it checks, so a refused build leaves nothing and runs again on
+    the next call; argument gates run before the call.  What is stored lives
+    until `release_memo` drops it, which the verify runner does once the
+    batch moves on to another corpus entry.
+    """
+    if key not in obj._cache:
+        obj._cache[key] = build()
+    return obj._cache[key]
+
+
+def release_memo(obj) -> None:
+    """Drop everything `obj` has memoized: its `memo` entries and the values
+    of its class's `cached_property`s.  Each is rebuilt on next use."""
+    obj._cache.clear()
+    for name, attr in vars(type(obj)).items():
+        if isinstance(attr, cached_property):
+            obj.__dict__.pop(name, None)
+
+
 def _light_columns(tab: np.ndarray, identity: int) -> np.ndarray:
     """A set S such that right products x s (s in S) reach every element from
     the identity, grown greedily from the least element not yet reached.
@@ -84,12 +109,8 @@ class FiniteGroup:
     of Semigroups I, 1961, sec. 1.2): the elements a with (xa)y = x(ay) for
     all x, y are closed under products, so checking every x, y against each
     a in a set S that generates the table as a magma proves the whole table
-    associative, in |S| n^2 lookups.
-
-    Memo rule: attributes are `cached_property`s; objects built by module
-    functions are kept in `_cache[key]`, after that function's caps and budgets.
-    Both live until `cli.release_memo` drops them, which the verify runner
-    does once the batch moves on to another corpus entry.
+    associative, in |S| n^2 lookups.  Attributes are `cached_property`s, and
+    objects built by module functions are kept by `memo`.
     """
 
     def __init__(self, table, identity: int = 0, name: str = "G"):
@@ -159,18 +180,6 @@ class FiniteGroup:
         t, inv = self.table, self.inverses
         return t[t[inv[:, None], inv[None, :]], t]
 
-    @cached_property
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen = np.zeros(self.n, dtype=bool)
-        out = []
-        for x in range(self.n):
-            if seen[x]:
-                continue
-            cls = np.unique(self.conj_table[:, x])
-            seen[cls] = True
-            out.append(tuple(int(c) for c in cls))
-        return out
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.n})"
 
@@ -194,17 +203,16 @@ class Subgroup:
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as its own Cayley table, element i being `elems[i]`;
-        kept in `parent._cache[("as_group", elems)]`."""
-        key = ("as_group", self.elems)
-        if key not in self.parent._cache:
+        kept in the parent's memo."""
+        G = self.parent
+
+        def build() -> FiniteGroup:
             arr = np.array(self.elems)
-            reindex = np.full(self.parent.n, -1, dtype=np.int32)
+            reindex = np.full(G.n, -1, dtype=np.int32)
             reindex[arr] = np.arange(len(arr))
-            self.parent._cache[key] = FiniteGroup(
-                reindex[self.parent.table[np.ix_(arr, arr)]],
-                identity=int(reindex[self.parent.identity]),
-                name=f"{self.parent.name}_sub{len(arr)}")
-        return self.parent._cache[key]
+            return FiniteGroup(reindex[G.table[np.ix_(arr, arr)]],
+                               identity=int(reindex[G.identity]), name=f"{G.name}_sub{len(arr)}")
+        return memo(G, ("as_group", self.elems), build)
 
 
 def closed_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -277,9 +285,7 @@ def commutator(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    if "derived" not in G._cache:
-        G._cache["derived"] = commutator(G, full_subgroup(G), full_subgroup(G))
-    return G._cache["derived"]
+    return commutator(G, full_subgroup(G), full_subgroup(G))
 
 
 def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
@@ -385,20 +391,17 @@ def lower_p_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 def frattini(G: FiniteGroup) -> Subgroup:
     """Frattini subgroup of a p-group: G'G^p (Burnside's basis theorem)."""
-    if "frattini" not in G._cache:
-        p = prime_of(G)
-        if p is None and G.n > 1:
-            raise InvalidArgumentError("frattini needs a p-group")
-        G._cache["frattini"] = power_commutator(G, full_subgroup(G), full_subgroup(G), p or 1)
-    return G._cache["frattini"]
+    p = prime_of(G)
+    if p is None and G.n > 1:
+        raise InvalidArgumentError("frattini needs a p-group")
+    return memo(G, "frattini",
+                lambda: power_commutator(G, full_subgroup(G), full_subgroup(G), p or 1))
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
     """A minimal generating set (Burnside basis for p-groups, search otherwise),
-    kept in `G._cache["gens"]`; each caller gets its own list."""
-    if "gens" not in G._cache:
-        G._cache["gens"] = tuple(_search_generating_set(G))
-    return list(G._cache["gens"])
+    kept in G's memo; each caller gets its own list."""
+    return list(memo(G, "gens", lambda: tuple(_search_generating_set(G))))
 
 
 def _search_generating_set(G: FiniteGroup) -> list[int]:
@@ -441,8 +444,10 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
     many elements, summed over its subgroups, as one table at the order cap:
     the search stops with BudgetError once the subgroups found pass that.
     """
-    if "subgroups" in G._cache:
-        return G._cache["subgroups"]
+    return memo(G, "subgroups", lambda: _ascend_subgroups(G))
+
+
+def _ascend_subgroups(G: FiniteGroup) -> list[Subgroup]:
     t = G.table
     conj = G.conj_table
     primes = [q for q in range(2, G.n + 1) if G.n % q == 0 and prime_power(q) == (q, 1)]
@@ -480,9 +485,7 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
         frontier = nxt
     if tuple(range(G.n)) not in found and G.n > 1:
         raise BoundError("subgroup ascent did not reach the whole group (non-solvable?)")
-    subs = [Subgroup(G, k) for k in sorted(found, key=lambda k: (len(k), k))]
-    G._cache["subgroups"] = subs
-    return subs
+    return [Subgroup(G, k) for k in sorted(found, key=lambda k: (len(k), k))]
 
 
 def rank(G: FiniteGroup) -> int:
@@ -493,11 +496,12 @@ def rank(G: FiniteGroup) -> int:
 def widest_subgroup(G: FiniteGroup) -> tuple[int, Subgroup]:
     """The largest d(H) over the subgroups H of G, and the first H reaching it."""
     subs = enumerate_subgroups(G)
-    if "widest" not in G._cache:
+
+    def build() -> tuple[int, Subgroup]:
         ds = [subgroup_min_generators(G, h) for h in subs]
         first = ds.index(max(ds))
-        G._cache["widest"] = ds[first], subs[first]
-    return G._cache["widest"]
+        return ds[first], subs[first]
+    return memo(G, "widest", build)
 
 
 def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:
@@ -563,9 +567,7 @@ def is_abelian_normal(G: FiniteGroup, H: Subgroup) -> bool:
 def abelian_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All abelian normal subgroups, ascending by (order, elements)."""
     subs = enumerate_subgroups(G)
-    if "abelian_normal" not in G._cache:
-        G._cache["abelian_normal"] = [H for H in subs if is_abelian_normal(G, H)]
-    return G._cache["abelian_normal"]
+    return memo(G, "abelian_normal", lambda: [H for H in subs if is_abelian_normal(G, H)])
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -848,6 +850,8 @@ def builtin_group(name: str) -> FiniteGroup:
     """Resolve a builtin group name like c12, c4xc2, d8, q8, sd16, m27, es27."""
     if "x" in name:
         parts = name.split("x")
+        if "" in parts:
+            raise InvalidArgumentError(f"unknown group name {name!r}")
         g = builtin_group(parts[0])
         for part in parts[1:]:
             g = direct_product(g, builtin_group(part))

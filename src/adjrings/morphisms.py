@@ -37,6 +37,7 @@ from .groups import (
     generating_set,
     is_abelian_normal,
     is_normal,
+    memo,
     omega_subgroup,
     reach,
     sylow_ascent,
@@ -101,9 +102,11 @@ def _law_rows(G: FiniteGroup, act: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def _bfs_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Fill order (element, parent, test-column slot) covering G from the
-    test columns, kept in `G._cache["bfs_plan"]`."""
-    if "bfs_plan" in G._cache:
-        return G._cache["bfs_plan"]
+    test columns, kept in G's memo."""
+    return memo(G, "bfs_plan", lambda: _spanning_plan(G))
+
+
+def _spanning_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     gens = _test_columns(G)
     seen = {G.identity}
     plan = []
@@ -121,8 +124,7 @@ def _bfs_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
         queue = nxt
     if len(seen) != G.n:
         raise InvalidStructureError("generators do not generate the group")
-    G._cache["bfs_plan"] = tuple(plan)
-    return G._cache["bfs_plan"]
+    return tuple(plan)
 
 
 def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarray:
@@ -183,46 +185,45 @@ def _is_central(G: FiniteGroup, N: Subgroup) -> bool:
 
 
 def _der_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
-    """All derivations G -> N as read-only image rows, kept in
-    `G._cache[("der", N.elems)]` once they pass the fixed batch budget.
+    """All derivations G -> N as read-only image rows, kept in G's memo
+    under `("der", N.elems)` once they pass the fixed batch budget.
 
     Candidates are generator values in N, searched under conjugation.  For a
     central N the action is trivial, so these rows are exactly Hom(G, N).
     """
     _validate_module(G, N)
-    if ("der", N.elems) in G._cache:
-        return G._cache["der", N.elems]
-    S = _test_columns(G)
-    U = _image_rows(G, [sorted(N.elems)] * S.size, G.conj_table[G.inverses[S]],
-                    "derivation search space")
-    # values on generators in a normal N keep every value in N; assert anyway
-    if not N.mask[U].all():
-        raise InvalidStructureError("derivation escaped its module")
-    U.setflags(write=False)
-    G._cache["der", N.elems] = U
-    return U
+
+    def build() -> np.ndarray:
+        S = _test_columns(G)
+        U = _image_rows(G, [sorted(N.elems)] * S.size, G.conj_table[G.inverses[S]],
+                        "derivation search space")
+        # values on generators in a normal N keep every value in N; assert anyway
+        if not N.mask[U].all():
+            raise InvalidStructureError("derivation escaped its module")
+        U.setflags(write=False)
+        return U
+    return memo(G, ("der", N.elems), build)
 
 
 def _endo_matrix(G: FiniteGroup, N: Subgroup) -> np.ndarray:
     """All endomorphisms u with x^{-1}u(x) in N as read-only image rows,
-    enumerated from coset images and kept in `G._cache[("endo", N.elems)]`
-    once they pass the fixed batch budget.
+    enumerated from coset images and kept in G's memo under
+    `("endo", N.elems)` once they pass the fixed batch budget.
 
     The search is shared with the derivations but its inputs are not:
     candidates are generator images inside their N-cosets, searched under the
     trivial action.  Callers validate N before reading the memo.
     """
-    if ("endo", N.elems) in G._cache:
-        return G._cache["endo", N.elems]
-    narr = np.array(sorted(N.elems))
-    cosets = [sorted(int(v) for v in G.table[g, narr]) for g in _test_columns(G)]
-    U = _image_rows(G, cosets, _trivial_action(G), "endomorphism search space")
-    # coset condition propagates from generators to all elements; assert anyway
-    if not N.mask[coset_offsets(G, U)].all():
-        raise InvalidStructureError("endomorphism escaped its cosets")
-    U.setflags(write=False)
-    G._cache["endo", N.elems] = U
-    return U
+    def build() -> np.ndarray:
+        narr = np.array(sorted(N.elems))
+        cosets = [sorted(int(v) for v in G.table[g, narr]) for g in _test_columns(G)]
+        U = _image_rows(G, cosets, _trivial_action(G), "endomorphism search space")
+        # coset condition propagates from generators to all elements; assert anyway
+        if not N.mask[coset_offsets(G, U)].all():
+            raise InvalidStructureError("endomorphism escaped its cosets")
+        U.setflags(write=False)
+        return U
+    return memo(G, ("endo", N.elems), build)
 
 
 # -- table rings ------------------------------------------------------------------
@@ -301,9 +302,7 @@ class AutomorphismGroup:
     The full Cayley table is never materialized unless as_group() is called,
     so groups with tens of thousands of automorphisms stay workable.  Sylow
     subgroups, by `sylow_ascent` on the rows read in blocks of CHUNK_ENTRIES,
-    are kept in `_cache[("sylow", p)]`.  Memo rule: the automorphism group
-    itself lives in its group's `_cache["aut"]`, so it and its Sylow memo go
-    when `cli.release_memo` clears that group's memo.
+    are kept by `memo`, in an object that itself lives in its group's memo.
     """
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
@@ -332,8 +331,9 @@ class AutomorphismGroup:
     def sylow(self, p: int) -> tuple[FiniteGroup, list[int]]:
         """A Sylow p-subgroup by `sylow_ascent` over the members, as its own
         Cayley table plus the member indices, sorted ascending."""
-        if ("sylow", p) in self._cache:
-            return self._cache["sylow", p]
+        return memo(self, ("sylow", p), lambda: self._ascend_sylow(p))
+
+    def _ascend_sylow(self, p: int) -> tuple[FiniteGroup, list[int]]:
         M, index = self.matrix, self._index
         one = np.arange(M.shape[1], dtype=M.dtype)
         chunk = max(1, CHUNK_ENTRIES // M.shape[1])
@@ -361,34 +361,31 @@ class AutomorphismGroup:
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
         grp = FiniteGroup(tab, identity=ids.index(self.identity_index),
                           name=f"sylow{p}(aut({self.group.name}))")
-        self._cache["sylow", p] = grp, ids
         return grp, ids
 
 
 def aut_group(G: FiniteGroup) -> AutomorphismGroup:
     """Full automorphism group by generator-image backtracking, built once per
-    group and kept in `G._cache["aut"]` once it passes the search's entries
-    budget and the member cap.
+    group and kept in G's memo once it passes the search's entries budget and
+    the member cap.
 
     Candidate images are pruned to elements sharing the generator's order and
-    conjugacy class size; every surviving assignment is verified as a full
-    homomorphism and kept only if bijective.
+    conjugacy class size, each element's class being counted by its least
+    conjugate; every surviving assignment is verified as a full homomorphism
+    and kept only if bijective.
     """
-    if "aut" in G._cache:
-        return G._cache["aut"]
-    class_size = np.zeros(G.n, dtype=np.int64)
-    for cls in G.conjugacy_classes:
-        for x in cls:
-            class_size[x] = len(cls)
-    orders = G.element_orders
-    cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
-                  for g in _test_columns(G)]
-    M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
-    M = M[_bijective_rows(M, G.n)]
-    if M.shape[0] > AUT_MEMBER_CAP:
-        raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")
-    G._cache["aut"] = AutomorphismGroup(G, M)
-    return G._cache["aut"]
+    def build() -> AutomorphismGroup:
+        least = G.conj_table.min(axis=0)
+        class_size = np.bincount(least, minlength=G.n)[least]
+        orders = G.element_orders
+        cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
+                      for g in _test_columns(G)]
+        M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
+        M = M[_bijective_rows(M, G.n)]
+        if M.shape[0] > AUT_MEMBER_CAP:
+            raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")
+        return AutomorphismGroup(G, M)
+    return memo(G, "aut", build)
 
 
 # -- the correspondence check ------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidStructureError,
 )
-from .groups import CHUNK_ENTRIES, MAX_ORDER, _json_int, _json_list, _powers, closed_mask
+from .groups import CHUNK_ENTRIES, MAX_ORDER, _json_int, _json_list, _powers, closed_mask, memo
 
 ENUM_BUDGET = 100_000_000
 
@@ -113,11 +113,8 @@ class FiniteRing:
     on every basis triple (`_associative_mask`), which trilinearity extends to
     the whole ring.  Element arithmetic is read off the index tables `tables`,
     built on first use for rings of at most MAX_ORDER elements (groups.py).
-
-    Memo rule: attributes are `cached_property`s; objects built by module
-    functions are kept in `_cache[key]`, after that function's bound gates.
-    Both live until `cli.release_memo` drops them, which the verify runner
-    does once the batch moves on to another corpus entry.
+    Attributes are `cached_property`s, and objects built by module functions
+    are kept by `groups.memo`.
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):
@@ -236,23 +233,23 @@ def omega_additive(ring: FiniteRing, n: int) -> np.ndarray:
 
 
 def ring_power_chain(ring: FiniteRing) -> list[np.ndarray]:
-    """[R^1, R^2, ...] down to stabilization, as read-only masks."""
-    if "power_chain" in ring._cache:
-        return ring._cache["power_chain"]
-    mul = ring.tables.mul
-    basis = ring._arrays[1]
-    chain = [np.ones(ring.order, dtype=bool)]
-    while True:
-        products = np.zeros(ring.order, dtype=bool)
-        products[mul[np.ix_(chain[-1], basis)]] = True
-        nxt = additive_closure(ring, products)
-        if (nxt == chain[-1]).all():
-            break
-        chain.append(nxt)
-    for mask in chain:
-        mask.flags.writeable = False
-    ring._cache["power_chain"] = chain
-    return chain
+    """[R^1, R^2, ...] down to stabilization, as read-only masks, kept in the
+    ring's memo."""
+    def build() -> list[np.ndarray]:
+        mul = ring.tables.mul
+        basis = ring._arrays[1]
+        chain = [np.ones(ring.order, dtype=bool)]
+        while True:
+            products = np.zeros(ring.order, dtype=bool)
+            products[mul[np.ix_(chain[-1], basis)]] = True
+            nxt = additive_closure(ring, products)
+            if (nxt == chain[-1]).all():
+                break
+            chain.append(nxt)
+        for mask in chain:
+            mask.flags.writeable = False
+        return chain
+    return memo(ring, "power_chain", build)
 
 
 def nilpotency_class_ring(ring: FiniteRing) -> int | None:

@@ -38,6 +38,7 @@ from .groups import (
     is_p_central,
     lower_central_series,
     lower_p_central_series,
+    memo,
     min_generators,
     nilpotency_class,
     omega_subgroup,
@@ -96,17 +97,16 @@ class RingProfile:
 
 
 def ring_profile(R: FiniteRing) -> RingProfile:
-    if "profile" not in R._cache:
-        R._cache["profile"] = RingProfile(
-            order=R.order,
-            p=R.p,
-            m=R.additive_exponent_log(),
-            d_plus=R.dim,
-            left_p_nil=R.is_left_p_nil(),
-            right_p_nil=R.is_right_p_nil(),
-            nil_class=nilpotency_class_ring(R),
-        )
-    return R._cache["profile"]
+    """Invariants of a finite p-ring, kept in R's memo."""
+    return memo(R, "profile", lambda: RingProfile(
+        order=R.order,
+        p=R.p,
+        m=R.additive_exponent_log(),
+        d_plus=R.dim,
+        left_p_nil=R.is_left_p_nil(),
+        right_p_nil=R.is_right_p_nil(),
+        nil_class=nilpotency_class_ring(R),
+    ))
 
 
 def _section_exponent_log(upper: Subgroup, lower: Subgroup, p: int) -> int:
@@ -140,9 +140,11 @@ class GroupProfile:
 
 
 def group_profile(G: FiniteGroup) -> GroupProfile:
-    """Invariants of a nontrivial finite p-group, kept in `G._cache["profile"]`."""
-    if "profile" in G._cache:
-        return G._cache["profile"]
+    """Invariants of a nontrivial finite p-group, kept in G's memo."""
+    return memo(G, "profile", lambda: _profile_of(G))
+
+
+def _profile_of(G: FiniteGroup) -> GroupProfile:
     p = prime_of(G)
     if p is None:
         raise InvalidStructureError("group profiles require a nontrivial p-group")
@@ -157,11 +159,10 @@ def group_profile(G: FiniteGroup) -> GroupProfile:
               for i in range(len(upper) - 1)]
     r, s = r_logs[0], s_logs[0]
     pgrp = power_commutator_subgroup(G).as_group()
-    G._cache["profile"] = GroupProfile(
+    return GroupProfile(
         order=G.n, p=p, c=c, r=r, s=s, t=min(r, s),
         d=min_generators(G), d_prime=rank(pgrp), r1=sum(r_logs), s1=sum(s_logs),
     )
-    return G._cache["profile"]
 
 
 # -- ring-side checks --------------------------------------------------------------

@@ -22,7 +22,10 @@ each generator in Python; `groups.closed_mask`, behind `closure`,
 members of a mask per pass instead.  The generator-image search here
 (`image_rows_by_grid`) builds every candidate with `itertools.product` and
 fills them all at once; `morphisms._image_rows` decodes and fills them in
-bounded blocks, keeping only survivors.
+bounded blocks, keeping only survivors.  The conjugacy classes here
+(`conjugacy_classes`) take g x g^-1 by two Python table lookups per pair;
+`morphisms.aut_group` counts each class by its least member, read off
+`FiniteGroup.conj_table`.
 """
 
 from __future__ import annotations
@@ -123,6 +126,19 @@ def frattini_via_maximals(G) -> Subgroup:
     for h in maximal[1:]:
         common &= set(h.elems)
     return Subgroup(G, tuple(sorted(common)))
+
+
+def conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Each class {g x g^-1 : g in G}, listed by its least member."""
+    t, inv = G.table.tolist(), G.inverses.tolist()
+    seen: set = set()
+    out = []
+    for x in range(G.n):
+        if x not in seen:
+            cls = sorted({t[t[g][x]][inv[g]] for g in range(G.n)})
+            seen.update(cls)
+            out.append(tuple(cls))
+    return out
 
 
 def is_associative(table) -> bool:

@@ -1,11 +1,15 @@
 """Each instance's derived objects are built once and shared by its checks,
-and a search its budget refuses memoizes nothing."""
+a search its budget refuses memoizes nothing, and `release_memo` leaves
+nothing that `memo` stored."""
 
+import gc
 import json
+import weakref
+from functools import cached_property
 
 import pytest
 
-from adjrings import groups, morphisms, verify
+from adjrings import adjoint, groups, morphisms, rings, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import CHECKS, CorpusEntry, run_check
 from adjrings.errors import BudgetError, InvalidArgumentError
@@ -17,6 +21,7 @@ from adjrings.groups import (
     enumerate_subgroups,
     full_subgroup,
     is_normal,
+    release_memo,
     widest_subgroup,
 )
 from adjrings.morphisms import aut_group
@@ -211,3 +216,68 @@ def test_lattice_budget_runs_before_the_sweep_memo(monkeypatch):
     warm = verify.check_aut_gen_bound(G)
     assert warm.hypothesis_met and warm.verdict == "pass"
     assert widest_subgroup(syl)[0] == warm.computed["max_d"]
+
+
+def test_refused_build_stores_nothing_and_builds_again(monkeypatch):
+    """Der(G, Z(G)) refused once by its budget leaves no key; the next call
+    searches again and keeps its rows, and a third call reads them."""
+    G = builtin_group("c4xc2")
+    Z = center(G)
+    real = morphisms._image_rows
+    searches = []
+
+    def refuse_once(*args):
+        searches.append(None)
+        if len(searches) == 1:
+            raise BudgetError("derivation search space exceeds the batch budget")
+        return real(*args)
+
+    monkeypatch.setattr(morphisms, "_image_rows", refuse_once)
+    with pytest.raises(BudgetError):
+        morphisms._der_matrix(G, Z)
+    assert ("der", Z.elems) not in G._cache
+    rows = morphisms._der_matrix(G, Z)
+    assert G._cache["der", Z.elems] is rows and len(searches) == 2
+    assert morphisms._der_matrix(G, Z) is rows and len(searches) == 2
+
+
+def record_memos(monkeypatch) -> list:
+    """(weak reference to the owner, key) of every entry `memo` stores, in
+    every module that calls it."""
+    stored = []
+    real = groups.memo
+
+    def recording(obj, key, build):
+        fresh = key not in obj._cache
+        value = real(obj, key, build)
+        if fresh:
+            stored.append((weakref.ref(obj), key))
+        return value
+
+    for module in (groups, morphisms, verify, adjoint, rings):
+        monkeypatch.setattr(module, "memo", recording)
+    return stored
+
+
+@pytest.mark.parametrize("kind, make, held, others", [
+    ("group", lambda: builtin_group("c4xc2"), {"aut", "subgroups", "bfs_plan", "profile"},
+     {morphisms.AutomorphismGroup}),
+    ("ring", lambda: multiples_ring(3, 27), {"adjoint", "power_chain", "profile"},
+     {groups.FiniteGroup}),
+], ids=["c4xc2", "3z27"])
+def test_release_memo_leaves_nothing_memo_stored(monkeypatch, kind, make, held, others):
+    """Every check of the instance runs; after `release_memo` its own memo and
+    cached properties are empty, and every other object that kept a memo
+    entry (Aut(G) with its Sylow tables, subgroup tables, the circle group)
+    is unreachable."""
+    stored = record_memos(monkeypatch)
+    obj = make()
+    run_kind(kind, lambda: obj)
+    assert held <= {key for ref, key in stored if ref() is obj} == set(obj._cache)
+    assert {type(ref()) for ref, _ in stored if ref() not in (None, obj)} & others
+    release_memo(obj)
+    gc.collect()
+    assert obj._cache == {}
+    assert not [name for name, attr in vars(type(obj)).items()
+                if isinstance(attr, cached_property) and name in vars(obj)]
+    assert [key for ref, key in stored if ref() not in (None, obj)] == []
