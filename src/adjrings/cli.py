@@ -15,6 +15,7 @@ one met while listing an entry's tasks, becomes a skip line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -44,7 +45,6 @@ from .groups import (
 from .morphisms import der_ring, hom_ring
 from .report import CheckReport, skipped
 from .rings import (
-    ENUM_BUDGET,
     FiniteRing,
     enumerate_rings,
     load_ring,
@@ -301,7 +301,7 @@ def cmd_enumerate_rings(args) -> int:
         raise InvalidStructureError(f"--exps must be comma-separated integers, "
                                     f"got {args.exps!r}") from None
     pred = _ENUM_FILTERS[args.filter] if args.filter != "none" else None
-    rings = enumerate_rings(args.p, exps, budget=args.budget)
+    rings = enumerate_rings(args.p, exps)
     rings = itertools.chain(list(itertools.islice(rings, 1)), rings)  # checks run before mkdir
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,11 +330,13 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise AlgebraError(f"--jobs must be at least 1, got {args.jobs}")
     entries = load_manifest(args.corpus) if args.corpus else default_corpus()
-    started = time.perf_counter()
-    lines = run_verification(entries, list(checks), args.jobs)
-    elapsed = time.perf_counter() - started
-    if args.report:
-        Path(args.report).write_text("".join(line + "\n" for line in lines))
+    # opened before the first task, so a bad path costs no run
+    with open(args.report, "w") if args.report else contextlib.nullcontext() as report:
+        started = time.perf_counter()
+        lines = run_verification(entries, list(checks), args.jobs)
+        elapsed = time.perf_counter() - started
+        if report:
+            report.write("".join(line + "\n" for line in lines))
     tally: dict[str, dict[str, int]] = {}
     for line in lines:
         rec = json.loads(line)
@@ -373,7 +375,6 @@ def main(argv=None) -> int:
     p_enum.add_argument("--filter", choices=("none",) + tuple(_ENUM_FILTERS),
                         default="none")
     p_enum.add_argument("--out", default="rings_out")
-    p_enum.add_argument("--budget", type=int, default=ENUM_BUDGET)
     p_enum.set_defaults(func=cmd_enumerate_rings)
 
     p_verify = sub.add_parser("verify", help="run checks over a corpus")
@@ -386,10 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (AlgebraError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

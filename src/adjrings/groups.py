@@ -43,6 +43,16 @@ def _check_order(n: int) -> None:
         raise BoundError(f"group order {n} exceeds the supported maximum {MAX_ORDER}")
 
 
+def _index_table(table, dtype) -> np.ndarray:
+    """An integer table as a `dtype` array.  A float or bool table, or an entry
+    `dtype` cannot hold, is refused rather than truncated or wrapped."""
+    tab = np.asarray(table)
+    cast = tab.astype(dtype, copy=False) if tab.dtype.kind in "iu" else None
+    if cast is None or (cast != tab).any():
+        raise InvalidStructureError(f"table entries must be {np.dtype(dtype)}, got {tab.dtype}")
+    return cast
+
+
 def memo(obj, key, build):
     """`obj._cache[key]`, from `build()` on a miss: the one memo of every
     derived object (an adjoint group, a subgroup lattice, Der and End rows,
@@ -114,7 +124,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, identity: int = 0, name: str = "G"):
-        tab = np.asarray(table, dtype=np.int32)
+        tab = _index_table(table, np.int32)
         n = tab.shape[0]
         if tab.ndim != 2 or tab.shape[1] != n or not n:
             raise InvalidStructureError("multiplication table must be square and non-empty")
@@ -625,18 +635,20 @@ class _RowIndex:
         Mc = np.ascontiguousarray(M)
         self._dtype = Mc.dtype
         self.width = Mc.shape[1]
-        void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
-        self.order = np.argsort(void)
-        self._sorted = void[self.order]
-        if (self._sorted[1:] == self._sorted[:-1]).any():
+        # a view of the rows, searched through `order`: no sorted copy is kept
+        self._void = Mc.view((np.void, Mc.dtype.itemsize * Mc.shape[1])).ravel()
+        self.order = np.argsort(self._void)
+        ranked = self._void[self.order]
+        if (ranked[1:] == ranked[:-1]).any():
             raise InvalidStructureError("duplicate image rows")
 
     def find(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices of each row plus a found mask; index is junk where not found."""
         rc = np.ascontiguousarray(rows.astype(self._dtype, copy=False))
         rv = rc.view((np.void, rc.dtype.itemsize * rc.shape[1])).ravel()
-        pos = np.minimum(np.searchsorted(self._sorted, rv), len(self._sorted) - 1)
-        return self.order[pos], self._sorted[pos] == rv
+        pos = np.minimum(np.searchsorted(self._void, rv, sorter=self.order), len(self.order) - 1)
+        idx = self.order[pos]
+        return idx, self._void[idx] == rv
 
     def require(self, rows: np.ndarray, what: str) -> np.ndarray:
         idx, ok = self.find(rows)

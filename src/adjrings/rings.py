@@ -30,9 +30,10 @@ from .errors import (
     InvalidArgumentError,
     InvalidStructureError,
 )
-from .groups import CHUNK_ENTRIES, MAX_ORDER, _json_int, _json_list, _powers, closed_mask, memo
+from .groups import (CHUNK_ENTRIES, MAX_ORDER, _index_table, _json_int, _json_list, _powers,
+                     closed_mask, memo)
 
-ENUM_BUDGET = 100_000_000
+ENUM_BUDGET = 2**23  # partial tensors one enumeration may build
 
 
 class RingTables(NamedTuple):
@@ -332,8 +333,8 @@ def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np
     that fixes zero and carries `add` and `mul` to R's tables on every pair,
     so the tables are an isomorphic copy of the validated ring R.
     """
-    add = np.asarray(add, dtype=np.int64)
-    mul = np.asarray(mul, dtype=np.int64)
+    add = _index_table(add, np.int64)
+    mul = _index_table(mul, np.int64)
     m = add.shape[0]
     every = np.arange(m)
     if add.shape != (m, m) or mul.shape != (m, m):
@@ -392,8 +393,8 @@ def _associative_mask(arr: np.ndarray, moduli: np.ndarray, triples: np.ndarray) 
     """Which tensors of a batch (n, d, d, d) are associative mod `moduli` on the
     basis triples (i, j, k) marked in the (d, d, d) bool array `triples`.
 
-    The batch is int64 in `enumerate_rings`, whose budget keeps the products
-    in range, and exact integers (dtype object) in `FiniteRing._validate`.
+    The batch is int64 in `enumerate_rings`, which refuses a type whose sums
+    can pass int64, and exact integers (dtype object) in `FiniteRing._validate`.
 
     With T one tensor, (e_i e_j) e_k = sum_l T[i,j,l] T[l,k] is the (d*d, d)
     matrix of rows T[i,j] times the (d, d*d) matrix of planes T[l], and
@@ -406,27 +407,25 @@ def _associative_mask(arr: np.ndarray, moduli: np.ndarray, triples: np.ndarray) 
     return ((lhs - rhs)[:, triples] % moduli == 0).all(axis=(1, 2))
 
 
-def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
+def enumerate_rings(p: int, exps):
     """Yield every associative structure tensor on the given additive type.
 
-    Rings come in lexicographic tensor order, named by their mixed-radix index
-    among the well-defined candidates, whose raw count |R|^(d^2) must stay
-    within `budget`.  The planes T[i][j] are assigned in lexicographic order,
-    depth first, in blocks of at most CHUNK_ENTRIES // d^4 partial tensors
-    (later planes zero): `_associative_mask` holds d^4 entries per tensor in
-    each of its intermediates.  Triple (i, j, k) reads the planes (i, j),
-    (j, k), (l, k) and (i, l) for every l, so plane (i, d-1) or (d-1, k),
-    whichever is later, decides it.  Each block drops the tensors failing the
-    triples its plane decides, so only survivors are extended, and a block
-    with no survivor ends there (backtrack pruning: Holt, Eick and O'Brien
-    2005, 4.6).
+    Rings come in lexicographic tensor order, named by their exact mixed-radix
+    index among the well-defined candidates.  The planes T[i][j] are assigned
+    in lexicographic order, depth first, in blocks of at most CHUNK_ENTRIES //
+    d^4 partial tensors (later planes zero), as `_associative_mask` holds d^4
+    entries per tensor in each intermediate, and BudgetError ends the run once
+    more than ENUM_BUDGET of them are built.  Triple (i, j, k) reads the
+    planes (i, j), (j, k), (l, k) and (i, l) for every l, so plane (i, d-1) or
+    (d-1, k), whichever is later, decides it.  Each block drops the tensors
+    failing the triples its plane decides, so only survivors are extended
+    (backtrack pruning: Holt, Eick and O'Brien 2005, 4.6).
     """
     p, exps = _additive_type(p, exps)
     d = len(exps)
     moduli = [p**e for e in exps]
-    total = math.prod(moduli) ** (d * d)
-    if total > budget:
-        raise BudgetError(f"{total} candidate tensors exceed the budget of {budget}")
+    if d and d * (max(moduli) - 1) ** 2 > np.iinfo(np.int64).max:
+        raise BudgetError(f"associativity sums of {d} x {max(moduli) - 1}^2 exceed int64")
     if d == 0:
         yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
         return
@@ -438,9 +437,11 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
     i, _, k = np.indices((d, d, d))
     last = np.maximum(i * d + d - 1, (d - 1) * d + k)  # the plane deciding each triple
     chunk = max(1, CHUNK_ENTRIES // d**4)
+    built = 0
 
     def extend(level, frontier):
         # plane (a, b): frontier rows times plane values, both in order, stay lexicographic
+        nonlocal built
         a, b = divmod(level, d)
         size = int(radices[a, b].prod())
         rows, span = max(1, chunk // size), min(size, chunk)
@@ -450,22 +451,23 @@ def enumerate_rings(p: int, exps, budget: int = ENUM_BUDGET):
             for v in range(0, size, span):
                 digits = np.unravel_index(np.arange(v, min(v + span, size)), radices[a, b])
                 block = np.repeat(head, len(digits[0]), axis=0)
+                built += len(block)
+                if built > ENUM_BUDGET:
+                    raise BudgetError(f"enumeration built over {ENUM_BUDGET} partial tensors")
                 block[:, a, b] = np.tile(np.stack(digits, axis=1) * steps[a, b], (len(head), 1))
                 if decided.any():
                     block = block[_associative_mask(block, mod_arr, decided)]
-                if not len(block):
-                    continue
                 if level + 1 < d * d:
-                    yield from extend(level + 1, block)
-                else:
+                    yield from extend(level + 1, block)  # an empty block ends there
+                elif len(block):
                     yield block
 
     prefix = f"enum_p{p}_e{'.'.join(map(str, exps))}_"
+    weights = np.cumprod([1, *radices.ravel()[:0:-1].tolist()], dtype=object)[::-1]  # Python ints
     for block in extend(0, np.zeros((1, d, d, d), dtype=np.int64)):
-        digits = (block // steps).reshape(len(block), -1).T
-        names = np.ravel_multi_index(tuple(digits), radices.ravel().tolist())
-        for name, tensor in zip(names.tolist(), block):
-            yield FiniteRing(p, exps, tensor.tolist(), name=f"{prefix}{name:06d}")
+        names = (block // steps).reshape(len(block), -1).astype(object) @ weights
+        for name, tensor in zip(names, block):
+            yield FiniteRing(p, exps, tensor, name=f"{prefix}{name:06d}")
 
 
 # -- serialization ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import json
 from collections import Counter
 from functools import cached_property
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from adjrings import cli, groups, morphisms, verify
+from adjrings import cli, groups, morphisms, rings, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import (
     ALL_CHECKS,
@@ -25,6 +26,7 @@ from adjrings.cli import (
 from adjrings.errors import AlgebraError
 from adjrings.groups import builtin_group
 from adjrings.report import skipped, verdict
+from adjrings.rings import load_ring
 from adjrings.verify import CHECKS, GROUP_CHECKS, RING_CHECKS
 
 
@@ -145,12 +147,47 @@ def test_enumerate_rings_filter(tmp_path, capsys):
     assert len(list(out_nil.glob("*.json"))) == 3
 
 
-def test_enumerate_rings_budget(tmp_path, capsys):
-    code = main(["enumerate-rings", "--p", "2", "--exps", "1,1,1",
-                 "--budget", "100", "--out", str(tmp_path / "x")])
-    assert code == 2
+def test_enumerate_rings_budget(tmp_path, capsys, monkeypatch):
+    # (5, (1, 1)) builds 46900 partial tensors; one short of that, the refusal
+    # comes after rings were written, and each written file is a whole ring
+    monkeypatch.setattr(rings, "ENUM_BUDGET", 46899)
+    out = tmp_path / "x"
+    assert main(["enumerate-rings", "--p", "5", "--exps", "1,1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration built over 46899 partial tensors\n"
+    written = sorted(out.glob("*.json"))
+    first = itertools.islice(rings.enumerate_rings(5, (1, 1)), len(written))
+    assert 0 < len(written) < 793
+    assert [path.stem for path in written] == [ring.name for ring in first]
+    assert all(load_ring(path).order == 25 for path in written)
+
+
+def test_enumerate_rings_has_no_budget_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["enumerate-rings", "--p", "2", "--exps", "1", "--budget", "100",
+              "--out", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_enumerate_rings_out_on_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["enumerate-rings", "--p", "2", "--exps", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error" in err and "100" in err
+    assert err.startswith("error: ") and "File exists" in err and "Traceback" not in err
+    assert out.read_text() == ""
+
+
+def test_verify_refuses_an_unwritable_report_before_any_task(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_verification", lambda *args: pytest.fail("tasks ran"))
+    report = tmp_path / "missing" / "r.jsonl"
+    assert main(["verify", "--checks", "laue", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert err.count("\n") == 1 and not report.parent.exists()
 
 
 @pytest.mark.parametrize("exps", ["x", "-1"])
@@ -164,7 +201,7 @@ def test_enumerate_rings_bad_exps_exit_2(tmp_path, capsys, exps):
 @pytest.mark.parametrize("args", [
     ["--p", "7", "--exps", "-1"],
     ["--p", "4", "--exps", "1"],
-    ["--p", "2", "--exps", "1,1,1", "--budget", "100"],
+    ["--p", "2", "--exps", "33,1"],
 ])
 def test_enumerate_rings_refusal_leaves_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "x"

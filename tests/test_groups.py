@@ -174,6 +174,20 @@ class TestValidation:
         with pytest.raises(InvalidStructureError, match="Latin"):
             FiniteGroup([[0, 1], [1, 1]])
 
+    @pytest.mark.parametrize("table", [
+        pytest.param([[0, 1.5], [1.5, 0]], id="float"),
+        pytest.param(np.array([[0, 1], [1, 0]], dtype=bool), id="bool"),
+        pytest.param(np.array([[0, 1], [1, 2**32]]), id="int64-past-int32"),
+    ])
+    def test_rejects_a_table_that_is_not_int32_indices(self, table):
+        # casting would truncate 1.5 to 1, read True as 1, or wrap 2^32 to 0,
+        # each giving the table of C2
+        with pytest.raises(InvalidStructureError, match="table entries must be int32"):
+            FiniteGroup(table)
+
+    def test_accepts_an_unsigned_table(self):
+        assert FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.uint8)).n == 2
+
     def test_rejects_non_associative_loop(self):
         assert not oracle.is_associative(LOOP5)
         with pytest.raises(InvalidStructureError, match="associative"):

@@ -434,6 +434,34 @@ def test_table_ring_rejects_bad_tables():
         to_finite_ring(add, bad_mul, zero=0)
 
 
+@pytest.mark.parametrize("add, mul", [
+    pytest.param([[0, 1.5], [1.5, 0]], [[0, 0], [0, 0]], id="float-add"),
+    pytest.param([[0, 1], [1, 0]], np.zeros((2, 2), dtype=bool), id="bool-mul"),
+])
+def test_table_ring_rejects_non_integer_tables(add, mul):
+    with pytest.raises(InvalidStructureError, match="table entries must be int64"):
+        to_finite_ring(add, mul, zero=0)
+
+
+def test_row_index_keeps_no_copy_of_its_rows():
+    # 20000 distinct rows of 16 int32 entries (1.28 MB): the index keeps one
+    # int64 position per row (160 kB), and reads the rows through a view
+    rng = np.random.default_rng(7)
+    M = np.unique(rng.integers(0, 1 << 30, size=(20000, 16), dtype=np.int32), axis=0)
+    M = M[rng.permutation(len(M))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = _RowIndex(M)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= M.nbytes // 2
+    idx, found = index.find(np.concatenate([M[::-1], M[:5] + 1]))
+    assert (idx[:len(M)] == np.arange(len(M))[::-1]).all()
+    assert found[:len(M)].all() and not found[len(M):].any()
+
+
 def test_hom_ring_into_agemo_is_zero_ring():
     c9 = cyclic_group(9)
     ring, _ = hom_ring(c9, agemo(c9, 1))

@@ -407,8 +407,7 @@ def test_ring_construction_is_exact_beyond_int64():
 
 
 def test_associative_mask_near_int64_product_range():
-    # Z_(2^26) is the largest cyclic 2-type inside the default budget; its
-    # coefficients square to about 2^52
+    # coefficients of Z_(2^26) square to about 2^52, well inside int64
     p, exps = 2, (26,)
     coeffs = np.arange(2**26 - 300, 2**26, dtype=np.int64)
     arr = np.concatenate([coeffs, 2**25 + np.arange(-5, 5)]).reshape(-1, 1, 1, 1)
@@ -448,18 +447,58 @@ def test_enumerate_first_ring_memory_stays_small():
     assert peak < copy_peak / 4
 
 
-def test_enumerate_budget():
-    with pytest.raises(BudgetError):
-        list(enumerate_rings(5, [1, 1], budget=1000))
+def test_enumerate_budget(monkeypatch):
+    # (5, (1, 1)) builds 25 + 625 + 15625 partial tensors over its first three
+    # planes and 25 for each of the 1225 survivors of the third: 46900 in all,
+    # against 5^8 = 390625 raw candidates
+    monkeypatch.setattr(rings, "ENUM_BUDGET", 46900)
+    assert sum(1 for _ in enumerate_rings(5, [1, 1])) == 793
+    monkeypatch.setattr(rings, "ENUM_BUDGET", 46899)
+    with pytest.raises(BudgetError, match="built over 46899 partial tensors"):
+        list(enumerate_rings(5, [1, 1]))
 
 
 @pytest.mark.parametrize("p, exps, match", [
     (4, [1], "not prime"), (2.0, [1], "p must be an integer"), (2, [0, 1], ">= 1"),
     (3, [-1], ">= 1"), (2, [1.5], "additive exponent"), (2, ["1"], "additive exponent"),
 ])
-def test_enumerate_refuses_bad_type_before_the_budget(p, exps, match):
+def test_enumerate_refuses_bad_type_before_the_budget(p, exps, match, monkeypatch):
+    monkeypatch.setattr(rings, "ENUM_BUDGET", 0)
     with pytest.raises(InvalidStructureError, match=match):
-        next(enumerate_rings(p, exps, budget=0))
+        next(enumerate_rings(p, exps))
+
+
+@pytest.mark.parametrize("exps, match", [
+    ((33, 1), r"2 x 8589934591\^2 exceed int64"), ((32,), r"1 x 4294967295\^2 exceed int64"),
+])
+def test_enumerate_refuses_int64_overflow_before_building(exps, match, monkeypatch):
+    # at budget 0 the first block built would be refused, so this message
+    # shows the guard runs before anything is built
+    monkeypatch.setattr(rings, "ENUM_BUDGET", 0)
+    with pytest.raises(BudgetError, match=match):
+        next(enumerate_rings(2, exps))
+
+
+def test_enumerate_admits_the_widest_int64_type():
+    # 1 x (2^31 - 1)^2 < 2^63: the largest cyclic 2-type the guard admits
+    first = list(itertools.islice(enumerate_rings(2, (31,)), 3))
+    assert [r.tensor.tolist() for r in first] == [[[[0]]], [[[1]]], [[[2]]]]
+    coeffs = np.arange(2**31 - 50, 2**31, dtype=np.int64).reshape(-1, 1, 1, 1)
+    mask = _associative_mask(coeffs, np.array([2**31], dtype=np.int64), np.ones((1, 1, 1), bool))
+    assert mask.all() and all(_constructs(2, (31,), t) for t in coeffs)
+
+
+@pytest.mark.parametrize("p, exps", [(2, (1, 1, 1, 1)), (7, (1, 1, 1))])
+def test_enumerate_names_are_exact_past_int64(p, exps):
+    # 2^64 and 7^27 well-defined candidates: a ring's index is read exactly,
+    # slot by slot, from its own tensor
+    d = len(exps)
+    for ring in itertools.islice(enumerate_rings(p, exps), 40):
+        index = 0
+        for coefficient in ring.tensor.ravel().tolist():
+            index = index * p + coefficient
+        assert ring.name == f"enum_p{p}_e{'.'.join(map(str, exps))}_{index:06d}"
+    assert ring.tensor.shape == (d, d, d) and index > 0
 
 
 _SCAN_CHUNK = 1 << 16  # candidates per chunk of the oracle scan
