@@ -47,7 +47,7 @@ def _index_table(table, dtype) -> np.ndarray:
     """An integer table as a `dtype` array.  A float or bool table, or an entry
     `dtype` cannot hold, is refused rather than truncated or wrapped."""
     tab = np.asarray(table)
-    cast = tab.astype(dtype, copy=False) if tab.dtype.kind in "iu" else None
+    cast = tab.astype(dtype, copy=False) if tab.dtype.kind in "iu" or not tab.size else None
     if cast is None or (cast != tab).any():
         raise InvalidStructureError(f"table entries must be {np.dtype(dtype)}, got {tab.dtype}")
     return cast

@@ -33,7 +33,7 @@ from .errors import (
 from .groups import (CHUNK_ENTRIES, MAX_ORDER, _index_table, _json_int, _json_list, _powers,
                      closed_mask, memo)
 
-ENUM_BUDGET = 2**23  # partial tensors one enumeration may build
+ENUM_BUDGET = 2**23  # partial tensors one enumeration of a type with d <= 3 may build
 
 
 class RingTables(NamedTuple):
@@ -412,10 +412,11 @@ def enumerate_rings(p: int, exps):
 
     Rings come in lexicographic tensor order, named by their exact mixed-radix
     index among the well-defined candidates.  The planes T[i][j] are assigned
-    in lexicographic order, depth first, in blocks of at most CHUNK_ENTRIES //
-    d^4 partial tensors (later planes zero), as `_associative_mask` holds d^4
-    entries per tensor in each intermediate, and BudgetError ends the run once
-    more than ENUM_BUDGET of them are built.  Triple (i, j, k) reads the
+    in lexicographic order, depth first (a stack of one generator per plane),
+    in blocks of at most CHUNK_ENTRIES // d^4 partial tensors (later planes
+    zero), as `_associative_mask` holds d^4 entries per tensor in each
+    intermediate.  BudgetError ends the run once more than ENUM_BUDGET of them,
+    scaled by (3/d)^4 past d = 3, are built.  Triple (i, j, k) reads the
     planes (i, j), (j, k), (l, k) and (i, l) for every l, so plane (i, d-1) or
     (d-1, k), whichever is later, decides it.  Each block drops the tensors
     failing the triples its plane decides, so only survivors are extended
@@ -424,7 +425,10 @@ def enumerate_rings(p: int, exps):
     p, exps = _additive_type(p, exps)
     d = len(exps)
     moduli = [p**e for e in exps]
-    if d and d * (max(moduli) - 1) ** 2 > np.iinfo(np.int64).max:
+    limit = np.iinfo(np.int64).max
+    if math.prod(moduli) > limit:  # a plane holds at most |R| values
+        raise BudgetError(f"planes of up to |R| = {math.prod(moduli)} values exceed int64")
+    if d and d * (max(moduli) - 1) ** 2 > limit:
         raise BudgetError(f"associativity sums of {d} x {max(moduli) - 1}^2 exceed int64")
     if d == 0:
         yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
@@ -436,10 +440,10 @@ def enumerate_rings(p: int, exps):
     radices = mod_arr // steps
     i, _, k = np.indices((d, d, d))
     last = np.maximum(i * d + d - 1, (d - 1) * d + k)  # the plane deciding each triple
-    chunk = max(1, CHUNK_ENTRIES // d**4)
+    chunk, cap = max(1, CHUNK_ENTRIES // d**4), ENUM_BUDGET * 3**4 // max(d, 3) ** 4
     built = 0
 
-    def extend(level, frontier):
+    def blocks(level, frontier):
         # plane (a, b): frontier rows times plane values, both in order, stay lexicographic
         nonlocal built
         a, b = divmod(level, d)
@@ -452,22 +456,26 @@ def enumerate_rings(p: int, exps):
                 digits = np.unravel_index(np.arange(v, min(v + span, size)), radices[a, b])
                 block = np.repeat(head, len(digits[0]), axis=0)
                 built += len(block)
-                if built > ENUM_BUDGET:
-                    raise BudgetError(f"enumeration built over {ENUM_BUDGET} partial tensors")
+                if built > cap:
+                    raise BudgetError(f"enumeration built over {cap} partial tensors")
                 block[:, a, b] = np.tile(np.stack(digits, axis=1) * steps[a, b], (len(head), 1))
                 if decided.any():
                     block = block[_associative_mask(block, mod_arr, decided)]
-                if level + 1 < d * d:
-                    yield from extend(level + 1, block)  # an empty block ends there
-                elif len(block):
-                    yield block
+                yield block
 
     prefix = f"enum_p{p}_e{'.'.join(map(str, exps))}_"
     weights = np.cumprod([1, *radices.ravel()[:0:-1].tolist()], dtype=object)[::-1]  # Python ints
-    for block in extend(0, np.zeros((1, d, d, d), dtype=np.int64)):
-        names = (block // steps).reshape(len(block), -1).astype(object) @ weights
-        for name, tensor in zip(names, block):
-            yield FiniteRing(p, exps, tensor, name=f"{prefix}{name:06d}")
+    stack = [blocks(0, np.zeros((1, d, d, d), dtype=np.int64))]
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+        elif len(stack) < d * d:
+            stack.append(blocks(len(stack), block))  # an empty block ends there
+        else:
+            names = (block // steps).reshape(-1, d**3).astype(object) @ weights
+            for name, tensor in zip(names, block):
+                yield FiniteRing(p, exps, tensor, name=f"{prefix}{name:06d}")
 
 
 # -- serialization ------------------------------------------------------------------

@@ -202,6 +202,8 @@ def test_enumerate_rings_bad_exps_exit_2(tmp_path, capsys, exps):
     ["--p", "7", "--exps", "-1"],
     ["--p", "4", "--exps", "1"],
     ["--p", "2", "--exps", "33,1"],
+    ["--p", "2", "--exps", "22,21,21"],
+    ["--p", "2", "--exps", "21,21,21"],
 ])
 def test_enumerate_rings_refusal_leaves_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "x"

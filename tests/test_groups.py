@@ -325,6 +325,8 @@ class TestValidation:
         pytest.param(lambda: builtin_group("c-3"), InvalidArgumentError, "order -3 ", id="c-3"),
         pytest.param(lambda: FiniteGroup(np.zeros((0, 0), int)), InvalidStructureError, "non-empty",
                      id="empty-table"),
+        pytest.param(lambda: FiniteGroup([]), InvalidStructureError, "non-empty",
+                     id="empty-list"),
     ])
     def test_order_below_one_is_refused(self, build, error, message):
         with pytest.raises(error, match=message):

@@ -7,8 +7,10 @@ identified with the integers they represent.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -470,6 +472,9 @@ def test_enumerate_refuses_bad_type_before_the_budget(p, exps, match, monkeypatc
 
 @pytest.mark.parametrize("exps, match", [
     ((33, 1), r"2 x 8589934591\^2 exceed int64"), ((32,), r"1 x 4294967295\^2 exceed int64"),
+    # sums of 3 x (2^22 - 1)^2 fit, but plane (0, 0) would hold 2^64 and 2^63 values
+    ((22, 21, 21), r"\|R\| = 18446744073709551616 values exceed int64"),
+    ((21, 21, 21), r"\|R\| = 9223372036854775808 values exceed int64"),
 ])
 def test_enumerate_refuses_int64_overflow_before_building(exps, match, monkeypatch):
     # at budget 0 the first block built would be refused, so this message
@@ -486,6 +491,34 @@ def test_enumerate_admits_the_widest_int64_type():
     coeffs = np.arange(2**31 - 50, 2**31, dtype=np.int64).reshape(-1, 1, 1, 1)
     mask = _associative_mask(coeffs, np.array([2**31], dtype=np.int64), np.ones((1, 1, 1), bool))
     assert mask.all() and all(_constructs(2, (31,), t) for t in coeffs)
+
+
+def test_enumerate_admits_the_widest_int64_planes():
+    # |R| = 2^62: plane (0, 0) holds 2^62 values and is walked block by block
+    first = list(itertools.islice(enumerate_rings(2, (20, 21, 21)), 2))
+    assert [r.name for r in first] == ["enum_p2_e20.21.21_000000", "enum_p2_e20.21.21_000001"]
+    assert first[1].tensor[2, 2].tolist() == [0, 0, 1]
+
+
+def test_enumerate_budget_shrinks_past_three_dimensions(monkeypatch):
+    # a 32-dimensional type builds one tensor per plane down to plane 992,
+    # the first to decide a triple; 2^23 * 81 // 32^4 = 648 tensors end it
+    # long before then
+    monkeypatch.setattr(rings, "ENUM_BUDGET", 2**23)
+    with pytest.raises(BudgetError, match="built over 648 partial tensors"):
+        next(enumerate_rings(2, (1,) * 32))
+
+
+def test_enumerate_walks_its_planes_without_recursion():
+    # (2, (1,) * 15) has 225 planes; its first ring is reached with only 100
+    # frames of recursion to spare
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        first = next(enumerate_rings(2, (1,) * 15))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first.name == "enum_p2_e" + ".".join(["1"] * 15) + "_000000" and not first.tensor.any()
 
 
 @pytest.mark.parametrize("p, exps", [(2, (1, 1, 1, 1)), (7, (1, 1, 1))])
