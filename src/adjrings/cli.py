@@ -240,11 +240,12 @@ def run_verification(entries: list[CorpusEntry], checks: list[str], jobs: int,
     _CORPUS = {e.id: e for e in entries}
     _held = None
     tasks = build_tasks(entries, checks)
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))  # a fork pool starts every worker at its first task
+    if workers <= 1:
         return [_run_task(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         return list(pool.map(_run_task, tasks, chunksize=chunk))
 
 
@@ -296,7 +297,7 @@ _ENUM_FILTERS = {
 
 def cmd_enumerate_rings(args) -> int:
     try:
-        exps = [int(tok) for tok in args.exps.split(",") if tok]
+        exps = [int(tok) for tok in args.exps.split(",")]  # int("") refuses an empty token
     except ValueError:
         raise InvalidStructureError(f"--exps must be comma-separated integers, "
                                     f"got {args.exps!r}") from None

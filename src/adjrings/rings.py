@@ -110,43 +110,35 @@ class FiniteRing:
 
     `mul[i][j]` is the coordinate vector of the product of basis elements i, j,
     kept reduced as the exact (d, d, d) integer array `tensor` (dtype object).
-    Construction verifies well-definedness (`_slot_steps`) and associativity
-    on every basis triple (`_associative_mask`), which trilinearity extends to
-    the whole ring.  Element arithmetic is read off the index tables `tables`,
-    built on first use for rings of at most MAX_ORDER elements (groups.py).
+    Construction, or `enumerate_rings` for a whole block at once, verifies
+    well-definedness and associativity on every basis triple (`_checked_tensors`),
+    which trilinearity extends to the whole ring.  Element arithmetic is read
+    off the index tables `tables`, built on first use up to MAX_ORDER elements.
     Attributes are `cached_property`s, and objects built by module functions
     are kept by `groups.memo`.
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):
         p, exps = _additive_type(p, exps)
-        self.p = p
-        self.exps = exps
-        self.dim = d = len(exps)
-        self.moduli = tuple(p**e for e in exps)
-        self.order = math.prod(self.moduli)
-        self.name = name or f"ring_p{p}_" + "_".join(map(str, exps))
+        d = len(exps)
         tensor = np.array(mul, dtype=object)
         if tensor.shape != (d,) * 3 and (d or tensor.size):
             raise InvalidStructureError("multiplication tensor must be d x d x d")
         tensor = np.frompyfunc(_integer, 2, 1)(tensor.reshape((d,) * 3), "coefficient")
-        self.tensor = tensor % np.array(self.moduli, dtype=object)
+        self._adopt(p, exps, _checked_tensors(p, exps, tensor[None])[0], name)
+
+    def _adopt(self, p: int, exps: tuple[int, ...], tensor: np.ndarray, name: str | None):
+        """Take on a reduced tensor that `_checked_tensors` has passed; returns self."""
+        self.p = p
+        self.exps = exps
+        self.dim = len(exps)
+        self.moduli = tuple(p**e for e in exps)
+        self.order = math.prod(self.moduli)
+        self.name = name or f"ring_p{p}_" + "_".join(map(str, exps))
+        self.tensor = tensor.astype(object, copy=False)
         self.tensor.flags.writeable = False
-        self._validate()
         self._cache: dict = {}
-
-    # -- construction checks -------------------------------------------------
-
-    def _validate(self) -> None:
-        T, steps = self.tensor, _slot_steps(self.p, self.exps)
-        ill = T % steps != 0
-        if ill.any():
-            i, j, k = np.argwhere(ill)[0].tolist()
-            raise InvalidStructureError(f"ill-defined product: entry ({i},{j},{k}) = "
-                                        f"{T[i, j, k]} is not a multiple of {steps[i, j, k]}")
-        every = np.ones(T.shape, dtype=bool)
-        if not _associative_mask(T[None], np.array(self.moduli, dtype=object), every)[0]:
-            raise InvalidStructureError("associativity fails on a basis triple")
+        return self
 
     # -- index tables ---------------------------------------------------------
 
@@ -394,7 +386,7 @@ def _associative_mask(arr: np.ndarray, moduli: np.ndarray, triples: np.ndarray) 
     basis triples (i, j, k) marked in the (d, d, d) bool array `triples`.
 
     The batch is int64 in `enumerate_rings`, which refuses a type whose sums
-    can pass int64, and exact integers (dtype object) in `FiniteRing._validate`.
+    can pass int64, and exact integers (dtype object) from `FiniteRing`.
 
     With T one tensor, (e_i e_j) e_k = sum_l T[i,j,l] T[l,k] is the (d*d, d)
     matrix of rows T[i,j] times the (d, d*d) matrix of planes T[l], and
@@ -405,6 +397,22 @@ def _associative_mask(arr: np.ndarray, moduli: np.ndarray, triples: np.ndarray) 
     lhs = np.matmul(arr.reshape(n, d * d, d), arr.reshape(n, d, d * d)).reshape(n, d, d, d, d)
     rhs = np.matmul(arr.reshape(n, 1, d * d, d), arr).reshape(n, d, d, d, d)
     return ((lhs - rhs)[:, triples] % moduli == 0).all(axis=(1, 2))
+
+
+def _checked_tensors(p: int, exps: tuple[int, ...], batch: np.ndarray) -> np.ndarray:
+    """The batch (n, d, d, d) reduced mod the moduli, in its dtype, once each tensor
+    is well-defined and associative on every basis triple; the first bad one raises."""
+    moduli = np.array([p**e for e in exps], dtype=batch.dtype)
+    batch = batch % moduli
+    steps = _slot_steps(p, exps).astype(batch.dtype, copy=False)
+    ill = batch % steps != 0
+    bad = ill.any(axis=(1, 2, 3)) | ~_associative_mask(batch, moduli, np.ones(steps.shape, bool))
+    for b in np.flatnonzero(bad)[:1].tolist():
+        for i, j, k in np.argwhere(ill[b])[:1].tolist():
+            raise InvalidStructureError(f"ill-defined product: entry ({i},{j},{k}) = "
+                                        f"{batch[b, i, j, k]} is not a multiple of {steps[i, j, k]}")
+        raise InvalidStructureError("associativity fails on a basis triple")
+    return batch
 
 
 def enumerate_rings(p: int, exps):
@@ -474,8 +482,8 @@ def enumerate_rings(p: int, exps):
             stack.append(blocks(len(stack), block))  # an empty block ends there
         else:
             names = (block // steps).reshape(-1, d**3).astype(object) @ weights
-            for name, tensor in zip(names, block):
-                yield FiniteRing(p, exps, tensor, name=f"{prefix}{name:06d}")
+            for name, tensor in zip(names, _checked_tensors(p, exps, block)):
+                yield FiniteRing.__new__(FiniteRing)._adopt(p, exps, tensor, f"{prefix}{name:06d}")
 
 
 # -- serialization ------------------------------------------------------------------
@@ -514,8 +522,16 @@ def load_ring(path: str | Path) -> FiniteRing:
     return ring_from_json(obj, name=path.stem)
 
 
+@functools.lru_cache(maxsize=256)
+def _json_template(p: int, exps: tuple[int, ...]) -> str:
+    """`save_ring`'s text for a type: its zero ring's JSON, a %s hole per coefficient."""
+    holes = np.full((len(exps),) * 3, "%s", dtype=object).tolist()
+    text = json.dumps({**ring_to_json(zero_ring(p, exps)), "mul": holes}, sort_keys=True, indent=1)
+    return text.replace('"%s"', "%s") + "\n"
+
+
 def save_ring(ring: FiniteRing, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ring_to_json(ring), sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(_json_template(ring.p, ring.exps) % tuple(ring.tensor.ravel().tolist()))
 
 
 # -- stock rings ------------------------------------------------------------------

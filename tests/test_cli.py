@@ -212,6 +212,16 @@ def test_enumerate_rings_refusal_leaves_no_out_dir(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exps", ["1,,1", ",,,", "", ",", "1,"])
+def test_enumerate_rings_refuses_empty_exps_tokens(tmp_path, capsys, exps):
+    # "1,,1" used to enumerate (1, 1) and ",,," the 0-dimensional type
+    out = tmp_path / "x"
+    assert main(["enumerate-rings", "--p", "2", "--exps", exps, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --exps must be comma-separated integers, "
+                                       f"got {exps!r}\n")
+    assert not out.exists()
+
+
 def test_enumerate_rings_keeping_no_ring_still_creates_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli._ENUM_FILTERS, "p-nil", lambda ring: False)
     out = tmp_path / "x"
@@ -442,6 +452,37 @@ def test_verify_jobs_reproducible(tmp_path):
     assert main(["verify", "--corpus", man, "--report", str(rep2),
                  "--jobs", "3"]) == 0
     assert rep1.read_bytes() == rep2.read_bytes()
+
+
+def test_verify_pool_is_no_larger_than_its_task_list(tmp_path, capsys, monkeypatch):
+    # a fork pool starts all max_workers processes at its first task, so
+    # --jobs 8 on 3 tasks must ask for 3 and --jobs 2 on no task for none
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and runs every task in this process."""
+
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    man = write_manifest(tmp_path / "m.json", [
+        {"id": f"ring:{spec}", "kind": "ring", "builtin": spec} for spec in ("z4", "3z27", "trivial")])
+    assert main(["verify", "--corpus", man, "--checks", "adjoint-rank", "--jobs", "8"]) == 0
+    assert "3 reports, 0 failures" in capsys.readouterr().out
+    assert sizes == [3]
+    assert main(["verify", "--corpus", man, "--checks", "laue", "--jobs", "2"]) == 0
+    assert "0 reports, 0 failures" in capsys.readouterr().out
+    assert sizes == [3]
 
 
 def _mixed_entries(prefix=""):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from adjrings import rings
 from adjrings.adjoint import adjoint_group, omega_circle_set
-from adjrings.cli import default_corpus
+from adjrings.cli import builtin_ring, default_corpus
 from adjrings.errors import (
     BudgetError,
     HypothesisError,
@@ -41,6 +42,7 @@ from adjrings.rings import (
     right_annihilator,
     ring_from_json,
     ring_power_chain,
+    ring_to_json,
     save_ring,
     unital_ring,
     zero_ring,
@@ -534,6 +536,46 @@ def test_enumerate_names_are_exact_past_int64(p, exps):
     assert ring.tensor.shape == (d, d, d) and index > 0
 
 
+@pytest.mark.parametrize("p, exps, count", [
+    (2, (2, 1), None), (3, (1, 1), None), (2, (1, 1, 1), 200),
+    (2, (20, 21, 21), 50),  # |R| = 2^62, at the edge of the int64 guard
+])
+def test_enumerated_rings_match_constructed_rings(p, exps, count):
+    # a yielded ring skips the constructor's own check: it must be the ring
+    # FiniteRing builds from its tensor's exact integers
+    for ring in itertools.islice(enumerate_rings(p, exps), count):
+        built = FiniteRing(p, exps, ring.tensor.tolist(), name=ring.name)
+        assert {k: v for k, v in vars(ring).items() if k != "tensor"} == \
+            {k: v for k, v in vars(built).items() if k != "tensor"}
+        assert ring.tensor.tolist() == built.tensor.tolist()
+        assert ring.tensor.dtype == object and not ring.tensor.flags.writeable
+        assert all(type(c) is int for c in ring.tensor.ravel().tolist())
+
+
+def test_block_check_refuses_one_bad_tensor():
+    block = np.array([r.tensor.tolist() for r in enumerate_rings(2, (2, 1))], dtype=np.int64)
+    assert (rings._checked_tensors(2, (2, 1), block) == block).all()
+    ill = block.copy()
+    ill[7, 1, 1, 0] = 1  # e_1 e_1 has order 2, so its Z_4 coordinate must be even
+    with pytest.raises(InvalidStructureError, match=r"^ill-defined product: entry \(1,1,0\) = 1 "
+                                                    r"is not a multiple of 2$"):
+        rings._checked_tensors(2, (2, 1), ill)
+    block = np.array([r.tensor.tolist() for r in enumerate_rings(3, (1, 1))], dtype=np.int64)
+    block[5] = [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]  # e_0 e_1 = e_1 e_0 = e_0 is not associative
+    with pytest.raises(InvalidStructureError, match="^associativity fails on a basis triple$"):
+        rings._checked_tensors(3, (1, 1), block)
+
+
+def test_enumerator_block_check_catches_what_pruning_lets_through(monkeypatch):
+    # pruning that keeps every partial tensor lets non-associative ones reach
+    # the last plane; the block check over every triple must still refuse them
+    real = rings._associative_mask
+    monkeypatch.setattr(rings, "_associative_mask", lambda arr, moduli, triples: real(
+        arr, moduli, triples) if triples.all() else np.ones(len(arr), dtype=bool))
+    with pytest.raises(InvalidStructureError, match="associativity fails on a basis triple"):
+        list(enumerate_rings(2, (1, 1)))
+
+
 _SCAN_CHUNK = 1 << 16  # candidates per chunk of the oracle scan
 
 
@@ -609,6 +651,19 @@ def test_json_round_trip(tmp_path):
     back = load_ring(path)
     assert back.tensor.tolist() == ring.tensor.tolist()
     assert back.exps == ring.exps and back.p == ring.p
+
+
+def test_save_ring_writes_the_json_encoders_bytes(tmp_path):
+    # save_ring fills a per-type template; its bytes must be the encoder's own,
+    # the empty tensor and multi-digit coefficients included
+    named = [builtin_ring(spec) for spec in ("trivial", "z8", "3z27", "zero:3:2.1.1")]
+    wide = [FiniteRing(2, [4], [[[10]]]),
+            FiniteRing(5, [2, 2], [[[11, 0], [0, 0]], [[0, 0], [0, 0]]])]
+    path = tmp_path / "r.json"
+    for ring in [*named, *wide, *enumerate_rings(3, (2, 1))]:
+        save_ring(ring, path)
+        text = json.dumps(ring_to_json(ring), sort_keys=True, indent=1) + "\n"
+        assert path.read_bytes() == text.encode()
 
 
 def test_json_rejects_malformed():
