@@ -88,9 +88,9 @@ def builtin_ring(spec: str) -> FiniteRing:
     """Resolve builtin ring names: z9, 3z27, trivial, zero:3:1.1."""
     if spec == "trivial":
         return zero_ring(2, [])
-    m = re.fullmatch(r"zero:(\d+):([\d.]*)", spec)
+    m = re.fullmatch(r"zero:(\d+):((?:\d+(?:\.\d+)*)?)", spec)  # no empty exponent
     if m:
-        exps = [int(tok) for tok in m.group(2).split(".") if tok]
+        exps = [int(tok) for tok in m.group(2).split(".") if tok]  # zero:3: has none
         return zero_ring(int(m.group(1)), exps)
     m = re.fullmatch(r"z(\d+)", spec)
     if m:
@@ -208,16 +208,17 @@ def run_check(entry: CorpusEntry, check: str, param) -> str:
     writes it on the entry's own id, without listing again."""
     if check not in CHECKS:
         raise AlgebraError(f"unknown check {check!r}")
-    c = CHECKS[check]
     if isinstance(param, CheckReport):
-        rep, suffix = param, ""
+        rep = param
     else:
         try:
-            rep = c.run(entry.obj, param)
+            rep = CHECKS[check].run(entry.obj, param)
         except (BoundError, BudgetError) as exc:
             rep = skipped(str(exc))
-        suffix = c.suffix(param)
-    return replace(rep, check=check, instance=entry.id + suffix).to_json_line()
+    # a module label (the only str parameter) names the line's subgroup, which its
+    # fields do not, so it joins the id; levels (ints) and None keep the bare id
+    instance = f"{entry.id}/{param}" if isinstance(param, str) else entry.id
+    return replace(rep, check=check, instance=instance).to_json_line()
 
 
 def _run_task(task: tuple) -> str:

@@ -409,27 +409,22 @@ def frattini(G: FiniteGroup) -> Subgroup:
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """A minimal generating set (Burnside basis for p-groups, search otherwise),
-    kept in G's memo; each caller gets its own list."""
+    """A minimal generating set, kept in G's memo; each caller gets its own list.
+    A p-group's is a Burnside basis, the least-first basis of G/Phi(G)."""
     return list(memo(G, "gens", lambda: tuple(_search_generating_set(G))))
 
 
 def _search_generating_set(G: FiniteGroup) -> list[int]:
     if G.n == 1:
         return []
-    p = prime_of(G)
-    if p is not None:
-        covered = set(frattini(G).elems)
+    if prime_of(G) is not None:
+        covered = frattini(G).mask.copy()
         gens: list[int] = []
-        base = list(covered)
-        for x in range(G.n):
-            if x in covered:
-                continue
-            gens.append(x)
-            covered = set(closure(G, base + gens).elems)
-            if len(covered) == G.n:
-                return gens
-        raise InvalidStructureError("generating search failed")
+        while not covered.all():
+            gens.append(int(np.argmin(covered)))
+            covered[gens[-1]] = True
+            closed_mask(G.table, covered)
+        return gens
     by_order = sorted(range(G.n), key=lambda x: (-G.order_of(x), x))
     for k in range(1, 7):
         for combo in itertools.combinations(by_order, k):

@@ -11,9 +11,10 @@ observational companions: they record how far a sharper bound holds without
 ever failing.
 
 `CHECKS` at the end of the module is the only place that names a check: it
-maps each name to its task parameters, its runner and the instance suffix of
-its lines.  `cli.run_check` runs an entry, turns a search that hits its bound
-or budget into a skip, and stamps the check and instance names on the line.
+maps each name to its kind, its task parameters (a module check's are labels,
+read by `_module_by_label`) and its runner.  `cli.run_check` runs an entry,
+turns a search that hits its bound or budget into a skip, and stamps the check
+and instance names on the line.
 """
 
 from __future__ import annotations
@@ -572,14 +573,14 @@ def check_profile_consistency(G: FiniteGroup) -> CheckReport:
 # groups small enough to sweep every abelian normal subgroup as a module
 MODULE_SWEEP_CAP = 16
 
-_NAMED_MODULES = (
-    ("center", center),
-    ("commutator", commutator_subgroup),
-    ("frattini", frattini),
-    ("power-commutator", power_commutator_subgroup),
-    ("central-target", central_target),
-    ("omega1", lambda G: omega_subgroup(G, 1)),
-)
+_NAMED_MODULES = {
+    "center": center,
+    "commutator": commutator_subgroup,
+    "frattini": frattini,
+    "power-commutator": power_commutator_subgroup,
+    "central-target": central_target,
+    "omega1": lambda G: omega_subgroup(G, 1),
+}
 
 
 def _once(_obj) -> list:
@@ -591,8 +592,9 @@ def _levels(R: FiniteRing) -> range:
     return range(1, max(R.additive_exponent_log(), 1) + 1)
 
 
-def _module_indices(G: FiniteGroup) -> range:
-    return range(len(abelian_normal_subgroups(G)))
+def _module_sweep(G: FiniteGroup) -> list[str]:
+    """One label anNNN per abelian normal subgroup, in lattice order."""
+    return [f"an{i:03d}" for i in range(len(abelian_normal_subgroups(G)))]
 
 
 def _module_labels(G: FiniteGroup) -> list[str]:
@@ -600,23 +602,18 @@ def _module_labels(G: FiniteGroup) -> list[str]:
     none for groups that are not nontrivial p-groups."""
     if G.n == 1 or prime_of(G) is None:
         return []
-    labels = [label for label, _ in _NAMED_MODULES]
+    labels = list(_NAMED_MODULES)
     if G.n <= MODULE_SWEEP_CAP:
-        labels += [f"an{i:03d}" for i in _module_indices(G)]
+        labels += _module_sweep(G)
     return labels
 
 
 def _module_by_label(G: FiniteGroup, label: str) -> Subgroup:
     if label.startswith("an"):
         return abelian_normal_subgroups(G)[int(label[2:])]
-    for key, fn in _NAMED_MODULES:
-        if key == label:
-            return fn(G)
-    raise AlgebraError(f"unknown module label {label!r}")
-
-
-def _no_suffix(_param) -> str:
-    return ""
+    if label not in _NAMED_MODULES:
+        raise AlgebraError(f"unknown module label {label!r}")
+    return _NAMED_MODULES[label](G)
 
 
 @dataclass(frozen=True)
@@ -624,7 +621,6 @@ class Check:
     kind: str  # "ring" | "group"
     params: Callable  # object -> task parameters, one report line each
     run: Callable  # (object, parameter) -> CheckReport
-    suffix: Callable = _no_suffix  # parameter -> text appended to the corpus id
 
 
 # Each runner looks its check function up by name at call time, so a wrapper
@@ -639,9 +635,8 @@ CHECKS: dict[str, Check] = {
     "adjoint-rank": Check("ring", _once, lambda R, _: check_adjoint_rank(R)),
     "sylow-rank": Check("ring", _once, lambda R, _: check_sylow_rank(R)),
     "profile-consistency": Check("group", _once, lambda G, _: check_profile_consistency(G)),
-    "laue": Check("group", _module_indices,
-                  lambda G, i: check_laue(G, abelian_normal_subgroups(G)[i]),
-                  lambda i: f"/an{i:03d}"),
+    "laue": Check("group", _module_sweep,
+                  lambda G, label: check_laue(G, _module_by_label(G, label))),
     "central-aut": Check("group", _once, lambda G, _: check_central_aut(G)),
     "central-aut-class": Check("group", _once, lambda G, _: check_central_aut_class(G)),
     "aut-center-exponent": Check("group", _once, lambda G, _: check_aut_center_exponent(G)),
@@ -652,9 +647,6 @@ CHECKS: dict[str, Check] = {
     "aut-gen-bound": Check("group", _once, lambda G, _: check_aut_gen_bound(G)),
     "der-subring-p-nil": Check("group", _module_labels,
                                lambda G, label: check_der_subring_p_nil(
-                                   G, _module_by_label(G, label)),
-                               lambda label: f"/{label}"),
+                                   G, _module_by_label(G, label))),
 }
-RING_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "ring")
-GROUP_CHECKS = tuple(name for name, c in CHECKS.items() if c.kind == "group")
 ALL_CHECKS = tuple(CHECKS)

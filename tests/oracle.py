@@ -25,7 +25,10 @@ fills them all at once; `morphisms._image_rows` decodes and fills them in
 bounded blocks, keeping only survivors.  The conjugacy classes here
 (`conjugacy_classes`) take g x g^-1 by two Python table lookups per pair;
 `morphisms.aut_group` counts each class by its least member, read off
-`FiniteGroup.conj_table`.
+`FiniteGroup.conj_table`.  The Burnside basis here (`burnside_basis`) walks
+the elements in order and rebuilds the generated subgroup as a Python set by
+`closure_by_bfs` for each new generator; `groups.generating_set` grows one
+mask by `closed_mask` instead.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from adjrings.groups import (
     Subgroup,
     closure,
     enumerate_subgroups,
+    frattini,
     full_subgroup,
     trivial_subgroup,
 )
@@ -166,6 +170,20 @@ def closure_by_bfs(G: FiniteGroup, seed) -> Subgroup:
                     nxt.append(y)
         frontier = nxt
     return Subgroup(G, tuple(sorted(elems)))
+
+
+def burnside_basis(G: FiniteGroup) -> list[int]:
+    """Least-first basis of G/Phi(G) for a p-group G, Phi(G) from `frattini`."""
+    covered = set(frattini(G).elems)
+    base = list(covered)
+    gens: list[int] = []
+    for x in range(G.n):
+        if len(covered) == G.n:
+            break
+        if x not in covered:
+            gens.append(x)
+            covered = set(closure_by_bfs(G, base + gens).elems)
+    return gens
 
 
 def sylow_by_closure(G: FiniteGroup, p: int) -> Subgroup:

@@ -27,7 +27,7 @@ from adjrings.errors import AlgebraError
 from adjrings.groups import builtin_group
 from adjrings.report import skipped, verdict
 from adjrings.rings import load_ring
-from adjrings.verify import CHECKS, GROUP_CHECKS, RING_CHECKS
+from adjrings.verify import CHECKS
 
 
 @pytest.fixture(scope="module")
@@ -237,8 +237,20 @@ def test_builtin_ring_specs():
     assert builtin_ring("3z27").order == 9
     R = builtin_ring("zero:3:1.1")
     assert R.order == 9 and R.dim == 2
+    assert (R.name, R.exps) == ("zero_p3_1_1", (1, 1))
+    assert (builtin_ring("zero:3:").exps, builtin_ring("zero:3:").order) == ((), 1)
     with pytest.raises(Exception):
         builtin_ring("q8")
+
+
+@pytest.mark.parametrize("spec", ["zero:3:1..1", "zero:3:.1", "zero:3:1."])
+def test_zero_ring_spec_refuses_an_empty_exponent(tmp_path, capsys, spec):
+    with pytest.raises(AlgebraError, match="unknown ring spec"):
+        builtin_ring(spec)
+    assert main(["ring-info", spec]) == 2
+    man = write_manifest(tmp_path / "m.json", [{"id": "r", "kind": "ring", "builtin": spec}])
+    assert main(["verify", "--corpus", man]) == 2
+    assert capsys.readouterr().err.count("unknown ring spec") == 2
 
 
 def test_manifest_duplicate_id(tmp_path, capsys):
@@ -371,7 +383,7 @@ def test_verify_capped_ring_becomes_skips(tmp_path):
 def test_budget_error_becomes_a_skip(monkeypatch):
     monkeypatch.setattr(morphisms, "BATCH_BUDGET", 1)
     entry = CorpusEntry("group:c4", "group", builtin_group("c4"))
-    assert json.loads(run_check(entry, "laue", 2)) == {
+    assert json.loads(run_check(entry, "laue", "an002")) == {
         "check": "laue", "instance": "group:c4/an002", "hypothesis_met": False,
         "computed": {}, "bound": "derivation search space exceeds the batch budget",
         "verdict": "skipped"}
@@ -595,19 +607,66 @@ def test_build_tasks_deterministic(corpus):
 
 
 def test_build_tasks_full_corpus_pinned(corpus):
-    # sha256 of the task list the if/elif dispatcher built before the registry
-    tasks = build_tasks(corpus, ALL_CHECKS)
+    # sha256 of the task list the if/elif dispatcher built before the registry,
+    # which gave Laue modules by index: label anNNN is index NNN
+    tasks = [(eid, check, int(param[2:]) if check == "laue" else param)
+             for eid, check, param in build_tasks(corpus, ALL_CHECKS)]
     assert len(tasks) == 9957
+    assert sum(check == "laue" for _, check, _ in tasks) == 485
     assert hashlib.sha256(json.dumps(tasks).encode()).hexdigest() == (
         "f6eedf1da44636d40ab15387fe4b1f366bf20b6968f6e08c8999f3b09d4aa8ac")
 
 
 def test_check_registry_order_and_unknown_check(corpus):
-    assert ALL_CHECKS == RING_CHECKS + GROUP_CHECKS
-    assert RING_CHECKS[0] == "omega-correspondence" and RING_CHECKS[-1] == "sylow-rank"
-    assert GROUP_CHECKS[0] == "profile-consistency" and GROUP_CHECKS[-1] == "der-subring-p-nil"
+    kinds = [CHECKS[name].kind for name in ALL_CHECKS]
+    assert kinds == ["ring"] * 8 + ["group"] * 11
+    assert ALL_CHECKS[0] == "omega-correspondence" and ALL_CHECKS[7] == "sylow-rank"
+    assert ALL_CHECKS[8] == "profile-consistency" and ALL_CHECKS[-1] == "der-subring-p-nil"
     with pytest.raises(AlgebraError, match="unknown check"):
         run_check(corpus[0], "no-such-check", None)
+
+
+def test_only_module_lines_name_their_module_in_the_instance(tmp_path):
+    entries = load_manifest(write_manifest(tmp_path / "m.json", [
+        {"id": "ring:z9", "kind": "ring", "builtin": "z9"},
+        *({"id": f"group:{name}", "kind": "group", "builtin": name}
+          for name in ("c4", "q8", "c6", "es27")),
+    ]))
+    tasks = build_tasks(entries, ALL_CHECKS)
+    lines = [json.loads(line) for line in run_verification(entries, ALL_CHECKS, 1)]
+    modules = Counter()
+    for (eid, check, param), rec in zip(tasks, lines, strict=True):
+        if check in ("laue", "der-subring-p-nil"):
+            assert isinstance(param, str) and rec["instance"] == f"{eid}/{param}"
+            modules[check] += 1
+        else:
+            assert rec["instance"] == eid
+    # laue sweeps every abelian normal subgroup (3 + 5 + 4 + 6); derivation
+    # checks skip c6, and es27 is past MODULE_SWEEP_CAP, so it has only the
+    # six named modules (9 + 11 + 0 + 6)
+    assert modules == {"laue": 18, "der-subring-p-nil": 26}
+
+
+def test_rebased_rings_are_pinned(monkeypatch):
+    """Report lines are mostly isomorphism invariants: a different generating
+    set or basis reorders every hom, der and quotient tensor without changing
+    a line.  This pins each `to_finite_ring` result of the corpus build and of
+    the checks that rebase rings."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        ring, at = to_finite_ring(*args, **kwargs)
+        calls.append((ring.p, list(ring.exps), ring.tensor.tolist(), at.tolist()))
+        return ring, at
+
+    to_finite_ring = rings.to_finite_ring
+    monkeypatch.setattr(rings, "to_finite_ring", spy)
+    monkeypatch.setattr(morphisms, "to_finite_ring", spy)
+    run_verification(default_corpus(), ["quotient-p-nil", "annihilator-ideal",
+                                        "central-aut", "der-subring-p-nil"], 1)
+    assert len(calls) == 760
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == (
+        "ea538bcb77848ab7e5ad2275708026a83e1dec947ce40d837872fdfbab37df1b")
 
 
 def test_default_corpus_shape(corpus):

@@ -477,6 +477,14 @@ class TestPGroupToolbox:
             assert closure(g, gens).order == g.n
             assert len(gens) == min_generators(g)
 
+    @pytest.mark.parametrize("name", [
+        *(name for name in DEFAULT_GROUP_NAMES if prime_of(builtin_group(name)) is not None),
+        "es_p3_5", "es_p3_7", "c3xc3xc3xc3", "es27xc3", "m27xc3", "c9xc3xc3", "c7xc7xc7",
+        "c2xc2xc2xc2xc2xc2", "d8xd8", "q8xq8", "c9xc9xc9", "es27xc27"])
+    def test_generating_set_is_the_least_first_burnside_basis(self, name):
+        G = builtin_group(name)
+        assert generating_set(G) == oracle.burnside_basis(G)
+
     def test_rank(self):
         assert rank(builtin_group("c2xc2xc2xc2")) == 4
         assert rank(dihedral_group(16)) == 2
