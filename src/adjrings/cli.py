@@ -7,9 +7,10 @@ the additive groups of order p^2 for p in {2, 3, 5}, the p-multiple subrings
 of Z/p^3Z and Z/p^4Z, a few unital rings as hypothesis-violating instances,
 and hom/der rings harvested from the small groups.  Reports are emitted in
 task order, so a fixed corpus and check list give the same bytes at any worker
-count.  No flag bounds a search: subgroup lattices and automorphism searches
-are bounded by the entries they would hold, and a search past its budget, even
-one met while listing an entry's tasks, becomes a skip line.
+count.  No flag bounds a search: lattices and automorphism searches are bounded
+by the entries they would hold, a Sylow table past the order cap is refused
+before its ascent, and a search past its budget, even while listing an entry's
+tasks, becomes a skip line.
 """
 
 from __future__ import annotations

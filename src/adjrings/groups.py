@@ -10,7 +10,6 @@ composition-table kernel `_compose_table`, which also composes image rows.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -168,9 +167,6 @@ class FiniteGroup:
             acc = self.table[acc, np.arange(n)]
             k += 1
         return orders
-
-    def order_of(self, a: int) -> int:
-        return int(self.element_orders[a])
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.element_orders))
@@ -409,34 +405,25 @@ def frattini(G: FiniteGroup) -> Subgroup:
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """A minimal generating set, kept in G's memo; each caller gets its own list.
-    A p-group's is a Burnside basis, the least-first basis of G/Phi(G)."""
+    """A generating set, kept in G's memo: from Phi(G) for a p-group, else from 1,
+    join the least uncovered element and close, until G is covered.  A p-group
+    gets its least-first Burnside basis, d(G) elements; others need not be minimal."""
     return list(memo(G, "gens", lambda: tuple(_search_generating_set(G))))
 
 
 def _search_generating_set(G: FiniteGroup) -> list[int]:
-    if G.n == 1:
-        return []
-    if prime_of(G) is not None:
-        covered = frattini(G).mask.copy()
-        gens: list[int] = []
-        while not covered.all():
-            gens.append(int(np.argmin(covered)))
-            covered[gens[-1]] = True
-            closed_mask(G.table, covered)
-        return gens
-    by_order = sorted(range(G.n), key=lambda x: (-G.order_of(x), x))
-    for k in range(1, 7):
-        for combo in itertools.combinations(by_order, k):
-            if closure(G, combo).order == G.n:
-                return list(combo)
-    raise BoundError("no generating set of size <= 6 found")
+    covered = frattini(G).mask.copy() if prime_of(G) else np.arange(G.n) == G.identity
+    gens: list[int] = []
+    while not covered.all():
+        gens.append(int(np.argmin(covered)))
+        covered[gens[-1]] = True
+        closed_mask(G.table, covered)
+    return gens
 
 
 def min_generators(G: FiniteGroup) -> int:
-    """d(G); for p-groups via the Frattini quotient index."""
-    if prime_of(G) is None:
-        return len(generating_set(G))
+    """d(G) of a p-group, via the Frattini quotient index; InvalidArgumentError
+    on any other nontrivial group."""
     return subgroup_min_generators(G, full_subgroup(G))
 
 
@@ -494,12 +481,14 @@ def _ascend_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def rank(G: FiniteGroup) -> int:
-    """Max of d(H) over all subgroups (0 for the trivial group)."""
+    """Max of d(H) over the subgroups of a p-group (0 for the trivial group)."""
     return widest_subgroup(G)[0]
 
 
 def widest_subgroup(G: FiniteGroup) -> tuple[int, Subgroup]:
-    """The largest d(H) over the subgroups H of G, and the first H reaching it."""
+    """The largest d(H) over the subgroups H of a p-group, and the first H with it."""
+    if prime_of(G) is None and G.n > 1:
+        raise InvalidArgumentError("rank needs a p-group")
     subs = enumerate_subgroups(G)
 
     def build() -> tuple[int, Subgroup]:
@@ -510,12 +499,13 @@ def widest_subgroup(G: FiniteGroup) -> tuple[int, Subgroup]:
 
 
 def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:
-    """d(H) computed inside the parent table (p-subgroups only need Frattini)."""
+    """d(H) of a p-subgroup H, from Phi(H) = H'H^p inside the parent table;
+    InvalidArgumentError when |H| is not a prime power."""
     if H.order == 1:
         return 0
     pk = prime_power(H.order)
     if pk is None:
-        return min_generators(H.as_group())
+        raise InvalidArgumentError(f"d(H) needs a p-subgroup, got order {H.order}")
     phi = power_commutator(G, H, H, pk[0])
     return prime_power(H.order // phi.order)[1]
 
@@ -529,13 +519,15 @@ def sylow_ascent(m: int, identity: int, p: int, p_power, conj, step) -> np.ndarr
     right-multiplication step (reading `gens` when called).  Each step joins
     the least p-element outside H = <gens> that conjugates every generator
     into H, which in a finite group is to normalize H; a generator's
-    conjugates are computed when a later step first reads them.
+    conjugates are computed when a later step first reads them.  Every caller
+    builds the Sylow table, so an order past MAX_ORDER is refused first.
     """
     if prime_power(p) != (p, 1):
         raise InvalidArgumentError(f"{p} is not prime")
     target = 1
     while m % (target * p) == 0:
         target *= p
+    _check_order(target)
     p_elements = p_power(target)
     current = np.zeros(m, dtype=bool)
     current[identity] = True

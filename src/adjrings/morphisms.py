@@ -51,7 +51,6 @@ from .rings import FiniteRing, to_finite_ring
 
 BATCH_BUDGET = 1 << 26  # image entries one generator-image search may fill
 PAIRS_CAP = 1024
-AUT_MEMBER_CAP = 50_000
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 
@@ -366,8 +365,8 @@ class AutomorphismGroup:
 
 def aut_group(G: FiniteGroup) -> AutomorphismGroup:
     """Full automorphism group by generator-image backtracking, built once per
-    group and kept in G's memo once it passes the search's entries budget and
-    the member cap.
+    group and kept in G's memo.  Like the Der and End_N searches, it is bounded
+    by BATCH_BUDGET alone.
 
     Candidate images are pruned to elements sharing the generator's order and
     conjugacy class size, each element's class being counted by its least
@@ -382,8 +381,6 @@ def aut_group(G: FiniteGroup) -> AutomorphismGroup:
                       for g in _test_columns(G)]
         M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
         M = M[_bijective_rows(M, G.n)]
-        if M.shape[0] > AUT_MEMBER_CAP:
-            raise BoundError(f"{M.shape[0]} automorphisms exceed the member cap")
         return AutomorphismGroup(G, M)
     return memo(G, "aut", build)
 

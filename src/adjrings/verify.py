@@ -609,11 +609,14 @@ def _module_labels(G: FiniteGroup) -> list[str]:
 
 
 def _module_by_label(G: FiniteGroup, label: str) -> Subgroup:
+    """The module a label of `_module_labels` names; AlgebraError for any other."""
+    if label in _NAMED_MODULES:
+        return _NAMED_MODULES[label](G)
     if label.startswith("an"):
-        return abelian_normal_subgroups(G)[int(label[2:])]
-    if label not in _NAMED_MODULES:
-        raise AlgebraError(f"unknown module label {label!r}")
-    return _NAMED_MODULES[label](G)
+        modules = dict(zip(_module_sweep(G), abelian_normal_subgroups(G)))
+        if label in modules:
+            return modules[label]
+    raise AlgebraError(f"unknown module label {label!r}")
 
 
 @dataclass(frozen=True)

@@ -389,6 +389,24 @@ def test_budget_error_becomes_a_skip(monkeypatch):
         "verdict": "skipped"}
 
 
+@pytest.mark.parametrize("label", ["an-1", "an1", "an999", "anx"])
+def test_module_labels_no_sweep_issues_are_refused(label):
+    # q8 has 5 abelian normal subgroups, swept as an000..an004; "an-1" used
+    # to check the last one, "an1" the second under a second id, and the
+    # other two escaped as IndexError and ValueError
+    entry = CorpusEntry("group:q8", "group", builtin_group("q8"))
+    with pytest.raises(AlgebraError, match=f"unknown module label '{label}'"):
+        run_check(entry, "laue", label)
+
+
+def test_swept_module_labels_resolve_in_lattice_order():
+    G = builtin_group("q8")
+    labels = verify._module_sweep(G)
+    assert labels == [f"an{i:03d}" for i in range(5)]
+    assert [verify._module_by_label(G, label) for label in labels] == groups.abelian_normal_subgroups(G)
+    assert verify._module_by_label(G, "center") == groups.center(G)
+
+
 def test_listing_refused_by_a_budget_costs_one_skip(tmp_path):
     """C2^8's subgroup lattice is past its entries budget, so its Laue modules
     cannot be listed: that check writes one skip on the entry's own id, and

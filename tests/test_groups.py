@@ -132,7 +132,7 @@ class TestBasics:
     def test_cyclic(self):
         g = cyclic_group(12)
         assert g.n == 12 and g.exponent() == 12 and g.is_abelian()
-        assert g.order_of(5) == 12 and g.order_of(8) == 3
+        assert g.element_orders[5] == 12 and g.element_orders[8] == 3
         assert g.inverses[5] == 7 and power_map(g, 5)[7] == 35 % 12
 
     def test_dihedral_center_and_class(self):
@@ -381,7 +381,7 @@ class TestSubgroups:
 
     def test_normality(self):
         d8 = dihedral_group(8)
-        rot = closure(d8, [next(x for x in range(8) if d8.order_of(x) == 4)])
+        rot = closure(d8, [next(x for x in range(8) if d8.element_orders[x] == 4)])
         assert is_normal(d8, rot)
         refl = next(s for s in enumerate_subgroups(d8)
                     if s.order == 2 and s.elems != center(d8).elems)
@@ -467,15 +467,35 @@ class TestPGroupToolbox:
         assert min_generators(builtin_group("c2xc2xc2xc2")) == 4
         assert min_generators(pauli_group()) == 3
         assert min_generators(dihedral_group(16)) == 2
-        assert min_generators(alternating4()) == 2
         assert min_generators(cyclic_group(1)) == 0
+        # d(G) is read off the Frattini quotient, a p-group notion
+        with pytest.raises(InvalidArgumentError, match="p-subgroup"):
+            min_generators(alternating4())
 
     def test_generating_set_generates(self):
         for name in ("d8", "q8", "pauli16", "a4", "c12", "m27"):
             g = builtin_group(name)
             gens = generating_set(g)
             assert closure(g, gens).order == g.n
-            assert len(gens) == min_generators(g)
+            if prime_of(g) is not None:
+                assert len(gens) == min_generators(g)
+
+    @pytest.mark.parametrize("name", DEFAULT_GROUP_NAMES)
+    def test_generating_set_of_every_default_group_closes_to_it(self, name):
+        G = builtin_group(name)
+        assert closure(G, generating_set(G)).order == G.n
+
+    @pytest.mark.parametrize("name, size", [
+        ("c2xc2xc2xc6", 4), ("c2xc2xc2xc2xc6", 5), ("c2xc2xc2xc2xc2xc6", 6)])
+    def test_generating_set_of_a_non_p_group_is_one_greedy_loop(self, name, size):
+        # orders 48, 96 and 192: a search over combinations of up to 6
+        # elements took 0.9 s on the first and did not finish the second
+        G = builtin_group(name)
+        start = time.perf_counter()
+        gens = generating_set(G)
+        assert time.perf_counter() - start < 1
+        assert len(gens) == size
+        assert closure(G, gens).order == G.n
 
     @pytest.mark.parametrize("name", [
         *(name for name in DEFAULT_GROUP_NAMES if prime_of(builtin_group(name)) is not None),
@@ -491,6 +511,16 @@ class TestPGroupToolbox:
         assert rank(builtin_group("q8")) == 2
         assert rank(cyclic_group(1)) == 0
         assert rank(builtin_group("es27")) == 2
+
+    def test_rank_and_d_refuse_a_non_p_group(self):
+        a4 = alternating4()
+        with pytest.raises(InvalidArgumentError, match="rank needs a p-group"):
+            rank(a4)
+        assert "subgroups" not in a4._cache  # refused before the lattice is listed
+        c6 = cyclic_group(6)
+        with pytest.raises(InvalidArgumentError, match="p-subgroup, got order 6"):
+            groups.subgroup_min_generators(c6, full_subgroup(c6))
+        assert groups.subgroup_min_generators(c6, closure(c6, [2])) == 1
 
     def test_sylow(self):
         c12 = cyclic_group(12)
@@ -675,7 +705,7 @@ class TestBuilders:
 
     def test_centralizer(self):
         d8 = dihedral_group(8)
-        r = next(x for x in range(8) if d8.order_of(x) == 4)
+        r = next(x for x in range(8) if d8.element_orders[x] == 4)
         assert (d8.conj_table[:, r] == r).sum() == 4  # the g with g r g^-1 = r
 
     def test_subgroup_exponent(self):
@@ -804,8 +834,8 @@ class TestProperties:
     def test_cyclic_closure_order(self, name, seed):
         g = builtin_group(name)
         x = seed % g.n
-        assert closure(g, [x]).order == g.order_of(x)
-        assert power_map(g, g.order_of(x))[x] == g.identity
+        assert closure(g, [x]).order == g.element_orders[x]
+        assert power_map(g, g.element_orders[x])[x] == g.identity
 
     @given(NAMES, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)

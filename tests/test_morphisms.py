@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adjrings.cli import DEFAULT_GROUP_NAMES
-from adjrings.errors import BudgetError, InvalidArgumentError, InvalidStructureError
+from adjrings.errors import BoundError, BudgetError, InvalidArgumentError, InvalidStructureError
 from adjrings.groups import (
     CHUNK_ENTRIES,
     Subgroup,
@@ -742,6 +742,45 @@ def test_aut_group_is_bounded_by_its_entries_not_its_order():
     with pytest.raises(BudgetError, match="automorphism candidate space exceeds the batch budget"):
         aut_group(G)
     assert "aut" not in G._cache
+
+
+def test_aut_group_has_no_member_cap_and_refuses_a_sylow_past_the_order_cap(monkeypatch):
+    # |Aut(C4^3)| = |GL_3(Z/4)| = 2^9 |GL_3(F_2)| = 86016, once refused by a
+    # 50,000-member cap; its Sylow 2-subgroup, of order 2^12 = 4096, passes
+    # the 729 table cap and must be refused before any member is powered,
+    # conjugated or multiplied
+    auts = aut_group(builtin_group("c4xc4xc4"))
+    assert auts.order == 86016
+    calls = []
+
+    def spy(m, identity, p, p_power, conj, step):
+        def counted(name, f):
+            return lambda *args: (calls.append(name), f(*args))[1]
+        return sylow_ascent(m, identity, p, counted("p_power", p_power),
+                            counted("conj", conj), counted("step", step))
+    monkeypatch.setattr(morphisms, "sylow_ascent", spy)
+    with pytest.raises(BoundError, match="group order 4096 exceeds the supported maximum 729"):
+        auts.sylow(2)
+    assert calls == []
+    assert auts.sylow(7)[0].n == 7  # an admitted Sylow order still ascends
+    assert "p_power" in calls
+
+
+def test_aut_group_memory_stays_bounded_without_a_member_cap():
+    # Aut(C4^3) holds 86016 member rows of 64 int32 entries (21 MiB) and its
+    # row index; the search's blocks, bijective filter and lexsort peaked at
+    # 96.6 MiB traced (classes, orders and test columns built beforehand)
+    G = builtin_group("c4xc4xc4")
+    G.conj_table, G.element_orders, _test_columns(G)
+    tracemalloc.start()
+    try:
+        auts = aut_group(G)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert auts.matrix.shape == (86016, 64) and auts.matrix.dtype == np.int32
+    assert held < 1.1 * auts.matrix.nbytes
+    assert peak < 5 * auts.matrix.nbytes
 
 
 def test_aut_group_deterministic_order():
