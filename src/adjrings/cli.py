@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import re
 import sys
 import time
@@ -235,14 +236,16 @@ def _run_task(task: tuple) -> str:
 
 
 def run_verification(entries: list[CorpusEntry], checks: list[str], jobs: int,
-                     flags: dict | None = None) -> list[str]:
-    """The report lines of every task, in task order.  `flags` is unread: it
-    stays only because perfbench's worker passes a dict in that position."""
+                     _flags: dict | None = None) -> list[str]:
+    """The report lines of every task, in task order.  `_flags` is unread: it
+    stays only because perfbench's worker passes a dict in that position.  A
+    fork pool starts every worker at its first task, so the pool is no larger
+    than the task list or the machine's CPU count."""
     global _CORPUS, _held
     _CORPUS = {e.id: e for e in entries}
     _held = None
     tasks = build_tasks(entries, checks)
-    workers = min(jobs, len(tasks))  # a fork pool starts every worker at its first task
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_task(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")

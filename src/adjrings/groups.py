@@ -346,15 +346,21 @@ def prime_of(G: FiniteGroup) -> int | None:
     return pk[0] if pk else None
 
 
+def p_group_prime(G: FiniteGroup, what: str) -> int:
+    """The one gate of every p-group notion: p for a p-group, and 2 for the
+    trivial group, a p-group for every p (`to_finite_ring` gives its ring p = 2);
+    any other group raises InvalidArgumentError("<what> needs a p-group")."""
+    p = 2 if G.n == 1 else prime_of(G)
+    if p is None:
+        raise InvalidArgumentError(f"{what} needs a p-group")
+    return p
+
+
 def agemo(G: FiniteGroup, n: int) -> Subgroup:
     """Subgroup generated by p^n-th powers (G must be a p-group)."""
     if n < 0:
         raise InvalidArgumentError("omega index must be >= 0")
-    p = prime_of(G)
-    if p is None and G.n > 1:
-        raise InvalidArgumentError("agemo needs a p-group")
-    if G.n == 1:
-        return trivial_subgroup(G)
+    p = p_group_prime(G, "agemo")
     return closure(G, np.unique(power_map(G, p**n)))
 
 
@@ -362,12 +368,7 @@ def omega_set(G: FiniteGroup, n: int) -> tuple[int, ...]:
     """Elements of order dividing p^n, as a sorted index tuple."""
     if n < 0:
         raise InvalidArgumentError("omega index must be >= 0")
-    p = prime_of(G)
-    if p is None and G.n > 1:
-        raise InvalidArgumentError("omega needs a p-group")
-    if G.n == 1:
-        return (G.identity,)
-    q = p**n
+    q = p_group_prime(G, "omega") ** n
     return tuple(int(i) for i in np.flatnonzero(q % G.element_orders == 0))
 
 
@@ -380,9 +381,7 @@ def lower_p_central_series(G: FiniteGroup) -> list[Subgroup]:
 
     The second term is asserted to be the Frattini subgroup.
     """
-    p = prime_of(G)
-    if p is None and G.n > 1:
-        raise InvalidArgumentError("the p-central series needs a p-group")
+    p = p_group_prime(G, "the p-central series")
     series = [full_subgroup(G)]
     while series[-1].order > 1:
         cur = series[-1]
@@ -397,11 +396,8 @@ def lower_p_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 def frattini(G: FiniteGroup) -> Subgroup:
     """Frattini subgroup of a p-group: G'G^p (Burnside's basis theorem)."""
-    p = prime_of(G)
-    if p is None and G.n > 1:
-        raise InvalidArgumentError("frattini needs a p-group")
-    return memo(G, "frattini",
-                lambda: power_commutator(G, full_subgroup(G), full_subgroup(G), p or 1))
+    p = p_group_prime(G, "frattini")
+    return memo(G, "frattini", lambda: power_commutator(G, full_subgroup(G), full_subgroup(G), p))
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
@@ -487,8 +483,7 @@ def rank(G: FiniteGroup) -> int:
 
 def widest_subgroup(G: FiniteGroup) -> tuple[int, Subgroup]:
     """The largest d(H) over the subgroups H of a p-group, and the first H with it."""
-    if prime_of(G) is None and G.n > 1:
-        raise InvalidArgumentError("rank needs a p-group")
+    p_group_prime(G, "rank")
     subs = enumerate_subgroups(G)
 
     def build() -> tuple[int, Subgroup]:
@@ -583,22 +578,14 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
 
 def is_p_central(G: FiniteGroup) -> bool:
     """Omega_1 (Omega_2 when p = 2) lies in the center."""
-    p = prime_of(G)
-    if G.n == 1:
-        return True
-    if p is None:
-        raise InvalidArgumentError("p-centrality is a p-group notion")
+    p = p_group_prime(G, "p-centrality")
     n = 2 if p == 2 else 1
     return bool((omega_subgroup(G, n).mask <= center(G).mask).all())
 
 
 def power_commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """gamma_2(G) G^p, with fourth powers in place of p-th powers when p = 2."""
-    p = prime_of(G)
-    if G.n == 1:
-        return trivial_subgroup(G)
-    if p is None:
-        raise InvalidArgumentError("needs a p-group")
+    p = p_group_prime(G, "the power-commutator subgroup")
     return power_commutator(G, full_subgroup(G), full_subgroup(G), p ** (2 if p == 2 else 1))
 
 

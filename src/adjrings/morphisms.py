@@ -21,7 +21,6 @@ from functools import cache
 
 import numpy as np
 
-from .abelian import prime_power
 from .errors import (
     BoundError,
     BudgetError,
@@ -39,6 +38,7 @@ from .groups import (
     is_normal,
     memo,
     omega_subgroup,
+    p_group_prime,
     reach,
     sylow_ascent,
     _compose_table,
@@ -270,15 +270,9 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRin
     trivial module the subring is the zero ring.
     """
     M = _der_matrix(G, N)
-    if N.order == 1:
-        sel = M
-    else:
-        pk = prime_power(N.order)
-        if pk is None:
-            raise InvalidArgumentError("module must be a p-group")
-        kappa = 2 if pk[0] == 2 else 1
-        omega_ids = [N.elems[x] for x in omega_subgroup(N.as_group(), kappa).elems]
-        sel = M[(M[:, omega_ids] == G.identity).all(axis=1)]
+    kappa = 2 if p_group_prime(N.as_group(), "the module") == 2 else 1
+    omega_ids = [N.elems[x] for x in omega_subgroup(N.as_group(), kappa).elems]
+    sel = M[(M[:, omega_ids] == G.identity).all(axis=1)]
     return _rows_to_ring_tables(G, sel, name=f"der0({G.name},N{N.order})")
 
 

@@ -362,7 +362,7 @@ def check_central_aut(G: FiniteGroup) -> CheckReport:
     orders = grp.element_orders
     offsets = coset_offsets(G, members)
     e_aut = _log_exact(p, grp.exponent())
-    e_s = _log_exact(p, subgroup_exponent(G, S)) if S.order > 1 else 0
+    e_s = _log_exact(p, subgroup_exponent(G, S))
     for n in range(1, max(e_aut, e_s, 1) + 1):
         q = p ** n
         brace = q % orders == 0
@@ -600,7 +600,7 @@ def _module_sweep(G: FiniteGroup) -> list[str]:
 def _module_labels(G: FiniteGroup) -> list[str]:
     """Named modules, plus every abelian normal subgroup of a small group;
     none for groups that are not nontrivial p-groups."""
-    if G.n == 1 or prime_of(G) is None:
+    if prime_of(G) is None:
         return []
     labels = list(_NAMED_MODULES)
     if G.n <= MODULE_SWEEP_CAP:

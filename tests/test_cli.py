@@ -4,6 +4,7 @@ import ast
 import hashlib
 import itertools
 import json
+import os
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -486,7 +487,8 @@ def test_verify_jobs_reproducible(tmp_path):
 
 def test_verify_pool_is_no_larger_than_its_task_list(tmp_path, capsys, monkeypatch):
     # a fork pool starts all max_workers processes at its first task, so
-    # --jobs 8 on 3 tasks must ask for 3 and --jobs 2 on no task for none
+    # --jobs 8 on 3 tasks must ask for 3, --jobs 2 on no task for none, and
+    # --jobs 64 on 2 CPUs for 2; the stub pool starts no process
     sizes = []
 
     class RecordingPool:
@@ -505,6 +507,7 @@ def test_verify_pool_is_no_larger_than_its_task_list(tmp_path, capsys, monkeypat
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     man = write_manifest(tmp_path / "m.json", [
         {"id": f"ring:{spec}", "kind": "ring", "builtin": spec} for spec in ("z4", "3z27", "trivial")])
     assert main(["verify", "--corpus", man, "--checks", "adjoint-rank", "--jobs", "8"]) == 0
@@ -513,6 +516,10 @@ def test_verify_pool_is_no_larger_than_its_task_list(tmp_path, capsys, monkeypat
     assert main(["verify", "--corpus", man, "--checks", "laue", "--jobs", "2"]) == 0
     assert "0 reports, 0 failures" in capsys.readouterr().out
     assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["verify", "--corpus", man, "--checks", "adjoint-rank", "--jobs", "64"]) == 0
+    assert "3 reports, 0 failures" in capsys.readouterr().out
+    assert sizes == [3, 2]
 
 
 def _mixed_entries(prefix=""):

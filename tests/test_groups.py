@@ -8,6 +8,7 @@ from the defining presentations.
 import functools
 import itertools
 import json
+import re
 import time
 import tracemalloc
 
@@ -71,8 +72,9 @@ from adjrings.groups import (
     sylow_subgroup,
     trivial_subgroup,
     upper_central_series,
+    widest_subgroup,
 )
-from adjrings.morphisms import _der_matrix
+from adjrings.morphisms import _der_matrix, der_subring_trivial_on_omega
 
 import oracle
 
@@ -432,6 +434,17 @@ class TestPGroupToolbox:
         assert omega_set(c8, 0) == (c8.identity,)
         assert omega_subgroup(c8, 0).elems == (c8.identity,)
         assert agemo(c8, 0).order == 8
+        # the trivial group is a p-group for every p: each gated notion takes
+        # its general path there
+        c1 = cyclic_group(1)
+        for n in range(3):
+            assert agemo(c1, n).elems == omega_set(c1, n) == omega_subgroup(c1, n).elems == (0,)
+        for layer in (frattini, power_commutator_subgroup, central_target):
+            assert layer(c1).elems == (0,), layer.__name__
+        assert [s.elems for s in lower_p_central_series(c1)] == [(0,)]
+        assert is_p_central(c1)
+        assert rank(c1) == 0
+        assert widest_subgroup(c1)[1].elems == (0,)
 
     def test_p_central_examples(self):
         assert is_p_central(cyclic_group(8))
@@ -450,10 +463,24 @@ class TestPGroupToolbox:
         assert len(p_groups) == 44
         for G in p_groups:
             assert frattini(G).elems == oracle.frattini_via_maximals(G).elems, G.name
-        # only p-groups have a Frattini subgroup here
+        # only p-groups have a Frattini subgroup, or any other p-group notion;
+        # a4 has no abelian normal subgroup of non-prime-power order, so the
+        # module's refusal is reached on the cyclic groups
+        notions = [
+            ("agemo", lambda G: agemo(G, 1)),
+            ("omega", lambda G: omega_set(G, 1)),
+            ("the p-central series", lower_p_central_series),
+            ("frattini", frattini),
+            ("rank", widest_subgroup),
+            ("p-centrality", is_p_central),
+            ("the power-commutator subgroup", power_commutator_subgroup),
+            ("the module", lambda G: der_subring_trivial_on_omega(G, full_subgroup(G))),
+        ]
         for G in (alternating4(), cyclic_group(6), cyclic_group(12)):
-            with pytest.raises(InvalidArgumentError, match="p-group"):
-                frattini(G)
+            for notion, layer in notions[:-1] if G.name == "a4" else notions:
+                with pytest.raises(InvalidArgumentError,
+                                   match=f"^{re.escape(notion)} needs a p-group$"):
+                    layer(G)
 
     def test_p_central_series(self):
         q8 = builtin_group("q8")

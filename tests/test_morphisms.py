@@ -20,6 +20,7 @@ from adjrings.groups import (
     agemo,
     builtin_group,
     center,
+    commutator_subgroup,
     cyclic_group,
     dihedral_group,
     full_subgroup,
@@ -520,6 +521,13 @@ def test_der_subring_vanishing_on_bottom_layer():
     small, _ = der_subring_trivial_on_omega(c8, sq)
     assert small.order == 2
     assert (small.tables.mul == 0).all()
+    # a trivial module is a p-group too: its one derivation is the zero ring
+    c4xc2 = builtin_group("c4xc2")
+    N = commutator_subgroup(c4xc2)
+    assert N.order == 1
+    zero, rows = der_subring_trivial_on_omega(c4xc2, N)
+    assert zero.order == 1
+    assert np.array_equal(rows, _der_matrix(c4xc2, N))
 
 
 # -- composition tables ------------------------------------------------------
