@@ -476,21 +476,92 @@ def _ascend_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return [Subgroup(G, k) for k in sorted(found, key=lambda k: (len(k), k))]
 
 
+def log_exact(p: int, value: int) -> int:
+    """k with p**k == value; raises if value is not a power of p."""
+    k = 0
+    v = int(value)
+    while v > 1:
+        if v % p:
+            raise InvalidStructureError(f"{value} is not a power of {p}")
+        v //= p
+        k += 1
+    return k
+
+
 def rank(G: FiniteGroup) -> int:
-    """Max of d(H) over the subgroups of a p-group (0 for the trivial group)."""
+    """Max of d(H) over the subgroups of a p-group (0 for the trivial group).
+
+    An abelian G has rank log_p |Omega_1(G)|, read from one power map; only a
+    non-abelian G lists its subgroup lattice, through `widest_subgroup`.
+    """
+    p = p_group_prime(G, "rank")
+    if G.is_abelian():
+        return log_exact(p, np.count_nonzero(power_map(G, p) == G.identity))
     return widest_subgroup(G)[0]
 
 
+def sylow_rank(G: FiniteGroup, p: int) -> tuple[int, int]:
+    """Order and rank of the Sylow p-subgroup S that `sylow_subgroup` finds.
+
+    An abelian S has rank log_p |S meet Omega_1|, read in G's own table; only
+    a non-abelian S is tabled, and its rank taken by `rank`.
+    """
+    S = sylow_subgroup(G, p)
+    block = G.table[np.ix_(S.elems, S.elems)]
+    if (block == block.T).all():
+        return S.order, log_exact(p, np.count_nonzero(S.mask & (power_map(G, p) == G.identity)))
+    return S.order, rank(S.as_group())
+
+
 def widest_subgroup(G: FiniteGroup) -> tuple[int, Subgroup]:
-    """The largest d(H) over the subgroups H of a p-group, and the first H with it."""
+    """The largest d(H) over the subgroups H of a p-group, and the first H in
+    lattice order with it; d(H) comes from `lattice_min_generators`."""
     p_group_prime(G, "rank")
     subs = enumerate_subgroups(G)
 
     def build() -> tuple[int, Subgroup]:
-        ds = [subgroup_min_generators(G, h) for h in subs]
-        first = ds.index(max(ds))
-        return ds[first], subs[first]
+        ds = lattice_min_generators(G)
+        first = int(np.argmax(ds))
+        return int(ds[first]), subs[first]
     return memo(G, "widest", build)
+
+
+def lattice_min_generators(G: FiniteGroup) -> np.ndarray:
+    """d(H) for each member H of `enumerate_subgroups(G)`, G a p-group.
+
+    By Burnside's basis theorem H/Phi(H) is elementary abelian of rank d(H),
+    so H has exactly c = (p^d - 1)/(p - 1) subgroups of index p, and
+    d = log_p((p - 1) c + 1).  The lattice lists each subgroup once, so c(H)
+    counts the members K one order level below with |K meet H| = |K|: one
+    integer product of the two levels' masks, in blocks of at most
+    CHUNK_ENTRIES entries.  A count not of that form raises
+    InvalidStructureError.
+    """
+    p = p_group_prime(G, "rank")
+    subs = enumerate_subgroups(G)
+    orders = np.array([H.order for H in subs])
+    edges = [0, *(np.flatnonzero(np.diff(orders)) + 1).tolist(), len(subs)]
+    levels = {int(orders[lo]): (lo, hi) for lo, hi in zip(edges, edges[1:])}
+
+    def masks(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros((hi - lo, G.n), dtype=np.int32)
+        np.put_along_axis(out, np.array([H.elems for H in subs[lo:hi]]), 1, axis=1)
+        return out
+
+    # a block of mask rows (rows x n) and a product block (rows x rows) both
+    # stay within CHUNK_ENTRIES, or hold one row
+    rows = max(1, CHUNK_ENTRIES // max(G.n, math.isqrt(CHUNK_ENTRIES)))
+    counts = np.zeros(len(subs), dtype=np.int64)
+    for order, (lo, hi) in levels.items():
+        if order == 1:
+            continue
+        blo, bhi = levels[order // p]
+        for s in range(lo, hi, rows):
+            upper = masks(s, min(s + rows, hi))
+            for t in range(blo, bhi, rows):
+                meets = upper @ masks(t, min(t + rows, bhi)).T
+                counts[s:s + len(upper)] += np.count_nonzero(meets == order // p, axis=1)
+    return np.array([log_exact(p, (p - 1) * c + 1) for c in counts.tolist()], dtype=np.int64)
 
 
 def subgroup_min_generators(G: FiniteGroup, H: Subgroup) -> int:

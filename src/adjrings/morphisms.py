@@ -55,8 +55,11 @@ _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 
 def _bijective_rows(M: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the rows of M that permute range(n)."""
-    return (np.sort(M, axis=1) == np.arange(n)).all(axis=1)
+    """Mask of the rows of M that permute range(n): a row of n values in
+    range(n) does so exactly when it hits every value."""
+    hit = np.zeros((M.shape[0], n), dtype=bool)
+    np.put_along_axis(hit, M, True, axis=1)
+    return hit.all(axis=1)
 
 
 def coset_offsets(G: FiniteGroup, rows) -> np.ndarray:
@@ -267,10 +270,14 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRin
     """Subring of derivations vanishing on the bottom layer of N, and their rows.
 
     The layer is Omega_1(N) for odd primes, Omega_2(N) for p = 2; for a
-    trivial module the subring is the zero ring.
+    trivial module the subring is the zero ring.  A module from another
+    group, or one that is not a p-group, is refused before the derivation
+    search, and `_der_matrix` refuses one that is not abelian normal.
     """
-    M = _der_matrix(G, N)
+    if N.parent is not G:
+        _validate_coset_target(G, N)  # refuses N as living in another group
     kappa = 2 if p_group_prime(N.as_group(), "the module") == 2 else 1
+    M = _der_matrix(G, N)
     omega_ids = [N.elems[x] for x in omega_subgroup(N.as_group(), kappa).elems]
     sel = M[(M[:, omega_ids] == G.identity).all(axis=1)]
     return _rows_to_ring_tables(G, sel, name=f"der0({G.name},N{N.order})")

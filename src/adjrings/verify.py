@@ -37,6 +37,7 @@ from .groups import (
     frattini,
     is_abelian_normal,
     is_p_central,
+    log_exact,
     lower_central_series,
     lower_p_central_series,
     memo,
@@ -49,7 +50,7 @@ from .groups import (
     rank,
     subgroup_exponent,
     subgroup_min_generators,
-    sylow_subgroup,
+    sylow_rank,
     upper_central_series,
     widest_subgroup,
 )
@@ -69,18 +70,6 @@ from .rings import (
     omega_additive,
     quotient_ring,
 )
-
-
-def _log_exact(p: int, value: int) -> int:
-    """k with p**k == value; raises if value is not a power of p."""
-    k = 0
-    v = int(value)
-    while v > 1:
-        if v % p:
-            raise InvalidStructureError(f"{value} is not a power of {p}")
-        v //= p
-        k += 1
-    return k
 
 
 # -- profiles ---------------------------------------------------------------------
@@ -322,12 +311,10 @@ def check_sylow_rank(R: FiniteRing) -> CheckReport:
     prof = ring_profile(R)
     A = adjoint_group(R)
     alpha = 3 if R.p == 2 else 2
-    syl = sylow_subgroup(A.group, R.p)
-    sgrp = syl.as_group()
-    rk = rank(sgrp)
+    order, rk = sylow_rank(A.group, R.p)
     bound_val = alpha * prof.d_plus
     computed = {"d_plus": prof.d_plus, "alpha": alpha,
-                "sylow_order": syl.order, "sylow_rank": rk,
+                "sylow_order": order, "sylow_rank": rk,
                 "p_nil": prof.left_p_nil and prof.right_p_nil}
     return verdict(computed, f"rank <= {alpha}*d = {bound_val}",
                    None if rk <= bound_val else f"sylow rank {rk} > {bound_val}")
@@ -361,8 +348,8 @@ def check_central_aut(G: FiniteGroup) -> CheckReport:
         return verdict(computed, bound, "torsion_layers: aut group is not a p-group")
     orders = grp.element_orders
     offsets = coset_offsets(G, members)
-    e_aut = _log_exact(p, grp.exponent())
-    e_s = _log_exact(p, subgroup_exponent(G, S))
+    e_aut = log_exact(p, grp.exponent())
+    e_s = log_exact(p, subgroup_exponent(G, S))
     for n in range(1, max(e_aut, e_s, 1) + 1):
         q = p ** n
         brace = q % orders == 0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjrings import groups, rings
+from adjrings import groups, morphisms, rings
 from adjrings.abelian import table_decomposition
 from adjrings.adjoint import adjoint_group
 from adjrings.cli import ALL_CHECKS, DEFAULT_GROUP_NAMES, default_corpus, run_verification
@@ -69,12 +69,14 @@ from adjrings.groups import (
     semidihedral_group,
     semidirect_cyclic,
     subgroup_exponent,
+    subgroup_min_generators,
+    sylow_rank,
     sylow_subgroup,
     trivial_subgroup,
     upper_central_series,
     widest_subgroup,
 )
-from adjrings.morphisms import _der_matrix, der_subring_trivial_on_omega
+from adjrings.morphisms import _der_matrix, aut_group, der_subring_trivial_on_omega
 
 import oracle
 
@@ -403,6 +405,18 @@ def _sylow_table_cases():
     return cases
 
 
+@functools.cache
+def _corpus_p_group_lattices():
+    """Every corpus p-group of order <= 128 and the Sylow p-subgroup of its
+    automorphism group."""
+    out = []
+    for name in DEFAULT_GROUP_NAMES:
+        G = builtin_group(name)
+        if prime_of(G) is not None and G.n <= 128:
+            out += [G, aut_group(G).sylow(prime_of(G))[0]]
+    return out
+
+
 class TestPGroupToolbox:
     def test_agemo_cyclic16(self):
         z16 = cyclic_group(16)
@@ -453,7 +467,7 @@ class TestPGroupToolbox:
         assert not is_p_central(pauli_group())
         assert is_p_central(builtin_group("c9xc3"))
 
-    def test_frattini(self):
+    def test_frattini(self, monkeypatch):
         assert frattini(dihedral_group(8)).order == 2
         assert frattini(builtin_group("q8")).order == 2
         # G'G^p against the intersection of maximal subgroups, on every
@@ -476,11 +490,21 @@ class TestPGroupToolbox:
             ("the power-commutator subgroup", power_commutator_subgroup),
             ("the module", lambda G: der_subring_trivial_on_omega(G, full_subgroup(G))),
         ]
+        searches = []
+        real = morphisms._image_rows
+        monkeypatch.setattr(morphisms, "_image_rows",
+                            lambda *args: searches.append(args[-1]) or real(*args))
         for G in (alternating4(), cyclic_group(6), cyclic_group(12)):
             for notion, layer in notions[:-1] if G.name == "a4" else notions:
                 with pytest.raises(InvalidArgumentError,
                                    match=f"^{re.escape(notion)} needs a p-group$"):
                     layer(G)
+            # the module is refused before any derivation search or memo entry
+            assert not [key for key in G._cache if isinstance(key, tuple) and key[0] == "der"]
+        assert searches == []
+        # a module from another group is refused as such, whatever its order
+        with pytest.raises(InvalidArgumentError, match="must live in the same group"):
+            der_subring_trivial_on_omega(cyclic_group(4), full_subgroup(cyclic_group(6)))
 
     def test_p_central_series(self):
         q8 = builtin_group("q8")
@@ -548,6 +572,55 @@ class TestPGroupToolbox:
         with pytest.raises(InvalidArgumentError, match="p-subgroup, got order 6"):
             groups.subgroup_min_generators(c6, full_subgroup(c6))
         assert groups.subgroup_min_generators(c6, closure(c6, [2])) == 1
+
+    def test_index_p_counts_give_d_of_every_lattice_member(self):
+        # d(H) = log_p((p - 1) c + 1), c the index-p subgroups of H, against
+        # |H : Phi(H)| closed in the parent table, on 88 lattices; the widest
+        # subgroup is the first member with the largest d(H)
+        lattices = _corpus_p_group_lattices()
+        assert len(lattices) == 88
+        for G in lattices:
+            subs = enumerate_subgroups(G)
+            ds = [subgroup_min_generators(G, H) for H in subs]
+            assert groups.lattice_min_generators(G).tolist() == ds, G.name
+            assert widest_subgroup(G) == (max(ds), subs[ds.index(max(ds))]), G.name
+
+    @pytest.mark.parametrize("name", ["c2xc2xc2xc2", "d16", "es27", "c9xc3", "m27"])
+    def test_index_p_counts_in_small_blocks(self, name, monkeypatch):
+        # 50-entry blocks hold one to three mask rows, so every level pair
+        # runs in several blocks, the last often partial
+        G = builtin_group(name)
+        whole = groups.lattice_min_generators(G).tolist()
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 50)
+        assert groups.lattice_min_generators(G).tolist() == whole
+
+    def test_a_count_of_the_wrong_form_is_refused(self, monkeypatch):
+        # drop one of C2 x C2's three subgroups of order 2: two index-2
+        # subgroups is no (2^d - 1)/(2 - 1)
+        G = builtin_group("c2xc2")
+        subs = enumerate_subgroups(G)
+        monkeypatch.setattr(groups, "enumerate_subgroups", lambda _: subs[:2] + subs[3:])
+        with pytest.raises(InvalidStructureError, match="3 is not a power of 2"):
+            groups.lattice_min_generators(G)
+
+    @pytest.mark.parametrize("kind, count", [("group", 68), ("ring", 1045)], ids=["groups", "rings"])
+    def test_ranks_match_invariant_factors(self, kind, count):
+        # rank and sylow_rank against the invariant factors divisible by q of
+        # the abelian group (or of its abelian Sylow q-subgroup, tabled);
+        # a non-abelian Sylow subgroup against d(H) over its lattice
+        cases = _sylow_table_cases()[kind]
+        assert len(cases) == count
+        for G, q in cases:
+            S = sylow_subgroup(G, q).as_group()
+            if G.is_abelian() or S.is_abelian():
+                A = G if G.is_abelian() else S
+                factors = table_decomposition(A.table.tolist(), A.identity)[0]
+                expected = sum(f % q == 0 for f in factors)
+            else:
+                expected = max(subgroup_min_generators(S, H) for H in enumerate_subgroups(S))
+            assert sylow_rank(G, q) == (S.n, expected), (G.name, q)
+            if G.n == 1 or prime_of(G) == q:
+                assert rank(G) == expected, G.name
 
     def test_sylow(self):
         c12 = cyclic_group(12)

@@ -199,8 +199,8 @@ def test_aut_entries_gate_runs_before_the_memo(monkeypatch):
 
 def test_lattice_budget_runs_before_the_sweep_memo(monkeypatch):
     # the Sylow 2-subgroup of Aut(C4 x C4) has order 32 and a lattice of 619
-    # entries, C4 x C4's own lattice 75; an order cap of 24 makes the budget
-    # 576 entries, which passes rank(G) and must still stop the sweep
+    # entries; an order cap of 24 makes the budget 576 entries, which must
+    # stop the sweep (rank(G) of the abelian C4 x C4 lists no lattice at all)
     G = builtin_group("c4xc4")
     syl, _ = aut_group(G).sylow(2)
     assert aut_group(G).sylow(2)[0] is syl and syl.n == 32
@@ -211,7 +211,7 @@ def test_lattice_budget_runs_before_the_sweep_memo(monkeypatch):
     capped = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-gen-bound", None))
     assert (capped["verdict"], capped["bound"]) == (
         "skipped", "subgroup lattice exceeds 576 entries")
-    assert "subgroups" in G._cache and "subgroups" not in syl._cache
+    assert "subgroups" not in G._cache and "subgroups" not in syl._cache
     monkeypatch.undo()
     warm = verify.check_aut_gen_bound(G)
     assert warm.hypothesis_met and warm.verdict == "pass"
@@ -259,12 +259,19 @@ def record_memos(monkeypatch) -> list:
     return stored
 
 
+def der_center_ring(name: str):
+    """Der(G, Z(G)) of a builtin group; for C4 x C2 its circle group has a
+    non-abelian Sylow subgroup, whose rank lists a lattice."""
+    G = builtin_group(name)
+    return morphisms.der_ring(G, center(G))[0]
+
+
 @pytest.mark.parametrize("kind, make, held, others", [
     ("group", lambda: builtin_group("c4xc2"), {"aut", "subgroups", "bfs_plan", "profile"},
      {morphisms.AutomorphismGroup}),
-    ("ring", lambda: multiples_ring(3, 27), {"adjoint", "power_chain", "profile"},
+    ("ring", lambda: der_center_ring("c4xc2"), {"adjoint", "power_chain", "profile"},
      {groups.FiniteGroup}),
-], ids=["c4xc2", "3z27"])
+], ids=["c4xc2", "der-c4xc2"])
 def test_release_memo_leaves_nothing_memo_stored(monkeypatch, kind, make, held, others):
     """Every check of the instance runs; after `release_memo` its own memo and
     cached properties are empty, and every other object that kept a memo
