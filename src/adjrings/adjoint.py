@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidStructureError
-from .groups import FiniteGroup, memo
+from .groups import FiniteGroup, memoized
 from .rings import FiniteRing, nilpotency_class_ring
 
 
@@ -51,9 +51,10 @@ class AdjointGroup:
         return len(self.member_idx)
 
 
+@memoized
 def adjoint_group(ring: FiniteRing) -> AdjointGroup:
     """The circle group, built once per ring and kept in its memo."""
-    return memo(ring, "adjoint", lambda: AdjointGroup(ring))
+    return AdjointGroup(ring)
 
 
 def omega_circle_set(ring: FiniteRing, n: int) -> np.ndarray:

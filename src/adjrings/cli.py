@@ -90,14 +90,14 @@ def builtin_ring(spec: str) -> FiniteRing:
     """Resolve builtin ring names: z9, 3z27, trivial, zero:3:1.1."""
     if spec == "trivial":
         return zero_ring(2, [])
-    m = re.fullmatch(r"zero:(\d+):((?:\d+(?:\.\d+)*)?)", spec)  # no empty exponent
+    m = re.fullmatch(r"zero:([0-9]+):((?:[0-9]+(?:\.[0-9]+)*)?)", spec)  # no empty exponent
     if m:
         exps = [int(tok) for tok in m.group(2).split(".") if tok]  # zero:3: has none
         return zero_ring(int(m.group(1)), exps)
-    m = re.fullmatch(r"z(\d+)", spec)
+    m = re.fullmatch(r"z([0-9]+)", spec)
     if m:
         return unital_ring(int(m.group(1)))
-    m = re.fullmatch(r"(\d+)z(\d+)", spec)
+    m = re.fullmatch(r"([0-9]+)z([0-9]+)", spec)
     if m:
         return multiples_ring(int(m.group(1)), int(m.group(2)))
     raise AlgebraError(f"unknown ring spec {spec!r}")
@@ -301,11 +301,9 @@ _ENUM_FILTERS = {
 
 
 def cmd_enumerate_rings(args) -> int:
-    try:
-        exps = [int(tok) for tok in args.exps.split(",")]  # int("") refuses an empty token
-    except ValueError:
-        raise InvalidStructureError(f"--exps must be comma-separated integers, "
-                                    f"got {args.exps!r}") from None
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", args.exps):  # no empty, signed or non-ASCII token
+        raise InvalidStructureError(f"--exps must be comma-separated integers, got {args.exps!r}")
+    exps = [int(tok) for tok in args.exps.split(",")]
     pred = _ENUM_FILTERS[args.filter] if args.filter != "none" else None
     rings = enumerate_rings(args.p, exps)
     rings = itertools.chain(list(itertools.islice(rings, 1)), rings)  # checks run before mkdir

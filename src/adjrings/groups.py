@@ -10,10 +10,11 @@ composition-table kernel `_compose_table`, which also composes image rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,10 @@ from .errors import (
 )
 
 MAX_ORDER = 729
-# The one block budget of every vectorized kernel in the package: ring
-# enumeration, the generator-image search and its law check, row tables, mask
-# closure and the Laue pair blocks each size their blocks so that one array
-# holds at most this many entries (or one row, where a row is wider).
+# The one block budget of every vectorized kernel in the package, read in this
+# module alone, through `blocks` everywhere but the index-p counts' product
+# width: one array of a block holds at most this many entries (or one item,
+# where an item is wider).
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -54,8 +55,9 @@ def _index_table(table, dtype) -> np.ndarray:
 
 def memo(obj, key, build):
     """`obj._cache[key]`, from `build()` on a miss: the one memo of every
-    derived object (an adjoint group, a subgroup lattice, Der and End rows,
-    Aut(G), a profile).
+    derived value, from a group's inverse table or a ring's index tables to
+    an adjoint group, a subgroup lattice, Der and End rows, Aut(G) or a
+    profile.
 
     A result is stored only once `build()` returns, that is after the caps
     and budgets it checks, so a refused build leaves nothing and runs again on
@@ -69,12 +71,32 @@ def memo(obj, key, build):
 
 
 def release_memo(obj) -> None:
-    """Drop everything `obj` has memoized: its `memo` entries and the values
-    of its class's `cached_property`s.  Each is rebuilt on next use."""
+    """Drop everything `obj` has memoized; each value is rebuilt on next use."""
     obj._cache.clear()
-    for name, attr in vars(type(obj)).items():
-        if isinstance(attr, cached_property):
-            obj.__dict__.pop(name, None)
+
+
+class memoized:
+    """`build(obj)` kept by `memo` under the key `build.__name__`, read as an
+    attribute when `build` is a method (`G.inverses`) and called as a
+    one-object function otherwise (`aut_group(G)`)."""
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+
+    def __call__(self, obj):
+        return memo(obj, self.__name__, lambda: self.__wrapped__(obj))
+
+    def __get__(self, obj, _owner=None):
+        return self if obj is None else self(obj)
+
+
+def blocks(count: int, width: int):
+    """Lazy slices of range(count), in order, of at most max(1, CHUNK_ENTRIES
+    // width) items each: the one block budget of every chunked kernel, an
+    item being `width` entries wide.  Nothing is listed, so `count` may be
+    any int64."""
+    step = max(1, CHUNK_ENTRIES // width)
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def _light_columns(tab: np.ndarray, identity: int) -> np.ndarray:
@@ -118,8 +140,9 @@ class FiniteGroup:
     of Semigroups I, 1961, sec. 1.2): the elements a with (xa)y = x(ay) for
     all x, y are closed under products, so checking every x, y against each
     a in a set S that generates the table as a magma proves the whole table
-    associative, in |S| n^2 lookups.  Attributes are `cached_property`s, and
-    objects built by module functions are kept by `memo`.
+    associative, in |S| n^2 lookups.  Derived tables (`inverses`,
+    `element_orders`, `conj_table`, `comm_table`) and the objects module
+    functions build are all kept by `memo` in `_cache`.
     """
 
     def __init__(self, table, identity: int = 0, name: str = "G"):
@@ -138,8 +161,7 @@ class FiniteGroup:
         if not (srt == np.arange(n)).all() or not (np.sort(tab, axis=0).T == np.arange(n)).all():
             raise InvalidStructureError("table is not a Latin square")
         S = _light_columns(tab, identity)
-        chunk = max(1, CHUNK_ENTRIES // (n * len(S) or 1))
-        for x in (tab[lo:lo + chunk] for lo in range(0, n, chunk)):  # rows x: (xs)y = x(sy)
+        for x in (tab[b] for b in blocks(n, n * len(S) or 1)):  # rows x: (xs)y = x(sy)
             if not (tab[x[:, S]] == x[:, tab[S]]).all():
                 raise InvalidStructureError("multiplication is not associative")
         tab.flags.writeable = False
@@ -151,11 +173,11 @@ class FiniteGroup:
 
     # -- basics ----------------------------------------------------------------
 
-    @cached_property
+    @memoized
     def inverses(self) -> np.ndarray:
         return np.argmax(self.table == self.identity, axis=1).astype(np.int32)
 
-    @cached_property
+    @memoized
     def element_orders(self) -> np.ndarray:
         n = self.n
         orders = np.zeros(n, dtype=np.int64)
@@ -174,13 +196,13 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
-    @cached_property
+    @memoized
     def conj_table(self) -> np.ndarray:
         """conj_table[g, x] = g x g^-1."""
         t = self.table  # t[g, x] = g*x
         return t[t, self.inverses[:, None]]
 
-    @cached_property
+    @memoized
     def comm_table(self) -> np.ndarray:
         """comm_table[x, g] = x^-1 g^-1 x g."""
         t, inv = self.table, self.inverses
@@ -194,12 +216,13 @@ class FiniteGroup:
 class Subgroup:
     parent: FiniteGroup
     elems: tuple[int, ...]
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elems)
 
-    @cached_property
+    @memoized
     def mask(self) -> np.ndarray:
         """Read-only bool mask of the members among the parent's elements."""
         mask = np.zeros(self.parent.n, dtype=bool)
@@ -223,13 +246,12 @@ class Subgroup:
 
 def closed_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Grow a bool mask in place by every product of two members, read in row
-    blocks of at most CHUNK_ENTRIES entries, until a pass adds nothing.  A
-    finite set holding 1 and closed under products is a subgroup."""
+    `blocks`, until a pass adds nothing.  A finite set holding 1 and closed
+    under products is a subgroup."""
     while True:
         members = np.flatnonzero(mask)
-        chunk = max(1, CHUNK_ENTRIES // members.size)
-        for s in range(0, members.size, chunk):
-            mask[table[members[s:s + chunk, None], members]] = True
+        for b in blocks(members.size, members.size):
+            mask[table[members[b, None], members]] = True
         if np.count_nonzero(mask) == members.size:
             return mask
 
@@ -346,6 +368,12 @@ def prime_of(G: FiniteGroup) -> int | None:
     return pk[0] if pk else None
 
 
+def kappa(p: int) -> int:
+    """The paper's kappa: 2 for p = 2, else 1, so that Omega_kappa is the
+    small-order layer (elements killed by p, or by 4 when p = 2)."""
+    return 2 if p == 2 else 1
+
+
 def p_group_prime(G: FiniteGroup, what: str) -> int:
     """The one gate of every p-group notion: p for a p-group, and 2 for the
     trivial group, a p-group for every p (`to_finite_ring` gives its ring p = 2);
@@ -400,21 +428,18 @@ def frattini(G: FiniteGroup) -> Subgroup:
     return memo(G, "frattini", lambda: power_commutator(G, full_subgroup(G), full_subgroup(G), p))
 
 
-def generating_set(G: FiniteGroup) -> list[int]:
+@memoized
+def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     """A generating set, kept in G's memo: from Phi(G) for a p-group, else from 1,
     join the least uncovered element and close, until G is covered.  A p-group
     gets its least-first Burnside basis, d(G) elements; others need not be minimal."""
-    return list(memo(G, "gens", lambda: tuple(_search_generating_set(G))))
-
-
-def _search_generating_set(G: FiniteGroup) -> list[int]:
     covered = frattini(G).mask.copy() if prime_of(G) else np.arange(G.n) == G.identity
     gens: list[int] = []
     while not covered.all():
         gens.append(int(np.argmin(covered)))
         covered[gens[-1]] = True
         closed_mask(G.table, covered)
-    return gens
+    return tuple(gens)
 
 
 def min_generators(G: FiniteGroup) -> int:
@@ -533,34 +558,33 @@ def lattice_min_generators(G: FiniteGroup) -> np.ndarray:
     so H has exactly c = (p^d - 1)/(p - 1) subgroups of index p, and
     d = log_p((p - 1) c + 1).  The lattice lists each subgroup once, so c(H)
     counts the members K one order level below with |K meet H| = |K|: one
-    integer product of the two levels' masks, in blocks of at most
-    CHUNK_ENTRIES entries.  A count not of that form raises
-    InvalidStructureError.
+    integer product of the two levels' masks, in `blocks`.  A count not of
+    that form raises InvalidStructureError.
     """
     p = p_group_prime(G, "rank")
     subs = enumerate_subgroups(G)
     orders = np.array([H.order for H in subs])
     edges = [0, *(np.flatnonzero(np.diff(orders)) + 1).tolist(), len(subs)]
-    levels = {int(orders[lo]): (lo, hi) for lo, hi in zip(edges, edges[1:])}
+    levels = {int(orders[lo]): slice(lo, hi) for lo, hi in zip(edges, edges[1:])}
 
-    def masks(lo: int, hi: int) -> np.ndarray:
-        out = np.zeros((hi - lo, G.n), dtype=np.int32)
-        np.put_along_axis(out, np.array([H.elems for H in subs[lo:hi]]), 1, axis=1)
+    def masks(hs: list[Subgroup]) -> np.ndarray:
+        out = np.zeros((len(hs), G.n), dtype=np.int32)
+        np.put_along_axis(out, np.array([H.elems for H in hs]), 1, axis=1)
         return out
 
     # a block of mask rows (rows x n) and a product block (rows x rows) both
-    # stay within CHUNK_ENTRIES, or hold one row
-    rows = max(1, CHUNK_ENTRIES // max(G.n, math.isqrt(CHUNK_ENTRIES)))
+    # stay within the block budget, or hold one row
+    width = max(G.n, math.isqrt(CHUNK_ENTRIES))
     counts = np.zeros(len(subs), dtype=np.int64)
-    for order, (lo, hi) in levels.items():
+    for order, level in levels.items():
         if order == 1:
             continue
-        blo, bhi = levels[order // p]
-        for s in range(lo, hi, rows):
-            upper = masks(s, min(s + rows, hi))
-            for t in range(blo, bhi, rows):
-                meets = upper @ masks(t, min(t + rows, bhi)).T
-                counts[s:s + len(upper)] += np.count_nonzero(meets == order // p, axis=1)
+        upper, lower = subs[level], subs[levels[order // p]]
+        for s in blocks(len(upper), width):
+            rows = masks(upper[s])
+            for t in blocks(len(lower), width):
+                meets = rows @ masks(lower[t]).T
+                counts[level][s] += np.count_nonzero(meets == order // p, axis=1)
     return np.array([log_exact(p, (p - 1) * c + 1) for c in counts.tolist()], dtype=np.int64)
 
 
@@ -627,10 +651,10 @@ def is_abelian_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return bool((block == block.T).all()) and is_normal(G, H)
 
 
+@memoized
 def abelian_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All abelian normal subgroups, ascending by (order, elements)."""
-    subs = enumerate_subgroups(G)
-    return memo(G, "abelian_normal", lambda: [H for H in subs if is_abelian_normal(G, H)])
+    return [H for H in enumerate_subgroups(G) if is_abelian_normal(G, H)]
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]:
@@ -650,14 +674,13 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, list[int]]
 def is_p_central(G: FiniteGroup) -> bool:
     """Omega_1 (Omega_2 when p = 2) lies in the center."""
     p = p_group_prime(G, "p-centrality")
-    n = 2 if p == 2 else 1
-    return bool((omega_subgroup(G, n).mask <= center(G).mask).all())
+    return bool((omega_subgroup(G, kappa(p)).mask <= center(G).mask).all())
 
 
 def power_commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """gamma_2(G) G^p, with fourth powers in place of p-th powers when p = 2."""
     p = p_group_prime(G, "the power-commutator subgroup")
-    return power_commutator(G, full_subgroup(G), full_subgroup(G), p ** (2 if p == 2 else 1))
+    return power_commutator(G, full_subgroup(G), full_subgroup(G), p ** kappa(p))
 
 
 def central_target(G: FiniteGroup) -> Subgroup:
@@ -704,13 +727,12 @@ class _RowIndex:
 
 def _row_table(m: int, index: _RowIndex, block, what: str) -> np.ndarray:
     """m x m table whose row i holds the index positions of block(rows)[i],
-    looked up in row chunks of at most CHUNK_ENTRIES image entries."""
+    looked up in row `blocks` of m image rows each."""
     width = index.width
-    chunk = max(1, CHUNK_ENTRIES // (m * width))
     tab = np.empty((m, m), dtype=np.int32)
-    for s in range(0, m, chunk):
-        rows = block(np.arange(s, min(s + chunk, m)))
-        tab[s:s + chunk] = index.require(rows.reshape(-1, width), what).reshape(-1, m)
+    for b in blocks(m, m * width):
+        rows = block(np.arange(b.start, b.stop))
+        tab[b] = index.require(rows.reshape(-1, width), what).reshape(-1, m)
     return tab
 
 
@@ -901,6 +923,8 @@ _SPECIAL_BUILDERS = {
     "es27": lambda: heisenberg_group(3),
     "c4sc4": lambda: semidirect_cyclic(4, 4, 3, name="c4sc4"),
 }
+_NUMBERED_BUILDERS = {"es_p3_": heisenberg_group, "sd": semidihedral_group, "c": cyclic_group,
+                      "d": dihedral_group, "q": dicyclic_group, "m": modular_group}
 
 
 def builtin_group(name: str) -> FiniteGroup:
@@ -916,19 +940,9 @@ def builtin_group(name: str) -> FiniteGroup:
         return g
     if name in _SPECIAL_BUILDERS:
         return _SPECIAL_BUILDERS[name]()
-    try:
-        if name.startswith("es_p3_"):
-            return heisenberg_group(int(name[6:]))
-        if name.startswith("sd"):
-            return semidihedral_group(int(name[2:]))
-        if name.startswith("c"):
-            return cyclic_group(int(name[1:]))
-        if name.startswith("d"):
-            return dihedral_group(int(name[1:]))
-        if name.startswith("q"):
-            return dicyclic_group(int(name[1:]))
-        if name.startswith("m"):
-            return modular_group(int(name[1:]))
-    except ValueError as exc:
-        raise InvalidArgumentError(f"unknown group name {name!r}") from exc
-    raise InvalidArgumentError(f"unknown group name {name!r}")
+    # ASCII digits: int() alone also takes "1_0", "+4", " 4" and other scripts' digits; a
+    # minus sign passes, so that the order check refuses "c-3" as below 1
+    numbered = re.fullmatch(f"({'|'.join(_NUMBERED_BUILDERS)})(-?[0-9]+)", name)
+    if numbered is None:
+        raise InvalidArgumentError(f"unknown group name {name!r}")
+    return _NUMBERED_BUILDERS[numbered[1]](int(numbered[2]))

@@ -28,15 +28,17 @@ from .errors import (
     InvalidStructureError,
 )
 from .groups import (
-    CHUNK_ENTRIES,
     MAX_ORDER,
     FiniteGroup,
     Subgroup,
+    blocks,
     center,
     generating_set,
     is_abelian_normal,
     is_normal,
+    kappa,
     memo,
+    memoized,
     omega_subgroup,
     p_group_prime,
     reach,
@@ -69,9 +71,11 @@ def coset_offsets(G: FiniteGroup, rows) -> np.ndarray:
 
 def _then_rows(M: np.ndarray, index: _RowIndex, gens: list[int], what: str):
     """Step for reach(): positions of w then g for each frontier member w and
-    each g in gens (read when called, so gens may grow)."""
+    each g in gens (read when called, so gens may grow), composed in row
+    `blocks` of the frontier."""
     return lambda frontier: np.concatenate(
-        [index.require(M[g][M[frontier]], what) for g in gens])
+        [index.require(M[g][M[frontier[b]]], what)
+         for g in gens for b in blocks(frontier.size, M.shape[1])])
 
 
 def _test_columns(G: FiniteGroup) -> np.ndarray:
@@ -90,25 +94,21 @@ def _trivial_action(G: FiniteGroup) -> np.ndarray:
 def _law_rows(G: FiniteGroup, act: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Mask of the rows u of U with u(xs) = act_s(u(x)) u(s) for every x in G
     and s in S = _test_columns(G), act_s being row s of `act`; checked in
-    blocks of at most CHUNK_ENTRIES entries."""
+    row `blocks`."""
     S = _test_columns(G)
     slot = np.arange(S.size)
-    chunk = max(1, CHUNK_ENTRIES // (G.n * S.size))
     ok = np.ones(U.shape[0], dtype=bool)
-    for lo in range(0, U.shape[0], chunk):
-        u = U[lo:lo + chunk]
+    for b in blocks(U.shape[0], G.n * S.size):
+        u = U[b]
         acted = G.table[act[slot, u[:, :, None]], u[:, None, S]]
-        ok[lo:lo + chunk] = (u[:, G.table[:, S]] == acted).all(axis=(1, 2))
+        ok[b] = (u[:, G.table[:, S]] == acted).all(axis=(1, 2))
     return ok
 
 
+@memoized
 def _bfs_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Fill order (element, parent, test-column slot) covering G from the
     test columns, kept in G's memo."""
-    return memo(G, "bfs_plan", lambda: _spanning_plan(G))
-
-
-def _spanning_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     gens = _test_columns(G)
     seen = {G.identity}
     plan = []
@@ -140,10 +140,10 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
 
     The candidates x |G| image entries they would fill must pass BATCH_BUDGET
     before any is built.  Candidates are then decoded from their lexicographic
-    positions by mixed radix over the choice lengths, CHUNK_ENTRIES // |G| at
-    a time; each block is filled and filtered, and its survivors are appended
-    to one result array grown in place, so the rows come out in lexicographic
-    order of their choices and no second copy of them is made.
+    positions by mixed radix over the choice lengths, in `blocks` of |G|
+    entries a candidate; each block is filled and filtered, and its survivors
+    are appended to one result array grown in place, so the rows come out in
+    lexicographic order of their choices and no second copy of them is made.
     """
     lengths = [len(c) for c in choices]
     count = math.prod(lengths)
@@ -151,10 +151,9 @@ def _image_rows(G: FiniteGroup, choices, act: np.ndarray, what: str) -> np.ndarr
         raise BudgetError(f"{what} exceeds the batch budget")
     values = [np.asarray(c, dtype=np.int32) for c in choices]
     plan = _bfs_plan(G)
-    step = max(1, CHUNK_ENTRIES // G.n)
     out = np.empty((0, G.n), dtype=np.int32)
-    for lo in range(0, count, step):
-        digits = np.unravel_index(np.arange(lo, min(lo + step, count)), lengths)
+    for b in blocks(count, G.n):
+        digits = np.unravel_index(np.arange(b.start, b.stop), lengths)
         U = np.empty((digits[0].size, G.n), dtype=np.int32)
         U[:, G.identity] = G.identity
         for elem, parent, k in plan:
@@ -276,9 +275,9 @@ def der_subring_trivial_on_omega(G: FiniteGroup, N: Subgroup) -> tuple[FiniteRin
     """
     if N.parent is not G:
         _validate_coset_target(G, N)  # refuses N as living in another group
-    kappa = 2 if p_group_prime(N.as_group(), "the module") == 2 else 1
+    layer = kappa(p_group_prime(N.as_group(), "the module"))
     M = _der_matrix(G, N)
-    omega_ids = [N.elems[x] for x in omega_subgroup(N.as_group(), kappa).elems]
+    omega_ids = [N.elems[x] for x in omega_subgroup(N.as_group(), layer).elems]
     sel = M[(M[:, omega_ids] == G.identity).all(axis=1)]
     return _rows_to_ring_tables(G, sel, name=f"der0({G.name},N{N.order})")
 
@@ -301,8 +300,8 @@ class AutomorphismGroup:
 
     The full Cayley table is never materialized unless as_group() is called,
     so groups with tens of thousands of automorphisms stay workable.  Sylow
-    subgroups, by `sylow_ascent` on the rows read in blocks of CHUNK_ENTRIES,
-    are kept by `memo`, in an object that itself lives in its group's memo.
+    subgroups, by `sylow_ascent` on the rows read in `blocks`, are kept by
+    `memo`, in an object that itself lives in its group's memo.
     """
 
     def __init__(self, G: FiniteGroup, matrix: np.ndarray):
@@ -336,15 +335,14 @@ class AutomorphismGroup:
     def _ascend_sylow(self, p: int) -> tuple[FiniteGroup, list[int]]:
         M, index = self.matrix, self._index
         one = np.arange(M.shape[1], dtype=M.dtype)
-        chunk = max(1, CHUNK_ENTRIES // M.shape[1])
-        blocks = [slice(lo, lo + chunk) for lo in range(0, self.order, chunk)]
+        parts = list(blocks(self.order, M.shape[1]))
         take = lambda u, v: np.take_along_axis(v, u, axis=1)
 
         @cache
         def inverse() -> np.ndarray:
             """Row inverses in M's dtype, built on first use."""
             inv = np.empty_like(M)
-            for b in blocks:
+            for b in parts:
                 np.put_along_axis(inv[b], M[b], np.broadcast_to(one, M[b].shape), axis=1)
             return inv
 
@@ -352,10 +350,10 @@ class AutomorphismGroup:
             self.order, self.identity_index, p,
             lambda k: np.concatenate([
                 (_powers(np.broadcast_to(one, M[b].shape), M[b], k, take) == one).all(axis=1)
-                for b in blocks]),
+                for b in parts]),
             lambda g: np.concatenate([
                 index.require(take(M[g][inverse()[b]], M[b]), "automorphism conjugation")
-                for b in blocks]),
+                for b in parts]),
             lambda gens: _then_rows(M, index, gens, "automorphism closure"))).tolist()
         sub = M[ids]
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
@@ -364,6 +362,7 @@ class AutomorphismGroup:
         return grp, ids
 
 
+@memoized
 def aut_group(G: FiniteGroup) -> AutomorphismGroup:
     """Full automorphism group by generator-image backtracking, built once per
     group and kept in G's memo.  Like the Der and End_N searches, it is bounded
@@ -374,16 +373,14 @@ def aut_group(G: FiniteGroup) -> AutomorphismGroup:
     conjugate; every surviving assignment is verified as a full homomorphism
     and kept only if bijective.
     """
-    def build() -> AutomorphismGroup:
-        least = G.conj_table.min(axis=0)
-        class_size = np.bincount(least, minlength=G.n)[least]
-        orders = G.element_orders
-        cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
-                      for g in _test_columns(G)]
-        M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
-        M = M[_bijective_rows(M, G.n)]
-        return AutomorphismGroup(G, M)
-    return memo(G, "aut", build)
+    least = G.conj_table.min(axis=0)
+    class_size = np.bincount(least, minlength=G.n)[least]
+    orders = G.element_orders
+    cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
+                  for g in _test_columns(G)]
+    M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
+    M = M[_bijective_rows(M, G.n)]  # rebound: the unfiltered rows are freed before the sort
+    return AutomorphismGroup(G, M)
 
 
 # -- the correspondence check ------------------------------------------------------
@@ -426,14 +423,13 @@ def _pair_kernel(G: FiniteGroup, ends: np.ndarray, DU: np.ndarray, cols):
 
 
 def _all_pairs(G: FiniteGroup, sides, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mismatch and left-zero masks of all m x m pairs, in row blocks of at
-    most CHUNK_ENTRIES pair entries."""
+    """Mismatch and left-zero masks of all m x m pairs, in row `blocks` of
+    m x width pair entries."""
     bad, zero, every = np.zeros((m, m), bool), np.zeros((m, m), bool), np.arange(m)
-    rows = max(1, CHUNK_ENTRIES // (m * width))
-    for lo in range(0, m, rows):
-        left, circ = sides(every[lo:lo + rows, None], every)
-        bad[lo:lo + rows] = (left != circ).any(axis=-1)
-        zero[lo:lo + rows] = (circ == G.identity).all(axis=-1)
+    for b in blocks(m, m * width):
+        left, circ = sides(every[b, None], every)
+        bad[b] = (left != circ).any(axis=-1)
+        zero[b] = (circ == G.identity).all(axis=-1)
     return bad, zero
 
 

@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import operator
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,8 +29,8 @@ from .errors import (
     InvalidArgumentError,
     InvalidStructureError,
 )
-from .groups import (CHUNK_ENTRIES, MAX_ORDER, _index_table, _json_int, _json_list, _powers,
-                     closed_mask, memo)
+from .groups import (MAX_ORDER, _index_table, _json_int, _json_list, _powers, blocks,
+                     closed_mask, kappa, memoized)
 
 ENUM_BUDGET = 2**23  # partial tensors one enumeration of a type with d <= 3 may build
 
@@ -40,13 +39,16 @@ class RingTables(NamedTuple):
     """Read-only index tables over a ring's lexicographic element order.
 
     Index 0 is the zero element.  `coords[i]` is the coordinate vector of
-    element i; `add[i, j]`, `mul[i, j]` and `neg[i]` are element indices.
+    element i; `add[i, j]`, `mul[i, j]` and `neg[i]` are element indices, and
+    `basis[k]` is the index of the k-th basis element, so an element's index
+    is its coordinates dotted with `basis`.
     """
 
     coords: np.ndarray
     add: np.ndarray
     mul: np.ndarray
     neg: np.ndarray
+    basis: np.ndarray
 
     def circle(self, a, b):
         """Indices of x o y = x + y + xy, elementwise over index arrays."""
@@ -114,8 +116,8 @@ class FiniteRing:
     well-definedness and associativity on every basis triple (`_checked_tensors`),
     which trilinearity extends to the whole ring.  Element arithmetic is read
     off the index tables `tables`, built on first use up to MAX_ORDER elements.
-    Attributes are `cached_property`s, and objects built by module functions
-    are kept by `groups.memo`.
+    The tables and the objects module functions build are all kept by
+    `groups.memo` in `_cache`.
     """
 
     def __init__(self, p: int, exps, mul, name: str | None = None):
@@ -142,20 +144,13 @@ class FiniteRing:
 
     # -- index tables ---------------------------------------------------------
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(moduli, basis element indices, structure tensor) as int64 arrays;
-        an element's index is its coordinates dotted with the basis indices."""
-        if self.order > MAX_ORDER:
-            raise BoundError(f"ring tables capped at {MAX_ORDER} elements")
-        weights = [math.prod(self.moduli[k + 1:]) for k in range(self.dim)]
-        return (np.array(self.moduli, dtype=np.int64), np.array(weights, dtype=np.int64),
-                self.tensor.astype(np.int64))
-
-    @cached_property
+    @memoized
     def tables(self) -> RingTables:
         """Index tables of +, * and negation, built on first use."""
-        moduli, weights, tensor = self._arrays
+        if self.order > MAX_ORDER:
+            raise BoundError(f"ring tables capped at {MAX_ORDER} elements")
+        moduli, tensor = np.array(self.moduli, dtype=np.int64), self.tensor.astype(np.int64)
+        weights = np.array([math.prod(self.moduli[k + 1:]) for k in range(self.dim)], dtype=np.int64)
         coords = np.indices(self.moduli, dtype=np.int64).reshape(self.dim, self.order).T
         add = np.zeros((self.order, self.order), dtype=np.int32)
         mul = np.zeros_like(add)
@@ -165,7 +160,7 @@ class FiniteRing:
             # coordinate k of x y = sum_{a,b} x_a y_b T[a, b] is x T[:, :, k] y^T
             mul += coords @ tensor[:, :, k] @ coords.T % m * w
         neg = (-coords % moduli @ weights).astype(np.int32)
-        out = RingTables(coords, add, mul, neg)
+        out = RingTables(coords, add, mul, neg, weights)
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -204,9 +199,8 @@ def _subset(ring: FiniteRing, mask) -> np.ndarray:
 
 def _is_ideal(ring: FiniteRing, mask: np.ndarray) -> bool:
     """Whether a subgroup mask is closed under products with R on both sides."""
-    mul = ring.tables.mul
+    mul, basis = ring.tables.mul, ring.tables.basis
     members = np.flatnonzero(mask)
-    basis = ring._arrays[1]
     return bool(mask[mul[np.ix_(members, basis)]].all()
                 and mask[mul[np.ix_(basis, members)]].all())
 
@@ -225,24 +219,22 @@ def omega_additive(ring: FiniteRing, n: int) -> np.ndarray:
     return (ring.tables.coords % steps == 0).all(axis=1)
 
 
+@memoized
 def ring_power_chain(ring: FiniteRing) -> list[np.ndarray]:
     """[R^1, R^2, ...] down to stabilization, as read-only masks, kept in the
     ring's memo."""
-    def build() -> list[np.ndarray]:
-        mul = ring.tables.mul
-        basis = ring._arrays[1]
-        chain = [np.ones(ring.order, dtype=bool)]
-        while True:
-            products = np.zeros(ring.order, dtype=bool)
-            products[mul[np.ix_(chain[-1], basis)]] = True
-            nxt = additive_closure(ring, products)
-            if (nxt == chain[-1]).all():
-                break
-            chain.append(nxt)
-        for mask in chain:
-            mask.flags.writeable = False
-        return chain
-    return memo(ring, "power_chain", build)
+    mul, basis = ring.tables.mul, ring.tables.basis
+    chain = [np.ones(ring.order, dtype=bool)]
+    while True:
+        products = np.zeros(ring.order, dtype=bool)
+        products[mul[np.ix_(chain[-1], basis)]] = True
+        nxt = additive_closure(ring, products)
+        if (nxt == chain[-1]).all():
+            break
+        chain.append(nxt)
+    for mask in chain:
+        mask.flags.writeable = False
+    return chain
 
 
 def nilpotency_class_ring(ring: FiniteRing) -> int | None:
@@ -346,7 +338,7 @@ def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np
     tensor = [[list(coords[int(mul[a, b])]) for b in basis] for a in basis]
     ring = FiniteRing(pks[0][0] if pks else 2, [pk[1] for pk in pks], tensor,
                       name=f"{name}_sc")
-    at = np.array([coords[i] for i in range(m)], np.int64).reshape(m, ring.dim) @ ring._arrays[1]
+    at = np.array([coords[i] for i in range(m)], np.int64).reshape(m, ring.dim) @ ring.tables.basis
     if ring.order != m or np.unique(at).size != m:
         raise InvalidStructureError("witness map is not a bijection")
     if at[zero] != 0:
@@ -367,14 +359,14 @@ def _slot_steps(p: int, exps: tuple[int, ...], side: int | None = None) -> np.nd
     """Read-only exact (d, d, d) integers: slot (i, j, k) of a tensor must be a
     multiple of p^max(0, e_k - m[i, j]) for p^m[i, j] to kill it.  Side None
     takes m[i, j] = min(e_i, e_j): well-definedness.  Side 0 (1) takes
-    m[i, j] = max(0, e_s - kappa) with s = i (j), kappa = 2 if p = 2 else 1: the
-    p^m e_s generate the small-order layer, so these steps are left (right) p-nil.
+    m[i, j] = max(0, e_s - kappa(p)) with s = i (j): the p^m e_s generate the
+    small-order layer, so these steps are left (right) p-nil.
     """
     e = np.array(exps, dtype=np.int64)
     if side is None:
         m = np.minimum.outer(e, e)
     else:
-        layer = np.maximum(0, e - (2 if p == 2 else 1))
+        layer = np.maximum(0, e - kappa(p))
         m = layer[:, None] if side == 0 else layer[None, :]
     steps = p ** np.maximum(0, e - m[:, :, None]).astype(object)
     steps.flags.writeable = False
@@ -421,9 +413,8 @@ def enumerate_rings(p: int, exps):
     Rings come in lexicographic tensor order, named by their exact mixed-radix
     index among the well-defined candidates.  The planes T[i][j] are assigned
     in lexicographic order, depth first (a stack of one generator per plane),
-    in blocks of at most CHUNK_ENTRIES // d^4 partial tensors (later planes
-    zero), as `_associative_mask` holds d^4 entries per tensor in each
-    intermediate.  BudgetError ends the run once more than ENUM_BUDGET of them,
+    in `blocks` of partial tensors (later planes zero) d^4 entries wide, as
+    `_associative_mask` holds d^4 entries per tensor in each intermediate.  BudgetError ends the run once more than ENUM_BUDGET of them,
     scaled by (3/d)^4 past d = 3, are built.  Triple (i, j, k) reads the
     planes (i, j), (j, k), (l, k) and (i, l) for every l, so plane (i, d-1) or
     (d-1, k), whichever is later, decides it.  Each block drops the tensors
@@ -448,20 +439,19 @@ def enumerate_rings(p: int, exps):
     radices = mod_arr // steps
     i, _, k = np.indices((d, d, d))
     last = np.maximum(i * d + d - 1, (d - 1) * d + k)  # the plane deciding each triple
-    chunk, cap = max(1, CHUNK_ENTRIES // d**4), ENUM_BUDGET * 3**4 // max(d, 3) ** 4
+    cap = ENUM_BUDGET * 3**4 // max(d, 3) ** 4
     built = 0
 
-    def blocks(level, frontier):
+    def extend(level, frontier):
         # plane (a, b): frontier rows times plane values, both in order, stay lexicographic
         nonlocal built
         a, b = divmod(level, d)
         size = int(radices[a, b].prod())
-        rows, span = max(1, chunk // size), min(size, chunk)
         decided = last == level
-        for r in range(0, len(frontier), rows):
-            head = frontier[r:r + rows]
-            for v in range(0, size, span):
-                digits = np.unravel_index(np.arange(v, min(v + span, size)), radices[a, b])
+        for r in blocks(len(frontier), d**4 * size):
+            head = frontier[r]
+            for v in blocks(size, d**4):
+                digits = np.unravel_index(np.arange(v.start, v.stop), radices[a, b])
                 block = np.repeat(head, len(digits[0]), axis=0)
                 built += len(block)
                 if built > cap:
@@ -473,13 +463,13 @@ def enumerate_rings(p: int, exps):
 
     prefix = f"enum_p{p}_e{'.'.join(map(str, exps))}_"
     weights = np.cumprod([1, *radices.ravel()[:0:-1].tolist()], dtype=object)[::-1]  # Python ints
-    stack = [blocks(0, np.zeros((1, d, d, d), dtype=np.int64))]
+    stack = [extend(0, np.zeros((1, d, d, d), dtype=np.int64))]
     while stack:
         block = next(stack[-1], None)
         if block is None:
             stack.pop()
         elif len(stack) < d * d:
-            stack.append(blocks(len(stack), block))  # an empty block ends there
+            stack.append(extend(len(stack), block))  # an empty block ends there
         else:
             names = (block // steps).reshape(-1, d**3).astype(object) @ weights
             for name, tensor in zip(names, _checked_tensors(p, exps, block)):

@@ -37,10 +37,11 @@ from .groups import (
     frattini,
     is_abelian_normal,
     is_p_central,
+    kappa,
     log_exact,
     lower_central_series,
     lower_p_central_series,
-    memo,
+    memoized,
     min_generators,
     nilpotency_class,
     omega_subgroup,
@@ -86,9 +87,10 @@ class RingProfile:
     nil_class: int | None
 
 
+@memoized
 def ring_profile(R: FiniteRing) -> RingProfile:
     """Invariants of a finite p-ring, kept in R's memo."""
-    return memo(R, "profile", lambda: RingProfile(
+    return RingProfile(
         order=R.order,
         p=R.p,
         m=R.additive_exponent_log(),
@@ -96,7 +98,7 @@ def ring_profile(R: FiniteRing) -> RingProfile:
         left_p_nil=R.is_left_p_nil(),
         right_p_nil=R.is_right_p_nil(),
         nil_class=nilpotency_class_ring(R),
-    ))
+    )
 
 
 def _section_exponent_log(upper: Subgroup, lower: Subgroup, p: int) -> int:
@@ -129,12 +131,9 @@ class GroupProfile:
                 and self.s1 <= self.s * self.c)
 
 
+@memoized
 def group_profile(G: FiniteGroup) -> GroupProfile:
     """Invariants of a nontrivial finite p-group, kept in G's memo."""
-    return memo(G, "profile", lambda: _profile_of(G))
-
-
-def _profile_of(G: FiniteGroup) -> GroupProfile:
     p = prime_of(G)
     if p is None:
         raise InvalidStructureError("group profiles require a nontrivial p-group")
@@ -193,14 +192,14 @@ def check_p_central_adjoint(R: FiniteRing) -> CheckReport:
     if not (prof.left_p_nil and prof.right_p_nil):
         return skipped("not p-nil on both sides")
     A = adjoint_group(R)
-    kappa = 2 if R.p == 2 else 1
-    computed = {"adjoint_order": A.order, "kappa": kappa}
+    layer = kappa(R.p)
+    computed = {"adjoint_order": A.order, "kappa": layer}
     witness = None
     if A.group.n > 1 and prime_of(A.group) != R.p:
         witness = "adjoint group is not a p-group"
     elif not is_p_central(A.group):
         witness = "small-order layer escapes the center"
-    return verdict(computed, f"omega_{kappa} central", witness)
+    return verdict(computed, f"omega_{layer} central", witness)
 
 
 def check_nilpotency_bound(R: FiniteRing) -> CheckReport:

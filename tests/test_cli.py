@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 from collections import Counter
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -531,10 +530,8 @@ def _mixed_entries(prefix=""):
 
 
 def _memo_of(obj):
-    """The `_cache` keys and the `cached_property` values an object holds."""
-    held = [name for name, attr in vars(type(obj)).items()
-            if isinstance(attr, cached_property) and name in obj.__dict__]
-    return list(obj._cache), held
+    """The `_cache` keys an object holds: every value it derives is kept there."""
+    return list(obj._cache)
 
 
 def test_runner_releases_each_entry_memo_when_the_batch_moves_on(monkeypatch):
@@ -548,8 +545,8 @@ def test_runner_releases_each_entry_memo_when_the_batch_moves_on(monkeypatch):
     entries = _mixed_entries()
     run_verification(entries, list(ALL_CHECKS), 1)
     for e in entries[:-1]:
-        assert _memo_of(e.obj) == ([], []), e.id
-    assert _memo_of(entries[-1].obj) != ([], [])  # its tasks were the last ones
+        assert _memo_of(e.obj) == [], e.id
+    assert _memo_of(entries[-1].obj) != []  # its tasks were the last ones
     # the memo lives until its entry's tasks are done: one circle group per ring
     assert dict(builds) == {e.obj.name: 1 for e in entries if e.kind == "ring"}
 
@@ -708,3 +705,22 @@ def test_default_corpus_shape(corpus):
     assert len(groups) == 57
     small = [e for e in groups if e.obj.n <= 16]
     assert len(small) == 42
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((["group-info", name], f"unknown group name {name!r}")
+      for name in ("c1_0", "d0_8", "c+4", "c 4", "c٤", "es_p3_٧", "c4\n")),
+    *((["ring-info", spec], f"unknown ring spec {spec!r}")
+      for spec in ("z٩", "z1_0", "3z2_7", "zero:3:1_1", "zero:٣:1", "z+9")),
+    *((["enumerate-rings", "--p", "2", "--exps", exps],
+       f"--exps must be comma-separated integers, got {exps!r}")
+      for exps in ("1_0", "+1", " 1", "1, 1", "١", "1\n")),
+])
+def test_numerals_are_ascii_digits_only(tmp_path, capsys, argv, message):
+    """int() alone takes underscores, signs, spaces and other scripts' digits:
+    c1_0 built C10, z with an Arabic-Indic nine built z9 and --exps 1_0
+    enumerated type (10,) into 1024 files."""
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)] if argv[0] == "enumerate-rings" else argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -11,6 +11,7 @@ import json
 import re
 import time
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -554,7 +555,7 @@ class TestPGroupToolbox:
         "c2xc2xc2xc2xc2xc2", "d8xd8", "q8xq8", "c9xc9xc9", "es27xc27"])
     def test_generating_set_is_the_least_first_burnside_basis(self, name):
         G = builtin_group(name)
-        assert generating_set(G) == oracle.burnside_basis(G)
+        assert generating_set(G) == tuple(oracle.burnside_basis(G))
 
     def test_rank(self):
         assert rank(builtin_group("c2xc2xc2xc2")) == 4
@@ -929,6 +930,21 @@ class TestClosureKernel:
 
 
 class TestProperties:
+    @given(st.integers(0, 5000), st.integers(1, 10 ** 5), st.integers(1, 10 ** 5))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_partition_the_range_within_the_budget(self, count, width, budget):
+        with unittest.mock.patch.object(groups, "CHUNK_ENTRIES", budget):
+            parts = list(groups.blocks(count, width))
+        assert [i for b in parts for i in range(count)[b]] == list(range(count))
+        assert all(b.stop - b.start == 1 or (b.stop - b.start) * width <= budget for b in parts)
+
+    def test_blocks_of_an_int64_count_are_not_listed(self):
+        # a plane of enumerate_rings may hold up to 2^63 - 1 values
+        parts = groups.blocks(2 ** 62, 1)
+        assert not hasattr(parts, "__len__")
+        assert next(parts) == slice(0, groups.CHUNK_ENTRIES)
+        assert next(parts) == slice(groups.CHUNK_ENTRIES, 2 * groups.CHUNK_ENTRIES)
+
     @given(NAMES, st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_cyclic_closure_order(self, name, seed):

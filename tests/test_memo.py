@@ -1,15 +1,14 @@
 """Each instance's derived objects are built once and shared by its checks,
-a search its budget refuses memoizes nothing, and `release_memo` leaves
-nothing that `memo` stored."""
+a search its budget refuses memoizes nothing, every derived value lives in
+`_cache`, and `release_memo` leaves nothing that `memo` stored."""
 
 import gc
 import json
 import weakref
-from functools import cached_property
 
 import pytest
 
-from adjrings import adjoint, groups, morphisms, rings, verify
+from adjrings import adjoint, groups, morphisms, verify
 from adjrings.adjoint import AdjointGroup
 from adjrings.cli import CHECKS, CorpusEntry, run_check
 from adjrings.errors import BudgetError, InvalidArgumentError
@@ -138,7 +137,7 @@ def test_spanning_tree_plan_is_built_once_per_group():
     G = builtin_group("d8xc2")
     plan = morphisms._bfs_plan(G)
     run_kind("group", lambda: G, {"laue", "aut-exponent"})
-    assert morphisms._bfs_plan(G) is plan is G._cache["bfs_plan"]
+    assert morphisms._bfs_plan(G) is plan is G._cache["_bfs_plan"]
     S = morphisms._test_columns(G)
     filled = [G.identity]
     for elem, parent, k in plan:
@@ -188,7 +187,7 @@ def test_aut_entries_gate_runs_before_the_memo(monkeypatch):
     monkeypatch.setattr(morphisms, "BATCH_BUDGET", 64 * 9 - 1)
     with pytest.raises(BudgetError):
         aut_group(G)
-    assert "aut" not in G._cache
+    assert "aut_group" not in G._cache
     refused = json.loads(run_check(CorpusEntry("group:x", "group", G), "aut-exponent", None))
     assert (refused["verdict"], refused["bound"]) == (
         "skipped", "automorphism candidate space exceeds the batch budget")
@@ -243,7 +242,7 @@ def test_refused_build_stores_nothing_and_builds_again(monkeypatch):
 
 def record_memos(monkeypatch) -> list:
     """(weak reference to the owner, key) of every entry `memo` stores, in
-    every module that calls it."""
+    every module that calls it (`memoized` calls it in groups)."""
     stored = []
     real = groups.memo
 
@@ -254,7 +253,7 @@ def record_memos(monkeypatch) -> list:
             stored.append((weakref.ref(obj), key))
         return value
 
-    for module in (groups, morphisms, verify, adjoint, rings):
+    for module in (groups, morphisms):
         monkeypatch.setattr(module, "memo", recording)
     return stored
 
@@ -267,16 +266,17 @@ def der_center_ring(name: str):
 
 
 @pytest.mark.parametrize("kind, make, held, others", [
-    ("group", lambda: builtin_group("c4xc2"), {"aut", "subgroups", "bfs_plan", "profile"},
-     {morphisms.AutomorphismGroup}),
-    ("ring", lambda: der_center_ring("c4xc2"), {"adjoint", "power_chain", "profile"},
-     {groups.FiniteGroup}),
+    ("group", lambda: builtin_group("c4xc2"),
+     {"aut_group", "subgroups", "_bfs_plan", "group_profile", "inverses", "conj_table"},
+     {morphisms.AutomorphismGroup, Subgroup}),
+    ("ring", lambda: der_center_ring("c4xc2"),
+     {"adjoint_group", "ring_power_chain", "ring_profile", "tables"}, {groups.FiniteGroup}),
 ], ids=["c4xc2", "der-c4xc2"])
 def test_release_memo_leaves_nothing_memo_stored(monkeypatch, kind, make, held, others):
-    """Every check of the instance runs; after `release_memo` its own memo and
-    cached properties are empty, and every other object that kept a memo
-    entry (Aut(G) with its Sylow tables, subgroup tables, the circle group)
-    is unreachable."""
+    """Every check of the instance runs; after `release_memo` its memo is
+    empty, and every other object that kept a memo entry (Aut(G) with its
+    Sylow tables, subgroups with their masks and tables, the circle group) is
+    unreachable."""
     stored = record_memos(monkeypatch)
     obj = make()
     run_kind(kind, lambda: obj)
@@ -285,6 +285,24 @@ def test_release_memo_leaves_nothing_memo_stored(monkeypatch, kind, make, held, 
     release_memo(obj)
     gc.collect()
     assert obj._cache == {}
-    assert not [name for name, attr in vars(type(obj)).items()
-                if isinstance(attr, cached_property) and name in vars(obj)]
     assert [key for ref, key in stored if ref() not in (None, obj)] == []
+
+
+@pytest.mark.parametrize("make, kind, attrs", [
+    (lambda: builtin_group("c4xc2"), "group", {"table", "n", "identity", "name", "_cache"}),
+    (lambda: der_center_ring("c4xc2"), "ring",
+     {"p", "exps", "dim", "moduli", "order", "name", "tensor", "_cache"}),
+], ids=["c4xc2", "der-c4xc2"])
+def test_checks_keep_every_derived_value_in_the_memo(make, kind, attrs):
+    """After every check of the instance runs, its attributes are still those
+    its constructor set: each derived table (inverses, conjugation and
+    commutator tables, ring index tables, subgroup masks) lives in `_cache`,
+    where `release_memo` drops it."""
+    obj = make()
+    run_kind(kind, lambda: obj)
+    assert set(vars(obj)) == attrs
+    G = obj if kind == "group" else adjoint.adjoint_group(obj).group
+    assert {"inverses", "element_orders", "conj_table", "comm_table"} & set(G._cache)
+    assert set(vars(G)) == {"table", "n", "identity", "name", "_cache"}
+    for H in groups.enumerate_subgroups(G):
+        assert set(vars(H)) == {"parent", "elems", "_cache"}

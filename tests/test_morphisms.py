@@ -28,7 +28,7 @@ from adjrings.groups import (
     sylow_ascent,
     trivial_subgroup,
 )
-from adjrings import morphisms
+from adjrings import groups, morphisms
 from adjrings.morphisms import (
     PAIRS_CAP,
     AutomorphismGroup,
@@ -203,7 +203,7 @@ def test_blocked_search_matches_one_shot_grid(name, monkeypatch):
     here, so block edges fall inside digit carries, and every search past a
     few dozen candidates spans several blocks (C2^4's largest, 2115)."""
     G = builtin_group(name)
-    monkeypatch.setattr(morphisms, "CHUNK_ENTRIES", (2 * G.n - 1) * G.n)
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", (2 * G.n - 1) * G.n)
     blocked = _searches(G)
     with monkeypatch.context() as mp:
         mp.setattr(morphisms, "_image_rows", oracle.image_rows_by_grid)
@@ -680,7 +680,7 @@ def test_aut_sylow_in_small_blocks_matches_oracle(monkeypatch, name):
     # conjugation positions each span several blocks, the last one partial
     p_powers = _member_p_powers(monkeypatch)
     G = builtin_group(name)
-    monkeypatch.setattr(morphisms, "CHUNK_ENTRIES", 5 * G.n)
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 5 * G.n)
     auts = aut_group(G)
     table, _ = auts.as_group()
     orders = table.element_orders
@@ -749,7 +749,7 @@ def test_aut_group_is_bounded_by_its_entries_not_its_order():
     G = builtin_group("c7xc7xc7")
     with pytest.raises(BudgetError, match="automorphism candidate space exceeds the batch budget"):
         aut_group(G)
-    assert "aut" not in G._cache
+    assert "aut_group" not in G._cache
 
 
 def test_aut_group_has_no_member_cap_and_refuses_a_sylow_past_the_order_cap(monkeypatch):
@@ -807,3 +807,32 @@ def test_aut_group_as_group_is_isomorphic_table():
         for j in (2, 9, 23):
             k = int(grp.table[i, j])
             assert (members[k] == members[j][members[i]]).all()
+
+
+def test_generator_image_search_takes_its_blocks_from_groups(monkeypatch):
+    """Patching groups.CHUNK_ENTRIES alone splits C4 x C2's 64 candidate maps
+    into law checks of at most 5 rows, with the same surviving rows."""
+    G = builtin_group("c4xc2")
+    choices, act = [list(range(G.n))] * _test_columns(G).size, _trivial_action(G)
+    whole = morphisms._image_rows(G, choices, act, "homomorphisms")
+    checked = []
+    monkeypatch.setattr(morphisms, "_law_rows", lambda G, act, U: checked.append(len(U)) or _law_rows(G, act, U))
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 5 * G.n)
+    np.testing.assert_array_equal(morphisms._image_rows(G, choices, act, "homomorphisms"), whole)
+    assert max(checked) == 5 and sum(checked) == 64
+
+
+def test_then_rows_composes_one_frontier_block_at_a_time(monkeypatch):
+    """Each composite `_then_rows` looks up holds at most CHUNK_ENTRIES image
+    entries, read from groups, and the positions match the one-shot step."""
+    G = builtin_group("d8xc2")
+    M = aut_group(G).matrix
+    index, frontier, gens = _RowIndex(M), np.arange(M.shape[0]), [1, 5]
+    whole = morphisms._then_rows(M, index, gens, "closure")(frontier)
+    looked_up = []
+    require = _RowIndex.require
+    monkeypatch.setattr(_RowIndex, "require", lambda self, rows, what: looked_up.append(rows.size)
+                        or require(self, rows, what))
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 7 * G.n)
+    np.testing.assert_array_equal(morphisms._then_rows(M, index, gens, "closure")(frontier), whole)
+    assert max(looked_up) == 7 * G.n and sum(looked_up) == len(gens) * M.size

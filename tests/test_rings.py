@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from adjrings import rings
+from adjrings import groups, rings
 from adjrings.adjoint import adjoint_group, omega_circle_set
 from adjrings.cli import builtin_ring, default_corpus
 from adjrings.errors import (
@@ -616,7 +616,7 @@ def test_staged_enumeration_matches_flat_scan(p, exps):
 # at 64 tensors per block these four types had a block with no survivor
 @pytest.mark.parametrize("p, exps", [(3, (1, 1)), (5, (1, 1)), (2, (2, 2)), (3, (2, 1))])
 def test_small_block_enumeration_matches_flat_scan(p, exps, monkeypatch):
-    monkeypatch.setattr(rings, "CHUNK_ENTRIES", 64 * len(exps) ** 4)
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 64 * len(exps) ** 4)
     got = [(r.name, r.tensor.tolist()) for r in enumerate_rings(p, exps)]
     assert got == _flat_scan(p, exps)
 
@@ -823,3 +823,16 @@ def test_property_omega_circle_set_matches_circle_powers(ring):
                 additive.add(x)
         assert oracle.members(ring, omega_circle_set(ring, n)) == circle
         assert oracle.members(ring, omega_additive(ring, n)) == additive
+
+
+def test_enumeration_takes_its_blocks_from_groups(monkeypatch):
+    """Patching groups.CHUNK_ENTRIES alone keeps every associativity batch of
+    (3, (1, 1)) within 64 tensors of 2^4 entries, with the same rings."""
+    want = [(r.name, r.tensor.tolist()) for r in enumerate_rings(3, (1, 1))]
+    batches = []
+    real = rings._associative_mask
+    monkeypatch.setattr(rings, "_associative_mask",
+                        lambda arr, moduli, triples: batches.append(len(arr)) or real(arr, moduli, triples))
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 64 * 2**4)
+    assert [(r.name, r.tensor.tolist()) for r in enumerate_rings(3, (1, 1))] == want
+    assert 1 < max(batches) <= 64
