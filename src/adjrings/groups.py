@@ -99,38 +99,40 @@ def blocks(count: int, width: int):
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def _light_columns(tab: np.ndarray, identity: int) -> np.ndarray:
-    """A set S such that right products x s (s in S) reach every element from
-    the identity, grown greedily from the least element not yet reached.
+def _right_search(table: np.ndarray, start: np.ndarray, cols=()) -> tuple[list[int], list]:
+    """Walk breadth-first by right products x s from the members of the bool
+    mask `start`, s running over `cols`; whenever the walk stalls short of
+    every element, the least element not yet reached joins `cols`.
 
-    Nothing here presumes associativity: only the columns of S are read.  In
-    a group what is reached is the subgroup S generates, and each new s at
-    least doubles it (a proper subgroup has at most half the elements), so a
-    table where it does not is refused as not associative; this keeps
-    |S| <= log2(n).
+    Returns the columns and each element's first arrival (y, x, slot), y =
+    x cols[slot], in the order reached.  Only the columns are read: nothing
+    presumes associativity.  In a group, from a normal subgroup N, what is
+    reached is the subgroup N<cols>, so each join at least doubles it; one
+    that does not is refused as not associative (so at most log2(n) joins).
     """
-    n = tab.shape[0]
-    seen = [False] * n
-    seen[identity] = True
-    reached = [identity]
-    S: list[int] = []
-    cols: list[list[int]] = []  # cols[k][x] = x * S[k]
-    least = 0
-    while len(reached) < n:
-        while seen[least]:
-            least += 1
-        S.append(least)
-        cols.append(tab[:, least].tolist())
-        old = len(reached)
-        # the old elements take the new column; those reached now take them all
+    seen = start.tolist()
+    reached = np.flatnonzero(start).tolist()
+    cols = [int(s) for s in cols]
+    images = [table[:, s].tolist() for s in cols]  # images[k][x] = x cols[k]
+    arrivals: list[tuple[int, int, int]] = []
+    fresh, old, least = 0, 0, 0  # reached[:old] take only the columns from slot `fresh`
+    while True:
+        every = list(enumerate(images))
+        new = every[fresh:]
         for k, x in enumerate(reached):  # grows while it is read
-            for col in cols[-1:] if k < old else cols:
+            for slot, col in new if k < old else every:
                 if not seen[col[x]]:
                     seen[col[x]] = True
                     reached.append(col[x])
+                    arrivals.append((col[x], x, slot))
         if len(reached) < 2 * old:
             raise InvalidStructureError("multiplication is not associative")
-    return np.array(S, dtype=np.intp)
+        if len(reached) == len(seen):
+            return cols, arrivals
+        least = seen.index(False, least)
+        cols.append(least)
+        images.append(table[:, least].tolist())
+        fresh, old = len(cols) - 1, len(reached)
 
 
 class FiniteGroup:
@@ -140,16 +142,17 @@ class FiniteGroup:
     of Semigroups I, 1961, sec. 1.2): the elements a with (xa)y = x(ay) for
     all x, y are closed under products, so checking every x, y against each
     a in a set S that generates the table as a magma proves the whole table
-    associative, in |S| n^2 lookups.  Derived tables (`inverses`,
-    `element_orders`, `conj_table`, `comm_table`) and the objects module
-    functions build are all kept by `memo` in `_cache`.
+    associative, in |S| n^2 lookups; S is the columns of `_right_search` from
+    the identity.  Derived tables (`inverses`, `element_orders`, `conj_table`,
+    `comm_table`) and the objects module functions build are all kept by
+    `memo` in `_cache`.
     """
 
     def __init__(self, table, identity: int = 0, name: str = "G"):
         tab = _index_table(table, np.int32)
-        n = tab.shape[0]
-        if tab.ndim != 2 or tab.shape[1] != n or not n:
+        if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or not tab.size:
             raise InvalidStructureError("multiplication table must be square and non-empty")
+        n = tab.shape[0]
         _check_order(n)
         if tab.min() < 0 or tab.max() >= n:
             raise InvalidStructureError("table entries must be element indices")
@@ -160,7 +163,7 @@ class FiniteGroup:
         srt = np.sort(tab, axis=1)
         if not (srt == np.arange(n)).all() or not (np.sort(tab, axis=0).T == np.arange(n)).all():
             raise InvalidStructureError("table is not a Latin square")
-        S = _light_columns(tab, identity)
+        S = np.array(_right_search(tab, np.arange(n) == identity)[0], dtype=np.intp)
         for x in (tab[b] for b in blocks(n, n * len(S) or 1)):  # rows x: (xs)y = x(sy)
             if not (tab[x[:, S]] == x[:, tab[S]]).all():
                 raise InvalidStructureError("multiplication is not associative")
@@ -430,16 +433,12 @@ def frattini(G: FiniteGroup) -> Subgroup:
 
 @memoized
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:
-    """A generating set, kept in G's memo: from Phi(G) for a p-group, else from 1,
-    join the least uncovered element and close, until G is covered.  A p-group
-    gets its least-first Burnside basis, d(G) elements; others need not be minimal."""
-    covered = frattini(G).mask.copy() if prime_of(G) else np.arange(G.n) == G.identity
-    gens: list[int] = []
-    while not covered.all():
-        gens.append(int(np.argmin(covered)))
-        covered[gens[-1]] = True
-        closed_mask(G.table, covered)
-    return tuple(gens)
+    """A generating set, kept in G's memo: the columns `_right_search` joins
+    from Phi(G) for a p-group, else from 1.  Phi(G) is normal, so each join
+    is the least element outside <Phi(G), gens so far>: a p-group gets its
+    least-first Burnside basis, d(G) elements; others need not be minimal."""
+    start = frattini(G).mask if prime_of(G) else np.arange(G.n) == G.identity
+    return tuple(_right_search(G.table, start)[0])
 
 
 def min_generators(G: FiniteGroup) -> int:
@@ -804,7 +803,9 @@ def semidihedral_group(order: int) -> FiniteGroup:
 
 def modular_group(order: int) -> FiniteGroup:
     """The modular (Iwasawa) group of order p^k: k >= 3 for odd p, k >= 4 for
-    p = 2 (the construction at order 8 gives D_8)."""
+    p = 2 (the construction at order 8 gives D_8).  The order cap runs before
+    the trial division that finds p."""
+    _check_order(order)
     pk = prime_power(order)
     if pk is None or pk[1] < (4 if pk[0] == 2 else 3):
         raise InvalidArgumentError("modular groups need order p^k with k >= 3, "

@@ -45,6 +45,7 @@ from .groups import (
     sylow_ascent,
     _compose_table,
     _powers,
+    _right_search,
     _row_table,
     _RowIndex,
 )
@@ -56,12 +57,26 @@ PAIRS_CAP = 1024
 _PAIR_BROKEN = "pair ({},{}) breaks the correspondence"
 
 
-def _bijective_rows(M: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the rows of M that permute range(n): a row of n values in
-    range(n) does so exactly when it hits every value."""
-    hit = np.zeros((M.shape[0], n), dtype=bool)
-    np.put_along_axis(hit, M, True, axis=1)
-    return hit.all(axis=1)
+def _image_sizes(M: np.ndarray) -> np.ndarray:
+    """How many distinct values each row of M holds (its values in range(n),
+    n its width, so n marks a permutation), marked in row `blocks`."""
+    m, n = M.shape
+    sizes = np.empty(m, dtype=np.int64)
+    for b in blocks(m, n):
+        hit = np.zeros((b.stop - b.start, n), dtype=bool)
+        np.put_along_axis(hit, M[b], True, axis=1)
+        sizes[b] = np.count_nonzero(hit, axis=1)
+    return sizes
+
+
+def _inverse_rows(M: np.ndarray) -> np.ndarray:
+    """The inverse of each permutation row of M, in M's dtype, filled in row
+    `blocks` with no wider copy."""
+    inv = np.empty_like(M)
+    one = np.arange(M.shape[1], dtype=M.dtype)
+    for b in blocks(M.shape[0], M.shape[1]):
+        np.put_along_axis(inv[b], M[b], np.broadcast_to(one, M[b].shape), axis=1)
+    return inv
 
 
 def coset_offsets(G: FiniteGroup, rows) -> np.ndarray:
@@ -108,23 +123,11 @@ def _law_rows(G: FiniteGroup, act: np.ndarray, U: np.ndarray) -> np.ndarray:
 @memoized
 def _bfs_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Fill order (element, parent, test-column slot) covering G from the
-    test columns, kept in G's memo."""
-    gens = _test_columns(G)
-    seen = {G.identity}
-    plan = []
-    queue = [G.identity]
-    t = G.table
-    while queue:
-        nxt = []
-        for x in queue:
-            for gi, g in enumerate(gens):
-                y = int(t[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    plan.append((y, x, gi))
-                    nxt.append(y)
-        queue = nxt
-    if len(seen) != G.n:
+    test columns, kept in G's memo: the arrivals of `_right_search` from the
+    identity over them, refused if a column had to join."""
+    S = _test_columns(G)
+    cols, plan = _right_search(G.table, np.arange(G.n) == G.identity, S)
+    if len(cols) > S.size:
         raise InvalidStructureError("generators do not generate the group")
     return tuple(plan)
 
@@ -291,7 +294,7 @@ def aut_n(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     being group element i."""
     _validate_coset_target(G, N)
     M = _endo_matrix(G, N)
-    return AutomorphismGroup(G, M[_bijective_rows(M, G.n)]).as_group()
+    return AutomorphismGroup(G, M[_image_sizes(M) == G.n]).as_group()
 
 
 class AutomorphismGroup:
@@ -337,15 +340,7 @@ class AutomorphismGroup:
         one = np.arange(M.shape[1], dtype=M.dtype)
         parts = list(blocks(self.order, M.shape[1]))
         take = lambda u, v: np.take_along_axis(v, u, axis=1)
-
-        @cache
-        def inverse() -> np.ndarray:
-            """Row inverses in M's dtype, built on first use."""
-            inv = np.empty_like(M)
-            for b in parts:
-                np.put_along_axis(inv[b], M[b], np.broadcast_to(one, M[b].shape), axis=1)
-            return inv
-
+        inverse = cache(lambda: _inverse_rows(M))  # built on first use
         ids = np.flatnonzero(sylow_ascent(
             self.order, self.identity_index, p,
             lambda k: np.concatenate([
@@ -379,7 +374,7 @@ def aut_group(G: FiniteGroup) -> AutomorphismGroup:
     cand_lists = [np.flatnonzero((orders == orders[g]) & (class_size == class_size[g])).tolist()
                   for g in _test_columns(G)]
     M = _image_rows(G, cand_lists, _trivial_action(G), "automorphism candidate space")
-    M = M[_bijective_rows(M, G.n)]  # rebound: the unfiltered rows are freed before the sort
+    M = M[_image_sizes(M) == G.n]  # rebound: the unfiltered rows are freed before the sort
     return AutomorphismGroup(G, M)
 
 
@@ -393,8 +388,7 @@ def _monoid_generators(M: np.ndarray, index: _RowIndex, identity_idx: int) -> li
     image, so starting from the bijections keeps the generating set small.
     """
     m = M.shape[0]
-    srt = np.sort(M, axis=1)
-    image_size = (srt[:, 1:] != srt[:, :-1]).sum(axis=1) + 1
+    image_size = _image_sizes(M)
     reached = np.zeros(m, dtype=bool)
     reached[identity_idx] = True
     gens: list[int] = []
@@ -480,7 +474,7 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
     end_index = _RowIndex(ends)
     ident_idx = int(end_index.require(
         np.arange(G.n, dtype=ends.dtype)[None, :], "identity endomorphism")[0])
-    bijective = np.flatnonzero(_bijective_rows(ends, G.n))
+    bijective = np.flatnonzero(_image_sizes(ends) == G.n)
     computed["aut_count"] = int(bijective.size)
 
     S, every = _test_columns(G), np.arange(m)
@@ -504,8 +498,7 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
                 if bad.size:
                     return _PAIR_BROKEN.format(*((y, bad[0]) if j is every else (bad[0], y)))
         if bijective.size:
-            binv_rows = np.argsort(ends[bijective], axis=1).astype(ends.dtype)
-            jidx, jfound = end_index.find(binv_rows)
+            jidx, jfound = end_index.find(_inverse_rows(ends[bijective]))
             if not jfound.all():
                 b = int(bijective[np.flatnonzero(~jfound)[0]])
                 return f"automorphism {b} lacks an inverse member"

@@ -319,10 +319,10 @@ def to_finite_ring(add, mul, zero: int, name: str = "T") -> tuple[FiniteRing, np
     """
     add = _index_table(add, np.int64)
     mul = _index_table(mul, np.int64)
-    m = add.shape[0]
+    m = len(add) if add.ndim else 0
     every = np.arange(m)
-    if add.shape != (m, m) or mul.shape != (m, m):
-        raise InvalidStructureError("tables must be square and same-sized")
+    if not m or add.shape != (m, m) or mul.shape != (m, m):
+        raise InvalidStructureError("tables must be square, non-empty and same-sized")
     if min(add.min(), mul.min()) < 0 or max(add.max(), mul.max()) >= m:
         raise InvalidStructureError("table entries out of range")
     # a zero row and column and Latin columns keep the decomposition finite: each
@@ -421,14 +421,19 @@ def enumerate_rings(p: int, exps):
     failing the triples its plane decides, so only survivors are extended
     (backtrack pruning: Holt, Eick and O'Brien 2005, 4.6).
     """
+    # int64 guards first: _additive_type's trial division up to sqrt(p) outlasts them
+    p, exps = _integer(p, "p"), tuple(_integer(e, "additive exponent") for e in exps)
+    if p >= 2 and all(e >= 1 for e in exps):
+        if p.bit_length() * sum(exps) > 128:  # then |R| > 2^64: refused unpowered
+            raise BudgetError(f"planes of up to |R| = {p}^{sum(exps)} values exceed int64")
+        moduli, limit = [p**e for e in exps], np.iinfo(np.int64).max
+        if math.prod(moduli) > limit:  # a plane holds at most |R| values
+            raise BudgetError(f"planes of up to |R| = {math.prod(moduli)} values exceed int64")
+        if exps and len(exps) * (max(moduli) - 1) ** 2 > limit:
+            raise BudgetError(f"associativity sums of {len(exps)} x {max(moduli) - 1}^2 exceed int64")
     p, exps = _additive_type(p, exps)
     d = len(exps)
     moduli = [p**e for e in exps]
-    limit = np.iinfo(np.int64).max
-    if math.prod(moduli) > limit:  # a plane holds at most |R| values
-        raise BudgetError(f"planes of up to |R| = {math.prod(moduli)} values exceed int64")
-    if d and d * (max(moduli) - 1) ** 2 > limit:
-        raise BudgetError(f"associativity sums of {d} x {max(moduli) - 1}^2 exceed int64")
     if d == 0:
         yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
         return

@@ -27,8 +27,11 @@ bounded blocks, keeping only survivors.  The conjugacy classes here
 `morphisms.aut_group` counts each class by its least member, read off
 `FiniteGroup.conj_table`.  The Burnside basis here (`burnside_basis`) walks
 the elements in order and rebuilds the generated subgroup as a Python set by
-`closure_by_bfs` for each new generator; `groups.generating_set` grows one
-mask by `closed_mask` instead.
+`closure_by_bfs` for each new generator; `groups.generating_set` takes the
+columns that one `groups._right_search` walk from Phi(G) joins instead.  The
+fill plan here (`bfs_plan`) is a level-by-level queue of right products over
+the test columns; `morphisms._bfs_plan` takes the arrivals of that same walk
+from the identity instead.
 """
 
 from __future__ import annotations
@@ -184,6 +187,29 @@ def burnside_basis(G: FiniteGroup) -> list[int]:
             gens.append(x)
             covered = set(closure_by_bfs(G, base + gens).elems)
     return gens
+
+
+def bfs_plan(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
+    """Fill order (element, parent, test-column slot) covering G from the
+    test columns, queue by queue of right products."""
+    gens = morphisms._test_columns(G)
+    seen = {G.identity}
+    plan = []
+    queue = [G.identity]
+    t = G.table
+    while queue:
+        nxt = []
+        for x in queue:
+            for gi, g in enumerate(gens):
+                y = int(t[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    plan.append((y, x, gi))
+                    nxt.append(y)
+        queue = nxt
+    if len(seen) != G.n:
+        raise InvalidStructureError("generators do not generate the group")
+    return tuple(plan)
 
 
 def sylow_by_closure(G: FiniteGroup, p: int) -> Subgroup:

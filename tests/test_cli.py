@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -77,6 +78,22 @@ def test_ring_info_malformed_mul_exits_2(tmp_path, capsys, mul):
     bad.write_text(json.dumps({"p": 2, "exps": [1], "mul": mul}))
     assert main(["ring-info", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, obj, match", [
+    ("zero:4:1000000000000", None, "p = 4 is not prime"),
+    (None, {"p": 3, "exps": [1000000000000], "mul": [[1]]}, "mul entry (0,0) must be a list"),
+])
+def test_ring_info_huge_exponent_is_refused_before_powering(tmp_path, capsys, spec, obj, match):
+    # p^e for e = 10^12 would be a bigint of 10^11 bytes or more; the prime test
+    # and the tensor shape refuse these first
+    if obj is not None:
+        spec = str(tmp_path / "r.json")
+        Path(spec).write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["ring-info", spec]) == 2
+    assert time.perf_counter() - start < 1
+    assert match in capsys.readouterr().err
 
 
 def test_ring_info_unknown_spec(capsys):
@@ -209,6 +226,20 @@ def test_enumerate_rings_refusal_leaves_no_out_dir(tmp_path, capsys, args):
     out = tmp_path / "x"
     assert main(["enumerate-rings", *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, exps", [("1000000000000000003", "1"), ("4", "1000000000000")])
+def test_enumerate_rings_huge_type_is_refused_before_its_primality_test(tmp_path, capsys,
+                                                                         p, exps):
+    # trial division of p = 10^18 + 3 up to its square root ran past 10 s; the
+    # int64 guard on the associativity sums refuses it first.  4^(10^12) would
+    # be a bigint of 250 GB: the guard refuses it without powering
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["enumerate-rings", "--p", p, "--exps", exps, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exceed int64" in capsys.readouterr().err
     assert not out.exists()
 
 

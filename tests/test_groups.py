@@ -31,7 +31,7 @@ from adjrings.errors import (
 )
 from adjrings.groups import (
     FiniteGroup,
-    _light_columns,
+    _right_search,
     agemo,
     alternating4,
     builtin_group,
@@ -190,6 +190,12 @@ class TestValidation:
         with pytest.raises(InvalidStructureError, match="table entries must be int32"):
             FiniteGroup(table)
 
+    @pytest.mark.parametrize("table", [5, [0, 1], [[[0]]]], ids=["0-d", "1-D", "3-D"])
+    def test_rejects_a_table_that_is_not_two_dimensional(self, table):
+        # a 0-d table used to raise IndexError reading the length of its first axis
+        with pytest.raises(InvalidStructureError, match="square and non-empty"):
+            FiniteGroup(table)
+
     def test_accepts_an_unsigned_table(self):
         assert FiniteGroup(np.array([[0, 1], [1, 0]], dtype=np.uint8)).n == 2
 
@@ -244,10 +250,10 @@ class TestValidation:
         ])
         assert not oracle.is_associative(loop)
         with pytest.raises(InvalidStructureError, match="associative"):
-            _light_columns(loop, 0)
+            _right_search(loop, np.arange(6) == 0)
         for name in DEFAULT_GROUP_NAMES:
             G = builtin_group(name)
-            assert 2 ** len(_light_columns(G.table, G.identity)) <= G.n
+            assert 2 ** len(_right_search(G.table, np.arange(G.n) == G.identity)[0]) <= G.n
 
     def test_rejects_order_64_table_after_one_intercalate_swap(self):
         G = builtin_group("c4xc4xc4")
@@ -277,7 +283,7 @@ class TestValidation:
             cyclic_group(730)
 
     @pytest.mark.parametrize("name", ["c1000000", "d1000000", "q1000000", "sd1048576",
-                                      "m15625", "es_p3_101"])
+                                      "m15625", "es_p3_101", "m1000000000000000003"])
     def test_oversized_builtin_is_refused_before_its_elements(self, name):
         # each builder checks the order before it lists the elements: at 10^6
         # elements the list and its index dict alone take over 100 MB
@@ -888,6 +894,26 @@ class TestClosureKernel:
                 identity = np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0]
                 as_group[id(table)] = FiniteGroup(table, identity=int(identity))
             assert oracle.closure_by_bfs(as_group[id(table)], seed).elems == elems, seed
+
+    def test_spanning_searches_close_no_mask(self, monkeypatch):
+        # Light's set, every generating set and the generator-image fill plan
+        # come from one right-product walk: over every corpus group, building
+        # the group from its table, its generating set and its fill plan call
+        # closed_mask nowhere (Phi(G), where a p-group's set starts, is taken first)
+        corpus = [entry.obj for entry in default_corpus() if entry.kind == "group"]
+        for G in corpus:
+            groups.release_memo(G)
+            if prime_of(G):
+                frattini(G)
+        calls = []
+        kernel = groups.closed_mask
+        monkeypatch.setattr(groups, "closed_mask",
+                            lambda table, mask: calls.append(len(table)) or kernel(table, mask))
+        for G in corpus:
+            assert FiniteGroup(G.table, identity=G.identity).n == G.n
+            generating_set(G)
+            assert len(morphisms._bfs_plan(G)) == G.n - 1
+        assert len(corpus) == 57 and calls == []
 
     def test_kernel_adds_every_product_of_two_members(self, monkeypatch):
         # x y = min(x, y) off the diagonal and x x = x + 1, so a pass adds only

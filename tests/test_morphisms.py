@@ -691,6 +691,29 @@ def test_aut_sylow_in_small_blocks_matches_oracle(monkeypatch, name):
         assert (p_powers[q](len(ids)) == (len(ids) % orders == 0)).all(), q
 
 
+@pytest.mark.parametrize("name", DEFAULT_GROUP_NAMES)
+def test_bfs_plan_is_the_queue_of_right_products(name):
+    G = builtin_group(name)
+    assert morphisms._bfs_plan(G) == oracle.bfs_plan(G)
+
+
+def test_monoid_generators_count_image_sizes_in_blocks():
+    # End(C3^3) has 19683 members of 27 image entries; sorting a full copy of
+    # the rows to count each row's image size peaked at 5.7 MiB traced
+    G = builtin_group("c3xc3xc3")
+    ends = _endo_matrix(G, full_subgroup(G))
+    index = _RowIndex(ends)
+    ident = int(index.require(np.arange(G.n, dtype=ends.dtype)[None, :], "identity")[0])
+    tracemalloc.start()
+    try:
+        gens = morphisms._monoid_generators(ends, index, ident)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ends.shape == (19683, 27) and len(gens) == 9
+    assert peak <= 4.5 * 2**20
+
+
 def test_aut_sylow_memory_stays_bounded():
     # Sylow 3-subgroup (order 729) of the 23328 automorphisms of es27 x C3,
     # 81 image entries each: powering every member at once and an int64

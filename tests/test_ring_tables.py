@@ -181,6 +181,16 @@ def test_to_finite_ring_rejects_broken_law(law):
         to_finite_ring(add, mul, 0)
 
 
+@pytest.mark.parametrize("add, mul", [(5, 5), (XOR4, 5), (5, F2_Z2), ([[[0]]], [[[0]]]),
+                                      (np.zeros((0, 0), int), np.zeros((0, 0), int))],
+                         ids=["0-d", "0-d-mul", "0-d-add", "3-D", "empty"])
+def test_to_finite_ring_rejects_tables_that_are_not_square(add, mul):
+    # a 0-d add table used to raise IndexError reading the length of its first
+    # axis, and an empty one ValueError taking the least entry
+    with pytest.raises(InvalidStructureError, match="square, non-empty and same-sized"):
+        to_finite_ring(add, mul, 0)
+
+
 def test_to_finite_ring_rejects_wrong_zero():
     assert _broken_laws(XOR4, F2_Z2) == set()
     assert to_finite_ring(XOR4, F2_Z2, 0)[0].order == 4
