@@ -12,29 +12,46 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidStructureError
+from .errors import BoundError, InvalidStructureError
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n == p**k and k >= 1, or None."""
+    """Return (p, k) with n == p**k and k >= 1, or None.
+
+    Trial division stops at 2^10.  Past it n = p**k only for an exact k-th
+    root p of n, k <= log_1024 n, that `_miller_rabin` finds prime, which
+    is exact below 3.3e24; a larger n with no factor below 2^10 raises
+    BoundError.
+    """
     if n < 2:
         return None
-    p = None
-    m = n
-    for q in range(2, n + 1):
-        if q * q > m:
-            p = m if p is None else p
-            break
-        if m % q == 0:
-            p = q
-            break
-    if p is None:
-        return None
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
+    for q in range(2, 1 << 10):
+        if q * q > n:
+            return n, 1
+        if n % q == 0:
+            k = 0
+            while n % q == 0:
+                n, k = n // q, k + 1
+            return (q, k) if n == 1 else None
+    if n >= 3317044064679887385961981:
+        raise BoundError(f"a {n.bit_length()}-bit number with no prime factor below 2^10"
+                         " is past the exact primality bound 3.3e24")
+    for k in range(1, n.bit_length() // 10 + 1):
+        r = n if k == 1 else round(n ** (1 / k))  # a root below 2^41: the float is within 0.01
+        if r**k == n and _miller_rabin(r):
+            return r, k
+    return None
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether an odd n > 2 is prime, by the strong probable-prime test to
+    the bases 2..41: exact below 3.3e24 (Sorenson and Webster 2017)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        powers = [pow(a, (n - 1) >> s << i, n) for i in range(s)]  # a^d, a^2d, ..., a^(2^(s-1) d)
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
 
 
 def smith_normal_form(rows: list[list[int]], cols: int):

@@ -247,16 +247,34 @@ class Subgroup:
         return memo(G, ("as_group", self.elems), build)
 
 
+def join(seen: np.ndarray, gens: list[int], new, step) -> np.ndarray:
+    """The one closure kernel: grow the bool mask `seen`, closed under right
+    products by `gens`, in place until it is closed under `new` as well, and
+    append `new` to `gens`.  Round one multiplies every member by `new`
+    alone, each later round the last round's arrivals by every generator, so
+    no (member, generator) pair is multiplied twice.  `step(xs, cols)` yields
+    the positions of the products x c, one `blocks` slice of xs at a time."""
+    cols = np.asarray(new, dtype=np.intp)
+    gens.extend(cols.tolist())
+    fresh = np.flatnonzero(seen)
+    while fresh.size and cols.size:
+        before = seen.copy()
+        for hits in step(fresh, cols):
+            seen[hits] = True
+        fresh = np.flatnonzero(seen ^ before)
+        cols = cols if cols.size == len(gens) else np.array(gens, dtype=np.intp)
+    return seen
+
+
+def _table_step(table: np.ndarray):
+    """`join`'s step on a Cayley table: the entries of rows xs, columns cols."""
+    return lambda xs, cols: (table[xs[b, None], cols] for b in blocks(xs.size, cols.size))
+
+
 def closed_mask(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Grow a bool mask in place by every product of two members, read in row
-    `blocks`, until a pass adds nothing.  A finite set holding 1 and closed
-    under products is a subgroup."""
-    while True:
-        members = np.flatnonzero(mask)
-        for b in blocks(members.size, members.size):
-            mask[table[members[b, None], members]] = True
-        if np.count_nonzero(mask) == members.size:
-            return mask
+    """Grow a bool mask in place to what its members generate: one `join` of
+    them, from the mask.  In a finite group that is a subgroup."""
+    return join(mask, [], np.flatnonzero(mask), _table_step(table))
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
@@ -268,20 +286,6 @@ def closure(G: FiniteGroup, seed) -> Subgroup:
     mask = np.arange(G.n) == G.identity
     mask[seed] = True
     return Subgroup(G, tuple(np.flatnonzero(closed_mask(G.table, mask)).tolist()))
-
-
-def reach(seen: np.ndarray, step) -> np.ndarray:
-    """Grow the bool mask `seen` in place until nothing new appears.
-
-    `step(frontier)` returns the indices one step from the index array
-    `frontier`; the first frontier is everything already seen.
-    """
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        frontier = np.unique(step(frontier))
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return seen
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
@@ -604,12 +608,12 @@ def sylow_ascent(m: int, identity: int, p: int, p_power, conj, step) -> np.ndarr
     first-found normalizer ascent from the identity.
 
     `p_power(k)` marks the members x with x^k = 1, `conj(g)` gives the
-    position of x^-1 g x for each member x, and `step(gens)` is reach()'s
-    right-multiplication step (reading `gens` when called).  Each step joins
-    the least p-element outside H = <gens> that conjugates every generator
-    into H, which in a finite group is to normalize H; a generator's
-    conjugates are computed when a later step first reads them.  Every caller
-    builds the Sylow table, so an order past MAX_ORDER is refused first.
+    position of x^-1 g x for each member x, and `step` is `join`'s.  Each
+    step joins the least p-element outside H = <gens> that conjugates every
+    generator into H, which in a finite group is to normalize H; a
+    generator's conjugates are computed when a later step first reads them.
+    Every caller builds the Sylow table, so an order past MAX_ORDER is
+    refused first.
     """
     if prime_power(p) != (p, 1):
         raise InvalidArgumentError(f"{p} is not prime")
@@ -628,16 +632,14 @@ def sylow_ascent(m: int, identity: int, p: int, p_power, conj, step) -> np.ndarr
         cand = p_elements & ~current & np.all([current[c] for c in conjugates], axis=0)
         if not cand.any():
             raise InvalidStructureError("sylow ascent stalled")
-        gens.append(int(cand.argmax()))
-        reach(current, step(gens))
+        join(current, gens, [int(cand.argmax())], step)
     return current
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup by `sylow_ascent` on the Cayley table."""
     mask = sylow_ascent(G.n, G.identity, p, lambda k: power_map(G, k) == G.identity,
-                        lambda g: G.conj_table[G.inverses, g],
-                        lambda gens: lambda frontier: G.table[np.ix_(frontier, gens)])
+                        lambda g: G.conj_table[G.inverses, g], _table_step(G.table))
     return Subgroup(G, tuple(np.flatnonzero(mask).tolist()))
 
 

@@ -36,12 +36,12 @@ from .groups import (
     generating_set,
     is_abelian_normal,
     is_normal,
+    join,
     kappa,
     memo,
     memoized,
     omega_subgroup,
     p_group_prime,
-    reach,
     sylow_ascent,
     _compose_table,
     _powers,
@@ -84,13 +84,12 @@ def coset_offsets(G: FiniteGroup, rows) -> np.ndarray:
     return G.table[G.inverses[None, :], np.asarray(rows, dtype=np.int32)]
 
 
-def _then_rows(M: np.ndarray, index: _RowIndex, gens: list[int], what: str):
-    """Step for reach(): positions of w then g for each frontier member w and
-    each g in gens (read when called, so gens may grow), composed in row
-    `blocks` of the frontier."""
-    return lambda frontier: np.concatenate(
-        [index.require(M[g][M[frontier[b]]], what)
-         for g in gens for b in blocks(frontier.size, M.shape[1])])
+def _then_rows(M: np.ndarray, index: _RowIndex, what: str):
+    """`join`'s step over the image rows of M: the positions of x then c, for
+    x in xs and c in cols, composed and looked up one `blocks` slice of xs
+    at a time."""
+    return lambda xs, cols: (index.require(M[cols][:, M[xs[b]]].reshape(-1, M.shape[1]), what)
+                             for b in blocks(xs.size, cols.size * M.shape[1]))
 
 
 def _test_columns(G: FiniteGroup) -> np.ndarray:
@@ -349,7 +348,7 @@ class AutomorphismGroup:
             lambda g: np.concatenate([
                 index.require(take(M[g][inverse()[b]], M[b]), "automorphism conjugation")
                 for b in parts]),
-            lambda gens: _then_rows(M, index, gens, "automorphism closure"))).tolist()
+            _then_rows(M, index, "automorphism closure"))).tolist()
         sub = M[ids]
         tab = _compose_table(sub, _RowIndex(sub), "sylow composition")
         grp = FiniteGroup(tab, identity=ids.index(self.identity_index),
@@ -382,21 +381,19 @@ def aut_group(G: FiniteGroup) -> AutomorphismGroup:
 
 
 def _monoid_generators(M: np.ndarray, index: _RowIndex, identity_idx: int) -> list[int]:
-    """Greedy generating set of the composition monoid over image rows.
+    """Greedy generating set of the composition monoid over image rows: each
+    candidate not yet reached is `join`ed to the reached mask.
 
     Candidates are taken largest image first: products never enlarge the
     image, so starting from the bijections keeps the generating set small.
     """
     m = M.shape[0]
-    image_size = _image_sizes(M)
-    reached = np.zeros(m, dtype=bool)
-    reached[identity_idx] = True
+    reached = np.arange(m) == identity_idx
     gens: list[int] = []
-    step = _then_rows(M, index, gens, "monoid closure")
-    for g in np.lexsort((np.arange(m), -image_size)).tolist():
+    step = _then_rows(M, index, "monoid closure")
+    for g in np.lexsort((np.arange(m), -_image_sizes(M))).tolist():
         if not reached[g]:
-            gens.append(g)
-            reach(reached, step)
+            join(reached, gens, [g], step)
     return gens
 
 
@@ -498,10 +495,11 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
                 if bad.size:
                     return _PAIR_BROKEN.format(*((y, bad[0]) if j is every else (bad[0], y)))
         if bijective.size:
-            jidx, jfound = end_index.find(_inverse_rows(ends[bijective]))
-            if not jfound.all():
-                b = int(bijective[np.flatnonzero(~jfound)[0]])
-                return f"automorphism {b} lacks an inverse member"
+            jidx = np.empty_like(bijective)
+            for b in blocks(bijective.size, G.n):  # the inverse rows, a block at a time
+                jidx[b], found = end_index.find(_inverse_rows(ends[bijective[b]]))
+                if not found.all():
+                    return f"automorphism {int(bijective[b][found.argmin()])} lacks an inverse member"
             one, other = sides(bijective, jidx)[1], sides(jidx, bijective)[1]
             bad = np.flatnonzero(((one != G.identity) | (other != G.identity)).any(axis=1))
             if bad.size:

@@ -97,13 +97,17 @@ def _integer(value, what: str) -> int:
 
 
 def _additive_type(p, exps) -> tuple[int, tuple[int, ...]]:
-    """A prime p and additive exponents (each >= 1) as ints; anything else raises."""
+    """A prime p and additive exponents (each >= 1) as ints; anything else
+    raises, and so does an order p^(sum exps) that may pass 128 bits, before
+    it is powered."""
     p = _integer(p, "p")
     if not _is_prime(p):
         raise InvalidStructureError(f"p = {p} is not prime")
     exps = tuple(_integer(e, "additive exponent") for e in exps)
     if any(e < 1 for e in exps):
         raise InvalidStructureError("additive exponents must be >= 1")
+    if p.bit_length() * sum(exps) > 128:
+        raise BoundError(f"|R| = {p}^{sum(exps)} may pass 128 bits")
     return p, exps
 
 
@@ -421,7 +425,7 @@ def enumerate_rings(p: int, exps):
     failing the triples its plane decides, so only survivors are extended
     (backtrack pruning: Holt, Eick and O'Brien 2005, 4.6).
     """
-    # int64 guards first: _additive_type's trial division up to sqrt(p) outlasts them
+    # the int64 guards first, so a type past them gets their message, not _additive_type's
     p, exps = _integer(p, "p"), tuple(_integer(e, "additive exponent") for e in exps)
     if p >= 2 and all(e >= 1 for e in exps):
         if p.bit_length() * sum(exps) > 128:  # then |R| > 2^64: refused unpowered

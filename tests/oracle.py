@@ -13,13 +13,18 @@ test on a generating set instead.  The group builders here fill a Cayley
 table with one Python product per pair of listed elements (`group_from_mult`);
 the library's builders compute each table as one array formula instead.  The
 Sylow subgroup here (`sylow_by_closure`) tests every element against every
-member of the current subgroup and rebuilds the subgroup by `closure` at each
-step, with p-elements read from the element orders; `groups.sylow_ascent`
-reads only the generators' conjugates and grows one mask by `reach`.  The
-subgroup closure here (`closure_by_bfs`) multiplies each reached element by
-each generator in Python; `groups.closed_mask`, behind `closure`,
-`power_commutator` and `rings.additive_closure`, adds every product of two
-members of a mask per pass instead.  The generator-image search here
+member of the current subgroup and rebuilds the subgroup by `closure_by_bfs`
+at each step, with p-elements read from the element orders;
+`groups.sylow_ascent` reads only the generators' conjugates and `join`s each
+new generator to one mask.  The subgroup closure here (`closure_by_bfs`)
+multiplies each reached element by each generator in Python; the one closure
+kernel `groups.join`, behind `closure`, `power_commutator`,
+`rings.additive_closure`, the Sylow ascents and `_monoid_generators`,
+multiplies each member by each generator once, in blocks, straight into a
+mask; `JoinLedger` wraps it and checks that it does.  The monoid generating
+set here (`monoid_generators_by_reach`) multiplies everything reached by
+every generator again after each join; `morphisms._monoid_generators` `join`s
+each new generator instead.  The generator-image search here
 (`image_rows_by_grid`) builds every candidate with `itertools.product` and
 fills them all at once; `morphisms._image_rows` decodes and fills them in
 bounded blocks, keeping only survivors.  The conjugacy classes here
@@ -41,7 +46,7 @@ import math
 
 import numpy as np
 
-from adjrings import morphisms
+from adjrings import groups, morphisms
 from adjrings.abelian import prime_power
 from adjrings.errors import (
     BudgetError,
@@ -52,7 +57,6 @@ from adjrings.errors import (
 from adjrings.groups import (
     FiniteGroup,
     Subgroup,
-    closure,
     enumerate_subgroups,
     frattini,
     full_subgroup,
@@ -229,8 +233,63 @@ def sylow_by_closure(G: FiniteGroup, p: int) -> Subgroup:
         if len(cand) == 0:
             raise InvalidStructureError("sylow ascent stalled")
         g = int(cand[0])
-        cur = closure(G, list(cur.elems) + [g])
+        cur = closure_by_bfs(G, list(cur.elems) + [g])
     return cur
+
+
+def monoid_generators_by_reach(M: np.ndarray, index, identity_idx: int) -> list[int]:
+    """Greedy generating set of the composition monoid over the image rows of
+    M, largest image first; after each join everything reached is multiplied
+    by every generator again, frontier by frontier, until nothing new
+    appears."""
+    m = M.shape[0]
+    reached = np.arange(m) == identity_idx
+    gens: list[int] = []
+    for g in np.lexsort((np.arange(m), -morphisms._image_sizes(M))).tolist():
+        if reached[g]:
+            continue
+        gens.append(g)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            frontier = np.unique(np.concatenate(
+                [index.require(M[h][M[frontier]], "monoid closure") for h in gens]))
+            frontier = frontier[~reached[frontier]]
+            reached[frontier] = True
+    return gens
+
+
+class JoinLedger:
+    """A wrapper of `groups.join` that checks the kernel's work: within the
+    joins of one mask (one closure, or a whole ascent) no (member, generator)
+    pair is multiplied twice, each block of products holds at most
+    CHUNK_ENTRIES entries at `width` entries a product (or one member's
+    products), and the blocks cover every product asked for.  `masks` maps
+    each mask's id to the mask and the members each generator multiplied."""
+
+    def __init__(self, width: int = 1):
+        self.width = width
+        self.masks: dict = {}
+        self.products = 0
+
+    def wrap(self, kernel):
+        def join(seen, gens, new, step):
+            done = self.masks.setdefault(id(seen), (seen, {}))[1]  # keeps `seen`, so ids stay unique
+
+            def ledger_step(xs, cols):
+                for c in cols.tolist():
+                    row = done.setdefault(c, np.zeros(seen.size, dtype=bool))
+                    assert not row[xs].any(), f"generator {c} multiplied a member twice"
+                    row[xs] = True
+                widest = max(1, groups.CHUNK_ENTRIES // (cols.size * self.width)) * cols.size
+                total = 0
+                for hits in step(xs, cols):
+                    assert hits.size <= widest, f"a block of {hits.size} products"
+                    total += hits.size
+                    yield hits
+                assert total == xs.size * cols.size, "the blocks skip products"
+                self.products += total
+            return kernel(seen, gens, new, ledger_step)
+        return join
 
 
 # -- the generator-image search in one shot ----------------------------------------

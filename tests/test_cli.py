@@ -96,6 +96,26 @@ def test_ring_info_huge_exponent_is_refused_before_powering(tmp_path, capsys, sp
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, obj, match", [
+    ("z1000000000000000003", None, "ring tables capped at 729 elements"),
+    ("3z1000000000000000003", None, "3 must be a proper p-power divisor of 1000000000000000003"),
+    ("zero:3:1000000000000", None, "|R| = 3^1000000000000 may pass 128 bits"),
+    (None, {"p": 1000000000000000003, "exps": [1], "mul": [[[0]]]}, "ring tables capped at 729 elements"),
+    (None, {"p": 3, "exps": [1000000000000], "mul": [[[0]]]}, "|R| = 3^1000000000000 may pass 128 bits"),
+])
+def test_ring_info_outside_input_is_bounded_before_arithmetic(tmp_path, capsys, spec, obj, match):
+    # trial division of p = 10^18 + 3 up to its square root, and 3^(10^12),
+    # each ran past 5 s; the Miller-Rabin test and the 128-bit order bound
+    # answer both at once
+    if obj is not None:
+        spec = str(tmp_path / "r.json")
+        Path(spec).write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["ring-info", spec]) == 2
+    assert time.perf_counter() - start < 1
+    assert match in capsys.readouterr().err
+
+
 def test_ring_info_unknown_spec(capsys):
     assert main(["ring-info", "nonsense"]) == 2
     assert "unknown ring spec" in capsys.readouterr().err

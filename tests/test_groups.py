@@ -864,6 +864,15 @@ class TestSerialization:
         assert g.n == 2 and g.identity == 0
 
 
+def _primes_dividing(n: int) -> list[int]:
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+@functools.cache
+def _small_corpus_groups():
+    return [entry.obj for entry in default_corpus() if entry.kind == "group" and entry.obj.n <= 81]
+
+
 NAMES = st.sampled_from(["c12", "d8", "q8", "m16", "sd16", "a4", "es27", "c9xc3", "pauli16"])
 
 
@@ -916,16 +925,59 @@ class TestClosureKernel:
         assert len(corpus) == 57 and calls == []
 
     def test_kernel_adds_every_product_of_two_members(self, monkeypatch):
-        # x y = min(x, y) off the diagonal and x x = x + 1, so a pass adds only
-        # the square of the largest member: a kernel that stopped after one
-        # pass, or skipped a row block (the last partial one at 50-entry
-        # blocks, from 8 members on), would end short of all 40 elements
-        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 50)
-        n = np.arange(40)
-        table = np.minimum.outer(n, n)
-        table[n, n] = np.minimum(n + 1, n[-1])
-        mask = n == 0
-        assert closed_mask(table, mask) is mask and mask.all()
+        # C40: the multiples of 5 joined with the generator 1 at 5-entry
+        # blocks.  Each round reaches the next member of each coset of <5>, in
+        # row blocks of 5 and then 3 members, and 5k + r is reached from
+        # 5k + r - 1 alone; so a kernel that stopped after one round, or
+        # skipped a row block (the last, partial one), would end short of all
+        # 40 elements.  In D6 = S3 the reflections 1 and 3 generate all 6
+        # elements, but <1><3> holds 4: past round one the old generator must
+        # multiply too.  closed_mask is one join, from 0..7 on C40's table
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 5)
+        step = groups._table_step(cyclic_group(40).table)
+        mask, gens = np.arange(40) % 5 == 0, [5]
+        assert groups.join(mask, gens, [1], step) is mask and mask.all() and gens == [5, 1]
+        mask = np.arange(6) < 2
+        assert groups.join(mask, [1], [3], groups._table_step(dihedral_group(6).table)).all()
+        mask = np.arange(40) < 8
+        assert closed_mask(cyclic_group(40).table, mask) is mask and mask.all()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corpus_closures_and_sylows_match_the_oracles(self, data):
+        G = data.draw(st.sampled_from(_small_corpus_groups()))
+        elems = st.lists(st.integers(0, G.n - 1), max_size=4)
+        seed = data.draw(elems)
+        assert closure(G, seed).elems == oracle.closure_by_bfs(G, seed).elems, seed
+        A, B, k = closure(G, data.draw(elems)), closure(G, data.draw(elems)), data.draw(st.integers(0, 9))
+        t, inv = G.table, G.inverses
+        powers = [functools.reduce(lambda y, _: t[y, a], range(k), G.identity) for a in A.elems]
+        comms = [t[t[t[inv[a], inv[b]], a], b] for a in A.elems for b in B.elems]
+        assert power_commutator(G, A, B, k).elems == oracle.closure_by_bfs(G, powers + comms).elems
+        for p in _primes_dividing(G.n):
+            assert sylow_subgroup(G, p).elems == oracle.sylow_by_closure(G, p).elems, p
+
+    def test_kernel_multiplies_each_member_by_each_generator_once(self, monkeypatch):
+        # over every corpus group: its Frattini subgroup, Omega_1 and Sylow
+        # subgroups, and closures of pairs, at the default block budget and at
+        # 50 entries, where most rounds end in a partial block
+        corpus = [entry.obj for entry in default_corpus() if entry.kind == "group"]
+        kernel = groups.join
+        for budget in (groups.CHUNK_ENTRIES, 50):
+            monkeypatch.setattr(groups, "CHUNK_ENTRIES", budget)
+            ledger = oracle.JoinLedger()
+            monkeypatch.setattr(groups, "join", ledger.wrap(kernel))
+            for G in corpus:
+                groups.release_memo(G)
+                if prime_of(G):
+                    frattini(G)
+                    omega_subgroup(G, 1)
+                for p in _primes_dividing(G.n):
+                    sylow_subgroup(G, p)
+                for x in range(0, G.n, 7):
+                    closure(G, [x, G.n - 1 - x])
+                groups.release_memo(G)
+            assert len(ledger.masks) > 300 and ledger.products > 10**4
 
     @pytest.mark.parametrize("seed", [[8], [-1]], ids=["past-the-end", "negative"])
     def test_out_of_range_seed_is_refused(self, seed):

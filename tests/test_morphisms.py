@@ -847,15 +847,96 @@ def test_generator_image_search_takes_its_blocks_from_groups(monkeypatch):
 
 def test_then_rows_composes_one_frontier_block_at_a_time(monkeypatch):
     """Each composite `_then_rows` looks up holds at most CHUNK_ENTRIES image
-    entries, read from groups, and the positions match the one-shot step."""
+    entries, read from groups, and the positions match the one-shot product."""
     G = builtin_group("d8xc2")
     M = aut_group(G).matrix
-    index, frontier, gens = _RowIndex(M), np.arange(M.shape[0]), [1, 5]
-    whole = morphisms._then_rows(M, index, gens, "closure")(frontier)
+    index, xs, cols = _RowIndex(M), np.arange(M.shape[0]), np.array([1, 5])
+    whole = index.require(M[cols][:, M[xs]].reshape(-1, G.n), "closure").reshape(cols.size, -1)
     looked_up = []
     require = _RowIndex.require
     monkeypatch.setattr(_RowIndex, "require", lambda self, rows, what: looked_up.append(rows.size)
                         or require(self, rows, what))
     monkeypatch.setattr(groups, "CHUNK_ENTRIES", 7 * G.n)
-    np.testing.assert_array_equal(morphisms._then_rows(M, index, gens, "closure")(frontier), whole)
-    assert max(looked_up) == 7 * G.n and sum(looked_up) == len(gens) * M.size
+    got = [hits.reshape(cols.size, -1) for hits in morphisms._then_rows(M, index, "closure")(xs, cols)]
+    np.testing.assert_array_equal(np.concatenate(got, axis=1), whole)
+    assert max(looked_up) == 3 * cols.size * G.n and sum(looked_up) == cols.size * M.size
+
+
+def _generator_mode_modules(name):
+    """(G, N, ends, index, identity position) for each Laue module of G past
+    PAIRS_CAP."""
+    G = builtin_group(name)
+    for N in abelian_normal_subgroups(G):
+        ends = _endo_matrix(G, N)
+        if ends.shape[0] > PAIRS_CAP:
+            index = _RowIndex(ends)
+            ident = int(index.require(np.arange(G.n, dtype=ends.dtype)[None, :], "identity")[0])
+            yield G, N, ends, index, ident
+
+
+@pytest.mark.parametrize("name", ["es27xc3", "m27xc3"])
+def test_monoid_generators_match_the_reach_oracle(name, monkeypatch):
+    """On every generator-mode Laue module, joining each new generator gives
+    the generators of the loop that multiplied everything reached by every
+    generator after each join, and multiplies no (member, generator) pair
+    twice; blocks of 50 image rows end most rounds in a partial block."""
+    modules = list(_generator_mode_modules(name))
+    assert len(modules) == 4
+    for budget in (CHUNK_ENTRIES, 50 * 81):
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", budget)
+        for G, _, ends, index, ident in modules:
+            ledger = oracle.JoinLedger(G.n)
+            with monkeypatch.context() as mp:
+                mp.setattr(morphisms, "join", ledger.wrap(morphisms.join))
+                gens = morphisms._monoid_generators(ends, index, ident)
+            assert gens == oracle.monoid_generators_by_reach(ends, index, ident)
+            (reached, done), = ledger.masks.values()
+            assert reached.all() and sorted(done) == sorted(gens)
+
+
+def test_aut_sylow_ascent_multiplies_each_pair_once(monkeypatch):
+    """Across the whole ascent to the Sylow 2-subgroup of Aut(D8 x C2), order
+    64, no (member, generator) pair is multiplied twice, and no block of
+    composites passes the block budget."""
+    G = builtin_group("d8xc2")
+    auts = AutomorphismGroup(G, aut_group(G).matrix)
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 5 * G.n)
+    ledger = oracle.JoinLedger(G.n)
+    monkeypatch.setattr(groups, "join", ledger.wrap(groups.join))
+    syl, ids = auts.sylow(2)
+    (reached, done), = ledger.masks.values()
+    assert syl.n == len(ids) == np.count_nonzero(reached) == 64
+    assert len(done) > 1 and ledger.products == sum(np.count_nonzero(row) for row in done.values())
+
+
+def test_laue_inverse_check_reads_the_automorphisms_in_blocks(monkeypatch):
+    """Generator mode inverts the automorphism rows one block at a time: on
+    es27 x C3's four generator-mode modules (2916 automorphisms of 81 entries)
+    no `_inverse_rows` call holds more than CHUNK_ENTRIES entries, and every
+    verdict stands."""
+    sizes = []
+    inverse_rows = morphisms._inverse_rows
+    monkeypatch.setattr(morphisms, "_inverse_rows", lambda M: sizes.append(M.size) or inverse_rows(M))
+    for G, N, *_ in _generator_mode_modules("es27xc3"):
+        rep = check_laue(G, N)
+        assert rep.verdict == "pass" and rep.computed["restriction"] == "constructive"
+        assert rep.computed["aut_count"] == 2916
+    assert len(sizes) == 4 * -(-2916 // (CHUNK_ENTRIES // 81)) and max(sizes) <= CHUNK_ENTRIES
+
+
+def test_laue_names_the_first_automorphism_that_lacks_an_inverse(monkeypatch):
+    """When inverses are missing in two row blocks, the witness names the
+    first automorphism, in the earlier block, as the whole-array check did."""
+    G, N, ends, *_ = next(_generator_mode_modules("m27xc3"))
+    bijective = np.flatnonzero(morphisms._image_sizes(ends) == G.n)
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 100 * G.n)
+    lost = ends[bijective[[150, 40]]]  # blocks 1 and 0
+    inverse_rows = morphisms._inverse_rows
+
+    def lose(M):  # no member has an all-identity image row
+        inv = inverse_rows(M)
+        inv[(M[:, None, :] == lost).all(axis=2).any(axis=1)] = G.identity
+        return inv
+    monkeypatch.setattr(morphisms, "_inverse_rows", lose)
+    witness = morphisms._laue_witness(G, N, _der_matrix(G, N), ends, {})
+    assert witness == f"automorphism {bijective[40]} lacks an inverse member"

@@ -13,13 +13,16 @@ corpus groups, the adjoint groups of the left or right p-nil rings of the
 default corpus, and C3 wr C3.  The abelian invariants sympy computes also fix
 the number of maps the generator-image searches of morphisms.py must find:
 |Hom(A, B)| for abelian A and B, and |Aut(A)| for an abelian p-group A.
+`abelian.prime_power`, which stops trial division at 2^10, is checked
+against sympy's factorization.
 """
 
 import math
+import random
 
 import pytest
 
-from adjrings.abelian import table_decomposition
+from adjrings.abelian import prime_power, table_decomposition
 from adjrings.adjoint import adjoint_group
 from adjrings.cli import DEFAULT_GROUP_NAMES, default_corpus
 from adjrings.groups import (
@@ -42,6 +45,7 @@ from adjrings.groups import (
     subgroup_min_generators,
     sylow_subgroup,
 )
+from adjrings.errors import BoundError
 from adjrings.morphisms import _der_matrix, aut_group
 
 import oracle
@@ -192,3 +196,24 @@ def test_abelian_aut_order_matches_hillar_rhea(name):
     p = prime_of(G)
     exps = [sympy.multiplicity(p, q) for q in regular(G).abelian_invariants()]
     assert aut_group(G).order == hillar_rhea_order(p, exps)
+
+
+def test_prime_power_matches_sympy():
+    # every n below 2^14; prime powers p^k with p past the 2^10 trial bound,
+    # below 3.3e24, with near misses; and strong pseudoprimes to the bases
+    # 2..7, 2..23 and 2..37, the last caught by base 41 alone
+    rng = random.Random(0)
+    ns = list(range(2**14))
+    for _ in range(300):
+        p = sympy.nextprime(rng.randrange(2**10, 2 ** rng.randint(11, 81)))
+        k = rng.randint(1, 81 // p.bit_length())
+        ns += [p**k, p**k + 2, p * sympy.nextprime(p)]
+    ns += [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in (n for n in ns if 2 <= n < 3317044064679887385961981):
+        b, e = sympy.perfect_power(n) or (n, 1)  # e the largest such exponent
+        assert prime_power(n) == ((int(b), int(e)) if sympy.isprime(b) else None), n
+    assert prime_power(0) is prime_power(1) is None
+    assert prime_power(2**200) == (2, 200)
+    for n in (sympy.nextprime(10**25), 1031**9):  # no prime factor below 2^10
+        with pytest.raises(BoundError):
+            prime_power(n)
