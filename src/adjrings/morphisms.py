@@ -457,10 +457,11 @@ def _laue_witness(G: FiniteGroup, N: Subgroup, ders: np.ndarray, ends: np.ndarra
     m = ders.shape[0]
     der_index = _RowIndex(ders)
     DU = coset_offsets(G, ends)  # row k = derivation of endomorphism k
-    mapped, found = der_index.find(DU)
-    if not found.all():
-        k = int(np.flatnonzero(~found)[0])
-        return f"endomorphism {k} maps outside the derivation set"
+    mapped = np.empty(m, dtype=np.intp)
+    for b in blocks(m, G.n):  # the coset-offset rows, a block at a time
+        mapped[b], found = der_index.find(DU[b])
+        if not found.all():
+            return f"endomorphism {b.start + int(found.argmin())} maps outside the derivation set"
     if np.unique(mapped).size != m:
         return "correspondence is not injective"
     computed["bijection"] = True

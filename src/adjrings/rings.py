@@ -364,8 +364,10 @@ def _slot_steps(p: int, exps: tuple[int, ...], side: int | None = None) -> np.nd
     multiple of p^max(0, e_k - m[i, j]) for p^m[i, j] to kill it.  Side None
     takes m[i, j] = min(e_i, e_j): well-definedness.  Side 0 (1) takes
     m[i, j] = max(0, e_s - kappa(p)) with s = i (j): the p^m e_s generate the
-    small-order layer, so these steps are left (right) p-nil.
+    small-order layer, so these steps are left (right) p-nil.  Any other side is refused.
     """
+    if side not in (None, 0, 1):
+        raise InvalidArgumentError(f"side must be 0 (left) or 1 (right), got {side!r}")
     e = np.array(exps, dtype=np.int64)
     if side is None:
         m = np.minimum.outer(e, e)
@@ -411,15 +413,18 @@ def _checked_tensors(p: int, exps: tuple[int, ...], batch: np.ndarray) -> np.nda
     return batch
 
 
-def enumerate_rings(p: int, exps):
-    """Yield every associative structure tensor on the given additive type.
+def enumerate_rings(p: int, exps, sides=()):
+    """Yield every associative structure tensor on the given additive type whose
+    slots are also multiples of the `_slot_steps` of each side in `sides`: (0,)
+    gives the left p-nil rings, (1,) the right and (0, 1) the two-sided ones.
 
     Rings come in lexicographic tensor order, named by their exact mixed-radix
-    index among the well-defined candidates.  The planes T[i][j] are assigned
-    in lexicographic order, depth first (a stack of one generator per plane),
-    in `blocks` of partial tensors (later planes zero) d^4 entries wide, as
-    `_associative_mask` holds d^4 entries per tensor in each intermediate.  BudgetError ends the run once more than ENUM_BUDGET of them,
-    scaled by (3/d)^4 past d = 3, are built.  Triple (i, j, k) reads the
+    index among the well-defined candidates, whatever `sides` is.  The planes
+    T[i][j] are assigned in lexicographic order, depth first (a stack of one
+    generator per plane), in `blocks` of partial tensors (later planes zero)
+    d^4 entries wide, as `_associative_mask` holds d^4 entries per tensor in
+    each intermediate.  BudgetError ends the run once more than ENUM_BUDGET of
+    them, scaled by (3/d)^4 past d = 3, are built.  Triple (i, j, k) reads the
     planes (i, j), (j, k), (l, k) and (i, l) for every l, so plane (i, d-1) or
     (d-1, k), whichever is later, decides it.  Each block drops the tensors
     failing the triples its plane decides, so only survivors are extended
@@ -437,15 +442,16 @@ def enumerate_rings(p: int, exps):
             raise BudgetError(f"associativity sums of {len(exps)} x {max(moduli) - 1}^2 exceed int64")
     p, exps = _additive_type(p, exps)
     d = len(exps)
-    moduli = [p**e for e in exps]
+    # slot (i, j, k) walks the multiples of walk[i, j, k]; names count in the steps
+    steps = _slot_steps(p, exps).astype(np.int64)
+    walk = functools.reduce(np.maximum, [_slot_steps(p, exps, s) for s in sides], steps)
+    walk = walk.astype(np.int64)
     if d == 0:
         yield FiniteRing(p, (), [], name=f"enum_p{p}_0d")
         return
 
-    # slot (i, j, k) holds the well-defined multiples of its step below p^e_k
-    steps = _slot_steps(p, exps).astype(np.int64)
-    mod_arr = np.array(moduli, dtype=np.int64)
-    radices = mod_arr // steps
+    mod_arr = np.array([p**e for e in exps], dtype=np.int64)
+    radices = mod_arr // walk
     i, _, k = np.indices((d, d, d))
     last = np.maximum(i * d + d - 1, (d - 1) * d + k)  # the plane deciding each triple
     cap = ENUM_BUDGET * 3**4 // max(d, 3) ** 4
@@ -465,13 +471,13 @@ def enumerate_rings(p: int, exps):
                 built += len(block)
                 if built > cap:
                     raise BudgetError(f"enumeration built over {cap} partial tensors")
-                block[:, a, b] = np.tile(np.stack(digits, axis=1) * steps[a, b], (len(head), 1))
+                block[:, a, b] = np.tile(np.stack(digits, axis=1) * walk[a, b], (len(head), 1))
                 if decided.any():
                     block = block[_associative_mask(block, mod_arr, decided)]
                 yield block
 
     prefix = f"enum_p{p}_e{'.'.join(map(str, exps))}_"
-    weights = np.cumprod([1, *radices.ravel()[:0:-1].tolist()], dtype=object)[::-1]  # Python ints
+    weights = np.cumprod([1, *(mod_arr // steps).ravel()[:0:-1].tolist()], dtype=object)[::-1]
     stack = [extend(0, np.zeros((1, d, d, d), dtype=np.int64))]
     while stack:
         block = next(stack[-1], None)

@@ -27,7 +27,7 @@ from adjrings.cli import (
 from adjrings.errors import AlgebraError
 from adjrings.groups import builtin_group
 from adjrings.report import skipped, verdict
-from adjrings.rings import load_ring
+from adjrings.rings import FiniteRing, load_ring
 from adjrings.verify import CHECKS
 
 
@@ -184,6 +184,22 @@ def test_enumerate_rings_filter(tmp_path, capsys):
     assert len(list(out_nil.glob("*.json"))) == 3
 
 
+def test_enumerate_rings_filter_walks_only_the_p_nil_slots(tmp_path, capsys):
+    # building all of (3, (2, 1, 1)) passes ENUM_BUDGET; the filters walk only
+    # their slots, and `associative:` counts the rings the walk finds
+    left, right = FiniteRing.is_left_p_nil, FiniteRing.is_right_p_nil
+    for flag, count, preds in (("left-p-nil", 315, (left,)), ("right-p-nil", 315, (right,)),
+                               ("p-nil", 27, (left, right))):
+        out = tmp_path / flag
+        assert main(["enumerate-rings", "--p", "3", "--exps", "2,1,1", "--filter", flag,
+                     "--out", str(out)]) == 0
+        counts = capsys.readouterr().out.splitlines()[1:3]
+        assert counts == [f"associative: {count}", f"kept: {count}"]
+        written = [load_ring(path) for path in sorted(out.glob("*.json"))]
+        assert len(written) == count
+        assert all(pred(ring) for ring in written for pred in preds)
+
+
 def test_enumerate_rings_budget(tmp_path, capsys, monkeypatch):
     # (5, (1, 1)) builds 46900 partial tensors; one short of that, the refusal
     # comes after rings were written, and each written file is a whole ring
@@ -274,7 +290,8 @@ def test_enumerate_rings_refuses_empty_exps_tokens(tmp_path, capsys, exps):
 
 
 def test_enumerate_rings_keeping_no_ring_still_creates_out_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._ENUM_FILTERS, "p-nil", lambda ring: False)
+    # every walk yields the zero ring, so an enumerator that yields nothing stands in
+    monkeypatch.setattr(cli, "enumerate_rings", lambda p, exps, sides: iter(()))
     out = tmp_path / "x"
     assert main(["enumerate-rings", "--p", "3", "--exps", "1", "--filter", "p-nil",
                  "--out", str(out)]) == 0

@@ -924,6 +924,40 @@ def test_laue_inverse_check_reads_the_automorphisms_in_blocks(monkeypatch):
     assert len(sizes) == 4 * -(-2916 // (CHUNK_ENTRIES // 81)) and max(sizes) <= CHUNK_ENTRIES
 
 
+def test_laue_looks_up_every_row_a_block_at_a_time(monkeypatch):
+    """No row lookup inside check_laue, the derivation lookup of every
+    endomorphism's coset-offset row included, takes more than one `blocks`
+    slice of rows; at 16 rows a block every report is the unpatched one."""
+    modules = [(G, N) for G, N, *_ in _generator_mode_modules("es27xc3")]
+    for name in ("c3xc3", "d8", "q8xc2"):
+        G = builtin_group(name)
+        modules += [(G, N) for N in abelian_normal_subgroups(G)]
+    expected = [check_laue(G, N) for G, N in modules]
+    rows = []
+    for method in ("find", "require"):
+        spied = getattr(_RowIndex, method)
+        monkeypatch.setattr(_RowIndex, method,
+                            lambda self, r, *a, spied=spied: rows.append(len(r)) or spied(self, r, *a))
+    for (G, N), want in zip(modules, expected):
+        rows.clear()
+        monkeypatch.setattr(groups, "CHUNK_ENTRIES", 16 * G.n)
+        assert check_laue(G, N) == want
+        assert rows and max(rows) <= 16
+    assert max(rep.computed["end_count"] for rep in expected) > 1024
+
+
+def test_laue_names_the_first_endomorphism_outside_the_derivations(monkeypatch):
+    """When the derivation rows of two endomorphisms in two lookup blocks are
+    lost, the witness names the earlier, as the whole-array lookup did."""
+    G, N, ends, *_ = next(_generator_mode_modules("m27xc3"))
+    ders = _der_matrix(G, N).copy()
+    lost = _RowIndex(ders).require(coset_offsets(G, ends[[150, 40]]), "derivation")
+    ders[lost] = (G.identity + np.array([[1], [2]])) % G.n  # constant rows: no derivation
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 100 * G.n)  # blocks 1 and 0
+    witness = morphisms._laue_witness(G, N, ders, ends, {})
+    assert witness == "endomorphism 40 maps outside the derivation set"
+
+
 def test_laue_names_the_first_automorphism_that_lacks_an_inverse(monkeypatch):
     """When inverses are missing in two row blocks, the witness names the
     first automorphism, in the earlier block, as the whole-array check did."""

@@ -639,6 +639,57 @@ def test_enumerate_filter():
     assert len(nil) == 1  # only the zero ring; x^2 = x is not 2-nil
 
 
+def _p_nil_by_tables(ring: FiniteRing, side: int) -> bool:
+    """Independent of the slot steps: every x with p x = 0 (4 x = 0 when
+    p = 2) has x R = 0 (side 0) or R x = 0 (side 1), read off the tables."""
+    T = ring.tables
+    moduli = np.array([ring.p**e for e in ring.exps])
+    small = (T.coords * (4 if ring.p == 2 else ring.p) % moduli == 0).all(axis=1)
+    return not (T.mul[small] if side == 0 else T.mul[:, small]).any()
+
+
+@pytest.mark.parametrize("p, exps", [(3, (2, 1)), (3, (3,)), (2, (3, 1)), (2, (3,)), (2, (4, 1))])
+@pytest.mark.parametrize("sides", [(0,), (1,), (0, 1)])
+def test_p_nil_walk_matches_the_filtered_enumeration(p, exps, sides):
+    # the walk yields the unrestricted enumeration's p-nil rings: same names,
+    # tensors and order, p-nil checked on the tables, not through the slot steps
+    full = list(enumerate_rings(p, exps))
+    for ring in full:
+        assert ring.is_left_p_nil() == _p_nil_by_tables(ring, 0)
+        assert ring.is_right_p_nil() == _p_nil_by_tables(ring, 1)
+    want = [(r.name, r.tensor.tolist()) for r in full
+            if all(_p_nil_by_tables(r, side) for side in sides)]
+    got = [(r.name, r.tensor.tolist()) for r in enumerate_rings(p, exps, sides)]
+    assert 1 < len(got) < len(full) and got == want
+
+
+@pytest.mark.parametrize("p, exps, one_sided", [(3, (2, 1), 6), (2, (3, 1), 2)])
+def test_right_walk_yields_the_opposites_of_the_left_walk(p, exps, one_sided):
+    left = list(enumerate_rings(p, exps, (0,)))
+    right = sorted(r.tensor.tolist() for r in enumerate_rings(p, exps, (1,)))
+    opposites = [FiniteRing(p, exps, np.swapaxes(r.tensor, 0, 1)) for r in left]
+    assert sorted(op.tensor.tolist() for op in opposites) == right
+    for ring, op in zip(left, opposites):
+        assert op.is_left_p_nil() == ring.is_right_p_nil()
+        assert op.is_right_p_nil() == ring.is_left_p_nil()
+    assert sum(not ring.is_right_p_nil() for ring in left) == one_sided
+
+
+def test_p_nil_walk_passes_the_type_the_filter_could_not(monkeypatch):
+    # building every associative tensor of (3, (2, 1, 1)) passes ENUM_BUDGET
+    # (refused after about 15 s); walking only the p-nil slots stays inside a
+    # thirty-second of it
+    monkeypatch.setattr(rings, "ENUM_BUDGET", rings.ENUM_BUDGET // 32)
+    counts = [sum(1 for _ in enumerate_rings(3, (2, 1, 1), s)) for s in ((0,), (1,), (0, 1))]
+    assert counts == [315, 315, 27]
+
+
+@pytest.mark.parametrize("exps", [(2, 1), ()])
+def test_p_nil_walk_refuses_a_side_that_is_neither_left_nor_right(exps):
+    with pytest.raises(InvalidArgumentError, match="side must be 0 .left. or 1 .right., got 2"):
+        next(enumerate_rings(3, exps, (0, 2)))
+
+
 def test_ideal_u_requires_hypothesis():
     with pytest.raises(HypothesisError):
         ideal_u(unital_ring(9))
